@@ -14,7 +14,12 @@ A job is a plain dict (JSON-serialisable, so it can be sent to the worker):
 A run is a list of rounds. Every round holds the same mix of job kinds and
 sizes, so the work of a run does not depend on the seed. The seed draws the
 continuous inputs (alpha where it does not decide pass or fail, geometry,
-hbar, labels, frequencies, grid axes) and the order of the jobs.
+hbar, labels, frequencies, grid axes); the order of the jobs is fixed.
+Each builder lists a round's jobs with like jobs next to each other (grouped
+by kind, the Wigner ladder in order of side), and ``spread`` deals that list out in golden-ratio order, so that jobs of like
+cost, which decide the median and the tail latency, are spaced evenly over
+the run instead of bunching where the seed happened to put them. The host's
+speed changes over seconds, and bunched jobs would all catch the same phase.
 
 The alphas that decide whether a job hits a known defect are laid on the
 midpoints of equal strata of their range, spread over the whole run and
@@ -34,24 +39,32 @@ WORKLOADS = ("export", "quadrature", "hamiltonian")
 # nominal seconds of one round on the reference machine (2-core Xeon); a run
 # holds round(seconds / ROUND_SECONDS) rounds, so its work depends only on
 # --seconds, never on measured speed
-ROUND_SECONDS = {"export": 18.0, "quadrature": 16.0, "hamiltonian": 7.5}
+ROUND_SECONDS = {"export": 18.0, "quadrature": 20.0, "hamiltonian": 7.5}
+# A quadrature round holds 13 jobs. The tail latency needs ten successful
+# jobs beyond it, and only from two rounds on (26 jobs) does it land on a
+# basis_gram rather than on a verify suite of a tenth of a second. So a
+# quadrature run holds at least two rounds, about 40 s at --seconds 24.
+MIN_ROUNDS = {"quadrature": 2}
 
 ALPHA_RANGE = (0.05, 0.95)
-TINY_ALPHA_RANGE = (1e-8, 0.05)
+# the tiny sweep alphas: below 10**-5.2 every geometry tried raises the
+# pairing error, so the defect shows in fail_frac on every seed
+TINY_ALPHA_RANGE = (1e-8, 1e-5)
 AXES = ("x1", "x2", "p1", "p2")
-# Wigner jobs per round for each (grid side, format). Table formatting makes
-# json slower than csv, so each pair is its own latency cluster. These counts
-# put the median job in the middle of the 81-point csv jobs and the tail job
-# (ten slower successful jobs beyond it) in the middle of the 161-point csv
-# jobs, instead of on the boundary between two clusters, where one slow job
-# would move either statistic from one cluster to the next. The cheap jobs
-# below the median are the 41-point tables and the passing sweeps.
-WIGNER_JOBS = {
-    (41, "csv"): 6, (41, "json"): 5,
-    (81, "csv"): 5, (81, "json"): 4,
-    (161, "csv"): 5, (161, "json"): 4,
-    (401, "csv"): 2, (401, "json"): 2,
-}
+# Wigner tables per round: LADDER_TABLES sides on a geometric ladder from 50
+# to 131 (81 in the middle), csv and json alternating along it, plus one
+# csv and one json table at each of the sides 41 and 161, and one csv table
+# of side 401. The host's speed flips between a fast and a slow phase (up to
+# 1.8 times slower) every few seconds. Tables of a few sides only make tight
+# latency clusters that split into a fast and a slow spike, and the median
+# then jumps from one spike to the other with the share of jobs that ran in
+# a slow phase (spread 0.46 over five seeds). On the ladder the latencies
+# around the median and the tail are spread evenly, so either statistic
+# moves in proportion to that share; the more tables there are per unit of
+# log latency, the less it moves.
+LADDER_SIDES = (50, 131)
+LADDER_TABLES = 91
+EXTRA_TABLES = ((41, "csv"), (41, "json"), (161, "csv"), (161, "json"), (401, "csv"))
 TABLE_FORMATS = ("csv", "json")
 SWEEP_ALPHAS = 32
 # sweeps per round; one in four appends a tiny alpha
@@ -73,7 +86,7 @@ GROUND_RTOL = 1e-6
 
 
 def rounds_for(workload: str, seconds: float) -> int:
-    return max(1, round(seconds / ROUND_SECONDS[workload]))
+    return max(MIN_ROUNDS.get(workload, 1), round(seconds / ROUND_SECONDS[workload]))
 
 
 def strata_midpoints(lo: float, hi: float, count: int) -> list[float]:
@@ -205,6 +218,13 @@ def _sweep_job(rng: random.Random, tiny_alpha: float | None) -> dict:
     return {"kind": "sweep", "params": params, "argv": argv}
 
 
+def wigner_tables() -> list[tuple[int, str]]:
+    """(grid side, format) of every Wigner table in an export round."""
+    lo, hi = LADDER_SIDES
+    sides = [round(lo * (hi / lo) ** (i / (LADDER_TABLES - 1))) for i in range(LADDER_TABLES)]
+    return [(side, TABLE_FORMATS[i % 2]) for i, side in enumerate(sides)] + list(EXTRA_TABLES)
+
+
 def _export_jobs(rng: random.Random, rounds: int) -> list[list[dict]]:
     slots = range(0, SWEEPS_PER_ROUND * rounds, TINY_EVERY)
     lo, hi = (math.log10(v) for v in TINY_ALPHA_RANGE)
@@ -213,7 +233,7 @@ def _export_jobs(rng: random.Random, rounds: int) -> list[list[dict]]:
     tiny_at = dict(zip(slots, tiny))
     blocks = []
     for r in range(rounds):
-        jobs = [_wigner_job(rng, side, fmt) for (side, fmt), count in WIGNER_JOBS.items() for _ in range(count)]
+        jobs = [_wigner_job(rng, side, fmt) for side, fmt in wigner_tables()]
         jobs += [_sweep_job(rng, tiny_at.get(r * SWEEPS_PER_ROUND + i)) for i in range(SWEEPS_PER_ROUND)]
         blocks.append(jobs)
     return blocks
@@ -290,18 +310,27 @@ def _hamiltonian_jobs(rng: random.Random, rounds: int) -> list[list[dict]]:
     return blocks
 
 
+GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def spread(block: list) -> list:
+    """``block`` reordered so that neighbours in it end up far apart: item i
+    goes to the rank of frac(i * golden ratio), a low-discrepancy order, so
+    any run of neighbours is spaced evenly over the result."""
+    return [block[i] for i in sorted(range(len(block)), key=lambda i: (i * GOLDEN) % 1.0)]
+
+
 _BUILDERS = {"export": _export_jobs, "quadrature": _quadrature_jobs, "hamiltonian": _hamiltonian_jobs}
 
 
 def build_jobs(workload: str, seed: int, seconds: float) -> list[dict]:
-    """The run's job list: rounds in order, jobs shuffled within each round."""
+    """The run's job list: rounds in order, each round's jobs ``spread``."""
     if workload not in _BUILDERS:
         raise ValueError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
     rng = random.Random(f"{workload}:{seed}")
     jobs = []
     for r, block in enumerate(_BUILDERS[workload](rng, rounds_for(workload, seconds))):
-        rng.shuffle(block)
-        for job in block:
+        for job in spread(block):
             job["round"] = r
             jobs.append(job)
     return jobs

@@ -34,7 +34,9 @@ import jobs as joblist
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 OUT_DIR = Path(__file__).resolve().parent / "out"
-SETUP_SAMPLES = 5
+# cold imports per run, spread over the run so that their median spans the
+# host's drift over the whole run rather than a burst of a few seconds
+SETUP_SAMPLES = 15
 IMPORTTIME_SAMPLES = 3
 COLD_IMPORT = "import cvsqueeze.cli"
 # numpy is imported first, so that its import is not charged to whichever
@@ -124,6 +126,9 @@ class Worker:
             [sys.executable, str(Path(__file__).with_name("worker.py")), str(OUT_DIR)],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=_child_env(), cwd=ROOT,
         )
+        # wait until the worker has imported cvsqueeze, so that its start-up
+        # does not overlap the first cold-import sample
+        self.request({"op": "ping"})
 
     def request(self, message: dict) -> dict:
         self.proc.stdin.write(json.dumps(message) + "\n")
@@ -141,12 +146,24 @@ class Worker:
             stream.close()
 
 
-def run_jobs(worker: Worker, batch: list[dict]) -> list[dict]:
-    """Send each job, then check its output before sending the next."""
+def setup_slots(n_jobs: int) -> list[int]:
+    """For each cold-import sample, the index of the job it is taken before."""
+    return [i * n_jobs // SETUP_SAMPLES for i in range(SETUP_SAMPLES)]
+
+
+def run_jobs(worker: Worker, batch: list[dict], setup: list[float] | None = None) -> list[dict]:
+    """Send each job, then check its output before sending the next.
+
+    With a ``setup`` list, cold-import samples are taken between jobs, at
+    ``setup_slots``, and appended to it.
+    """
     import oracles
 
+    slots = setup_slots(len(batch)) if setup is not None else []
     records = []
-    for job in batch:
+    for i, job in enumerate(batch):
+        for _ in range(slots.count(i)):
+            setup.append(cold_import_seconds())
         reply = worker.request({"op": "job", "job": job})
         if "path" in reply:
             path = Path(reply.pop("path"))
@@ -242,7 +259,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     env = machine()
-    setup = [] if args.trace else [cold_import_seconds() for _ in range(SETUP_SAMPLES)]
+    setup: list[float] = []
     job_list = joblist.build_jobs(args.workload, args.seed, args.seconds)
     worker = Worker()
     try:
@@ -252,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
             layers = worker.request({"op": "summary", "path": str(spans_path)})
             records = untraced + traced
         else:
-            records = run_jobs(worker, job_list)
+            records = run_jobs(worker, job_list, setup)
         final = worker.request({"op": "exit"})
     finally:
         worker.close()

@@ -22,7 +22,7 @@ import jobs  # noqa: E402
 import oracles  # noqa: E402
 import spans  # noqa: E402
 from cvsqueeze import basis, cli, states  # noqa: E402
-from run import own_import_seconds, tail  # noqa: E402
+from run import SETUP_SAMPLES, own_import_seconds, setup_slots, tail  # noqa: E402
 
 
 @pytest.mark.parametrize("workload", jobs.WORKLOADS)
@@ -41,6 +41,53 @@ def test_failure_driving_alphas_are_seed_independent():
     rounds = jobs.rounds_for("export", 24)
     assert tiny(1) == tiny(2)
     assert len(tiny(1)) == len(range(0, jobs.SWEEPS_PER_ROUND * rounds, jobs.TINY_EVERY))
+    assert all(alpha <= oracles.SWEEP_PAIRING_ALPHA for alpha in tiny(1))
+
+
+def test_export_tables_are_seed_independent_and_span_every_side():
+    def tables(seed):
+        return sorted((job["params"]["n"], job["params"]["format"])
+                      for job in jobs.build_jobs("export", seed, 24) if job["kind"] == "wigner")
+
+    assert tables(1) == tables(2) == sorted(jobs.wigner_tables())
+    assert {41, 81, 161, 401} <= {side for side, _ in tables(1)}
+    ladder = jobs.wigner_tables()[:jobs.LADDER_TABLES]
+    assert [side for side, _ in ladder] == sorted(side for side, _ in ladder)
+    assert ladder[jobs.LADDER_TABLES // 2][0] == 81
+
+
+def test_known_defects_are_limited_to_measured_bands():
+    sweep = {"kind": "sweep", "params": {"alphas": [0.3, 1e-6]}}
+    pairing = "exit code 2: error: expected 2 positive-imaginary eigenvalues, found 1"
+    assert oracles.known_defect(sweep, pairing)
+    assert oracles.known_defect(sweep, "exit code 2: error: unrecognized arguments") is None
+    assert oracles.known_defect(sweep, "k=2, alpha=1e-06: residual 1.000e-10")
+    assert oracles.known_defect(sweep, "k=2, alpha=0.3: residual 1.000e-10") is None
+    assert oracles.known_defect({"kind": "sweep", "params": {"alphas": [0.3, 1e-3]}}, pairing) is None
+
+    def gram(alpha):
+        return {"kind": "gram", "params": {"alpha": alpha}}
+
+    assert oracles.known_defect(gram(0.14), "max |G - I| = 2.135e-07")
+    assert oracles.known_defect(gram(0.185), "max |G - I| = 2.000e-07") is None
+
+    def hamiltonian(alpha, order):
+        return {"kind": "hamiltonian", "params": {"alpha": alpha, "order": order}}
+
+    reason = "ground-state |E - E0| = 1.000e-05"
+    assert oracles.known_defect(hamiltonian(0.1, 80), reason)
+    assert oracles.known_defect(hamiltonian(0.1, 160), reason)
+    assert oracles.known_defect(hamiltonian(0.2, 80), reason) is None
+    assert oracles.known_defect(hamiltonian(0.1, 320), reason) is None
+    assert oracles.known_defect(hamiltonian(0.1, 80), "Fock path gap 1.000e-03") is None
+
+
+def test_setup_samples_spread_over_the_run():
+    for n_jobs in (1, 5, 26, 41):
+        slots = setup_slots(n_jobs)
+        assert len(slots) == SETUP_SAMPLES and slots[0] == 0
+        assert all(0 <= slot < n_jobs for slot in slots)
+    assert setup_slots(41)[-1] > 35
 
 
 def test_state_moments_match_the_program():

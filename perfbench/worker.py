@@ -12,6 +12,8 @@ reply per line from stdout:
   accumulate over every traced job;
 * ``{"op": "summary", "path": ...}`` writes the spans and replies with the
   per-layer numbers;
+* ``{"op": "ping"}`` replies at once, which tells the parent that the
+  worker has finished importing;
 * ``{"op": "exit"}`` replies with peak RSS and the environment, then exits.
 
 Only the call into ``cvsqueeze`` is timed. Job output goes to files under
@@ -164,6 +166,8 @@ def main(out_dir: str) -> None:
             reply = tracer.summary()
             reply["quadrature.gauss_hermite.hit_ratio"] = hits / (hits + misses) if hits + misses else 0.0
             tracer.save(request["path"])
+        elif op == "ping":
+            reply = {}
         elif op == "exit":
             peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
             replies.write(json.dumps({"peak_rss_mb": peak, "env": environment()}) + "\n")
