@@ -8,10 +8,12 @@ Subcommands:
 * ``hamiltonian``  export the reconstructed Hamiltonian and its ground-state check
 
 Every global flag can also be set through an environment variable with the
-``CVSQUEEZE_`` prefix (flags win over the environment).  Output files embed
-the full parameter set that produced them, use a fixed field order, and
-serialize floats with 17 significant digits, so identical inputs produce
-byte-identical files.  Exit codes: 0 success, 1 check failure, 2 usage error.
+``CVSQUEEZE_`` prefix (flags win over the environment; environment values
+are checked like flag values).  Output files embed the full parameter set
+that produced them and use a fixed field order.  Floats round-trip exactly:
+csv writes them with 17 significant digits, json with the shortest ``repr``
+that reads back to the same float.  Identical inputs produce byte-identical
+files.  Exit codes: 0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +42,18 @@ def _positive_float(text: str) -> float:
         value = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
 
 
@@ -86,15 +99,45 @@ def _fix_arg(text: str) -> tuple[str, float]:
     if name not in _AXES or not raw:
         raise argparse.ArgumentTypeError(f"expected AXIS=VALUE with axis in {_AXES}, got {text!r}")
     try:
-        return name, float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"fixed value must be a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"fixed value must be finite: {text!r}")
+    return name, value
 
 
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
     return str(value)
+
+
+# json.dumps spells the non-finite floats as JavaScript does
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_floats(column: Sequence) -> list[str]:
+    cells = list(map(float.__repr__, column))
+    if not all(map(math.isfinite, column)):
+        cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
+    return cells
+
+
+def _rows(columns: list[Sequence], fmt: str) -> list[str]:
+    """Table rows as text, one csv line or one indent-2 json array per row.
+
+    Each column holds at least one cell, all of one type.  One template per
+    table formats a whole row at once, with the bytes the per-cell ``_fmt``
+    (csv) and ``json.dumps(..., indent=2)`` (json) give.
+    """
+    if fmt == "csv":
+        template = ",".join("%.17g" if isinstance(column[0], float) else "%s" for column in columns)
+    else:
+        columns = [_json_floats(column) if isinstance(column[0], float) else list(map(json.dumps, column))
+                   for column in columns]
+        template = "    [\n" + ",\n".join("      %s" for _ in columns) + "\n    ]"
+    return list(map(template.__mod__, zip(*columns)))
 
 
 @dataclass(frozen=True)
@@ -109,20 +152,22 @@ class RunConfig:
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
+    # string defaults, so that argparse checks environment values with the
+    # flag's type and reports a bad one as a usage error
     parser.add_argument(
-        "--hbar", type=_positive_float, default=float(_env("HBAR", "1.0")), help="reduced Planck constant (default 1)"
+        "--hbar", type=_positive_float, default=_env("HBAR", "1.0"), help="reduced Planck constant (default 1)"
     )
     parser.add_argument(
-        "--mass", type=_positive_float, default=float(_env("MASS", "1.0")), help="oscillator mass (default 1)"
+        "--mass", type=_positive_float, default=_env("MASS", "1.0"), help="oscillator mass (default 1)"
     )
     parser.add_argument(
-        "--order", type=int, default=int(_env("ORDER", "80")), help="quadrature / grid refinement order"
+        "--order", type=_positive_int, default=_env("ORDER", "80"), help="quadrature / grid refinement order"
     )
     parser.add_argument(
-        "--trunc", type=int, default=int(_env("TRUNC", "20")), help="Fock-space truncation"
+        "--trunc", type=_positive_int, default=_env("TRUNC", "20"), help="Fock-space truncation"
     )
     parser.add_argument(
-        "--tol", type=_positive_float, default=float(_env("TOL", "1e-6")), help="acceptance tolerance for reported checks"
+        "--tol", type=_positive_float, default=_env("TOL", "1e-6"), help="acceptance tolerance for reported checks"
     )
     parser.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), default=_env("FORMAT", "csv"), help="output format"
@@ -143,16 +188,19 @@ def _config(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _emit_table(params: dict, columns: list[str], rows: list[list], config: RunConfig) -> str:
+def _emit_table(params: dict, names: list[str], columns: list[Sequence], config: RunConfig) -> str:
+    rows = _rows(columns, config.fmt)
     if config.fmt == "csv":
         lines = [f"# {key} = {_fmt(value)}" for key, value in params.items()]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(cell) for cell in row) for row in rows)
+        lines.append(",".join(names))
+        lines.extend(rows)
         return "\n".join(lines) + "\n"
     payload = {"params": {k: (str(v) if isinstance(v, complex) else v) for k, v in params.items()},
-               "columns": columns,
-               "rows": rows}
-    return json.dumps(payload, indent=2) + "\n"
+               "columns": names,
+               "rows": []}
+    head = json.dumps(payload, indent=2)
+    # head ends in the empty '"rows": []' and the closing brace
+    return "\n".join([head[:-len("]\n}")], ",\n".join(rows), "  ]\n}\n"])
 
 
 def _write(text: str, config: RunConfig) -> int:
@@ -200,7 +248,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "mode", "alpha", "squeeze_xi", "lambda_min_pt", "lambda_max_pt",
         "verdict", "log_negativity", "log_negativity_closed", "residual",
     ]
-    return _write(_emit_table(params, columns, rows, config), config)
+    return _write(_emit_table(params, columns, list(zip(*rows)), config), config)
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
@@ -223,21 +271,17 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
     grid1 = np.linspace(args.range1[0], args.range1[1], args.n1)
     grid2 = np.linspace(args.range2[0], args.range2[1], args.n2)
-    rows: list[list] = []
-    for v1 in grid1:
-        point = dict(coords)
-        point[axis1] = float(v1)
-        for v2 in grid2:
-            point[axis2] = float(v2)
-            value = float(
-                evaluator(
-                    point["x1"] - offsets["x1"],
-                    point["x2"] - offsets["x2"],
-                    point["p1"] - offsets["p1"],
-                    point["p2"] - offsets["p2"],
-                )
-            )
-            rows.append([float(v1), float(v2), value])
+    # one evaluator call on the (n1, n2) mesh; the fixed axes stay the
+    # scalars a per-point call would get, so every value is the same
+    shifted = {name: coords[name] - offsets[name] for name in _AXES}
+    shifted[axis1] = grid1[:, None] - offsets[axis1]
+    shifted[axis2] = grid2[None, :] - offsets[axis2]
+    values = evaluator(shifted["x1"], shifted["x2"], shifted["p1"], shifted["p2"])
+    columns = [
+        np.repeat(grid1, args.n2).tolist(),
+        np.tile(grid2, args.n1).tolist(),
+        values.ravel().tolist(),
+    ]
     params = {
         "command": "wigner", "mode": args.k, "alpha": args.alpha,
         "a": args.a, "b": args.b, "hbar": config.hbar,
@@ -250,7 +294,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     for name in _AXES:
         if name not in (axis1, axis2):
             params[f"fixed_{name}"] = coords[name]
-    return _write(_emit_table(params, [axis1, axis2, "wigner"], rows, config), config)
+    return _write(_emit_table(params, [axis1, axis2, "wigner"], columns, config), config)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from cvsqueeze import cli, phase_space, states
 from cvsqueeze.cli import main
 
 
@@ -183,3 +184,158 @@ class TestHamiltonianCommand:
         assert ground["within_tolerance"]
         assert ground["expected"] == pytest.approx(1.0, rel=1e-15)
         assert abs(ground["energy"] - ground["expected"]) < 1e-6
+
+
+class TestNumericFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["wigner", "--alpha=0.5", "--hbar=inf"],
+            ["sweep", "--alphas=0.5", "--mass=inf"],
+            ["sweep", "--alphas=0.5", "--tol=inf"],
+            ["sweep", "--alphas=0.5", "--a=inf"],
+            ["sweep", "--alphas=0.5", "--b=inf"],
+            ["hamiltonian", "--alpha=0.5", "--omega1=inf"],
+            ["hamiltonian", "--alpha=0.5", "--omega2=inf"],
+            ["wigner", "--alpha=0.5", "--fix=p1=nan"],
+            ["wigner", "--alpha=0.5", "--fix=x2=-inf"],
+        ],
+        ids=["hbar", "mass", "tol", "a", "b", "omega1", "omega2", "fix-nan", "fix-inf"],
+    )
+    def test_non_finite_value_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--order=-5", "--order=0", "--trunc=0", "--trunc=2.5"])
+    def test_non_positive_int_exits_2(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["hamiltonian", "--alpha=0.5", flag])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [("ORDER", "abc"), ("ORDER", "-5"), ("TRUNC", "0"), ("TOL", "-1"), ("HBAR", "inf"), ("MASS", "x")],
+    )
+    def test_bad_environment_default_exits_2(self, name, value, capsys, monkeypatch):
+        monkeypatch.setenv(f"CVSQUEEZE_{name}", value)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--alphas=0.5"])
+        assert excinfo.value.code == 2
+        assert f"--{name.lower()}" in capsys.readouterr().err
+
+
+def _reference_fmt(value) -> str:
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def _reference_table(params: dict, columns: list, rows: list, fmt: str) -> str:
+    """The table writer as a per-cell loop and an indent-2 json.dumps."""
+    if fmt == "csv":
+        lines = [f"# {key} = {_reference_fmt(value)}" for key, value in params.items()]
+        lines.append(",".join(columns))
+        lines.extend(",".join(_reference_fmt(cell) for cell in row) for row in rows)
+        return "\n".join(lines) + "\n"
+    return json.dumps({"params": params, "columns": columns, "rows": rows}, indent=2) + "\n"
+
+
+def _reference_wigner_rows(params: dict) -> list:
+    """The table a header describes, one scalar evaluator call per point."""
+    hbar = params["hbar"]
+    geom = states.OscillatorGeometry(a=params["a"], b=params["b"], hbar=hbar)
+    labels = states.DisplacementLabels(z1=complex(params["z1"]), z2=complex(params["z2"]))
+    k, alpha = params["mode"], params["alpha"]
+    _, evaluator = phase_space.wigner_gaussian(states.unshifted_gaussian(k, alpha, geom), hbar)
+    shift = states.shift_params(k, alpha, geom, labels)
+    offsets = {"x1": shift.y1, "x2": shift.y2, "p1": shift.q1, "p2": shift.q2}
+    axis1, axis2 = params["axis1"], params["axis2"]
+    grid1 = np.linspace(*map(float, params["range1"].split(":")), params["n1"])
+    grid2 = np.linspace(*map(float, params["range2"].split(":")), params["n2"])
+    point = {name: params.get(f"fixed_{name}", 0.0) for name in ("x1", "x2", "p1", "p2")}
+    rows = []
+    for v1 in grid1:
+        point[axis1] = float(v1)
+        for v2 in grid2:
+            point[axis2] = float(v2)
+            value = evaluator(*(point[name] - offsets[name] for name in ("x1", "x2", "p1", "p2")))
+            rows.append([float(v1), float(v2), float(value)])
+    return rows
+
+
+class TestByteIdentity:
+    """The table writer gives the bytes of the per-cell reference writer."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--k=1", "--n1=7", "--n2=4", "--z1=0.3+0.2j", "--hbar=1.3", "--a=0.8", "--b=1.7",
+             "--fix=p1=0.25", "--fix=p2=-0.4"],
+            ["--k=2", "--axes=p1,p2", "--n1=5", "--n2=6", "--range1=-2:2", "--range2=-1:3",
+             "--fix=x1=0.5", "--fix=x2=-0.3", "--z2=-0.2+0.4j", "--hbar=0.7"],
+            ["--k=2", "--axes=x2,p1", "--n1=9", "--n2=3", "--alpha=0.1", "--fix=p2=1e-3"],
+            ["--k=1", "--axes=p2,x1", "--n1=4", "--n2=7", "--alpha=0.9", "--z1=-0.5j"],
+        ],
+        ids=["k1-positions", "k2-momenta", "k2-mixed", "k1-mixed-reversed"],
+    )
+    def test_wigner_matches_reference(self, argv, capsys):
+        self._check_wigner(["wigner", "--alpha=0.35"] + argv, capsys)
+
+    def test_underflowed_values_match_reference(self, capsys):
+        rows = self._check_wigner(
+            ["wigner", "--alpha=0.5", "--n1=4", "--n2=3", "--range1=40:60", "--range2=-60:-40"], capsys
+        )
+        assert all(row[2] == 0.0 for row in rows)
+
+    def test_sweep_matches_reference(self, capsys):
+        argv = ["sweep", "--alphas=0.05,0.3,0.6,0.97", "--a=0.7", "--b=1.9", "--hbar=1.1"]
+        code, out, _ = run(argv + ["--format=json"], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert {type(cell) for cell in payload["rows"][0]} == {int, float, str}
+        for fmt in ("csv", "json"):
+            code, out, _ = run(argv + [f"--format={fmt}"], capsys)
+            assert code == 0
+            assert out == _reference_table(payload["params"], payload["columns"], payload["rows"], fmt)
+
+    def test_non_finite_and_numpy_cells(self):
+        params = {"command": "test"}
+        column = [float("nan"), float("inf"), -float("inf"), np.float64(0.1), -0.0, 1e-300]
+        columns = [list(range(len(column))), column, ["a", "b\"", "c", "d", "e", "f"]]
+        rows = [list(row) for row in zip(*columns)]
+        for fmt in ("csv", "json"):
+            config = cli.RunConfig(hbar=1.0, mass=1.0, order=1, trunc=1, tol=1.0, fmt=fmt, out=None)
+            text = cli._emit_table(params, ["i", "v", "s"], columns, config)
+            assert text == _reference_table(params, ["i", "v", "s"], rows, fmt)
+
+    def test_one_evaluator_call_per_table(self, capsys, monkeypatch):
+        shapes = []
+        wigner_gaussian = phase_space.wigner_gaussian
+
+        def counting(*args, **kwargs):
+            cov, evaluator = wigner_gaussian(*args, **kwargs)
+
+            def counted(*coords):
+                shapes.append(np.broadcast(*coords).shape)
+                return evaluator(*coords)
+
+            return cov, counted
+
+        monkeypatch.setattr(phase_space, "wigner_gaussian", counting)
+        code, _, _ = run(["wigner", "--alpha=0.5", "--n1=7", "--n2=4", "--axes=p2,x1"], capsys)
+        assert code == 0
+        assert shapes == [(7, 4)]
+
+    @staticmethod
+    def _check_wigner(argv, capsys) -> list:
+        code, out, _ = run(argv + ["--format=json"], capsys)
+        assert code == 0
+        params = json.loads(out)["params"]
+        rows = _reference_wigner_rows(params)
+        assert len(rows) == params["n1"] * params["n2"]
+        for fmt in ("csv", "json"):
+            code, out, _ = run(argv + [f"--format={fmt}"], capsys)
+            assert code == 0
+            assert out == _reference_table(params, [params["axis1"], params["axis2"], "wigner"], rows, fmt)
+        return rows
