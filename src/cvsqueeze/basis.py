@@ -47,10 +47,16 @@ def check_mode(k: int) -> int:
     return int(k)
 
 
-def _check_alpha_open(alpha: float) -> float:
+def check_alpha(alpha: float, *, closed: bool) -> float:
+    """``alpha`` as a float, checked to lie in (0, 1), or in (0, 1] if ``closed``.
+
+    Callers whose formulas stay regular without squeezing (alpha = 1) pass
+    ``closed=True``.  NaN and inf are rejected either way.
+    """
     alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in the open interval (0, 1), got {alpha}")
+    if not (0.0 < alpha < 1.0 or (closed and alpha == 1.0)):
+        interval = "(0, 1]" if closed else "(0, 1)"
+        raise ValueError(f"alpha must lie in {interval}, got {alpha}")
     return alpha
 
 
@@ -70,9 +76,7 @@ def squeeze_from_alpha(alpha: float) -> SqueezeParam:
     their argument scaling degenerates there; this map keeps the closed
     endpoint for limit bookkeeping.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    alpha = check_alpha(alpha, closed=True)
     return SqueezeParam(alpha=alpha, xi=-0.5 * math.log(alpha))
 
 
@@ -98,7 +102,7 @@ def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
 
     ``z`` may be scalar or ndarray; output shape is ``(n_max+1, *shape(z))``.
     """
-    alpha = _check_alpha_open(alpha)
+    alpha = check_alpha(alpha, closed=False)
     z = np.asarray(z, dtype=complex)
     beta = (1.0 - alpha) / (1.0 + alpha)
     gamma = math.sqrt(beta)
@@ -130,7 +134,7 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
     ``z1``/``z2`` may be scalars or broadcast-compatible ndarrays; output
     shape ``(m_max+1, n_max+1, *broadcast_shape)``.
     """
-    alpha = _check_alpha_open(alpha)
+    alpha = check_alpha(alpha, closed=False)
     z1 = np.asarray(z1, dtype=complex)
     z2 = np.asarray(z2, dtype=complex)
     z1, z2 = np.broadcast_arrays(z1, z2)
@@ -201,7 +205,7 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
     orthonormality means the result is close to the identity.  Evaluation is
     chunked along the first axis to bound memory.
     """
-    alpha = _check_alpha_open(alpha)
+    alpha = check_alpha(alpha, closed=False)
     nodes, weights = gauss_hermite(order)
     dim = max_index + 1
     gram = np.zeros((dim * dim, dim * dim), dtype=complex)

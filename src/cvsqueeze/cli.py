@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import model, phase_space, states, verify
+from . import basis, model, phase_space, states, verify
 
 _AXES = ("x1", "x2", "p1", "p2")
 
@@ -59,12 +59,9 @@ def _positive_int(text: str) -> int:
 
 def _unit_alpha(text: str) -> float:
     try:
-        value = float(text)
+        return basis.check_alpha(text, closed=False)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {text}")
-    return value
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _alpha_list(text: str) -> list[float]:
@@ -403,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     wigner.set_defaults(handler=cmd_wigner)
 
     ver = sub.add_parser("verify", help="run a library invariant suite")
-    _common_flags(ver)
     ver.add_argument("suite", choices=verify.suite_names())
     ver.set_defaults(handler=cmd_verify)
 

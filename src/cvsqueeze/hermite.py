@@ -24,6 +24,7 @@ import math
 
 import numpy as np
 
+from .basis import check_alpha
 from .quadrature import gauss_hermite, require_convergence
 
 __all__ = [
@@ -199,6 +200,7 @@ def orthogonality_rhs(m: int, n: int, alpha: float) -> float:
     """
     _check_index(m, "m")
     _check_index(n, "n")
+    alpha = check_alpha(alpha, closed=False)
     if m != n:
         return 0.0
     return (
@@ -210,15 +212,15 @@ def orthogonality_rhs(m: int, n: int, alpha: float) -> float:
     )
 
 
-def _orthogonality_quad(m: int, n: int, alpha: float, order: int) -> complex:
-    # per-axis rescaling to the two Gaussian weights exp(-(1-a)x^2), exp(-(1/a-1)y^2)
+def _orthogonality_quad(n_max: int, alpha: float, order: int) -> np.ndarray:
+    # Gram matrix [m, n] of int_C H_m conj(H_n) w_alpha for m, n <= n_max, nodes
+    # rescaled per axis to the two Gaussian weights exp(-(1-a)x^2), exp(-(1/a-1)y^2)
     nodes, weights = gauss_hermite(order)
     sx = 1.0 / math.sqrt(1.0 - alpha)
     sy = 1.0 / math.sqrt(1.0 / alpha - 1.0)
     z = sx * nodes[:, None] + 1j * sy * nodes[None, :]
-    seq = hermite_holo_sequence(max(m, n), z)
-    integrand = seq[m] * np.conj(seq[n])
-    return sx * sy * complex(np.einsum("i,j,ij->", weights, weights, integrand))
+    seq = hermite_holo_sequence(n_max, z)
+    return sx * sy * np.einsum("mij,nij,i,j->mn", seq, np.conj(seq), weights, weights)
 
 
 def orthogonality_integral(
@@ -240,11 +242,10 @@ def orthogonality_integral(
     """
     _check_index(m, "m")
     _check_index(n, "n")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    value = _orthogonality_quad(m, n, alpha, order)
+    alpha = check_alpha(alpha, closed=False)
+    value = complex(_orthogonality_quad(max(m, n), alpha, order)[m, n])
     if check:
-        refined = _orthogonality_quad(m, n, alpha, 2 * order)
+        refined = complex(_orthogonality_quad(max(m, n), alpha, 2 * order)[m, n])
         # scale the comparison by the diagonal magnitude so off-diagonal
         # zeros are not judged in relative terms against themselves
         scale = orthogonality_rhs(max(m, n), max(m, n), alpha)

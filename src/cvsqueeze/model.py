@@ -37,8 +37,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import correlate1d
+from numpy.lib.stride_tricks import sliding_window_view
 
+from .basis import check_alpha
 from .states import DisplacementLabels, OscillatorGeometry, shift_params, wave_function
 
 __all__ = [
@@ -95,13 +96,6 @@ class OscillatorSpec:
         )
 
 
-def _check_alpha_closed(alpha: float) -> float:
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    return alpha
-
-
 def _sigma_tau(alpha: float) -> tuple[float, float]:
     # Bogoliubov pair with sigma^2 - tau^2 = 1 for every alpha
     root = 2.0 * math.sqrt(alpha)
@@ -135,7 +129,7 @@ def ladder_coefficients(alpha: float, z1: complex, z2: complex) -> LadderCoeffic
     ((1+alpha)^2 - (1-alpha)^2) / (4 alpha) = 1 keeps the commutation
     relations canonical for every alpha.
     """
-    alpha = _check_alpha_closed(alpha)
+    alpha = check_alpha(alpha, closed=True)
     z1 = complex(z1)
     z2 = complex(z2)
     sigma, tau = _sigma_tau(alpha)
@@ -187,18 +181,27 @@ def transformed_ladder_matrices(alpha: float, z1: complex, z2: complex, n_trunc:
     Commutators [Ci, Cj+] = delta_ij and [Ci, Cj] = 0 hold exactly on the
     interior sub-block (both mode indices below ``n_trunc - 2``).
     """
-    alpha = _check_alpha_closed(alpha)
+    coeffs = ladder_coefficients(alpha, z1, z2)
     if n_trunc < 4:
         raise ValueError(f"n_trunc must be >= 4, got {n_trunc}")
-    z1 = complex(z1)
-    z2 = complex(z2)
-    sigma, tau = _sigma_tau(alpha)
-    low1, low2 = lowering_operators(n_trunc)
+    lower = lowering_operators(n_trunc)
     eye = np.eye(n_trunc * n_trunc)
-    c1 = TruncatedOperator(sigma * low1 + tau * low2.conj().T - z1 * eye, n_trunc)
-    c1_dag = TruncatedOperator(sigma * low1.conj().T + tau * low2 - z1.conjugate() * eye, n_trunc)
-    c2 = TruncatedOperator(sigma * low2 + tau * low1.conj().T - z2 * eye, n_trunc)
-    c2_dag = TruncatedOperator(sigma * low2.conj().T + tau * low1 - z2.conjugate() * eye, n_trunc)
+
+    def combine(raising, lowering, shift: complex) -> TruncatedOperator:
+        # sum_j (raising[j] c_j+ + lowering[j] c_j) + shift, c_j+ being the transpose
+        # of the real c_j; zero coefficients are skipped, each term is a dense pass
+        matrix = shift * eye
+        for j in range(2):
+            if raising[j]:
+                matrix += raising[j] * lower[j].T
+            if lowering[j]:
+                matrix += lowering[j] * lower[j]
+        return TruncatedOperator(matrix, n_trunc)
+
+    c1 = combine(coeffs.nu[0], coeffs.nu_tilde[0], coeffs.zeta_shift[0])
+    c1_dag = combine(coeffs.mu[0], coeffs.mu_tilde[0], coeffs.xi_shift[0])
+    c2 = combine(coeffs.nu[1], coeffs.nu_tilde[1], coeffs.zeta_shift[1])
+    c2_dag = combine(coeffs.mu[1], coeffs.mu_tilde[1], coeffs.xi_shift[1])
     return c1, c1_dag, c2, c2_dag
 
 
@@ -228,7 +231,7 @@ def hamiltonian_fock(
     matrix is diagonal with entries hbar omega_1 m + hbar omega_2 n
     + hbar (omega_1 + omega_2)/2.
     """
-    alpha = _check_alpha_closed(alpha)
+    alpha = check_alpha(alpha, closed=True)
     if n_trunc < 8:
         raise ValueError(f"n_trunc must be >= 8, got {n_trunc}")
     z1 = complex(z1)
@@ -311,7 +314,7 @@ def hamiltonian_quadratic(
     operator itself; ``c`` is the purely displacement-induced constant
     hbar (omega_1 |z1|^2 + omega_2 |z2|^2), zero at z = 0.
     """
-    alpha = _check_alpha_closed(alpha)
+    alpha = check_alpha(alpha, closed=True)
     z1 = complex(z1)
     z2 = complex(z2)
     mix1, mix2, coupling = _frequency_mix(alpha, spec)
@@ -349,10 +352,16 @@ _D2_STENCIL = np.array(
 
 
 def _stencil(values: np.ndarray, weights: np.ndarray, axis: int, spacing: float, order: int) -> np.ndarray:
-    w = weights / spacing**order
-    real = correlate1d(values.real, w, axis=axis, mode="constant", cval=0.0)
-    imag = correlate1d(values.imag, w, axis=axis, mode="constant", cval=0.0)
-    return real + 1j * imag
+    # zero-padded correlation out[i] = sum_k weights[k] values[i + k - radius] along
+    # ``axis``; on the float view of the padded samples every output is one
+    # real dot product of the taps with a window of rows
+    radius = len(weights) // 2
+    moved = np.moveaxis(np.asarray(values, dtype=complex), axis, 0)
+    padded = np.zeros((len(moved) + 2 * radius,) + moved.shape[1:], dtype=complex)
+    padded[radius:-radius] = moved
+    rows = padded.reshape(len(padded), -1).view(float)
+    out = sliding_window_view(rows, len(weights), axis=0) @ (weights / spacing**order)
+    return np.moveaxis(out.view(complex).reshape(moved.shape), 0, axis)
 
 
 def apply_quadratic_hamiltonian(
@@ -421,7 +430,7 @@ def ground_state_energy_check(
     under grid refinement.  The geometry must match the frequencies through
     omega_i = hbar a_i^2 / M.
     """
-    alpha = _check_alpha_closed(alpha)
+    alpha = check_alpha(alpha, closed=True)
     expected_a, expected_b = spec.inverse_lengths()
     if not (
         math.isclose(geom.a, expected_a, rel_tol=1e-10)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import check_mode
+from .basis import check_alpha, check_mode
 from .quadrature import open_gauss_hermite, require_convergence
 from .states import OscillatorGeometry, QuadraticGaussian
 
@@ -179,9 +179,7 @@ def covariance(k: int, alpha: float, geom: OscillatorGeometry) -> CovarianceMatr
     two construction paths can be compared entrywise.
     """
     check_mode(k)
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
+    alpha = check_alpha(alpha, closed=True)
     a, b, hbar = geom.a, geom.b, geom.hbar
     if k == 1:
         sigma = 0.5 * np.diag(

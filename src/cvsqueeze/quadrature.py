@@ -14,10 +14,16 @@ class ConvergenceError(RuntimeError):
 
 @lru_cache(maxsize=64)
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integrals against exp(-t^2) dt."""
+    """Nodes and weights for integrals against exp(-t^2) dt.
+
+    numpy's rule overflows to NaN weights from order 372 on, which is
+    reported as a ``ValueError`` rather than returned.
+    """
     if order < 2:
         raise ValueError(f"quadrature order must be >= 2, got {order}")
     nodes, weights = hermgauss(order)
+    if not np.isfinite(weights).all():
+        raise ValueError(f"Gauss-Hermite weights are not finite at order {order}")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
@@ -46,14 +52,18 @@ def open_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray
     if coeff <= 0.0:
         raise ValueError(f"Gaussian decay coefficient must be positive, got {coeff}")
     nodes, weights = gauss_hermite(order)
+    folded = weights * np.exp(nodes**2)
+    if not np.isfinite(folded).all():
+        raise ValueError(f"folded Gauss-Hermite weights are not finite at order {order}")
     scale = 1.0 / np.sqrt(coeff)
-    return nodes * scale, weights * np.exp(nodes**2) * scale
+    return nodes * scale, folded * scale
 
 
 def require_convergence(coarse: complex, fine: complex, rtol: float, what: str) -> None:
     """Raise :class:`ConvergenceError` when two quadrature levels disagree."""
     scale = max(1.0, abs(fine))
-    if abs(coarse - fine) > rtol * scale:
+    # written so that a NaN difference fails the test
+    if not abs(coarse - fine) <= rtol * scale:
         raise ConvergenceError(
             f"{what}: order doubling changed the result by "
             f"{abs(coarse - fine):.3e} (tolerance {rtol:.1e} relative to {scale:.3e})"

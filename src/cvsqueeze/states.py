@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import check_mode, coefficient_table
-from .quadrature import gauss_hermite, require_convergence
+from .basis import check_alpha, check_mode, coefficient_table
+from .quadrature import require_convergence, scaled_gauss_hermite
 
 __all__ = [
     "OscillatorGeometry",
@@ -117,15 +117,6 @@ class QuadraticGaussian:
     __call__ = evaluate
 
 
-def _check_alpha(alpha: float, open_top: bool = False) -> float:
-    alpha = float(alpha)
-    top_ok = alpha < 1.0 if open_top else alpha <= 1.0
-    if not (0.0 < alpha and top_ok):
-        interval = "(0, 1)" if open_top else "(0, 1]"
-        raise ValueError(f"alpha must lie in {interval}, got {alpha}")
-    return alpha
-
-
 def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions of index 0 .. n_max.
 
@@ -160,7 +151,7 @@ def wave_function(k: int, x1, x2, geom: OscillatorGeometry, labels: Displacement
     (no squeezing) is admitted: both closed forms are regular there.
     """
     check_mode(k)
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha, closed=True)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
     a, b = geom.a, geom.b
@@ -213,7 +204,7 @@ def series_expansion(
     pointwise to :func:`wave_function` as ``n_max`` grows.
     """
     check_mode(k)
-    alpha = _check_alpha(alpha, open_top=True)
+    alpha = check_alpha(alpha, closed=False)
     phi = coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -231,7 +222,7 @@ def shift_params(k: int, alpha: float, geom: OscillatorGeometry, labels: Displac
     translation phase is dimensionless for any unit system.
     """
     check_mode(k)
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha, closed=True)
     a, b, hbar = geom.a, geom.b, geom.hbar
     z1r, z1i = labels.z1.real, labels.z1.imag
     z2r, z2i = labels.z2.real, labels.z2.imag
@@ -276,7 +267,7 @@ def unshifted_gaussian(k: int, alpha: float, geom: OscillatorGeometry) -> Quadra
     a^2 b^2 independent of alpha.
     """
     check_mode(k)
-    alpha = _check_alpha(alpha)
+    alpha = check_alpha(alpha, closed=True)
     a, b = geom.a, geom.b
     if k == 1:
         m = np.diag([a * a / alpha, b * b / alpha])
@@ -293,6 +284,13 @@ def unshifted_gaussian(k: int, alpha: float, geom: OscillatorGeometry) -> Quadra
     return QuadraticGaussian(matrix=m)
 
 
+def _sb_mode_exponent(s, w):
+    # one mode's term of the kernel exponent at s = a x and w = u + i v:
+    # -w^2/2 - |w|^2 = -3u^2/2 - v^2/2 - i u v, less the Gaussian in (u, v),
+    # which the inverse transform's quadrature weights carry
+    return -0.5 * s * s + math.sqrt(2.0) * s * w - 1j * w.real * w.imag
+
+
 def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
     """Integral kernel mapping coefficient-space functions to position space.
 
@@ -300,15 +298,13 @@ def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
     weight folded into it; Gaussian in (x1, x2) for fixed arguments.
     """
     a, b = geom.a, geom.b
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
     w1 = np.asarray(w1, dtype=complex)
     w2 = np.asarray(w2, dtype=complex)
     exponent = (
-        -0.5 * (w1 * w1 + w2 * w2 + (a * x1) ** 2 + (b * x2) ** 2)
-        + math.sqrt(2.0) * (a * x1 * w1 + b * x2 * w2)
-        - np.abs(w1) ** 2
-        - np.abs(w2) ** 2
+        _sb_mode_exponent(a * np.asarray(x1, dtype=float), w1)
+        + _sb_mode_exponent(b * np.asarray(x2, dtype=float), w2)
+        - 1.5 * (w1.real**2 + w2.real**2)
+        - 0.5 * (w1.imag**2 + w2.imag**2)
     )
     value = math.sqrt(a * b / math.pi) * np.exp(exponent)
     return complex(value) if value.ndim == 0 else value
@@ -324,7 +320,7 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
     truncation and quadrature error.
     """
     check_mode(k)
-    alpha = _check_alpha(alpha, open_top=True)
+    alpha = check_alpha(alpha, closed=False)
     phi = coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels)
     root_fact = np.array([math.sqrt(math.factorial(j)) for j in range(n_max + 1)])
     coeffs = phi / np.outer(root_fact, root_fact)
@@ -348,34 +344,26 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
 class _InverseSBRule:
     """Per-order quadrature data for the inverse transform.
 
-    The kernel's per-mode exponent has real part -(3/2) u^2 - (1/2) v^2
-    over w = u + i v, so the two axes of each mode are rescaled to those
-    Gaussians; the value grid of ``psi_b`` does not depend on the
-    evaluation point and is contracted once per (x1, x2).
+    The kernel's Gaussian in w = u + i v, exp(-3u^2/2 - v^2/2) per mode, is
+    the weight of a Gauss-Hermite rule on each axis; the value grid of
+    ``psi_b`` does not depend on the evaluation point and is contracted
+    once per (x1, x2).
     """
 
     def __init__(self, psi_b, order: int):
-        nodes, weights = gauss_hermite(order)
-        self.u = nodes / math.sqrt(1.5)
-        self.wu = weights / math.sqrt(1.5)
-        self.v = nodes * math.sqrt(2.0)
-        self.wv = weights * math.sqrt(2.0)
-        uu = self.u[:, None]
-        vv = self.v[None, :]
-        self.w_mode = uu + 1j * vv
-        # leftover phase of exp(-w^2/2 - |w|^2) after the Gaussian weight
-        self.phase = np.exp(-1j * uu * vv)
-        self.weight_2d = np.outer(self.wu, self.wv)
+        u, wu = scaled_gauss_hermite(order, 1.5)
+        v, wv = scaled_gauss_hermite(order, 0.5)
+        self.w_mode = u[:, None] + 1j * v[None, :]
+        self.weight_2d = np.outer(wu, wv)
         grid = psi_b(self.w_mode[:, :, None, None], self.w_mode[None, None, :, :])
         self.grid = np.asarray(grid, dtype=complex)
 
     def evaluate(self, x1: float, x2: float, geom: OscillatorGeometry) -> complex:
         a, b = geom.a, geom.b
-        r1 = self.weight_2d * self.phase * np.exp(math.sqrt(2.0) * a * x1 * self.w_mode)
-        r2 = self.weight_2d * self.phase * np.exp(math.sqrt(2.0) * b * x2 * self.w_mode)
-        prefactor = math.sqrt(a * b / math.pi) * math.exp(-0.5 * ((a * x1) ** 2 + (b * x2) ** 2))
+        r1 = self.weight_2d * np.exp(_sb_mode_exponent(a * x1, self.w_mode))
+        r2 = self.weight_2d * np.exp(_sb_mode_exponent(b * x2, self.w_mode))
         total = np.einsum("ij,ijkl,kl->", r1, self.grid, r2)
-        return prefactor * complex(total) / np.pi**2
+        return math.sqrt(a * b / math.pi) * complex(total) / np.pi**2
 
 
 def inverse_segal_bargmann(

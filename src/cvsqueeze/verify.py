@@ -112,7 +112,7 @@ def hermite_suite() -> list[CheckResult]:
     worst_diag = 0.0
     worst_off = 0.0
     for alpha in (0.3, 0.5, 0.7):
-        gram = _orthogonality_gram(alpha, 10, order=80)
+        gram = hermite._orthogonality_quad(10, alpha, order=80)
         for m in range(11):
             for n in range(11):
                 if m == n:
@@ -124,17 +124,6 @@ def hermite_suite() -> list[CheckResult]:
     checks.append(_check("weighted orthogonality, diagonal, m,n <= 10", worst_diag, 1e-8))
     checks.append(_check("weighted orthogonality, off-diagonal (scaled)", worst_off, 1e-8))
     return checks
-
-
-def _orthogonality_gram(alpha: float, n_max: int, order: int) -> np.ndarray:
-    from .quadrature import gauss_hermite
-
-    nodes, weights = gauss_hermite(order)
-    sx = 1.0 / math.sqrt(1.0 - alpha)
-    sy = 1.0 / math.sqrt(1.0 / alpha - 1.0)
-    z = sx * nodes[:, None] + 1j * sy * nodes[None, :]
-    seq = hermite.hermite_holo_sequence(n_max, z)
-    return sx * sy * np.einsum("mij,nij,i,j->mn", seq, np.conj(seq), weights, weights)
 
 
 def basis_suite() -> list[CheckResult]:

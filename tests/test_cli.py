@@ -154,6 +154,14 @@ class TestVerifyCommand:
             main(["verify", "everything"])
         assert excinfo.value.code == 2
 
+    def test_output_flags_exit_2(self, tmp_path, capsys):
+        # verify prints its report to stdout and takes none of the table flags
+        target = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "phase_space", "--format=json", f"--out={target}"])
+        assert excinfo.value.code == 2
+        assert not target.exists()
+
 
 class TestHamiltonianCommand:
     def test_no_squeezing_zero_coupling(self, capsys):

@@ -1,12 +1,18 @@
 """Transformed ladder operators and the reconstructed Hamiltonian."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.ndimage import correlate1d
 
+import cvsqueeze
 from cvsqueeze import model, states
-from cvsqueeze.model import apply_quadratic_hamiltonian
+from cvsqueeze.model import _D1_STENCIL, _D2_STENCIL, _stencil, apply_quadratic_hamiltonian
 
 GEOM = states.OscillatorGeometry(a=1.0, b=1.2)
 SPEC = model.OscillatorSpec.from_geometry(GEOM)
@@ -268,3 +274,32 @@ class TestGroundStateCheck:
     def test_rejects_inconsistent_geometry(self):
         with pytest.raises(ValueError):
             model.ground_state_energy_check(0.5, SPEC, states.OscillatorGeometry(2.0, 2.0))
+
+
+def _reference_stencil(values, weights, axis, spacing, order):
+    # the stencil as scipy computes it, with zeros outside the grid
+    w = weights / spacing**order
+    real = correlate1d(values.real, w, axis=axis, mode="constant", cval=0.0)
+    imag = correlate1d(values.imag, w, axis=axis, mode="constant", cval=0.0)
+    return real + 1j * imag
+
+
+class TestStencil:
+    @pytest.mark.parametrize("weights, order", [(_D1_STENCIL, 1), (_D2_STENCIL, 2)], ids=["D1", "D2"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_matches_correlate1d(self, weights, order, axis):
+        # the whole grid is compared, so the four rows at each edge, whose
+        # taps reach past it, check the zero padding
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((23, 12)) + 1j * rng.standard_normal((23, 12))
+        out = _stencil(values, weights, axis, 0.07, order)
+        expected = _reference_stencil(values, weights, axis, 0.07, order)
+        assert out.shape == values.shape
+        assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
+
+    def test_cli_import_loads_no_scipy(self):
+        src = str(Path(cvsqueeze.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys, cvsqueeze.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout.strip() == "[]"

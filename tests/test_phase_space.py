@@ -157,6 +157,32 @@ class TestWignerNumeric:
                 m_matrix=gaussian.matrix, order=2, check=True, rtol=1e-12,
             )
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_order_with_non_finite_rule_raises(self):
+        # numpy's Gauss-Hermite weights turn NaN from order 372 on
+        gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
+        with pytest.raises(ValueError, match="not finite"):
+            phase_space.wigner_numeric(
+                gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0,
+                m_matrix=gaussian.matrix, order=400,
+            )
+
+    def test_nan_difference_fails_convergence(self):
+        from cvsqueeze.quadrature import ConvergenceError, require_convergence
+
+        with pytest.raises(ConvergenceError):
+            require_convergence(math.nan, 1.0, 1e-8, "nan level")
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_folded_weights_raise(self, monkeypatch):
+        from cvsqueeze import quadrature
+
+        # nodes whose exp(t^2) overflows while the weights stay finite
+        rule = (np.array([-30.0, 30.0]), np.array([1e-300, 1e-300]))
+        monkeypatch.setattr(quadrature, "gauss_hermite", lambda order: rule)
+        with pytest.raises(ValueError, match="not finite"):
+            quadrature.open_gauss_hermite(2, 1.0)
+
 
 class TestRobertsonSchrodinger:
     def test_physical_states_pass(self):
