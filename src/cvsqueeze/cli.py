@@ -7,13 +7,16 @@ Subcommands:
 * ``verify``       run a library invariant suite, exit nonzero on failure
 * ``hamiltonian``  export the reconstructed Hamiltonian and its ground-state check
 
-Every global flag can also be set through an environment variable with the
-``CVSQUEEZE_`` prefix (flags win over the environment; environment values
-are checked like flag values).  Output files embed the full parameter set
-that produced them and use a fixed field order.  Floats round-trip exactly:
-csv writes them with 17 significant digits, json with the shortest ``repr``
-that reads back to the same float.  Identical inputs produce byte-identical
-files.  Exit codes: 0 success, 1 check failure, 2 usage error.
+``sweep``, ``wigner`` and ``hamiltonian`` take ``--hbar``, ``--format`` and
+``--out``; ``hamiltonian`` also takes the model flags ``--mass``,
+``--order``, ``--trunc`` and ``--tol``.  Each of these flags can also be set
+through an environment variable with the ``CVSQUEEZE_`` prefix (flags win
+over the environment; environment values are checked like flag values).
+Output files embed the full parameter set that produced them and use a
+fixed field order.  Floats round-trip exactly: csv writes them with 17
+significant digits, json with the shortest ``repr`` that reads back to the
+same float.  Identical inputs produce byte-identical files.  Exit codes:
+0 success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -140,31 +143,16 @@ def _rows(columns: list[Sequence], fmt: str) -> list[str]:
 @dataclass(frozen=True)
 class RunConfig:
     hbar: float
-    mass: float
-    order: int
-    trunc: int
-    tol: float
     fmt: str
     out: str | None
 
 
 def _common_flags(parser: argparse.ArgumentParser) -> None:
-    # string defaults, so that argparse checks environment values with the
-    # flag's type and reports a bad one as a usage error
+    # string defaults, here and for the model flags of hamiltonian, so that
+    # argparse checks environment values with the flag's type and reports a
+    # bad one as a usage error
     parser.add_argument(
         "--hbar", type=_positive_float, default=_env("HBAR", "1.0"), help="reduced Planck constant (default 1)"
-    )
-    parser.add_argument(
-        "--mass", type=_positive_float, default=_env("MASS", "1.0"), help="oscillator mass (default 1)"
-    )
-    parser.add_argument(
-        "--order", type=_positive_int, default=_env("ORDER", "80"), help="quadrature / grid refinement order"
-    )
-    parser.add_argument(
-        "--trunc", type=_positive_int, default=_env("TRUNC", "20"), help="Fock-space truncation"
-    )
-    parser.add_argument(
-        "--tol", type=_positive_float, default=_env("TOL", "1e-6"), help="acceptance tolerance for reported checks"
     )
     parser.add_argument(
         "--format", dest="fmt", choices=("csv", "json"), default=_env("FORMAT", "csv"), help="output format"
@@ -179,10 +167,7 @@ def _config(args: argparse.Namespace) -> RunConfig:
         # argparse does not validate defaults, so a bad CVSQUEEZE_FORMAT
         # environment value lands here
         raise ValueError(f"format must be csv or json, got {args.fmt!r}")
-    return RunConfig(
-        hbar=args.hbar, mass=args.mass, order=args.order, trunc=args.trunc,
-        tol=args.tol, fmt=args.fmt, out=args.out,
-    )
+    return RunConfig(hbar=args.hbar, fmt=args.fmt, out=args.out)
 
 
 def _emit_table(params: dict, names: list[str], columns: list[Sequence], config: RunConfig) -> str:
@@ -306,17 +291,17 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_hamiltonian(args: argparse.Namespace) -> int:
     config = _config(args)
     spec = model.OscillatorSpec(
-        omega1=args.omega1, omega2=args.omega2, mass=config.mass, hbar=config.hbar
+        omega1=args.omega1, omega2=args.omega2, mass=args.mass, hbar=config.hbar
     )
     quad = model.hamiltonian_quadratic(args.alpha, spec, args.z1, args.z2)
-    ladder = model.hamiltonian_fock(args.alpha, spec, args.z1, args.z2, config.trunc, "ladder")
-    expanded = model.hamiltonian_fock(args.alpha, spec, args.z1, args.z2, config.trunc, "expanded")
+    ladder = model.hamiltonian_fock(args.alpha, spec, args.z1, args.z2, args.trunc, "ladder")
+    expanded = model.hamiltonian_fock(args.alpha, spec, args.z1, args.z2, args.trunc, "expanded")
     path_gap = float(np.abs(ladder.interior() - expanded.interior()).max())
     hermiticity = float(np.abs(ladder.matrix - ladder.matrix.conj().T).max())
 
     a, b = spec.inverse_lengths()
     geom = states.OscillatorGeometry(a=a, b=b, hbar=config.hbar)
-    grid_points = max(81, 2 * config.order + 1)
+    grid_points = max(81, 2 * args.order + 1)
     ground = model.ground_state_energy_check(
         args.alpha, spec, geom, args.z1, args.z2, grid_points=grid_points
     )
@@ -328,12 +313,12 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
             "alpha": args.alpha,
             "omega1": args.omega1,
             "omega2": args.omega2,
-            "mass": config.mass,
+            "mass": args.mass,
             "hbar": config.hbar,
             "z1": str(args.z1),
             "z2": str(args.z2),
-            "n_trunc": config.trunc,
-            "tolerance": config.tol,
+            "n_trunc": args.trunc,
+            "tolerance": args.tol,
         },
         "geometry": {"a": a, "b": b},
         "quadratic": {
@@ -342,7 +327,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
             "constant": float(quad.constant),
         },
         "fock": {
-            "n_trunc": config.trunc,
+            "n_trunc": args.trunc,
             "path_agreement_interior": path_gap,
             "hermiticity_defect": hermiticity,
             "diagonal_head": [float(v) for v in diag[:6]],
@@ -352,14 +337,14 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
             "expected": ground.expected,
             "residual": ground.residual,
             "grid_points": ground.grid_points,
-            "within_tolerance": bool(abs(ground.energy - ground.expected) <= config.tol),
+            "within_tolerance": bool(abs(ground.energy - ground.expected) <= args.tol),
         },
     }
     text = json.dumps(payload, indent=2) + "\n"
     status = _write(text, config)
     if status != 0:
         return status
-    return 0 if payload["ground_state"]["within_tolerance"] and path_gap <= config.tol else 1
+    return 0 if payload["ground_state"]["within_tolerance"] and path_gap <= args.tol else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,6 +390,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     ham = sub.add_parser("hamiltonian", help="export the reconstructed Hamiltonian")
     _common_flags(ham)
+    # the model flags: only hamiltonian reads them
+    ham.add_argument("--mass", type=_positive_float, default=_env("MASS", "1.0"), help="oscillator mass (default 1)")
+    ham.add_argument("--order", type=_positive_int, default=_env("ORDER", "80"),
+                     help="ground-state check grid: max(81, 2*ORDER+1) points per axis (default 80)")
+    ham.add_argument("--trunc", type=_positive_int, default=_env("TRUNC", "20"), help="Fock-space truncation")
+    ham.add_argument("--tol", type=_positive_float, default=_env("TOL", "1e-6"),
+                     help="acceptance tolerance for reported checks")
     ham.add_argument("--alpha", type=_unit_alpha, required=True)
     ham.add_argument("--omega1", type=_positive_float, default=1.0)
     ham.add_argument("--omega2", type=_positive_float, default=1.0)

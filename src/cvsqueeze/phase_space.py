@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import check_alpha, check_mode
-from .quadrature import open_gauss_hermite, require_convergence
+from .quadrature import _refine_by_doubling, open_gauss_hermite
 from .states import OscillatorGeometry, QuadraticGaussian
 
 __all__ = [
@@ -164,11 +164,9 @@ def wigner_numeric(
     if not hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {hbar}")
     scale = np.eye(2) if m_matrix is None else np.asarray(m_matrix, dtype=float)
-    value = _wigner_quad(f, point, hbar, order, scale)
-    if check:
-        refined = _wigner_quad(f, point, hbar, 2 * order, scale)
-        require_convergence(value, refined, rtol, "wigner_numeric")
-        value = refined
+    value = _refine_by_doubling(
+        lambda quad_order: _wigner_quad(f, point, hbar, quad_order, scale), order, check, rtol, "wigner_numeric"
+    )
     return value if return_complex else value.real
 
 

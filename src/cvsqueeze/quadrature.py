@@ -35,7 +35,7 @@ def scaled_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarr
     Substitutes t = s / sqrt(coeff) into the standard rule; ``coeff`` must be
     positive.
     """
-    if coeff <= 0.0:
+    if not coeff > 0.0:
         raise ValueError(f"Gaussian weight coefficient must be positive, got {coeff}")
     nodes, weights = gauss_hermite(order)
     scale = 1.0 / np.sqrt(coeff)
@@ -49,7 +49,7 @@ def open_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray
     (w -> w exp(node^2)), the classic correction for integrands that carry
     their own decay.
     """
-    if coeff <= 0.0:
+    if not coeff > 0.0:
         raise ValueError(f"Gaussian decay coefficient must be positive, got {coeff}")
     nodes, weights = gauss_hermite(order)
     folded = weights * np.exp(nodes**2)
@@ -59,12 +59,32 @@ def open_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray
     return nodes * scale, folded * scale
 
 
-def require_convergence(coarse: complex, fine: complex, rtol: float, what: str) -> None:
-    """Raise :class:`ConvergenceError` when two quadrature levels disagree."""
-    scale = max(1.0, abs(fine))
+def require_convergence(coarse, fine, rtol: float, what: str) -> None:
+    """Raise :class:`ConvergenceError` when two quadrature levels disagree.
+
+    Scalars or arrays; every entry must agree within ``rtol`` relative to
+    max(1, |fine|), and a NaN in either level fails.
+    """
+    diff = np.abs(np.subtract(coarse, fine))
+    scale = np.maximum(1.0, np.abs(fine))
     # written so that a NaN difference fails the test
-    if not abs(coarse - fine) <= rtol * scale:
+    if not np.all(diff <= rtol * scale):
         raise ConvergenceError(
-            f"{what}: order doubling changed the result by "
-            f"{abs(coarse - fine):.3e} (tolerance {rtol:.1e} relative to {scale:.3e})"
+            f"{what}: order doubling changed the result by up to "
+            f"{np.max(diff / scale):.3e} relative to max(1, |value|) (tolerance {rtol:.1e})"
         )
+
+
+def _refine_by_doubling(evaluate, order: int, check: bool, rtol: float, what: str):
+    """``evaluate(order)``, or with ``check`` the value at twice the order.
+
+    The order-doubling policy of every quadrature routine: the doubled
+    order must agree with ``order`` per :func:`require_convergence`, else
+    :class:`ConvergenceError` is raised.
+    """
+    value = evaluate(order)
+    if not check:
+        return value
+    refined = evaluate(2 * order)
+    require_convergence(value, refined, rtol, what)
+    return refined

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import check_alpha, check_mode, coefficient_table
-from .quadrature import require_convergence, scaled_gauss_hermite
+from .quadrature import _refine_by_doubling, scaled_gauss_hermite
 
 __all__ = [
     "OscillatorGeometry",
@@ -325,45 +325,39 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
     root_fact = np.array([math.sqrt(math.factorial(j)) for j in range(n_max + 1)])
     coeffs = phi / np.outer(root_fact, root_fact)
 
-    def psi_b(w1, w2):
-        w1 = np.asarray(w1, dtype=complex)
-        w2 = np.asarray(w2, dtype=complex)
-        w1b, w2b = np.broadcast_arrays(np.conj(w1), np.conj(w2))
-        p1 = np.empty((n_max + 1,) + w1b.shape, dtype=complex)
-        p2 = np.empty_like(p1)
-        p1[0] = 1.0
-        p2[0] = 1.0
+    def powers(w):
+        # conj(w)^j for j = 0 .. n_max, on w's own shape
+        w = np.conj(np.asarray(w, dtype=complex))
+        out = np.empty((n_max + 1,) + w.shape, dtype=complex)
+        out[0] = 1.0
         for j in range(n_max):
-            p1[j + 1] = p1[j] * w1b
-            p2[j + 1] = p2[j] * w2b
-        return np.einsum("mn,m...,n...->...", coeffs, p1, p2)
+            out[j + 1] = out[j] * w
+        return out
+
+    def psi_b(w1, w2):
+        # contract n on w2's shape first, then m while broadcasting against w1
+        inner = np.tensordot(coeffs, powers(w2), axes=(1, 0))
+        return np.einsum("m...,m...->...", powers(w1), inner)
 
     return psi_b
 
 
-class _InverseSBRule:
-    """Per-order quadrature data for the inverse transform.
-
-    The kernel's Gaussian in w = u + i v, exp(-3u^2/2 - v^2/2) per mode, is
-    the weight of a Gauss-Hermite rule on each axis; the value grid of
-    ``psi_b`` does not depend on the evaluation point and is contracted
-    once per (x1, x2).
-    """
-
-    def __init__(self, psi_b, order: int):
-        u, wu = scaled_gauss_hermite(order, 1.5)
-        v, wv = scaled_gauss_hermite(order, 0.5)
-        self.w_mode = u[:, None] + 1j * v[None, :]
-        self.weight_2d = np.outer(wu, wv)
-        grid = psi_b(self.w_mode[:, :, None, None], self.w_mode[None, None, :, :])
-        self.grid = np.asarray(grid, dtype=complex)
-
-    def evaluate(self, x1: float, x2: float, geom: OscillatorGeometry) -> complex:
-        a, b = geom.a, geom.b
-        r1 = self.weight_2d * np.exp(_sb_mode_exponent(a * x1, self.w_mode))
-        r2 = self.weight_2d * np.exp(_sb_mode_exponent(b * x2, self.w_mode))
-        total = np.einsum("ij,ijkl,kl->", r1, self.grid, r2)
-        return math.sqrt(a * b / math.pi) * complex(total) / np.pi**2
+def _inverse_sb_quad(psi_b, x1: np.ndarray, x2: np.ndarray, geom: OscillatorGeometry, order: int) -> np.ndarray:
+    # The kernel's Gaussian in w = u + i v, exp(-3u^2/2 - v^2/2) per mode, is
+    # the weight of a Gauss-Hermite rule on each axis.  Each mode's plane is
+    # flattened to order^2 nodes, psi_b is sampled once on the outer grid of
+    # the two planes, and the flat points x1, x2 are contracted through it
+    # together.
+    a, b = geom.a, geom.b
+    u, wu = scaled_gauss_hermite(order, 1.5)
+    v, wv = scaled_gauss_hermite(order, 0.5)
+    w = (u[:, None] + 1j * v[None, :]).ravel()
+    weight = np.outer(wu, wv).ravel()
+    grid = np.asarray(psi_b(w[:, None], w[None, :]), dtype=complex)
+    r1 = weight * np.exp(_sb_mode_exponent(a * x1[:, None], w))
+    r2 = weight * np.exp(_sb_mode_exponent(b * x2[:, None], w))
+    total = ((r1 @ grid) * r2).sum(-1)
+    return math.sqrt(a * b / math.pi) * total / np.pi**2
 
 
 def inverse_segal_bargmann(
@@ -379,22 +373,15 @@ def inverse_segal_bargmann(
 
     4-real-dimensional tensor Gauss-Hermite quadrature of the kernel
     against ``psi_b`` (a callable of two complex array arguments that must
-    broadcast).  Linear in ``psi_b``.  With ``check=True`` the quadrature
-    order is doubled and disagreement beyond ``rtol`` raises
+    broadcast), evaluated on ``order^2 x order^2`` nodes once for all points.
+    Linear in ``psi_b``.  With ``check=True`` the quadrature order is
+    doubled and disagreement beyond ``rtol`` at any point raises
     :class:`~cvsqueeze.quadrature.ConvergenceError`.
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    x1b, x2b = np.broadcast_arrays(x1, x2)
-    rule = _InverseSBRule(psi_b, order)
-    fine = _InverseSBRule(psi_b, 2 * order) if check else None
-    flat = np.empty(x1b.size, dtype=complex)
-    for idx, (p, q) in enumerate(zip(x1b.ravel(), x2b.ravel())):
-        value = rule.evaluate(float(p), float(q), geom)
-        if fine is not None:
-            refined = fine.evaluate(float(p), float(q), geom)
-            require_convergence(value, refined, rtol, "inverse_segal_bargmann")
-            value = refined
-        flat[idx] = value
+    x1b, x2b = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    flat = _refine_by_doubling(
+        lambda quad_order: _inverse_sb_quad(psi_b, x1b.ravel(), x2b.ravel(), geom, quad_order),
+        order, check, rtol, "inverse_segal_bargmann",
+    )
     out = flat.reshape(x1b.shape)
     return complex(out) if out.ndim == 0 else out

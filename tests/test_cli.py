@@ -199,8 +199,8 @@ class TestNumericFlags:
         "argv",
         [
             ["wigner", "--alpha=0.5", "--hbar=inf"],
-            ["sweep", "--alphas=0.5", "--mass=inf"],
-            ["sweep", "--alphas=0.5", "--tol=inf"],
+            ["hamiltonian", "--alpha=0.5", "--mass=inf"],
+            ["hamiltonian", "--alpha=0.5", "--tol=inf"],
             ["sweep", "--alphas=0.5", "--a=inf"],
             ["sweep", "--alphas=0.5", "--b=inf"],
             ["hamiltonian", "--alpha=0.5", "--omega1=inf"],
@@ -227,10 +227,32 @@ class TestNumericFlags:
     )
     def test_bad_environment_default_exits_2(self, name, value, capsys, monkeypatch):
         monkeypatch.setenv(f"CVSQUEEZE_{name}", value)
+        # each environment value is read by the command that takes its flag
+        argv = ["sweep", "--alphas=0.5"] if name == "HBAR" else ["hamiltonian", "--alpha=0.5"]
         with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--alphas=0.5"])
+            main(argv)
         assert excinfo.value.code == 2
         assert f"--{name.lower()}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--alphas=0.5", "--order=5"],
+            ["sweep", "--alphas=0.5", "--trunc=5"],
+            ["sweep", "--alphas=0.5", "--mass=2"],
+            ["sweep", "--alphas=0.5", "--tol=1"],
+            ["wigner", "--alpha=0.5", "--order=5"],
+            ["wigner", "--alpha=0.5", "--trunc=5"],
+            ["wigner", "--alpha=0.5", "--mass=2"],
+            ["wigner", "--alpha=0.5", "--tol=1"],
+        ],
+        ids=lambda argv: f"{argv[0]}-{argv[2][2:].split('=')[0]}",
+    )
+    def test_model_flags_outside_hamiltonian_exit_2(self, argv, capsys):
+        # sweep and wigner read none of the model flags, so they take none
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 def _reference_fmt(value) -> str:
@@ -313,7 +335,7 @@ class TestByteIdentity:
         columns = [list(range(len(column))), column, ["a", "b\"", "c", "d", "e", "f"]]
         rows = [list(row) for row in zip(*columns)]
         for fmt in ("csv", "json"):
-            config = cli.RunConfig(hbar=1.0, mass=1.0, order=1, trunc=1, tol=1.0, fmt=fmt, out=None)
+            config = cli.RunConfig(hbar=1.0, fmt=fmt, out=None)
             text = cli._emit_table(params, ["i", "v", "s"], columns, config)
             assert text == _reference_table(params, ["i", "v", "s"], rows, fmt)
 

@@ -173,6 +173,20 @@ class TestWignerNumeric:
         with pytest.raises(ConvergenceError):
             require_convergence(math.nan, 1.0, 1e-8, "nan level")
 
+    @pytest.mark.parametrize("helper", ["scaled_gauss_hermite", "open_gauss_hermite"])
+    def test_nan_coefficient_raises(self, helper):
+        from cvsqueeze import quadrature
+
+        with pytest.raises(ValueError, match="must be positive"):
+            getattr(quadrature, helper)(4, math.nan)
+
+    def test_nan_m_matrix_raises(self):
+        gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
+        with pytest.raises(ValueError, match="must be positive"):
+            phase_space.wigner_numeric(
+                gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0, m_matrix=[[math.nan, 0.0], [0.0, 1.0]],
+            )
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_folded_weights_raise(self, monkeypatch):
         from cvsqueeze import quadrature
@@ -182,6 +196,48 @@ class TestWignerNumeric:
         monkeypatch.setattr(quadrature, "gauss_hermite", lambda order: rule)
         with pytest.raises(ValueError, match="not finite"):
             quadrature.open_gauss_hermite(2, 1.0)
+
+
+class TestOrderDoubling:
+    """The one order-doubling rule every quadrature routine goes through."""
+
+    @staticmethod
+    def levels(coarse_entry):
+        # four entries, the third of which moves to ``coarse_entry`` at the
+        # coarse order 4; the refined order 8 gives all ones
+        def evaluate(order):
+            calls.append(order)
+            values = np.ones(4, dtype=complex)
+            if order == 4:
+                values[2] = coarse_entry
+            return values
+
+        calls = []
+        return evaluate, calls
+
+    def test_returns_refined_value(self):
+        from cvsqueeze.quadrature import _refine_by_doubling
+
+        evaluate, calls = self.levels(1.0 + 1e-10)
+        value = _refine_by_doubling(evaluate, 4, True, 1e-8, "levels")
+        assert calls == [4, 8]
+        np.testing.assert_array_equal(value, np.ones(4))
+
+    def test_without_check_evaluates_once(self):
+        from cvsqueeze.quadrature import _refine_by_doubling
+
+        evaluate, calls = self.levels(2.0)
+        value = _refine_by_doubling(evaluate, 4, False, 1e-8, "levels")
+        assert calls == [4]
+        assert value[2] == 2.0
+
+    @pytest.mark.parametrize("coarse_entry", [1.0 + 1e-6, math.nan], ids=["disagrees", "nan"])
+    def test_one_bad_entry_fails(self, coarse_entry):
+        from cvsqueeze.quadrature import ConvergenceError, _refine_by_doubling
+
+        evaluate, _ = self.levels(coarse_entry)
+        with pytest.raises(ConvergenceError, match="levels"):
+            _refine_by_doubling(evaluate, 4, True, 1e-8, "levels")
 
 
 class TestRobertsonSchrodinger:

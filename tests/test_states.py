@@ -289,6 +289,57 @@ class TestInverseSegalBargmann:
         exact = states.wave_function(1, 0.5, -0.2, GEOM, labels, 0.5)
         assert approx == pytest.approx(exact, abs=1e-5)
 
+    def test_bargmann_series_is_the_double_sum(self):
+        from cvsqueeze.basis import coefficient_table
+
+        n_max = 9
+        psi_b = states.bargmann_series(2, 0.4, LABELS, n_max)
+        phi = coefficient_table(2, 0.4, LABELS.z1, LABELS.z2, n_max)
+        phi = phi * math.exp(-0.5 * (abs(LABELS.z1) ** 2 + abs(LABELS.z2) ** 2))
+        w1 = np.array([0.3 - 0.2j, -0.5j, 1.1 + 0.4j])[:, None]
+        w2 = np.array([0.0, 0.7 + 0.1j, -0.4 + 0.9j, 0.2])
+        expected = sum(
+            phi[m, n] * np.conj(w1) ** m * np.conj(w2) ** n / math.sqrt(math.factorial(m) * math.factorial(n))
+            for m in range(n_max + 1)
+            for n in range(n_max + 1)
+        )
+        got = psi_b(w1, w2)
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
+        assert psi_b(w1[1, 0], w2[2]) == pytest.approx(expected[1, 2], rel=1e-13)
+
+    @pytest.mark.parametrize("source", ["bargmann_series", "vacuum"])
+    def test_points_at_once_match_point_by_point(self, source):
+        if source == "vacuum":
+            def psi_b(w1, w2):
+                return np.ones(np.broadcast(w1, w2).shape, dtype=complex)
+        else:
+            psi_b = states.bargmann_series(2, 0.5, LABELS, 12)
+        x1 = np.array([-1.0, -0.3, 0.0, 0.8])[:, None]
+        x2 = np.array([-0.6, 0.2, 1.1])[None, :]
+        batched = states.inverse_segal_bargmann(psi_b, x1, x2, GEOM, order=16)
+        assert batched.shape == (4, 3)
+        for i, p in enumerate(x1[:, 0]):
+            for j, q in enumerate(x2[0]):
+                single = states.inverse_segal_bargmann(psi_b, p, q, GEOM, order=16)
+                assert isinstance(single, complex)
+                assert abs(batched[i, j] - single) <= 1e-15
+
+    def test_peak_memory(self):
+        # the order^2 x order^2 node grid (5.3 MB at order 24) is the largest
+        # array; the (n_max + 1) order^4 power tensor is never built
+        import tracemalloc
+
+        psi_b = states.bargmann_series(2, 0.5, LABELS, 20)
+        points = np.array([-1.0, 0.0, 1.0])
+        tracemalloc.start()
+        try:
+            states.inverse_segal_bargmann(psi_b, points[:, None], points[None, :], GEOM, order=24)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     def test_convergence_report(self):
         psi_b = states.bargmann_series(2, 0.5, states.DisplacementLabels(), 12)
         with pytest.raises(ConvergenceError):
