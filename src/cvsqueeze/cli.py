@@ -8,7 +8,8 @@ Subcommands:
 * ``hamiltonian``  export the reconstructed Hamiltonian and its ground-state check
 
 ``sweep``, ``wigner`` and ``hamiltonian`` take ``--hbar``, ``--format`` and
-``--out``; ``hamiltonian`` also takes the model flags ``--mass``,
+``--out`` (``sweep`` and ``wigner`` write csv or json, ``hamiltonian`` json
+only); ``hamiltonian`` also takes the model flags ``--mass``,
 ``--order``, ``--trunc`` and ``--tol``.  Each of these flags can also be set
 through an environment variable with the ``CVSQUEEZE_`` prefix (flags win
 over the environment; environment values are checked like flag values).
@@ -58,6 +59,15 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
     return value
+
+
+def _format_arg(formats: tuple[str, ...]):
+    def parse(text: str) -> str:
+        if text not in formats:
+            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(formats)})")
+        return text
+
+    return parse
 
 
 def _unit_alpha(text: str) -> float:
@@ -124,20 +134,13 @@ def _json_floats(column: Sequence) -> list[str]:
     return cells
 
 
-def _rows(columns: list[Sequence], fmt: str) -> list[str]:
-    """Table rows as text, one csv line or one indent-2 json array per row.
-
-    Each column holds at least one cell, all of one type.  One template per
-    table formats a whole row at once, with the bytes the per-cell ``_fmt``
-    (csv) and ``json.dumps(..., indent=2)`` (json) give.
-    """
-    if fmt == "csv":
-        template = ",".join("%.17g" if isinstance(column[0], float) else "%s" for column in columns)
-    else:
-        columns = [_json_floats(column) if isinstance(column[0], float) else list(map(json.dumps, column))
-                   for column in columns]
-        template = "    [\n" + ",\n".join("      %s" for _ in columns) + "\n    ]"
-    return list(map(template.__mod__, zip(*columns)))
+def _cells(column: Sequence, fmt: str) -> list[str]:
+    """One column's cells as text, with the bytes the per-cell ``_fmt`` (csv)
+    and ``json.dumps`` (json) give.  The column holds at least one cell, all
+    of one type."""
+    if isinstance(column[0], float):
+        return list(map("%.17g".__mod__, column)) if fmt == "csv" else _json_floats(column)
+    return list(map(str if fmt == "csv" else json.dumps, column))
 
 
 @dataclass(frozen=True)
@@ -147,15 +150,16 @@ class RunConfig:
     out: str | None
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
+def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
     # string defaults, here and for the model flags of hamiltonian, so that
     # argparse checks environment values with the flag's type and reports a
-    # bad one as a usage error
+    # bad one as a usage error; the first format is the default
     parser.add_argument(
         "--hbar", type=_positive_float, default=_env("HBAR", "1.0"), help="reduced Planck constant (default 1)"
     )
     parser.add_argument(
-        "--format", dest="fmt", choices=("csv", "json"), default=_env("FORMAT", "csv"), help="output format"
+        "--format", dest="fmt", type=_format_arg(formats), metavar="{" + ",".join(formats) + "}",
+        default=_env("FORMAT", formats[0]), help="output format",
     )
     parser.add_argument(
         "--out", default=_env("OUT", "") or None, help="output path (stdout when omitted)"
@@ -163,20 +167,23 @@ def _common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    if args.fmt not in ("csv", "json"):
-        # argparse does not validate defaults, so a bad CVSQUEEZE_FORMAT
-        # environment value lands here
-        raise ValueError(f"format must be csv or json, got {args.fmt!r}")
     return RunConfig(hbar=args.hbar, fmt=args.fmt, out=args.out)
 
 
 def _emit_table(params: dict, names: list[str], columns: list[Sequence], config: RunConfig) -> str:
-    rows = _rows(columns, config.fmt)
+    return _emit_cells(params, names, [_cells(column, config.fmt) for column in columns], config)
+
+
+def _emit_cells(params: dict, names: list[str], cells: list[list[str]], config: RunConfig) -> str:
+    """The table from its formatted columns: one csv line or one indent-2
+    json array per row."""
     if config.fmt == "csv":
         lines = [f"# {key} = {_fmt(value)}" for key, value in params.items()]
         lines.append(",".join(names))
-        lines.extend(rows)
+        lines.extend(map(",".join, zip(*cells)))
         return "\n".join(lines) + "\n"
+    template = "    [\n" + ",\n".join("      %s" for _ in cells) + "\n    ]"
+    rows = map(template.__mod__, zip(*cells))
     payload = {"params": {k: (str(v) if isinstance(v, complex) else v) for k, v in params.items()},
                "columns": names,
                "rows": []}
@@ -259,10 +266,13 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     shifted[axis1] = grid1[:, None] - offsets[axis1]
     shifted[axis2] = grid2[None, :] - offsets[axis2]
     values = evaluator(shifted["x1"], shifted["x2"], shifted["p1"], shifted["p2"])
-    columns = [
-        np.repeat(grid1, args.n2).tolist(),
-        np.tile(grid2, args.n1).tolist(),
-        values.ravel().tolist(),
+    # each coordinate is formatted once and its text repeated over the mesh
+    cells1 = _cells(grid1.tolist(), config.fmt)
+    cells2 = _cells(grid2.tolist(), config.fmt)
+    cells = [
+        [cell for cell in cells1 for _ in range(args.n2)],
+        cells2 * args.n1,
+        _cells(values.ravel().tolist(), config.fmt),
     ]
     params = {
         "command": "wigner", "mode": args.k, "alpha": args.alpha,
@@ -276,7 +286,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     for name in _AXES:
         if name not in (axis1, axis2):
             params[f"fixed_{name}"] = coords[name]
-    return _write(_emit_table(params, [axis1, axis2, "wigner"], columns, config), config)
+    return _write(_emit_cells(params, [axis1, axis2, "wigner"], cells, config), config)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -389,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.set_defaults(handler=cmd_verify)
 
     ham = sub.add_parser("hamiltonian", help="export the reconstructed Hamiltonian")
-    _common_flags(ham)
+    # its document is json only, so --format csv is a usage error
+    _common_flags(ham, formats=("json",))
     # the model flags: only hamiltonian reads them
     ham.add_argument("--mass", type=_positive_float, default=_env("MASS", "1.0"), help="oscillator mass (default 1)")
     ham.add_argument("--order", type=_positive_int, default=_env("ORDER", "80"),

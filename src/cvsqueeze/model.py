@@ -166,13 +166,83 @@ class TruncatedOperator:
         return self.matrix[np.ix_(idx, idx)]
 
 
+def _single_lowering(n_trunc: int) -> np.ndarray:
+    # one mode's truncated lowering matrix s, <k-1| s |k> = sqrt(k)
+    return np.diag(np.sqrt(np.arange(1.0, n_trunc)), k=1)
+
+
 def lowering_operators(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated lowering matrices of the two modes on the product basis."""
     if n_trunc < 2:
         raise ValueError(f"n_trunc must be >= 2, got {n_trunc}")
-    single = np.diag(np.sqrt(np.arange(1.0, n_trunc)), k=1)
+    single = _single_lowering(n_trunc)
     eye = np.eye(n_trunc)
     return np.kron(single, eye), np.kron(eye, single)
+
+
+# An operator on the product basis as a short Kronecker sum sum_t A_t (x) B_t,
+# kept as the list of (A_t, B_t) pairs of n_trunc x n_trunc factors; mode 1
+# acts through A, mode 2 through B, so c1 = s (x) 1 and c2 = 1 (x) s.
+_Kron = list[tuple[np.ndarray, np.ndarray]]
+
+
+def _kron_dense(terms: _Kron) -> np.ndarray:
+    """Dense (n^2, n^2) matrix of sum_t A_t (x) B_t, row index m * n_trunc + n."""
+    n = terms[0][0].shape[0]
+    left = np.array([a for a, _ in terms], dtype=complex).reshape(len(terms), n * n)
+    right = np.array([b for _, b in terms], dtype=complex).reshape(len(terms), n * n)
+    # one product gives [(m, m'), (n, n')] = sum_t A_t[m, m'] B_t[n, n'],
+    # one transpose copy reorders it to [(m, n), (m', n')]
+    blocks = (left.T @ right).reshape(n, n, n, n)
+    return blocks.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _sym(op: np.ndarray) -> np.ndarray:
+    # operator real part: (A + A+) / 2
+    return 0.5 * (op + op.conj().T)
+
+
+def _adjoint_product(dag: _Kron, op: _Kron) -> _Kron:
+    """C+ C for C = X (x) 1 + 1 (x) Y and C+ = X' (x) 1 + 1 (x) Y'.
+
+    Term by term with the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD:
+    X'X (x) 1 + X' (x) Y + X (x) Y' + 1 (x) Y'Y.  X'X and Y'Y are Hermitian;
+    their Hermitian part is kept, because a complex product conj(w) w may
+    round to a nonzero imaginary part.
+    """
+    (x_dag, eye), (_, y_dag) = dag
+    (x, _), (_, y) = op
+    return [
+        (_sym(x_dag @ x), eye),
+        (x_dag, y),
+        (x, y_dag),
+        (eye, _sym(y_dag @ y)),
+    ]
+
+
+def _ladder_terms(
+    alpha: float, z1: complex, z2: complex, n_trunc: int
+) -> tuple[_Kron, _Kron, _Kron, _Kron]:
+    """(C1, C1+, C2, C2+) as Kronecker sums X (x) 1 + 1 (x) Y."""
+    coeffs = ladder_coefficients(alpha, z1, z2)
+    if n_trunc < 4:
+        raise ValueError(f"n_trunc must be >= 4, got {n_trunc}")
+    single = _single_lowering(n_trunc)
+    eye = np.eye(n_trunc)
+
+    def combine(raising, lowering, shift: complex) -> _Kron:
+        # sum_j (raising[j] c_j+ + lowering[j] c_j) + shift, c_j+ being the
+        # transpose of the real c_j; the shift rides on the mode-1 factor
+        mode1 = raising[0] * single.T + lowering[0] * single + shift * eye
+        mode2 = raising[1] * single.T + lowering[1] * single
+        return [(mode1, eye), (eye, mode2)]
+
+    return (
+        combine(coeffs.nu[0], coeffs.nu_tilde[0], coeffs.zeta_shift[0]),
+        combine(coeffs.mu[0], coeffs.mu_tilde[0], coeffs.xi_shift[0]),
+        combine(coeffs.nu[1], coeffs.nu_tilde[1], coeffs.zeta_shift[1]),
+        combine(coeffs.mu[1], coeffs.mu_tilde[1], coeffs.xi_shift[1]),
+    )
 
 
 def transformed_ladder_matrices(alpha: float, z1: complex, z2: complex, n_trunc: int = 20):
@@ -181,28 +251,10 @@ def transformed_ladder_matrices(alpha: float, z1: complex, z2: complex, n_trunc:
     Commutators [Ci, Cj+] = delta_ij and [Ci, Cj] = 0 hold exactly on the
     interior sub-block (both mode indices below ``n_trunc - 2``).
     """
-    coeffs = ladder_coefficients(alpha, z1, z2)
-    if n_trunc < 4:
-        raise ValueError(f"n_trunc must be >= 4, got {n_trunc}")
-    lower = lowering_operators(n_trunc)
-    eye = np.eye(n_trunc * n_trunc)
-
-    def combine(raising, lowering, shift: complex) -> TruncatedOperator:
-        # sum_j (raising[j] c_j+ + lowering[j] c_j) + shift, c_j+ being the transpose
-        # of the real c_j; zero coefficients are skipped, each term is a dense pass
-        matrix = shift * eye
-        for j in range(2):
-            if raising[j]:
-                matrix += raising[j] * lower[j].T
-            if lowering[j]:
-                matrix += lowering[j] * lower[j]
-        return TruncatedOperator(matrix, n_trunc)
-
-    c1 = combine(coeffs.nu[0], coeffs.nu_tilde[0], coeffs.zeta_shift[0])
-    c1_dag = combine(coeffs.mu[0], coeffs.mu_tilde[0], coeffs.xi_shift[0])
-    c2 = combine(coeffs.nu[1], coeffs.nu_tilde[1], coeffs.zeta_shift[1])
-    c2_dag = combine(coeffs.mu[1], coeffs.mu_tilde[1], coeffs.xi_shift[1])
-    return c1, c1_dag, c2, c2_dag
+    return tuple(
+        TruncatedOperator(_kron_dense(terms), n_trunc)
+        for terms in _ladder_terms(alpha, z1, z2, n_trunc)
+    )
 
 
 def _frequency_mix(alpha: float, spec: OscillatorSpec) -> tuple[float, float, float]:
@@ -225,11 +277,12 @@ def hamiltonian_fock(
     """Truncated Fock-space matrix of the mode-2 Hamiltonian.
 
     ``method="ladder"`` assembles hbar omega_1 C1+ C1 + hbar omega_2 C2+ C2
-    + hbar (omega_1 + omega_2)/2 from the transformed ladder matrices;
-    ``method="expanded"`` builds the expanded term list directly.  The two
-    agree entrywise on the interior sub-block.  At alpha = 1 and z = 0 the
-    matrix is diagonal with entries hbar omega_1 m + hbar omega_2 n
-    + hbar (omega_1 + omega_2)/2.
+    + hbar (omega_1 + omega_2)/2 from the transformed ladder operators;
+    ``method="expanded"`` builds the expanded term list directly.  Both
+    work on n_trunc x n_trunc Kronecker factors and build the dense matrix
+    once.  The two agree entrywise on the interior sub-block.  At alpha = 1
+    and z = 0 the matrix is diagonal with entries hbar omega_1 m
+    + hbar omega_2 n + hbar (omega_1 + omega_2)/2.
     """
     alpha = check_alpha(alpha, closed=True)
     if n_trunc < 8:
@@ -237,39 +290,38 @@ def hamiltonian_fock(
     z1 = complex(z1)
     z2 = complex(z2)
     hbar = spec.hbar
+    eye = np.eye(n_trunc)
     if method == "ladder":
-        c1, c1_dag, c2, c2_dag = transformed_ladder_matrices(alpha, z1, z2, n_trunc)
-        matrix = (
-            hbar * spec.omega1 * (c1_dag.matrix @ c1.matrix)
-            + hbar * spec.omega2 * (c2_dag.matrix @ c2.matrix)
-            + 0.5 * hbar * (spec.omega1 + spec.omega2) * np.eye(n_trunc * n_trunc)
-        )
-        return TruncatedOperator(matrix, n_trunc)
+        c1, c1_dag, c2, c2_dag = _ladder_terms(alpha, z1, z2, n_trunc)
+        terms = [(hbar * spec.omega1 * a, b) for a, b in _adjoint_product(c1_dag, c1)]
+        terms += [(hbar * spec.omega2 * a, b) for a, b in _adjoint_product(c2_dag, c2)]
+        terms.append((0.5 * hbar * (spec.omega1 + spec.omega2) * eye, eye))
+        return TruncatedOperator(_kron_dense(terms), n_trunc)
     if method != "expanded":
         raise ValueError(f"method must be 'ladder' or 'expanded', got {method!r}")
 
     mix1, mix2, coupling = _frequency_mix(alpha, spec)
     sigma, tau = _sigma_tau(alpha)
     omega1, omega2 = spec.omega1, spec.omega2
-    low1, low2 = lowering_operators(n_trunc)
-    eye = np.eye(n_trunc * n_trunc)
-
-    def sym(op: np.ndarray) -> np.ndarray:
-        # operator real part: (A + A+) / 2
-        return 0.5 * (op + op.conj().T)
-
-    matrix = (
-        hbar * mix1 * (low1.conj().T @ low1)
-        + hbar * mix2 * (low2.conj().T @ low2)
-        + hbar * coupling * sym(low1 @ low2)
-        - 2.0 * hbar * omega1 * sigma * sym(z1.conjugate() * low1)
-        - 2.0 * hbar * omega2 * tau * sym(z2 * low1)
-        - 2.0 * hbar * omega2 * sigma * sym(z2.conjugate() * low2)
-        - 2.0 * hbar * omega1 * tau * sym(z1 * low2)
-        + hbar * (omega1 * abs(z1) ** 2 + omega2 * abs(z2) ** 2) * eye
-        + hbar * (1.0 + alpha * alpha) * (omega1 + omega2) / (4.0 * alpha) * eye
-    )
-    return TruncatedOperator(matrix, n_trunc)
+    single = _single_lowering(n_trunc)
+    number = np.diag(np.arange(float(n_trunc)))
+    terms = [
+        (hbar * mix1 * number, eye),
+        (eye, hbar * mix2 * number),
+        # sym(c1 c2) = (s (x) s + s+ (x) s+) / 2
+        (0.5 * hbar * coupling * single, single),
+        (0.5 * hbar * coupling * single.T, single.T),
+        (-2.0 * hbar * omega1 * sigma * _sym(z1.conjugate() * single), eye),
+        (-2.0 * hbar * omega2 * tau * _sym(z2 * single), eye),
+        (eye, -2.0 * hbar * omega2 * sigma * _sym(z2.conjugate() * single)),
+        (eye, -2.0 * hbar * omega1 * tau * _sym(z1 * single)),
+        (
+            hbar * (omega1 * abs(z1) ** 2 + omega2 * abs(z2) ** 2) * eye
+            + hbar * (1.0 + alpha * alpha) * (omega1 + omega2) / (4.0 * alpha) * eye,
+            eye,
+        ),
+    ]
+    return TruncatedOperator(_kron_dense(terms), n_trunc)
 
 
 @dataclass(frozen=True)

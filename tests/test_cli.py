@@ -194,6 +194,30 @@ class TestHamiltonianCommand:
         assert abs(ground["energy"] - ground["expected"]) < 1e-6
 
 
+    def test_json_format_flag(self, capsys):
+        code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=8", "--format=json"], capsys)
+        assert code == 0
+        assert json.loads(out)["params"]["command"] == "hamiltonian"
+
+    def test_csv_format_exits_2(self, capsys):
+        # the document is json only; csv is refused rather than ignored
+        with pytest.raises(SystemExit) as excinfo:
+            main(["hamiltonian", "--alpha=0.5", "--trunc=8", "--format=csv"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format" in captured.err
+
+    def test_csv_format_from_environment_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("CVSQUEEZE_FORMAT", "csv")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["hamiltonian", "--alpha=0.5", "--trunc=8"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--format" in captured.err
+
+
 class TestNumericFlags:
     @pytest.mark.parametrize(
         "argv",

@@ -4,10 +4,13 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
 import cvsqueeze
@@ -165,6 +168,91 @@ class TestHamiltonianFock:
     def test_invalid_method(self):
         with pytest.raises(ValueError):
             model.hamiltonian_fock(0.5, SPEC, 0, 0, 10, method="guess")
+
+
+def _dense_reference(alpha, spec, z1, z2, n_trunc, method):
+    """Both Fock paths as dense (n^2, n^2) products of the product-basis ladders."""
+    low1, low2 = model.lowering_operators(n_trunc)
+    eye = np.eye(n_trunc * n_trunc)
+    hbar, omega1, omega2 = spec.hbar, spec.omega1, spec.omega2
+    sigma = (1 + alpha) / (2 * math.sqrt(alpha))
+    tau = (1 - alpha) / (2 * math.sqrt(alpha))
+    if method == "ladder":
+        c1 = sigma * low1 + tau * low2.T - z1 * eye
+        c2 = sigma * low2 + tau * low1.T - z2 * eye
+        return (
+            hbar * omega1 * (c1.conj().T @ c1)
+            + hbar * omega2 * (c2.conj().T @ c2)
+            + 0.5 * hbar * (omega1 + omega2) * eye
+        )
+
+    def sym(op):
+        return 0.5 * (op + op.conj().T)
+
+    plus, minus = (1 + alpha) ** 2, (1 - alpha) ** 2
+    return (
+        hbar * (plus * omega1 + minus * omega2) / (4 * alpha) * (low1.T @ low1)
+        + hbar * (minus * omega1 + plus * omega2) / (4 * alpha) * (low2.T @ low2)
+        + hbar * (1 - alpha**2) * (omega1 + omega2) / (2 * alpha) * sym(low1 @ low2)
+        - 2 * hbar * omega1 * sigma * sym(np.conj(z1) * low1)
+        - 2 * hbar * omega2 * tau * sym(z2 * low1)
+        - 2 * hbar * omega2 * sigma * sym(np.conj(z2) * low2)
+        - 2 * hbar * omega1 * tau * sym(z1 * low2)
+        + hbar * (omega1 * abs(z1) ** 2 + omega2 * abs(z2) ** 2) * eye
+        + hbar * (1 + alpha**2) * (omega1 + omega2) / (4 * alpha) * eye
+    )
+
+
+class TestKroneckerAssembly:
+    """The factored Fock assembly against dense products of the product-basis ladders."""
+
+    @pytest.mark.parametrize("method", ["ladder", "expanded"])
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 1.0])
+    @pytest.mark.parametrize("n_trunc", [8, 12, 20])
+    def test_matches_dense_reference(self, n_trunc, alpha, method):
+        spec = model.OscillatorSpec(omega1=0.7, omega2=1.6, hbar=1.3)
+        z1, z2 = 0.6 - 0.35j, -0.25 + 0.8j
+        ham = model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, method)
+        reference = _dense_reference(alpha, spec, z1, z2, n_trunc, method)
+        assert ham.matrix.shape == (n_trunc**2, n_trunc**2)
+        assert np.abs(ham.matrix - reference).max() <= 1e-14 * np.abs(reference).max()
+
+    @pytest.mark.parametrize("method", ["ladder", "expanded"])
+    def test_peak_memory(self, method):
+        # the dense (n^2, n^2) matrix is 41 MB at n_trunc 40; dense
+        # (n^2, n^2) @ (n^2, n^2) products peak above 220 MB
+        tracemalloc.start()
+        try:
+            model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 40, method)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 110e6
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        alpha=st.floats(1e-3, 1.0),
+        radius1=st.floats(0.0, 1.0),
+        phase1=st.floats(-math.pi, math.pi),
+        radius2=st.floats(0.0, 1.0),
+        phase2=st.floats(-math.pi, math.pi),
+        omega1=st.floats(0.5, 2.0),
+        omega2=st.floats(0.5, 2.0),
+        hbar=st.floats(0.5, 2.0),
+        n_trunc=st.integers(8, 14),
+    )
+    def test_paths_agree_and_hermitian(
+        self, alpha, radius1, phase1, radius2, phase2, omega1, omega2, hbar, n_trunc
+    ):
+        spec = model.OscillatorSpec(omega1=omega1, omega2=omega2, hbar=hbar)
+        z1 = radius1 * complex(math.cos(phase1), math.sin(phase1))
+        z2 = radius2 * complex(math.cos(phase2), math.sin(phase2))
+        ladder = model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, "ladder")
+        expanded = model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, "expanded")
+        scale = max(1.0, float(np.abs(ladder.matrix).max()))
+        assert np.abs(ladder.interior() - expanded.interior()).max() <= 1e-10 * scale
+        for ham in (ladder, expanded):
+            np.testing.assert_array_equal(ham.matrix, ham.matrix.conj().T)
 
 
 class TestHamiltonianQuadratic:
