@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import gauss_hermite
+from .quadrature import scaled_gauss_hermite
 
 __all__ = [
     "SqueezeParam",
@@ -92,7 +92,7 @@ def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
     """Values of the one-variable basis functions for n = 0 .. n_max.
 
     Stable scaled recurrence: with gamma = sqrt((1-alpha)/(1+alpha)) and
-    c = sqrt(2 alpha / (1 - alpha^2)) the quantity
+    c = sqrt(2 alpha / ((1 - alpha)(1 + alpha))) the quantity
     e_n = gamma^n H_n(c z) / sqrt(2^n n!) obeys
 
         e_{n+1} = (sqrt(2) gamma c z e_n - gamma^2 sqrt(n) e_{n-1}) / sqrt(n+1),
@@ -105,16 +105,23 @@ def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
     alpha = check_alpha(alpha, closed=False)
     z = np.asarray(z, dtype=complex)
     beta = (1.0 - alpha) / (1.0 + alpha)
+    prefactor = math.sqrt(2.0 * math.sqrt(alpha) / (1.0 + alpha))
+    return prefactor * np.exp(0.5 * beta * z * z) * _polynomial_sequence(n_max, alpha, z)
+
+
+def _polynomial_sequence(n_max: int, alpha: float, z: np.ndarray) -> np.ndarray:
+    # the polynomial part e_n of basis_function_sequence, for a checked
+    # alpha and complex z
+    beta = (1.0 - alpha) / (1.0 + alpha)
     gamma = math.sqrt(beta)
-    cz = math.sqrt(2.0 * alpha / (1.0 - alpha * alpha)) * z
+    cz = math.sqrt(2.0 * alpha / ((1.0 - alpha) * (1.0 + alpha))) * z
     e = np.empty((n_max + 1,) + z.shape, dtype=complex)
     e[0] = 1.0
     if n_max >= 1:
         e[1] = math.sqrt(2.0) * gamma * cz
     for n in range(1, n_max):
         e[n + 1] = (math.sqrt(2.0) * gamma * cz * e[n] - beta * math.sqrt(n) * e[n - 1]) / math.sqrt(n + 1)
-    prefactor = math.sqrt(2.0 * math.sqrt(alpha) / (1.0 + alpha))
-    return prefactor * np.exp(0.5 * beta * z * z) * e
+    return e
 
 
 def basis_function(n: int, alpha: float, z):
@@ -130,17 +137,24 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
 
     Same scaling strategy as :func:`basis_function_sequence`:
     g_{m,n} = gamma^(m+n) H_{m,n}(c z1, c z2) / sqrt(m! n!) with
-    c = 2 sqrt(alpha)/sqrt(1-alpha^2), filled by the two-index recurrence.
+    c = 2 sqrt(alpha)/sqrt((1-alpha)(1+alpha)), filled by the two-index
+    recurrence, times 2 sqrt(alpha)/(1+alpha) * exp(beta z1 z2).
     ``z1``/``z2`` may be scalars or broadcast-compatible ndarrays; output
     shape ``(m_max+1, n_max+1, *broadcast_shape)``.
     """
     alpha = check_alpha(alpha, closed=False)
-    z1 = np.asarray(z1, dtype=complex)
-    z2 = np.asarray(z2, dtype=complex)
-    z1, z2 = np.broadcast_arrays(z1, z2)
+    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
+    beta = (1.0 - alpha) / (1.0 + alpha)
+    prefactor = 2.0 * math.sqrt(alpha) / (1.0 + alpha)
+    return prefactor * np.exp(beta * z1 * z2) * _polynomial_2v_table(m_max, n_max, alpha, z1, z2)
+
+
+def _polynomial_2v_table(m_max: int, n_max: int, alpha: float, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:
+    # the polynomial part g_{m,n} of basis_function_2v_table, for a checked
+    # alpha and complex z1, z2 of one shape
     beta = (1.0 - alpha) / (1.0 + alpha)
     gamma = math.sqrt(beta)
-    scale = 2.0 * math.sqrt(alpha) / math.sqrt(1.0 - alpha * alpha)
+    scale = 2.0 * math.sqrt(alpha) / math.sqrt((1.0 - alpha) * (1.0 + alpha))
     w1 = gamma * scale * z1
     w2 = gamma * scale * z2
     g = np.empty((m_max + 1, n_max + 1) + z1.shape, dtype=complex)
@@ -151,8 +165,7 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
         g[m + 1, 0] = w1 * g[m, 0] / math.sqrt(m + 1)
         for n in range(1, n_max + 1):
             g[m + 1, n] = (w1 * g[m, n] - beta * math.sqrt(n) * g[m, n - 1]) / math.sqrt(m + 1)
-    prefactor = 2.0 * math.sqrt(alpha) / (1.0 + alpha)
-    return prefactor * np.exp(beta * z1 * z2) * g
+    return g
 
 
 def basis_function_2v(m: int, n: int, alpha: float, z1, z2):
@@ -199,24 +212,73 @@ def gaussian_measure_density(w1: complex, w2: complex) -> float:
 def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
     """Gram matrix of the two-variable basis under the Gaussian measure.
 
-    Integrates over C^2 with a tensor-product Gauss-Hermite rule on the four
-    real axes (Re z1, Im z1, Re z2, Im z2), ``order`` nodes each.  Rows and
-    columns run over pairs (m, n) with m, n <= max_index in row-major order;
-    orthonormality means the result is close to the identity.  Evaluation is
-    chunked along the first axis to bound memory.
+    Rows and columns run over pairs (m, n) with m, n <= max_index in
+    row-major order; orthonormality means the result is the identity.
+
+    On the principal axes a = (z1 + z2)/sqrt(2) and b' = i (z1 - z2)/sqrt(2)
+    the weight |exp(beta z1 z2)|^2 exp(-|z1|^2 - |z2|^2), with
+    beta = (1-alpha)/(1+alpha), is exp(-(1-beta) s^2 - (1+beta) t^2) for
+    a = s + i t times the same Gaussian in b'.  Integrated against it is
+    g conj(g'), the product of two polynomial parts of
+    :func:`basis_function_2v_table`, of degree <= 4 max_index along each
+    real axis.  A Gauss-Hermite rule of ``order`` nodes on each of the four
+    axes is therefore exact when order >= 2 max_index + 1; a smaller order
+    raises ``ValueError``.
+
+    The order^4-node sum is evaluated in factored form.  Each polynomial
+    part is expanded as g(a, b') = sum D[p, q] e_p(a) e_q(b'), where e_p are
+    the polynomial parts of :func:`basis_function_sequence`, orthogonal
+    under the weight of one plane.  A discrete Fourier transform of g on the
+    torus |a| = |b'| = r gives its coefficients in the monomials
+    (a/r)^k (b'/r)^l, and the three-term recurrence of the e_p turns them
+    into D.  The rule then reduces to the Gram matrix of the e_p on one
+    plane, M[p, p'] = sum of w e_p(a) conj(e_p'(a)) over its order^2 nodes:
+    G = D (M kron M) D^H * 4 alpha / ((1+alpha)^2 pi^2).
+
+    Rounding grows with ``max_index``: on a logarithmic grid of alpha over
+    [1e-8, 1 - 1e-9], max |G - I| stayed below 3e-14 at max_index 4, 1e-11
+    at 8 and 3e-10 at 10.
     """
     alpha = check_alpha(alpha, closed=False)
-    nodes, weights = gauss_hermite(order)
+    if max_index < 0:
+        raise ValueError(f"max_index must be nonnegative, got {max_index}")
+    degree = 2 * max_index
+    if order < degree + 1:
+        raise ValueError(
+            f"order {order} is below 2 * max_index + 1 = {degree + 1}, where the rule is not exact"
+        )
+    beta = (1.0 - alpha) / (1.0 + alpha)
+    wide = 2.0 * alpha / (1.0 + alpha)  # 1 - beta
+    narrow = 2.0 / (1.0 + alpha)  # 1 + beta
+    # the weighted mass of a degree-d polynomial reaches out to about
+    # sqrt(d) standard deviations of the wide axis; the factor 1/3 gave the
+    # least rounding over alpha in [1e-8, 1) for max_index 1 to 14
+    radius = math.sqrt((degree + 1) / (3.0 * wide))
+    points = degree + 1
     dim = max_index + 1
-    gram = np.zeros((dim * dim, dim * dim), dtype=complex)
-    v1 = nodes[:, None, None]
-    u2 = nodes[None, :, None]
-    v2 = nodes[None, None, :]
-    w_rest = (weights[:, None, None] * weights[None, :, None] * weights[None, None, :]).ravel()
-    z2 = np.broadcast_to(u2 + 1j * v2, (order, order, order)).ravel()
-    for i, u1 in enumerate(nodes):
-        z1 = np.broadcast_to(u1 + 1j * v1, (order, order, order)).ravel()
-        values = basis_function_2v_table(max_index, max_index, alpha, z1, z2)
-        flat = values.reshape(dim * dim, -1)
-        gram += (flat * (weights[i] * w_rest)) @ flat.conj().T
-    return gram / np.pi**2
+
+    circle = radius * np.exp(2j * np.pi / points * np.arange(points))
+    a, b = circle[:, None], circle[None, :]  # a and b' on the torus
+    z1, z2 = np.broadcast_arrays((a - 1j * b) / math.sqrt(2.0), (a + 1j * b) / math.sqrt(2.0))
+    values = _polynomial_2v_table(max_index, max_index, alpha, z1, z2).reshape(dim * dim, points, points)
+    monomial = np.fft.fft2(values) / points**2
+
+    # with kappa = gamma c r (gamma c = sqrt(2 alpha)/(1+alpha), as in
+    # _polynomial_sequence) the recurrence reads
+    # (a/r) e_p = (sqrt(p+1) e_{p+1} + beta sqrt(p) e_{p-1}) / (sqrt(2) kappa),
+    # so (a/r)^k = sum_p expand[k, p] e_p(a) with nonnegative entries
+    kappa = math.sqrt(2.0 * alpha) / (1.0 + alpha) * radius
+    up = np.sqrt(np.arange(1.0, points)) / (math.sqrt(2.0) * kappa)
+    step = np.diag(up, 1) + np.diag(beta * up, -1)
+    expand = np.zeros((points, points))
+    expand[0, 0] = 1.0
+    for k in range(1, points):
+        expand[k] = expand[k - 1] @ step
+    coeffs = (expand.T @ monomial @ expand).reshape(dim * dim, points * points)
+
+    s, ws = scaled_gauss_hermite(order, wide)
+    t, wt = scaled_gauss_hermite(order, narrow)
+    e = _polynomial_sequence(degree, alpha, (s[:, None] + 1j * t[None, :]).ravel())
+    plane = (e * np.outer(ws, wt).ravel()) @ e.conj().T
+    gram = coeffs @ np.kron(plane, plane) @ coeffs.conj().T
+    return gram * (4.0 * alpha / ((1.0 + alpha) ** 2 * np.pi**2))

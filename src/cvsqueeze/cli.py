@@ -306,8 +306,8 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     quad = model.hamiltonian_quadratic(args.alpha, spec, args.z1, args.z2)
     ladder = model.hamiltonian_fock(args.alpha, spec, args.z1, args.z2, args.trunc, "ladder")
     expanded = model.hamiltonian_fock(args.alpha, spec, args.z1, args.z2, args.trunc, "expanded")
-    path_gap = float(np.abs(ladder.interior() - expanded.interior()).max())
-    hermiticity = float(np.abs(ladder.matrix - ladder.matrix.conj().T).max())
+    path_gap = ladder.interior_gap(expanded)
+    hermiticity = ladder.hermiticity_defect()
 
     a, b = spec.inverse_lengths()
     geom = states.OscillatorGeometry(a=a, b=b, hbar=config.hbar)

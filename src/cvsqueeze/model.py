@@ -151,19 +151,50 @@ class TruncatedOperator:
 
     Row/column index is m * n_trunc + n.  Ladder truncation corrupts the top
     levels of each mode; :meth:`interior` restricts to the block where matrix
-    identities hold exactly.
+    identities hold exactly.  The checks :meth:`interior_gap` and
+    :meth:`hermiticity_defect` run over the matrix one first-mode row index
+    at a time, so they allocate no temporary of the matrix's size.
     """
 
     matrix: np.ndarray
     n_trunc: int
 
-    def interior(self, pad: int = 2) -> np.ndarray:
-        """Sub-block with both mode indices below ``n_trunc - pad``."""
+    def _entries(self) -> np.ndarray:
+        # view indexed [m, n, m', n'] for the entry <m, n| H |m', n'>
+        n = self.n_trunc
+        return self.matrix.reshape(n, n, n, n)
+
+    def _interior_size(self, pad: int) -> int:
         keep = self.n_trunc - pad
         if keep <= 0:
             raise ValueError(f"pad {pad} leaves no interior block for n_trunc {self.n_trunc}")
-        idx = [m * self.n_trunc + n for m in range(keep) for n in range(keep)]
-        return self.matrix[np.ix_(idx, idx)]
+        return keep
+
+    def interior(self, pad: int = 2) -> np.ndarray:
+        """Sub-block with both mode indices below ``n_trunc - pad``."""
+        keep = self._interior_size(pad)
+        return self._entries()[:keep, :keep, :keep, :keep].reshape(keep * keep, keep * keep)
+
+    def interior_gap(self, other: TruncatedOperator, pad: int = 2) -> float:
+        """max |self - other| over the :meth:`interior` blocks of both."""
+        keep = self._interior_size(pad)
+        mine, theirs = self._entries(), other._entries()
+        # np.max rather than max(): a NaN in any slab must reach the result
+        return float(np.max([
+            np.abs(mine[m, :keep, :keep, :keep] - theirs[m, :keep, :keep, :keep]).max()
+            for m in range(keep)
+        ]))
+
+    def hermiticity_defect(self) -> float:
+        """max |H - H^dagger| over all entries."""
+        # |H[i, j] - conj(H[j, i])| is symmetric in (i, j), so each block of
+        # n_trunc rows is compared only up to its diagonal block
+        n = self.n_trunc
+        h = self.matrix
+        return float(np.max([
+            np.abs(h[m * n:(m + 1) * n, :(m + 1) * n] - h[:(m + 1) * n, m * n:(m + 1) * n].conj().T).max()
+            for m in range(n)
+        ]))
 
 
 def _single_lowering(n_trunc: int) -> np.ndarray:

@@ -129,10 +129,11 @@ def hermite_suite() -> list[CheckResult]:
 def basis_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
     worst = 0.0
-    for alpha in (0.3, 0.6):
+    # strong (1e-4, 0.05) to weak (0.999) squeezing; the worst, 1.2e-14, is at 1e-4
+    for alpha in (1e-4, 0.05, 0.3, 0.6, 0.999):
         gram = basis.basis_gram(alpha, max_index=4, order=40)
         worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
-    checks.append(_check("Gaussian-measure orthonormality, indices <= 4", worst, 1e-7))
+    checks.append(_check("Gaussian-measure orthonormality, indices <= 4", worst, 1e-13))
 
     worst = 0.0
     for alpha in np.logspace(-3, 0, 25):

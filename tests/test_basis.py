@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvsqueeze import basis, hermite
-from cvsqueeze.quadrature import gauss_hermite
+from cvsqueeze.quadrature import gauss_hermite, scaled_gauss_hermite
 
 
 class TestSqueezeParam:
@@ -149,10 +149,65 @@ class TestGaussianMeasure:
         assert total == pytest.approx(1.0, abs=1e-10)
 
 
-def test_gram_orthonormality():
-    for alpha in (0.3, 0.6):
-        gram = basis.basis_gram(alpha, max_index=4, order=40)
-        assert np.abs(gram - np.eye(25)).max() < 1e-7
+# the 40-node rule on the raw axes met 1e-7 only at moderate squeezing
+# (alpha 0.3, 0.6); the principal-axis rule is exact from alpha 1e-4 to 1 - 1e-9
+@pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.1, 0.3, 0.6, 0.999, 1 - 1e-9])
+def test_gram_orthonormality(alpha):
+    gram = basis.basis_gram(alpha, max_index=4, order=40)
+    assert np.abs(gram - np.eye(25)).max() < 1e-13
+
+
+@pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.3, 0.999])
+def test_gram_orthonormality_higher_index(alpha):
+    # rounding grows with the degree; measured at most 8.4e-12 at max_index 8
+    gram = basis.basis_gram(alpha, max_index=8, order=40)
+    assert np.abs(gram - np.eye(81)).max() < 1e-10
+
+
+def _direct_principal_axis_gram(alpha, max_index, order):
+    # reference: the unfactored order^4-node Gauss-Hermite sum over the
+    # principal axes a = (z1 + z2)/sqrt(2) = s1 + i t1, b = (z1 - z2)/sqrt(2) = s2 + i t2
+    beta = (1 - alpha) / (1 + alpha)
+    s1, ws1 = scaled_gauss_hermite(order, 1 - beta)
+    t1, wt1 = scaled_gauss_hermite(order, 1 + beta)
+    s2, ws2 = scaled_gauss_hermite(order, 1 + beta)
+    t2, wt2 = scaled_gauss_hermite(order, 1 - beta)
+    a = s1[:, None, None, None] + 1j * t1[None, :, None, None]
+    b = s2[None, None, :, None] + 1j * t2[None, None, None, :]
+    a, b = np.broadcast_arrays(a, b)
+    weights = np.einsum("i,j,k,l->ijkl", ws1, wt1, ws2, wt2).ravel()
+    z1 = ((a + b) / math.sqrt(2)).ravel()
+    z2 = ((a - b) / math.sqrt(2)).ravel()
+    # exp(beta z1 z2) is folded into the weight, so only the polynomial parts
+    # remain; dividing it out of the table overflows at order 11 below alpha ~ 5e-3
+    table = basis.basis_function_2v_table(max_index, max_index, alpha, z1, z2)
+    poly = (table / table[0, 0]).reshape((max_index + 1) ** 2, -1)
+    return (poly * weights) @ poly.conj().T / math.pi**2 * (2 * math.sqrt(alpha) / (1 + alpha)) ** 2
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.3, 0.999])
+def test_gram_matches_direct_principal_axis_sum(alpha):
+    for max_index in (2, 3, 4):
+        for order in (9, 11):
+            direct = _direct_principal_axis_gram(alpha, max_index, order)
+            factored = basis.basis_gram(alpha, max_index, order)
+            assert np.abs(factored - direct).max() < 1000 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3, 0.6, 0.999, 1 - 1e-9])
+def test_gram_exact_at_minimal_order(alpha):
+    # 9 = 2 * max_index + 1 nodes per axis already integrate exactly
+    minimal = basis.basis_gram(alpha, max_index=4, order=9)
+    doubled = basis.basis_gram(alpha, max_index=4, order=18)
+    assert np.abs(minimal - doubled).max() < 1e-13
+
+
+def test_gram_rejects_inexact_order():
+    with pytest.raises(ValueError, match="not exact"):
+        basis.basis_gram(0.5, max_index=4, order=8)
+    with pytest.raises(ValueError, match="max_index"):
+        basis.basis_gram(0.5, max_index=-1, order=8)
+    basis.basis_gram(0.5, max_index=4, order=9)
 
 
 def test_mode_tag_validation():

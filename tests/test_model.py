@@ -255,6 +255,52 @@ class TestKroneckerAssembly:
             np.testing.assert_array_equal(ham.matrix, ham.matrix.conj().T)
 
 
+class TestSlabChecks:
+    """The slab-wise Fock checks against the same formulas on whole matrices."""
+
+    @pytest.mark.parametrize("n_trunc", [5, 8, 11])
+    def test_match_whole_matrix_formulas(self, n_trunc):
+        rng = np.random.default_rng(n_trunc)
+        shape = (n_trunc**2, n_trunc**2)
+        first = model.TruncatedOperator(rng.normal(size=shape) + 1j * rng.normal(size=shape), n_trunc)
+        second = model.TruncatedOperator(rng.normal(size=shape) + 1j * rng.normal(size=shape), n_trunc)
+        for pad in (1, 2, 4):
+            whole = np.abs(first.interior(pad) - second.interior(pad)).max()
+            assert first.interior_gap(second, pad) == whole
+        assert first.hermiticity_defect() == np.abs(first.matrix - first.matrix.conj().T).max()
+
+    def test_interior_selects_low_levels(self):
+        n_trunc, pad = 6, 2
+        matrix = np.arange(n_trunc**4, dtype=complex).reshape(n_trunc**2, n_trunc**2)
+        keep = [m * n_trunc + n for m in range(n_trunc - pad) for n in range(n_trunc - pad)]
+        np.testing.assert_array_equal(
+            model.TruncatedOperator(matrix, n_trunc).interior(pad), matrix[np.ix_(keep, keep)]
+        )
+
+    def test_nan_reaches_result(self):
+        ham = model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 8)
+        broken = ham.matrix.copy()
+        broken[-3, -4] = np.nan
+        corrupt = model.TruncatedOperator(broken, 8)
+        assert math.isnan(corrupt.hermiticity_defect())
+        broken[3 * 8 + 2, 2 * 8 + 4] = np.nan  # interior, outside the first slab
+        assert math.isnan(corrupt.interior_gap(ham))
+
+    def test_cli_peak_memory(self, tmp_path):
+        # the two (n^2, n^2) Fock matrices are 82 MB at trunc 40; checks on
+        # whole matrices added 82 MB (hermiticity) and 67 MB (interior gap)
+        from cvsqueeze.cli import main
+
+        out = tmp_path / "ham.json"
+        tracemalloc.start()
+        try:
+            assert main(["hamiltonian", "--alpha=0.5", "--trunc=40", f"--out={out}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 140e6
+
+
 class TestHamiltonianQuadratic:
     def test_no_squeezing_block_diagonal(self):
         spec = model.OscillatorSpec(omega1=1.3, omega2=0.7, mass=2.0)
