@@ -209,6 +209,10 @@ def gaussian_measure_density(w1: complex, w2: complex) -> float:
     return float(np.pi**-2 * np.exp(-abs(w1) ** 2 - abs(w2) ** 2))
 
 
+# largest max_index at which basis_gram was measured within 3e-10 of I
+_GRAM_MAX_INDEX = 10
+
+
 def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
     """Gram matrix of the two-variable basis under the Gaussian measure.
 
@@ -237,11 +241,12 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
 
     Rounding grows with ``max_index``: on a logarithmic grid of alpha over
     [1e-8, 1 - 1e-9], max |G - I| stayed below 3e-14 at max_index 4, 1e-11
-    at 8 and 3e-10 at 10.
+    at 8 and 3e-10 at 10, but reached about 1e-7 at 14 and 2e-4 at 18.
+    The torus samples lose it; a max_index above 10 raises ``ValueError``.
     """
     alpha = check_alpha(alpha, closed=False)
-    if max_index < 0:
-        raise ValueError(f"max_index must be nonnegative, got {max_index}")
+    if not 0 <= max_index <= _GRAM_MAX_INDEX:
+        raise ValueError(f"max_index must be in [0, {_GRAM_MAX_INDEX}], got {max_index}")
     degree = 2 * max_index
     if order < degree + 1:
         raise ValueError(

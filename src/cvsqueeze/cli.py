@@ -86,9 +86,12 @@ def _alpha_list(text: str) -> list[float]:
 
 def _complex_arg(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        value = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
 
 
 def _range_arg(text: str) -> tuple[float, float]:
@@ -316,7 +319,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
         args.alpha, spec, geom, args.z1, args.z2, grid_points=grid_points
     )
 
-    diag = np.real(np.diag(ladder.matrix))
+    diag = np.real(ladder.diagonal())
     payload = {
         "params": {
             "command": "hamiltonian",

@@ -29,12 +29,19 @@ state.  For the state with labels (z1, z2) they collapse to
 with sigma = (1+alpha)/(2 sqrt(alpha)), tau = (1-alpha)/(2 sqrt(alpha)),
 sigma^2 - tau^2 = 1 (the whole shift structure telescopes onto the bare
 labels).  At alpha = 1 they reduce to displaced-oscillator form c_i - z_i.
+
+Fock-space operators are short Kronecker sums sum_t A_t (x) B_t of
+tridiagonal n_trunc x n_trunc factors.  :class:`TruncatedOperator` keeps
+them as the bands of the product basis that those factors reach and checks
+Hermiticity, path agreement and the diagonal on the bands; the dense
+(n_trunc^2, n_trunc^2) matrix is built only on request.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -96,6 +103,12 @@ class OscillatorSpec:
         )
 
 
+def _finite_labels(z1: complex, z2: complex) -> tuple[complex, complex]:
+    # DisplacementLabels raises ValueError on a non-finite label
+    labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
+    return labels.z1, labels.z2
+
+
 def _sigma_tau(alpha: float) -> tuple[float, float]:
     # Bogoliubov pair with sigma^2 - tau^2 = 1 for every alpha
     root = 2.0 * math.sqrt(alpha)
@@ -130,8 +143,7 @@ def ladder_coefficients(alpha: float, z1: complex, z2: complex) -> LadderCoeffic
     relations canonical for every alpha.
     """
     alpha = check_alpha(alpha, closed=True)
-    z1 = complex(z1)
-    z2 = complex(z2)
+    z1, z2 = _finite_labels(z1, z2)
     sigma, tau = _sigma_tau(alpha)
     diag = np.diag([sigma, sigma])
     anti = np.array([[0.0, tau], [tau, 0.0]])
@@ -147,22 +159,46 @@ def ladder_coefficients(alpha: float, z1: complex, z2: complex) -> LadderCoeffic
 
 @dataclass(frozen=True)
 class TruncatedOperator:
-    """Operator matrix over the product Fock basis |m, n>, m, n < n_trunc.
+    """Operator over the product Fock basis |m, n>, m, n < n_trunc, in band form.
 
-    Row/column index is m * n_trunc + n.  Ladder truncation corrupts the top
-    levels of each mode; :meth:`interior` restricts to the block where matrix
-    identities hold exactly.  The checks :meth:`interior_gap` and
-    :meth:`hermiticity_defect` run over the matrix one first-mode row index
-    at a time, so they allocate no temporary of the matrix's size.
+    ``bands[d1, d2]`` holds the entries <r1, r2| H |r1 + d1, r2 + d2> as an
+    (n_trunc - |d1|, n_trunc - |d2|) array indexed like ``np.diagonal``:
+    r = i for d >= 0 and r = i - d for d < 0.  Diagonals absent from
+    ``bands`` are zero.  Every check runs over the bands, so none of them
+    needs the dense matrix; :attr:`matrix` (row/column index m * n_trunc + n)
+    is scattered from the bands on first use.  Ladder truncation corrupts
+    the top levels of each mode; :meth:`interior` restricts to the block
+    where matrix identities hold exactly.
     """
 
-    matrix: np.ndarray
+    bands: dict[tuple[int, int], np.ndarray]
     n_trunc: int
 
-    def _entries(self) -> np.ndarray:
-        # view indexed [m, n, m', n'] for the entry <m, n| H |m', n'>
+    @classmethod
+    def from_matrix(cls, matrix: np.ndarray, n_trunc: int) -> TruncatedOperator:
+        """Operator whose bands are views of a dense (n_trunc^2, n_trunc^2) matrix."""
+        n = n_trunc
+        matrix = np.asarray(matrix)
+        if matrix.shape != (n * n, n * n):
+            raise ValueError(f"matrix of shape {matrix.shape} does not match n_trunc {n}")
+        entries = matrix.reshape(n, n, n, n)  # [m, n, m', n']
+        offsets = range(1 - n, n)
+        firsts = [(d1, entries.diagonal(d1, 0, 2)) for d1 in offsets]  # [n, n', i]
+        op = cls({(d1, d2): first.diagonal(d2, 0, 1) for d1, first in firsts for d2 in offsets}, n)
+        # the bands cover every entry of ``matrix``, which is their scatter
+        op.__dict__["matrix"] = matrix
+        return op
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """Dense (n_trunc^2, n_trunc^2) matrix, row/column index m * n_trunc + n."""
         n = self.n_trunc
-        return self.matrix.reshape(n, n, n, n)
+        dense = np.zeros((n, n, n, n), dtype=complex)
+        for (d1, d2), band in self.bands.items():
+            rows1 = np.arange(n - abs(d1)) + max(-d1, 0)
+            rows2 = np.arange(n - abs(d2)) + max(-d2, 0)
+            dense[rows1[:, None], rows2, rows1[:, None] + d1, rows2 + d2] = band
+        return dense.reshape(n * n, n * n)
 
     def _interior_size(self, pad: int) -> int:
         keep = self.n_trunc - pad
@@ -171,30 +207,51 @@ class TruncatedOperator:
         return keep
 
     def interior(self, pad: int = 2) -> np.ndarray:
-        """Sub-block with both mode indices below ``n_trunc - pad``."""
+        """Sub-block of :attr:`matrix` with both mode indices below ``n_trunc - pad``."""
         keep = self._interior_size(pad)
-        return self._entries()[:keep, :keep, :keep, :keep].reshape(keep * keep, keep * keep)
+        n = self.n_trunc
+        entries = self.matrix.reshape(n, n, n, n)
+        return entries[:keep, :keep, :keep, :keep].reshape(keep * keep, keep * keep)
+
+    def diagonal(self) -> np.ndarray:
+        """Diagonal entries <m, n| H |m, n> in row order m * n_trunc + n."""
+        band = self.bands.get((0, 0))
+        if band is None:
+            return np.zeros(self.n_trunc**2, dtype=complex)
+        return band.ravel()
 
     def interior_gap(self, other: TruncatedOperator, pad: int = 2) -> float:
         """max |self - other| over the :meth:`interior` blocks of both."""
+        if other.n_trunc != self.n_trunc:
+            raise ValueError(f"n_trunc {other.n_trunc} does not match {self.n_trunc}")
         keep = self._interior_size(pad)
-        mine, theirs = self._entries(), other._entries()
-        # np.max rather than max(): a NaN in any slab must reach the result
-        return float(np.max([
-            np.abs(mine[m, :keep, :keep, :keep] - theirs[m, :keep, :keep, :keep]).max()
-            for m in range(keep)
-        ]))
+        gaps = []
+        for d1, d2 in self.bands.keys() | other.bands.keys():
+            # band entry [i, j] lies in the interior iff i < keep - |d1|
+            # and j < keep - |d2|
+            rows, cols = keep - abs(d1), keep - abs(d2)
+            if rows <= 0 or cols <= 0:
+                continue
+            mine = _band_prefix(self, (d1, d2), rows, cols)
+            theirs = _band_prefix(other, (d1, d2), rows, cols)
+            gaps.append(np.abs(mine - theirs).max())
+        # np.max rather than max(): a NaN in any band must reach the result
+        return float(np.max(gaps))
 
     def hermiticity_defect(self) -> float:
         """max |H - H^dagger| over all entries."""
-        # |H[i, j] - conj(H[j, i])| is symmetric in (i, j), so each block of
-        # n_trunc rows is compared only up to its diagonal block
-        n = self.n_trunc
-        h = self.matrix
-        return float(np.max([
-            np.abs(h[m * n:(m + 1) * n, :(m + 1) * n] - h[:(m + 1) * n, m * n:(m + 1) * n].conj().T).max()
-            for m in range(n)
-        ]))
+        # the mirror of band entry [i, j] of (d1, d2) is entry [i, j] of (-d1, -d2)
+        defects = []
+        for (d1, d2), band in self.bands.items():
+            mirror = self.bands.get((-d1, -d2))
+            defects.append(np.abs(band if mirror is None else band - mirror.conj()).max())
+        return float(np.max(defects))
+
+
+def _band_prefix(op: TruncatedOperator, offsets: tuple[int, int], rows: int, cols: int):
+    # leading (rows, cols) block of a band; an absent band is zero
+    band = op.bands.get(offsets)
+    return 0.0 if band is None else band[:rows, :cols]
 
 
 def _single_lowering(n_trunc: int) -> np.ndarray:
@@ -217,15 +274,26 @@ def lowering_operators(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
 _Kron = list[tuple[np.ndarray, np.ndarray]]
 
 
-def _kron_dense(terms: _Kron) -> np.ndarray:
-    """Dense (n^2, n^2) matrix of sum_t A_t (x) B_t, row index m * n_trunc + n."""
-    n = terms[0][0].shape[0]
-    left = np.array([a for a, _ in terms], dtype=complex).reshape(len(terms), n * n)
-    right = np.array([b for _, b in terms], dtype=complex).reshape(len(terms), n * n)
-    # one product gives [(m, m'), (n, n')] = sum_t A_t[m, m'] B_t[n, n'],
-    # one transpose copy reorders it to [(m, n), (m', n')]
-    blocks = (left.T @ right).reshape(n, n, n, n)
-    return blocks.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+def _band_offsets(factors: np.ndarray) -> list[int]:
+    # diagonals on which any of the stacked (T, n, n) factors holds a
+    # nonzero or NaN entry
+    rows, cols = np.nonzero((factors != 0).any(axis=0))
+    return sorted(set((cols - rows).tolist()))
+
+
+def _kron_operator(terms: _Kron) -> TruncatedOperator:
+    """sum_t A_t (x) B_t in band form, without the dense (n^2, n^2) matrix.
+
+    The entry <r1, r2| H |r1 + d1, r2 + d2> is sum_t A_t[r1, r1 + d1]
+    B_t[r2, r2 + d2], so the band of (d1, d2) is L^T R for the (T, n - |d|)
+    stacks L and R of the factors' d1-th and d2-th diagonals.
+    """
+    left = np.array([a for a, _ in terms], dtype=complex)
+    right = np.array([b for _, b in terms], dtype=complex)
+    lefts = {d: np.ascontiguousarray(np.diagonal(left, d, 1, 2)) for d in _band_offsets(left)}
+    rights = {d: np.ascontiguousarray(np.diagonal(right, d, 1, 2)) for d in _band_offsets(right)}
+    bands = {(d1, d2): a.T @ b for d1, a in lefts.items() for d2, b in rights.items()}
+    return TruncatedOperator(bands, left.shape[1])
 
 
 def _sym(op: np.ndarray) -> np.ndarray:
@@ -277,15 +345,12 @@ def _ladder_terms(
 
 
 def transformed_ladder_matrices(alpha: float, z1: complex, z2: complex, n_trunc: int = 20):
-    """Truncated matrices (C1, C1_dag, C2, C2_dag) of the transformed ladder ops.
+    """Truncated operators (C1, C1_dag, C2, C2_dag) of the transformed ladder ops, in band form.
 
     Commutators [Ci, Cj+] = delta_ij and [Ci, Cj] = 0 hold exactly on the
     interior sub-block (both mode indices below ``n_trunc - 2``).
     """
-    return tuple(
-        TruncatedOperator(_kron_dense(terms), n_trunc)
-        for terms in _ladder_terms(alpha, z1, z2, n_trunc)
-    )
+    return tuple(_kron_operator(terms) for terms in _ladder_terms(alpha, z1, z2, n_trunc))
 
 
 def _frequency_mix(alpha: float, spec: OscillatorSpec) -> tuple[float, float, float]:
@@ -297,29 +362,10 @@ def _frequency_mix(alpha: float, spec: OscillatorSpec) -> tuple[float, float, fl
     return mix1, mix2, coupling
 
 
-def hamiltonian_fock(
-    alpha: float,
-    spec: OscillatorSpec,
-    z1: complex,
-    z2: complex,
-    n_trunc: int = 20,
-    method: str = "ladder",
-) -> TruncatedOperator:
-    """Truncated Fock-space matrix of the mode-2 Hamiltonian.
-
-    ``method="ladder"`` assembles hbar omega_1 C1+ C1 + hbar omega_2 C2+ C2
-    + hbar (omega_1 + omega_2)/2 from the transformed ladder operators;
-    ``method="expanded"`` builds the expanded term list directly.  Both
-    work on n_trunc x n_trunc Kronecker factors and build the dense matrix
-    once.  The two agree entrywise on the interior sub-block.  At alpha = 1
-    and z = 0 the matrix is diagonal with entries hbar omega_1 m
-    + hbar omega_2 n + hbar (omega_1 + omega_2)/2.
-    """
-    alpha = check_alpha(alpha, closed=True)
-    if n_trunc < 8:
-        raise ValueError(f"n_trunc must be >= 8, got {n_trunc}")
-    z1 = complex(z1)
-    z2 = complex(z2)
+def _hamiltonian_terms(
+    alpha: float, spec: OscillatorSpec, z1: complex, z2: complex, n_trunc: int, method: str
+) -> _Kron:
+    """Kronecker factor list of the mode-2 Hamiltonian on one of the two paths."""
     hbar = spec.hbar
     eye = np.eye(n_trunc)
     if method == "ladder":
@@ -327,7 +373,7 @@ def hamiltonian_fock(
         terms = [(hbar * spec.omega1 * a, b) for a, b in _adjoint_product(c1_dag, c1)]
         terms += [(hbar * spec.omega2 * a, b) for a, b in _adjoint_product(c2_dag, c2)]
         terms.append((0.5 * hbar * (spec.omega1 + spec.omega2) * eye, eye))
-        return TruncatedOperator(_kron_dense(terms), n_trunc)
+        return terms
     if method != "expanded":
         raise ValueError(f"method must be 'ladder' or 'expanded', got {method!r}")
 
@@ -336,7 +382,7 @@ def hamiltonian_fock(
     omega1, omega2 = spec.omega1, spec.omega2
     single = _single_lowering(n_trunc)
     number = np.diag(np.arange(float(n_trunc)))
-    terms = [
+    return [
         (hbar * mix1 * number, eye),
         (eye, hbar * mix2 * number),
         # sym(c1 c2) = (s (x) s + s+ (x) s+) / 2
@@ -352,7 +398,34 @@ def hamiltonian_fock(
             eye,
         ),
     ]
-    return TruncatedOperator(_kron_dense(terms), n_trunc)
+
+
+def hamiltonian_fock(
+    alpha: float,
+    spec: OscillatorSpec,
+    z1: complex,
+    z2: complex,
+    n_trunc: int = 20,
+    method: str = "ladder",
+) -> TruncatedOperator:
+    """Truncated Fock-space operator of the mode-2 Hamiltonian, in band form.
+
+    ``method="ladder"`` assembles hbar omega_1 C1+ C1 + hbar omega_2 C2+ C2
+    + hbar (omega_1 + omega_2)/2 from the transformed ladder operators;
+    ``method="expanded"`` builds the expanded term list directly.  Both
+    paths are lists of n_trunc x n_trunc Kronecker factors, every factor
+    nonzero only on diagonals -1, 0 and 1, so the operator is nine bands
+    of at most n_trunc x n_trunc entries; the dense matrix is built only
+    when :attr:`TruncatedOperator.matrix` is read.  The two paths agree
+    entrywise on the interior sub-block.  At alpha = 1 and z = 0 the
+    operator is diagonal with entries hbar omega_1 m + hbar omega_2 n
+    + hbar (omega_1 + omega_2)/2.
+    """
+    alpha = check_alpha(alpha, closed=True)
+    if n_trunc < 8:
+        raise ValueError(f"n_trunc must be >= 8, got {n_trunc}")
+    z1, z2 = _finite_labels(z1, z2)
+    return _kron_operator(_hamiltonian_terms(alpha, spec, z1, z2, n_trunc, method))
 
 
 @dataclass(frozen=True)
@@ -398,8 +471,7 @@ def hamiltonian_quadratic(
     hbar (omega_1 |z1|^2 + omega_2 |z2|^2), zero at z = 0.
     """
     alpha = check_alpha(alpha, closed=True)
-    z1 = complex(z1)
-    z2 = complex(z2)
+    z1, z2 = _finite_labels(z1, z2)
     mix1, mix2, coupling = _frequency_mix(alpha, spec)
     sigma, tau = _sigma_tau(alpha)
     mass, hbar = spec.mass, spec.hbar

@@ -368,7 +368,7 @@ def model_suite() -> list[CheckResult]:
         for z in (0.0 + 0.0j, 0.3 + 0.1j):
             ladder = model.hamiltonian_fock(alpha, spec, z, -z / 2, 14, method="ladder")
             expanded = model.hamiltonian_fock(alpha, spec, z, -z / 2, 14, method="expanded")
-            worst = max(worst, float(np.abs(ladder.interior() - expanded.interior()).max()))
+            worst = max(worst, ladder.interior_gap(expanded))
     checks.append(_check("ladder-product vs expanded Hamiltonian paths", worst, 1e-10))
 
     limit = model.hamiltonian_quadratic(1.0, spec, 0.2 + 0.1j, -0.3 + 0.4j)
@@ -393,7 +393,7 @@ def model_suite() -> list[CheckResult]:
             (c1.matrix @ c2_dag.matrix - c2_dag.matrix @ c1.matrix, 0.0 * eye),
         ]
         for commutator, expected in pairs:
-            interior = model.TruncatedOperator(commutator, 14).interior()
+            interior = model.TruncatedOperator.from_matrix(commutator, 14).interior()
             worst = max(worst, float(np.abs(interior - expected).max()))
     checks.append(_check("canonical commutators on the interior block", worst, 1e-12))
 

@@ -219,7 +219,7 @@ def test_criterion_8_hamiltonian_reconstruction():
     eye = np.eye((n_trunc - 2) ** 2)
 
     def interior(matrix):
-        return model.TruncatedOperator(matrix, n_trunc).interior()
+        return model.TruncatedOperator.from_matrix(matrix, n_trunc).interior()
 
     commutators = [
         (c1.matrix @ c1_dag.matrix - c1_dag.matrix @ c1.matrix, eye),

@@ -210,6 +210,14 @@ def test_gram_rejects_inexact_order():
     basis.basis_gram(0.5, max_index=4, order=9)
 
 
+def test_gram_rejects_index_beyond_measured_accuracy():
+    # rounding reaches about 1e-7 at max_index 14; 10 is the largest
+    # index measured within 3e-10 of the identity
+    basis.basis_gram(0.5, max_index=10, order=21)
+    with pytest.raises(ValueError, match="max_index"):
+        basis.basis_gram(0.5, max_index=11, order=40)
+
+
 def test_mode_tag_validation():
     with pytest.raises(ValueError):
         basis.coefficient_table(3, 0.5, 0.0, 0.0, 4)

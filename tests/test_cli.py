@@ -239,6 +239,15 @@ class TestNumericFlags:
             main(argv)
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", ["wigner", "hamiltonian"])
+    @pytest.mark.parametrize("flag", ["--z1=nan", "--z2=inf+1j", "--z1=1-infj", "--z2=nan+nanj"])
+    def test_non_finite_label_exits_2(self, command, flag, capsys):
+        # SystemExit comes from the parser, before any model code runs
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--alpha=0.5", flag])
+        assert excinfo.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
     @pytest.mark.parametrize("flag", ["--order=-5", "--order=0", "--trunc=0", "--trunc=2.5"])
     def test_non_positive_int_exits_2(self, flag, capsys):
         with pytest.raises(SystemExit) as excinfo:

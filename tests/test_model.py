@@ -1,5 +1,6 @@
 """Transformed ladder operators and the reconstructed Hamiltonian."""
 
+import json
 import math
 import os
 import subprocess
@@ -70,6 +71,27 @@ class TestLadderCoefficients:
             model.ladder_coefficients(1.5, 0, 0)
 
 
+NON_FINITE_LABELS = [complex("nan"), complex("inf"), complex(0.3, -math.inf), complex(math.nan, 0.2)]
+
+LABEL_ENTRY_POINTS = {
+    "ladder_coefficients": lambda z1, z2: model.ladder_coefficients(0.5, z1, z2),
+    "transformed_ladder_matrices": lambda z1, z2: model.transformed_ladder_matrices(0.5, z1, z2, 8),
+    "hamiltonian_fock_ladder": lambda z1, z2: model.hamiltonian_fock(0.5, SPEC, z1, z2, 8, "ladder"),
+    "hamiltonian_fock_expanded": lambda z1, z2: model.hamiltonian_fock(0.5, SPEC, z1, z2, 8, "expanded"),
+    "hamiltonian_quadratic": lambda z1, z2: model.hamiltonian_quadratic(0.5, SPEC, z1, z2),
+    "ground_state_energy_check": lambda z1, z2: model.ground_state_energy_check(0.5, SPEC, GEOM, z1, z2),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LABEL_ENTRY_POINTS))
+@pytest.mark.parametrize("label", NON_FINITE_LABELS, ids=str)
+@pytest.mark.parametrize("which", ["z1", "z2"])
+def test_non_finite_label_raises(entry, label, which):
+    labels = {"z1": 0.3 + 0.1j, "z2": -0.2j, which: label}
+    with pytest.raises(ValueError, match="finite"):
+        LABEL_ENTRY_POINTS[entry](labels["z1"], labels["z2"])
+
+
 class TestTransformedLadders:
     def test_bare_matrix_elements(self):
         low1, low2 = model.lowering_operators(4)
@@ -93,7 +115,7 @@ class TestTransformedLadders:
         eye = np.eye((n_trunc - 2) ** 2)
 
         def interior(matrix):
-            return model.TruncatedOperator(matrix, n_trunc).interior()
+            return model.TruncatedOperator.from_matrix(matrix, n_trunc).interior()
 
         assert np.abs(interior(c1.matrix @ c1_dag.matrix - c1_dag.matrix @ c1.matrix) - eye).max() < 1e-12
         assert np.abs(interior(c2.matrix @ c2_dag.matrix - c2_dag.matrix @ c2.matrix) - eye).max() < 1e-12
@@ -262,8 +284,10 @@ class TestSlabChecks:
     def test_match_whole_matrix_formulas(self, n_trunc):
         rng = np.random.default_rng(n_trunc)
         shape = (n_trunc**2, n_trunc**2)
-        first = model.TruncatedOperator(rng.normal(size=shape) + 1j * rng.normal(size=shape), n_trunc)
-        second = model.TruncatedOperator(rng.normal(size=shape) + 1j * rng.normal(size=shape), n_trunc)
+        first, second = (
+            model.TruncatedOperator.from_matrix(rng.normal(size=shape) + 1j * rng.normal(size=shape), n_trunc)
+            for _ in range(2)
+        )
         for pad in (1, 2, 4):
             whole = np.abs(first.interior(pad) - second.interior(pad)).max()
             assert first.interior_gap(second, pad) == whole
@@ -274,21 +298,21 @@ class TestSlabChecks:
         matrix = np.arange(n_trunc**4, dtype=complex).reshape(n_trunc**2, n_trunc**2)
         keep = [m * n_trunc + n for m in range(n_trunc - pad) for n in range(n_trunc - pad)]
         np.testing.assert_array_equal(
-            model.TruncatedOperator(matrix, n_trunc).interior(pad), matrix[np.ix_(keep, keep)]
+            model.TruncatedOperator.from_matrix(matrix, n_trunc).interior(pad), matrix[np.ix_(keep, keep)]
         )
 
     def test_nan_reaches_result(self):
         ham = model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 8)
         broken = ham.matrix.copy()
         broken[-3, -4] = np.nan
-        corrupt = model.TruncatedOperator(broken, 8)
+        corrupt = model.TruncatedOperator.from_matrix(broken, 8)
         assert math.isnan(corrupt.hermiticity_defect())
         broken[3 * 8 + 2, 2 * 8 + 4] = np.nan  # interior, outside the first slab
         assert math.isnan(corrupt.interior_gap(ham))
 
     def test_cli_peak_memory(self, tmp_path):
-        # the two (n^2, n^2) Fock matrices are 82 MB at trunc 40; checks on
-        # whole matrices added 82 MB (hermiticity) and 67 MB (interior gap)
+        # the two (n^2, n^2) Fock matrices would be 82 MB at trunc 40; in
+        # band form the job peaks near 3 MB, most of it the ground-state grid
         from cvsqueeze.cli import main
 
         out = tmp_path / "ham.json"
@@ -298,7 +322,125 @@ class TestSlabChecks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 140e6
+        assert peak < 12e6
+
+
+def _parent_dense(terms):
+    """sum_t A_t (x) B_t as the dense assembly computed it: one product, one transpose copy."""
+    n = terms[0][0].shape[0]
+    left = np.array([a for a, _ in terms], dtype=complex).reshape(len(terms), n * n)
+    right = np.array([b for _, b in terms], dtype=complex).reshape(len(terms), n * n)
+    blocks = (left.T @ right).reshape(n, n, n, n)
+    return blocks.transpose(0, 2, 1, 3).reshape(n * n, n * n)
+
+
+def _random_terms(rng, count, n_trunc, offsets):
+    """``count`` random complex factor pairs, each factor nonzero on a random subset of ``offsets``."""
+    terms = []
+    for _ in range(count):
+        pair = []
+        for _ in range(2):
+            keep = rng.choice(offsets, size=rng.integers(1, len(offsets) + 1), replace=False)
+            factor = np.zeros((n_trunc, n_trunc), dtype=complex)
+            for d in keep:
+                size = n_trunc - abs(int(d))
+                factor += np.diag(rng.normal(size=size) + 1j * rng.normal(size=size), int(d))
+            pair.append(factor)
+        terms.append(tuple(pair))
+    return terms
+
+
+def _whole_matrix_checks(first, second, pad):
+    # the check formulas on whole dense matrices
+    return (
+        np.abs(first.matrix - first.matrix.conj().T).max(),
+        np.abs(first.interior(pad) - second.interior(pad)).max(),
+        np.diag(first.matrix),
+    )
+
+
+class TestBandForm:
+    """Fock operators kept as bands of the Kronecker factors, checked without the dense matrix."""
+
+    SPEC = model.OscillatorSpec(omega1=0.7, omega2=1.6, hbar=1.3)
+    LABELS = (0.6 - 0.35j, -0.25 + 0.8j)
+
+    @pytest.mark.parametrize("n_trunc", [8, 9, 20, 27, 40])
+    @pytest.mark.parametrize("alpha", [0.05, 1.0])
+    def test_matrix_matches_dense_assembly(self, n_trunc, alpha):
+        z1, z2 = self.LABELS
+        for method in ("ladder", "expanded"):
+            terms = model._hamiltonian_terms(alpha, self.SPEC, z1, z2, n_trunc, method)
+            ham = model.hamiltonian_fock(alpha, self.SPEC, z1, z2, n_trunc, method)
+            np.testing.assert_array_equal(ham.matrix, _parent_dense(terms))
+        ladders = model.transformed_ladder_matrices(alpha, z1, z2, n_trunc)
+        for op, terms in zip(ladders, model._ladder_terms(alpha, z1, z2, n_trunc)):
+            np.testing.assert_array_equal(op.matrix, _parent_dense(terms))
+
+    def test_nine_bands(self):
+        for method in ("ladder", "expanded"):
+            ham = model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 12, method)
+            assert sorted(ham.bands) == [(d1, d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)]
+
+    @pytest.mark.parametrize("count", [1, 3, 9])
+    @pytest.mark.parametrize("n_trunc", [6, 9])
+    def test_checks_match_whole_matrix_formulas(self, count, n_trunc):
+        rng = np.random.default_rng(100 * count + n_trunc)
+        first = model._kron_operator(_random_terms(rng, count, n_trunc, np.arange(-2, 3)))
+        second = model._kron_operator(_random_terms(rng, count, n_trunc, np.arange(-3, 2)))
+        for pad in (1, 2, 4):
+            hermiticity, gap, diagonal = _whole_matrix_checks(first, second, pad)
+            assert first.hermiticity_defect() == hermiticity
+            assert first.interior_gap(second, pad) == gap
+            assert second.interior_gap(first, pad) == gap
+            np.testing.assert_array_equal(first.diagonal(), diagonal)
+
+    @pytest.mark.parametrize("n_trunc", [9, 12])
+    def test_hamiltonian_checks_match_whole_matrix_formulas(self, n_trunc):
+        z1, z2 = self.LABELS
+        ladder = model.hamiltonian_fock(0.3, self.SPEC, z1, z2, n_trunc, "ladder")
+        expanded = model.hamiltonian_fock(0.3, self.SPEC, z1, z2, n_trunc, "expanded")
+        for pad in (1, 2, 4):
+            hermiticity, gap, diagonal = _whole_matrix_checks(ladder, expanded, pad)
+            assert ladder.hermiticity_defect() == hermiticity
+            assert ladder.interior_gap(expanded, pad) == gap
+            np.testing.assert_array_equal(ladder.diagonal(), diagonal)
+
+    @pytest.mark.parametrize("entry", [(0, 1, 2), (2, 0, 3)], ids=["on-band", "off-band"])
+    def test_nan_in_a_factor_reaches_both_checks(self, entry):
+        # a NaN on a diagonal where every factor is otherwise zero still
+        # opens that diagonal's bands
+        z1, z2 = self.LABELS
+        terms = model._hamiltonian_terms(0.4, self.SPEC, z1, z2, 10, "expanded")
+        term, row, col = entry
+        factor = terms[term][0].astype(complex)
+        factor[row, col] = np.nan
+        terms[term] = (factor, terms[term][1])
+        corrupt = model._kron_operator(terms)
+        clean = model.hamiltonian_fock(0.4, self.SPEC, z1, z2, 10, "expanded")
+        assert math.isnan(corrupt.hermiticity_defect())
+        assert math.isnan(corrupt.interior_gap(clean))
+        assert math.isnan(clean.interior_gap(corrupt))
+
+    def test_cli_large_truncation_without_dense_matrix(self, tmp_path, monkeypatch):
+        # the dense matrix at trunc 200 would take 25.6 GB
+        from cvsqueeze.cli import main
+
+        def no_scatter(self):
+            raise AssertionError("the dense matrix was built")
+
+        monkeypatch.setattr(model.TruncatedOperator, "matrix", property(no_scatter))
+        out = tmp_path / "ham.json"
+        tracemalloc.start()
+        try:
+            assert main(["hamiltonian", "--alpha=0.5", "--trunc=200", f"--out={out}"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
+        fock = json.loads(out.read_text())["fock"]
+        assert fock["n_trunc"] == 200
+        assert fock["hermiticity_defect"] == 0.0
 
 
 class TestHamiltonianQuadratic:
