@@ -350,7 +350,11 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
             "expected": ground.expected,
             "residual": ground.residual,
             "grid_points": ground.grid_points,
-            "within_tolerance": bool(abs(ground.energy - ground.expected) <= args.tol),
+            "factorization_defect": ground.factorization_defect,
+            "within_tolerance": bool(
+                abs(ground.energy - ground.expected) <= args.tol
+                and ground.factorization_defect <= args.tol
+            ),
         },
     }
     text = json.dumps(payload, indent=2) + "\n"
@@ -407,7 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     # the model flags: only hamiltonian reads them
     ham.add_argument("--mass", type=_positive_float, default=_env("MASS", "1.0"), help="oscillator mass (default 1)")
     ham.add_argument("--order", type=_positive_int, default=_env("ORDER", "80"),
-                     help="ground-state check grid: max(81, 2*ORDER+1) points per axis (default 80)")
+                     help="ground-state check grid: at least max(81, 2*ORDER+1) points "
+                     "per principal axis (default 80)")
     ham.add_argument("--trunc", type=_positive_int, default=_env("TRUNC", "20"), help="Fock-space truncation")
     ham.add_argument("--tol", type=_positive_float, default=_env("TOL", "1e-6"),
                      help="acceptance tolerance for reported checks")

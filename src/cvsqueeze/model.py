@@ -14,8 +14,12 @@ independent ways that must agree:
 (Q, L, c) over (x1, x2, p1, p2); for every ``alpha < 1`` it carries x1 x2
 and p1 p2 couplings, and at ``alpha = 1`` it collapses to two independent
 displaced oscillators.  :func:`ground_state_energy_check` closes the loop by
-applying (Q, L, c) to the closed-form wave function with high-order finite
-differences and verifying the eigenvalue hbar (omega_1 + omega_2) / 2.
+applying (Q, L, c) to the closed-form wave function with 8th-order finite
+differences and verifying the eigenvalue hbar (omega_1 + omega_2) / 2.  It
+samples the state on the principal axes (s, t) of its Gaussian, where it is
+exactly a product f(s) g(t); there every term of (Q, L, c) is a product of
+a 1D operator on f and one on g, so the operator's action is a four-column
+product U V^T and the check never forms a 2D grid.
 
 Conventions.  The ladder operators are the canonical pair of the position
 basis the states are expanded in: c_i = sqrt(M omega_i / 2 hbar) x_i
@@ -44,10 +48,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import check_alpha
-from .states import DisplacementLabels, OscillatorGeometry, shift_params, wave_function
+from .states import DisplacementLabels, OscillatorGeometry, ShiftParams, shift_params, wave_function
 
 __all__ = [
     "OscillatorSpec",
@@ -505,66 +508,112 @@ _D2_STENCIL = np.array(
     [-1 / 560, 8 / 315, -1 / 5, 8 / 5, -205 / 72, 8 / 5, -1 / 5, 8 / 315, -1 / 560]
 )
 
+# largest number of samples per principal axis the ground-state check takes,
+# and the samples beyond each end of its axes (one stencil radius)
+_MAX_GRID_POINTS = 1 << 16
+_PAD = 4
 
-def _stencil(values: np.ndarray, weights: np.ndarray, axis: int, spacing: float, order: int) -> np.ndarray:
-    # zero-padded correlation out[i] = sum_k weights[k] values[i + k - radius] along
-    # ``axis``; on the float view of the padded samples every output is one
-    # real dot product of the taps with a window of rows
+
+def _stencil_1d(values: np.ndarray, weights: np.ndarray, spacing: float, order: int) -> np.ndarray:
+    # zero-padded correlation out[i] = sum_k weights[k] values[i + k - radius]
     radius = len(weights) // 2
-    moved = np.moveaxis(np.asarray(values, dtype=complex), axis, 0)
-    padded = np.zeros((len(moved) + 2 * radius,) + moved.shape[1:], dtype=complex)
-    padded[radius:-radius] = moved
-    rows = padded.reshape(len(padded), -1).view(float)
-    out = sliding_window_view(rows, len(weights), axis=0) @ (weights / spacing**order)
-    return np.moveaxis(out.view(complex).reshape(moved.shape), 0, axis)
+    padded = np.pad(np.asarray(values, dtype=complex), radius)
+    return np.correlate(padded, weights / spacing**order, mode="valid")
 
 
-def apply_quadratic_hamiltonian(
+def _factored_action(
     ham: QuadraticHamiltonian,
-    values: np.ndarray,
-    x1_axis: np.ndarray,
-    x2_axis: np.ndarray,
+    f: np.ndarray,
+    g: np.ndarray,
+    s_axis: np.ndarray,
+    t_axis: np.ndarray,
+    frame: np.ndarray,
+    center: np.ndarray,
     hbar: float,
-) -> np.ndarray:
-    """Apply (Q, L, c) as a differential operator to grid samples.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(U, V) with (Q, L, c) applied to the product samples f (x) g equal to U V^T.
 
-    ``values`` has shape ``(len(x1_axis), len(x2_axis))`` on a uniform grid;
-    momenta act as -i hbar d/dx through 8th-order central differences
-    (zero-padded outside, so the grid must extend far enough that the state
-    has decayed at the edges).
+    The grid is x = center + frame (s, t) over the uniform axes ``s_axis``
+    and ``t_axis``, so momenta act as -i hbar frame^-T grad_(s,t).  Every
+    term of the operator is then a product of one 1D operator on f and one
+    on g: column 0 collects the s-only terms (times g), column 1 the t-only
+    terms (times f), columns 2 and 3 the mixed derivative d_s d_t and the
+    mixed potential s t.  Derivatives are 8th-order central differences
+    with zero fill outside the axes, so outputs within 4 samples of an end
+    see that fill.
     """
-    h1 = float(x1_axis[1] - x1_axis[0])
-    h2 = float(x2_axis[1] - x2_axis[0])
-    x1 = x1_axis[:, None]
-    x2 = x2_axis[None, :]
-    q = ham.q
-    potential = (
-        0.5 * (q[0, 0] * x1**2 + 2.0 * q[0, 1] * x1 * x2 + q[1, 1] * x2**2)
-        + ham.linear[0] * x1
-        + ham.linear[1] * x2
-        + ham.constant
+    inverse = np.linalg.inv(frame)
+    kinetic = -0.5 * hbar**2 * (inverse @ ham.q[2:, 2:] @ inverse.T)
+    drift = -1j * hbar * (inverse @ ham.linear[2:])
+    potential = frame.T @ ham.q[:2, :2] @ frame
+    slope = frame.T @ (ham.q[:2, :2] @ center + ham.linear[:2])
+    offset = 0.5 * center @ ham.q[:2, :2] @ center + ham.linear[:2] @ center + ham.constant
+    h_s = float(s_axis[1] - s_axis[0])
+    h_t = float(t_axis[1] - t_axis[0])
+    df = _stencil_1d(f, _D1_STENCIL, h_s, 1)
+    dg = _stencil_1d(g, _D1_STENCIL, h_t, 1)
+    s_part = (
+        kinetic[0, 0] * _stencil_1d(f, _D2_STENCIL, h_s, 2)
+        + drift[0] * df
+        + (0.5 * potential[0, 0] * s_axis**2 + slope[0] * s_axis + offset) * f
     )
-    out = potential * values
-    out += -0.5 * q[2, 2] * hbar**2 * _stencil(values, _D2_STENCIL, 0, h1, 2)
-    out += -0.5 * q[3, 3] * hbar**2 * _stencil(values, _D2_STENCIL, 1, h2, 2)
-    if q[2, 3] != 0.0:
-        mixed = _stencil(_stencil(values, _D1_STENCIL, 0, h1, 1), _D1_STENCIL, 1, h2, 1)
-        out += -q[2, 3] * hbar**2 * mixed
-    if ham.linear[2] != 0.0:
-        out += -1j * hbar * ham.linear[2] * _stencil(values, _D1_STENCIL, 0, h1, 1)
-    if ham.linear[3] != 0.0:
-        out += -1j * hbar * ham.linear[3] * _stencil(values, _D1_STENCIL, 1, h2, 1)
-    return out
+    t_part = (
+        kinetic[1, 1] * _stencil_1d(g, _D2_STENCIL, h_t, 2)
+        + drift[1] * dg
+        + (0.5 * potential[1, 1] * t_axis**2 + slope[1] * t_axis) * g
+    )
+    u = np.stack([s_part, f, df, s_axis * f], axis=1)
+    v = np.stack([g, t_part, 2.0 * kinetic[0, 1] * dg, potential[0, 1] * t_axis * g], axis=1)
+    return u, v
+
+
+def _principal_axis_grid(
+    alpha: float, geom: OscillatorGeometry, shifts: ShiftParams, grid_points: int, box_sigmas: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(frame, s_axis, t_axis) of the ground-state check's grid x = y + frame (s, t).
+
+    The columns of ``frame`` are the principal directions of the mode-2
+    matrix M, frame^T M frame = diag(1/alpha, alpha), so s and t have the
+    position spreads sqrt(alpha/2) and 1/sqrt(2 alpha).  Each axis spans
+    ``box_sigmas`` spreads on either side of the center in ``points``
+    samples, plus :data:`_PAD` more at each end.  Along an axis the state
+    is that Gaussian times a plane wave of wavenumber k = frame^T q / hbar,
+    whose spectrum sits |k| sqrt(2) spread Gaussian widths off zero; the
+    step shrinks by one plus the larger of those shifts, so ``points`` is
+    at least ``grid_points``.
+    """
+    frame = np.array([[1.0 / geom.a, 1.0 / geom.a], [1.0 / geom.b, -1.0 / geom.b]]) / math.sqrt(2.0)
+    spreads = np.array([math.sqrt(0.5 * alpha), 1.0 / math.sqrt(2.0 * alpha)])
+    wavenumbers = frame.T @ np.array([shifts.q1, shifts.q2]) / geom.hbar
+    refine = 1.0 + float(np.max(np.abs(wavenumbers) * math.sqrt(2.0) * spreads))
+    needed = (grid_points - 1) * refine + 1.0
+    if not needed <= _MAX_GRID_POINTS:
+        raise ValueError(
+            f"ground-state check needs {needed:.4g} points per axis ({grid_points} refined "
+            f"{refine:.3g}x for the labels' plane waves), more than the limit {_MAX_GRID_POINTS}"
+        )
+    # the tolerance keeps rounding in ``refine`` from adding a sample
+    points = math.ceil(needed - 1e-9)
+    offsets = np.arange(-_PAD, points + _PAD) - 0.5 * (points - 1)
+    steps = 2.0 * box_sigmas * spreads / (points - 1)
+    return frame, steps[0] * offsets, steps[1] * offsets
 
 
 @dataclass(frozen=True)
 class GroundStateCheck:
-    """Energy expectation and eigen-residual of the closed-form ground state."""
+    """Energy expectation and eigen-residual of the closed-form ground state.
+
+    ``grid_points`` is the number of samples per principal axis actually
+    used; ``factorization_defect`` is the largest deviation of the wave
+    function from the product of its two axis lines on the grid's diagonal
+    and anti-diagonal, relative to the peak amplitude.
+    """
 
     energy: float
     expected: float
     residual: float
     grid_points: int
+    factorization_defect: float
 
 
 def ground_state_energy_check(
@@ -578,12 +627,21 @@ def ground_state_energy_check(
 ) -> GroundStateCheck:
     """Verify the mode-2 state is an eigenstate of the reconstructed Hamiltonian.
 
-    Applies (Q, L, c) to the closed-form wave function on an adaptive grid
-    (``box_sigmas`` Gaussian widths around the displaced center) and returns
-    the energy expectation next to hbar (omega_1 + omega_2)/2 and the
-    normalized eigen-residual ||(H - E0) psi|| / ||psi||, which must shrink
-    under grid refinement.  The geometry must match the frequencies through
-    omega_i = hbar a_i^2 / M.
+    Samples the closed-form wave function on the principal axes of its
+    matrix M (:func:`_principal_axis_grid`, ``box_sigmas`` spreads each
+    side of the displaced center, at least ``grid_points`` samples per
+    axis).  With xi = x - y, s = (a xi_1 + b xi_2)/sqrt(2) and
+    t = (a xi_1 - b xi_2)/sqrt(2), the state is a Gaussian times a plane
+    wave in each, i.e. exactly a product f(s) g(t): f and g are read off
+    :func:`~cvsqueeze.states.wave_function` on the two axis lines, and the
+    product form is checked on the grid's diagonal and anti-diagonal.
+    (Q, L, c) acts on f (x) g as U V^T with four columns
+    (:func:`_factored_action`), so the energy expectation next to
+    hbar (omega_1 + omega_2)/2 and the normalized eigen-residual
+    ||(H - E0) psi|| / ||psi||, which must shrink under grid refinement,
+    come from 1D inner products and two thin QR factorizations: time and
+    memory are O(grid_points).  The geometry must match the frequencies
+    through omega_i = hbar a_i^2 / M.
     """
     alpha = check_alpha(alpha, closed=True)
     expected_a, expected_b = spec.inverse_lengths()
@@ -598,38 +656,44 @@ def ground_state_energy_check(
         )
     if grid_points < 32:
         raise ValueError(f"grid_points must be >= 32, got {grid_points}")
+    if not (math.isfinite(box_sigmas) and box_sigmas > 0.0):
+        raise ValueError(f"box_sigmas must be finite and positive, got {box_sigmas}")
     labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
     shifts = shift_params(2, alpha, geom, labels)
-    # position spreads of the centered state
-    spread1 = math.sqrt((1.0 + alpha * alpha) / (4.0 * alpha)) / geom.a
-    spread2 = math.sqrt((1.0 + alpha * alpha) / (4.0 * alpha)) / geom.b
-    half1 = box_sigmas * spread1
-    half2 = box_sigmas * spread2
-    # pad by the stencil radius so edge stencils see true wave-function
-    # values instead of the zero fill (the state decays slowly along the
-    # soft principal axis, which otherwise dominates the residual)
-    pad = 4
-    step1 = 2.0 * half1 / (grid_points - 1)
-    step2 = 2.0 * half2 / (grid_points - 1)
-    x1_axis = shifts.y1 + np.linspace(
-        -half1 - pad * step1, half1 + pad * step1, grid_points + 2 * pad
-    )
-    x2_axis = shifts.y2 + np.linspace(
-        -half2 - pad * step2, half2 + pad * step2, grid_points + 2 * pad
-    )
-    psi = np.asarray(
-        wave_function(2, x1_axis[:, None], x2_axis[None, :], geom, labels, alpha), dtype=complex
-    )
+    center = np.array([shifts.y1, shifts.y2])
+    frame, s_axis, t_axis = _principal_axis_grid(alpha, geom, shifts, grid_points, box_sigmas)
+
+    def sample(s, t):
+        # wave function at x = center + frame (s, t)
+        x1 = center[0] + frame[0, 0] * s + frame[0, 1] * t
+        x2 = center[1] + frame[1, 0] * s + frame[1, 1] * t
+        return np.asarray(wave_function(2, x1, x2, geom, labels, alpha), dtype=complex)
+
+    f = sample(s_axis, 0.0) / sample(0.0, 0.0)
+    g = sample(0.0, t_axis)
     ham = hamiltonian_quadratic(alpha, spec, z1, z2)
-    h_psi = apply_quadratic_hamiltonian(ham, psi, x1_axis, x2_axis, spec.hbar)
-    core = slice(pad, -pad)
-    psi = psi[core, core]
-    h_psi = h_psi[core, core]
-    cell = (x1_axis[1] - x1_axis[0]) * (x2_axis[1] - x2_axis[0])
-    norm_sq = float(np.sum(np.abs(psi) ** 2)) * cell
-    energy = float(np.sum(np.conj(psi) * h_psi).real) * cell / norm_sq
+    u, v = _factored_action(ham, f, g, s_axis, t_axis, frame, center, spec.hbar)
     expected = 0.5 * spec.hbar * (spec.omega1 + spec.omega2)
-    residual = math.sqrt(float(np.sum(np.abs(h_psi - expected * psi) ** 2)) * cell / norm_sq)
+    u[:, 0] -= expected * f
+    core = slice(_PAD, -_PAD)
+    f, g, u, v = f[core], g[core], u[core], v[core]
+    s_core, t_core = s_axis[core], t_axis[core]
+    # the product form on the diagonal and the anti-diagonal
+    off_product = np.concatenate(
+        [sample(s_core, t_core) - f * g, sample(s_core, t_core[::-1]) - f * g[::-1]]
+    )
+    defect = float(np.max(np.abs(off_product))) / float(np.max(np.abs(f)) * np.max(np.abs(g)))
+    # uniform cell areas cancel from both ratios
+    norm_sq = float(np.vdot(f, f).real * np.vdot(g, g).real)
+    energy = expected + float(np.sum((f.conj() @ u) * (g.conj() @ v)).real) / norm_sq
+    # ||U V^T||_F = ||R_U R_V^T||_F; summing the Gram products instead
+    # cancels to a floor near the square root of the unit roundoff
+    product = np.linalg.qr(u, mode="r") @ np.linalg.qr(v, mode="r").T
+    residual = float(np.linalg.norm(product)) / math.sqrt(norm_sq)
     return GroundStateCheck(
-        energy=energy, expected=expected, residual=residual, grid_points=grid_points
+        energy=energy,
+        expected=expected,
+        residual=residual,
+        grid_points=len(s_core),
+        factorization_defect=defect,
     )

@@ -399,15 +399,21 @@ def model_suite() -> list[CheckResult]:
 
     geom = states.OscillatorGeometry(1.0, 1.2)
     spec_g = model.OscillatorSpec.from_geometry(geom)
-    residuals = []
-    for n in (81, 161):
-        result = model.ground_state_energy_check(0.5, spec_g, geom, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=n)
-        residuals.append(result.residual)
-    energy_err = abs(result.energy - result.expected)
-    checks.append(_check("ground-state energy expectation", energy_err, 1e-6))
+    energy_errs, refinements, defects = [], [], []
+    for alpha in (0.05, 0.5):
+        coarse, fine = (
+            model.ground_state_energy_check(alpha, spec_g, geom, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=n)
+            for n in (81, 161)
+        )
+        energy_errs.append(abs(fine.energy - fine.expected))
+        refinements.append(fine.residual / coarse.residual)
+        defects += [coarse.factorization_defect, fine.factorization_defect]
+    # np.max rather than max(): a NaN must reach the check
+    checks.append(_check("ground-state energy expectation", float(np.max(energy_errs)), 1e-6))
     checks.append(
-        _check("eigen-residual shrinks under grid refinement", residuals[1] / residuals[0], 0.1)
+        _check("eigen-residual shrinks under grid refinement", float(np.max(refinements)), 0.1)
     )
+    checks.append(_check("ground state factorizes on the principal axes", float(np.max(defects)), 1e-12))
 
     coupling_missing = 0.0
     for alpha in (0.25, 0.5):

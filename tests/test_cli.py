@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cvsqueeze import cli, phase_space, states
+from cvsqueeze import cli, model, phase_space, states
 from cvsqueeze.cli import main
 
 
@@ -198,6 +198,52 @@ class TestHamiltonianCommand:
         code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=8", "--format=json"], capsys)
         assert code == 0
         assert json.loads(out)["params"]["command"] == "hamiltonian"
+
+    @pytest.mark.parametrize("alpha", ["1e-4", "0.05", "0.1", "0.5"])
+    def test_complex_labels_unequal_omegas_exit_0(self, alpha, capsys):
+        code, out, _ = run(
+            ["hamiltonian", f"--alpha={alpha}", "--omega1=0.7", "--omega2=1.9",
+             "--z1=0.4+0.3j", "--z2=-0.2+0.5j", "--trunc=12"],
+            capsys,
+        )
+        ground = json.loads(out)["ground_state"]
+        assert code == 0
+        assert ground["within_tolerance"]
+        assert ground["factorization_defect"] <= 1e-6
+
+    def test_lost_digits_exit_1(self, capsys):
+        # at alpha 1e-8 the closed form in raw coordinates is no longer a
+        # product on the principal axes, and the check says so
+        code, out, _ = run(
+            ["hamiltonian", "--alpha=1e-8", "--omega1=0.7", "--omega2=1.9",
+             "--z1=0.4+0.3j", "--z2=-0.2+0.5j", "--trunc=12"],
+            capsys,
+        )
+        ground = json.loads(out)["ground_state"]
+        assert code == 1
+        assert not ground["within_tolerance"]
+        assert ground["factorization_defect"] > 1e-6
+
+    def test_factorization_defect_gates_the_exit(self, capsys, monkeypatch):
+        # a correct energy does not pass when the state is not a product
+        # on the principal axes
+        def check(*args, **kwargs):
+            return model.GroundStateCheck(
+                energy=1.0, expected=1.0, residual=0.0, grid_points=161, factorization_defect=1e-3
+            )
+
+        monkeypatch.setattr(model, "ground_state_energy_check", check)
+        code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=12"], capsys)
+        assert code == 1
+        assert not json.loads(out)["ground_state"]["within_tolerance"]
+
+    def test_imaginary_label_resolved(self, capsys):
+        code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=12", "--z1=4", "--z2=-3j"], capsys)
+        ground = json.loads(out)["ground_state"]
+        assert code == 0
+        # at least max(81, 2 * 80 + 1) points, four times that step for Im(z1 - z2) = 3
+        assert ground["grid_points"] == 641
+        assert abs(ground["energy"] - 1.0) <= 1e-9
 
     def test_csv_format_exits_2(self, capsys):
         # the document is json only; csv is refused rather than ignored

@@ -16,7 +16,7 @@ from scipy.ndimage import correlate1d
 
 import cvsqueeze
 from cvsqueeze import model, states
-from cvsqueeze.model import _D1_STENCIL, _D2_STENCIL, _stencil, apply_quadratic_hamiltonian
+from cvsqueeze.model import _D1_STENCIL, _D2_STENCIL, _factored_action, _stencil_1d
 
 GEOM = states.OscillatorGeometry(a=1.0, b=1.2)
 SPEC = model.OscillatorSpec.from_geometry(GEOM)
@@ -498,6 +498,8 @@ class TestHamiltonianQuadratic:
         assert gaps[2] < 1e-5
 
     def test_fock_diagonal_matches_quadrature(self):
+        # the number state (m, n) is the product f_m(x1) g_n(x2), so the
+        # factored action applies on the raw axes with frame = identity
         alpha, z1, z2 = 0.5, 0.2 + 0.1j, -0.1 + 0.3j
         ham = model.hamiltonian_quadratic(alpha, SPEC, z1, z2)
         fock = model.hamiltonian_fock(alpha, SPEC, z1, z2, 12)
@@ -505,9 +507,10 @@ class TestHamiltonianQuadratic:
         x2 = np.linspace(-9 / GEOM.b, 9 / GEOM.b, 481)
         cell = (x1[1] - x1[0]) * (x2[1] - x2[0])
         for (m, n) in [(0, 0), (1, 0), (0, 1), (1, 1), (2, 3), (3, 3)]:
-            basis_fn = states.fock_position_basis(m, n, x1[:, None], x2[None, :], GEOM)
-            h_fn = apply_quadratic_hamiltonian(ham, basis_fn.astype(complex), x1, x2, SPEC.hbar)
-            expectation = float(np.sum(basis_fn * h_fn).real) * cell
+            f = states.hermite_function_sequence(m, x1, GEOM.a)[m]
+            g = states.hermite_function_sequence(n, x2, GEOM.b)[n]
+            u, v = _factored_action(ham, f, g, x1, x2, np.eye(2), np.zeros(2), SPEC.hbar)
+            expectation = float(np.sum((f @ u) * (g @ v)).real) * cell
             assert expectation == pytest.approx(
                 fock.matrix[m * 12 + n, m * 12 + n].real, abs=1e-8
             )
@@ -523,16 +526,23 @@ class TestHamiltonianQuadratic:
         assert ham.value(*gamma) == pytest.approx(direct, rel=1e-14)
 
 
+GROUND_ALPHAS = [0.05, 0.1, 0.5]
+
+
 class TestGroundStateCheck:
-    def test_energy_and_residual(self):
-        result = model.ground_state_energy_check(0.5, SPEC, GEOM, grid_points=161)
+    @pytest.mark.parametrize("alpha", GROUND_ALPHAS)
+    def test_energy_and_residual(self, alpha):
+        result = model.ground_state_energy_check(alpha, SPEC, GEOM, grid_points=161)
         assert result.energy == pytest.approx(result.expected, abs=1e-6)
         assert result.expected == pytest.approx(0.5 * (SPEC.omega1 + SPEC.omega2), rel=1e-15)
         assert result.residual < 1e-6
+        assert result.grid_points == 161
+        assert result.factorization_defect < 1e-12
 
-    def test_displaced(self):
+    @pytest.mark.parametrize("alpha", GROUND_ALPHAS)
+    def test_displaced(self, alpha):
         result = model.ground_state_energy_check(
-            0.5, SPEC, GEOM, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=161
+            alpha, SPEC, GEOM, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=161
         )
         assert result.energy == pytest.approx(result.expected, abs=1e-6)
 
@@ -542,17 +552,93 @@ class TestGroundStateCheck:
         )
         assert result.energy == pytest.approx(result.expected, abs=1e-6)
 
-    def test_residual_shrinks_under_refinement(self):
-        coarse = model.ground_state_energy_check(0.4, SPEC, GEOM, 0.2j, 0.1, grid_points=81)
-        fine = model.ground_state_energy_check(0.4, SPEC, GEOM, 0.2j, 0.1, grid_points=161)
+    @pytest.mark.parametrize("alpha", GROUND_ALPHAS)
+    def test_residual_shrinks_under_refinement(self, alpha):
+        coarse = model.ground_state_energy_check(alpha, SPEC, GEOM, 0.2j, 0.1, grid_points=81)
+        fine = model.ground_state_energy_check(alpha, SPEC, GEOM, 0.2j, 0.1, grid_points=161)
         assert fine.residual < 0.1 * coarse.residual
 
     def test_rejects_inconsistent_geometry(self):
         with pytest.raises(ValueError):
             model.ground_state_energy_check(0.5, SPEC, states.OscillatorGeometry(2.0, 2.0))
 
+    def test_strong_squeezing_on_equal_geometry(self):
+        # alpha 0.05 on the raw x1/x2 grid gave E = 3.66 against 1
+        geom = states.OscillatorGeometry(1.0, 1.0)
+        spec = model.OscillatorSpec.from_geometry(geom)
+        result = model.ground_state_energy_check(0.05, spec, geom, 0.4 + 0.3j, -0.2 + 0.5j)
+        assert result.expected == 1.0
+        assert abs(result.energy - 1.0) <= 1e-6
 
-def _reference_stencil(values, weights, axis, spacing, order):
+    def test_imaginary_label_refines_the_step(self):
+        # the plane wave of Im(z1 - z2) = 3 shifts the t spectrum by three
+        # Gaussian widths, so the step shrinks by four
+        geom = states.OscillatorGeometry(1.0, 1.0)
+        spec = model.OscillatorSpec.from_geometry(geom)
+        result = model.ground_state_energy_check(0.5, spec, geom, 4.0, -3j, grid_points=161)
+        assert result.grid_points == 641
+        assert abs(result.energy - 1.0) <= 1e-9
+        real = model.ground_state_energy_check(0.5, spec, geom, 4.0, -3.0, grid_points=161)
+        assert real.grid_points == 161
+
+    def test_rejects_labels_beyond_the_point_limit(self):
+        with pytest.raises(ValueError, match="limit"):
+            model.ground_state_energy_check(0.5, SPEC, GEOM, 1e4j, 0.0)
+
+    @pytest.mark.parametrize("box_sigmas", [math.nan, math.inf, 0.0, -8.0], ids=str)
+    def test_rejects_bad_box(self, box_sigmas):
+        with pytest.raises(ValueError, match="box_sigmas"):
+            model.ground_state_energy_check(0.5, SPEC, GEOM, box_sigmas=box_sigmas)
+
+    def test_frame_diagonalizes_the_state_matrix(self):
+        alpha = 0.3
+        shifts = states.shift_params(2, alpha, GEOM, states.DisplacementLabels())
+        frame, _, _ = model._principal_axis_grid(alpha, GEOM, shifts, 81, 8.0)
+        m = states.unshifted_gaussian(2, alpha, GEOM).matrix
+        np.testing.assert_allclose(frame.T @ m @ frame, np.diag([1 / alpha, alpha]), atol=1e-14)
+
+    def test_defect_flags_lost_digits(self):
+        # at alpha 1e-8 the raw-coordinate closed form loses its digits;
+        # the product check must say so rather than pass a wrong energy
+        result = model.ground_state_energy_check(1e-8, SPEC, GEOM, 0.3 + 0.1j, -0.2 + 0.4j)
+        assert result.factorization_defect > 1e-6
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["anti-diagonal", "diagonal"])
+    def test_defect_reads_both_diagonals(self, sign, monkeypatch):
+        # a deviation from the product form that vanishes on both axis lines
+        # and on one of the two diagonals still shows in the defect
+        alpha = 0.3
+        shifts = states.shift_params(2, alpha, GEOM, states.DisplacementLabels())
+        frame, _, _ = model._principal_axis_grid(alpha, GEOM, shifts, 81, 8.0)
+        inverse = np.linalg.inv(frame)
+        spreads = (math.sqrt(alpha / 2), 1 / math.sqrt(2 * alpha))
+        exact = states.wave_function
+
+        def perturbed(k, x1, x2, geom, labels, alpha):
+            # axis coordinates in spreads: u = w on the grid's diagonal, u = -w
+            # on its anti-diagonal
+            xi = (np.asarray(x1) - shifts.y1, np.asarray(x2) - shifts.y2)
+            u = (inverse[0, 0] * xi[0] + inverse[0, 1] * xi[1]) / spreads[0]
+            w = (inverse[1, 0] * xi[0] + inverse[1, 1] * xi[1]) / spreads[1]
+            return exact(k, x1, x2, geom, labels, alpha) * (1 + 1e-6 * u * w * (u - sign * w))
+
+        monkeypatch.setattr(model, "wave_function", perturbed)
+        result = model.ground_state_energy_check(alpha, SPEC, GEOM, grid_points=81)
+        assert result.factorization_defect > 1e-9
+
+    def test_peak_memory_is_linear(self):
+        # one (641, 641) complex grid alone would take 6.6 MB
+        model.ground_state_energy_check(0.3, SPEC, GEOM, 0.2 + 0.3j, 0.1, grid_points=641)
+        tracemalloc.start()
+        try:
+            model.ground_state_energy_check(0.3, SPEC, GEOM, 0.2 + 0.3j, 0.1, grid_points=641)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+
+
+def _correlate(values, weights, axis, spacing, order):
     # the stencil as scipy computes it, with zeros outside the grid
     w = weights / spacing**order
     real = correlate1d(values.real, w, axis=axis, mode="constant", cval=0.0)
@@ -560,16 +646,85 @@ def _reference_stencil(values, weights, axis, spacing, order):
     return real + 1j * imag
 
 
+def _dense_ground_check(alpha, spec, geom, z1, z2, grid_points):
+    # f (x) g materialized on the principal-axis grid and (Q, L, c) applied
+    # node by node, the derivatives in (s, t) taken by scipy
+    labels = states.DisplacementLabels(z1, z2)
+    shifts = states.shift_params(2, alpha, geom, labels)
+    frame, s_axis, t_axis = model._principal_axis_grid(alpha, geom, shifts, grid_points, 8.0)
+
+    def position(s, t):
+        return shifts.y1 + frame[0, 0] * s + frame[0, 1] * t, shifts.y2 + frame[1, 0] * s + frame[1, 1] * t
+
+    def psi_at(s, t):
+        return np.asarray(states.wave_function(2, *position(s, t), geom, labels, alpha))
+
+    psi = np.outer(psi_at(s_axis, 0.0), psi_at(0.0, t_axis)) / psi_at(0.0, 0.0)
+    h = (s_axis[1] - s_axis[0], t_axis[1] - t_axis[0])
+    grad = [_correlate(psi, _D1_STENCIL, axis, h[axis], 1) for axis in (0, 1)]
+    mixed = _correlate(grad[0], _D1_STENCIL, 1, h[1], 1)
+    hess = [[_correlate(psi, _D2_STENCIL, 0, h[0], 2), mixed], [mixed, _correlate(psi, _D2_STENCIL, 1, h[1], 2)]]
+    ham = model.hamiltonian_quadratic(alpha, spec, z1, z2)
+    q, lin, hbar = ham.q, ham.linear, spec.hbar
+    # the s-s kinetic and t-t potential coefficients and V at the center
+    # are differences of 1/alpha terms that (Q, L, c) fixes to about 1e-10
+    # absolute at alpha 1e-4, so they are formed by the same products as in
+    # the model: the comparison is of the factored action, not of the
+    # rounding of (Q, L, c)
+    inv = np.linalg.inv(frame)
+    kinetic = inv @ q[2:, 2:] @ inv.T
+    frame_q = frame.T @ q[:2, :2] @ frame
+    y = np.array([shifts.y1, shifts.y2])
+    slope = frame.T @ (q[:2, :2] @ y + lin[:2])
+    s, t = s_axis[:, None], t_axis[None, :]
+    potential = (
+        0.5 * y @ q[:2, :2] @ y + lin[:2] @ y + ham.constant
+        + slope[0] * s + slope[1] * t
+        + 0.5 * (frame_q[0, 0] * s**2 + 2 * frame_q[0, 1] * s * t + frame_q[1, 1] * t**2)
+    )
+    out = potential * psi
+    for j in (0, 1):
+        # p_x = -i hbar inv^T grad_u
+        out = out - 1j * hbar * (inv[j] @ lin[2:]) * grad[j]
+        for m in (0, 1):
+            out = out - 0.5 * hbar**2 * kinetic[j, m] * hess[j][m]
+    core = (slice(4, -4), slice(4, -4))
+    psi, out = psi[core], out[core]
+    norm_sq = np.sum(np.abs(psi) ** 2)
+    energy = float(np.sum(psi.conj() * out).real / norm_sq)
+    expected = 0.5 * hbar * (spec.omega1 + spec.omega2)
+    residual = math.sqrt(np.sum(np.abs(out - expected * psi) ** 2) / norm_sq)
+    return energy, residual
+
+
+class TestFactoredMatchesDense:
+    @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("grid_points", [41, 81])
+    def test_energy_and_residual(self, alpha, grid_points):
+        geom = states.OscillatorGeometry(a=0.8, b=1.3, hbar=0.7)
+        spec = model.OscillatorSpec.from_geometry(geom, mass=1.4)
+        z1, z2 = 0.3 + 0.2j, -0.1 + 0.4j
+        result = model.ground_state_energy_check(alpha, spec, geom, z1, z2, grid_points=grid_points)
+        energy, residual = _dense_ground_check(alpha, spec, geom, z1, z2, grid_points)
+        assert abs(result.energy - energy) <= 1e-12 * abs(energy)
+        # the reference sums terms of size about E0 node by node, so its
+        # residual (1e-7 to 1e-9 of E0 here) rounds at 1e-16 of E0: agreement
+        # is measured on that scale, which still separates the QR form from
+        # a Gram-sum form (floor near 1e-8 of E0)
+        assert abs(result.residual - residual) <= 1e-12 * result.expected
+
+
 class TestStencil:
     @pytest.mark.parametrize("weights, order", [(_D1_STENCIL, 1), (_D2_STENCIL, 2)], ids=["D1", "D2"])
     @pytest.mark.parametrize("axis", [0, 1])
     def test_matches_correlate1d(self, weights, order, axis):
-        # the whole grid is compared, so the four rows at each edge, whose
-        # taps reach past it, check the zero padding
+        # the 1D stencil along every line of a 2D array; the whole grid is
+        # compared, so the four samples at each end, whose taps reach past
+        # it, check the zero padding
         rng = np.random.default_rng(11)
         values = rng.standard_normal((23, 12)) + 1j * rng.standard_normal((23, 12))
-        out = _stencil(values, weights, axis, 0.07, order)
-        expected = _reference_stencil(values, weights, axis, 0.07, order)
+        out = np.apply_along_axis(_stencil_1d, axis, values, weights, 0.07, order)
+        expected = _correlate(values, weights, axis, 0.07, order)
         assert out.shape == values.shape
         assert np.abs(out - expected).max() <= 1e-14 * np.abs(expected).max()
 
