@@ -47,6 +47,11 @@ def check_mode(k: int) -> int:
     return int(k)
 
 
+def check_index(n: int, name: str = "n") -> None:
+    if not isinstance(n, (int, np.integer)) or n < 0:
+        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+
+
 def check_alpha(alpha: float, *, closed: bool) -> float:
     """``alpha`` as a float, checked to lie in (0, 1), or in (0, 1] if ``closed``.
 
@@ -103,6 +108,7 @@ def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
     ``z`` may be scalar or ndarray; output shape is ``(n_max+1, *shape(z))``.
     """
     alpha = check_alpha(alpha, closed=False)
+    check_index(n_max, "n_max")
     z = np.asarray(z, dtype=complex)
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = math.sqrt(2.0 * math.sqrt(alpha) / (1.0 + alpha))
@@ -126,8 +132,7 @@ def _polynomial_sequence(n_max: int, alpha: float, z: np.ndarray) -> np.ndarray:
 
 def basis_function(n: int, alpha: float, z):
     """One-variable alpha-parameterized basis function of complex argument."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    check_index(n)
     value = basis_function_sequence(n, alpha, z)[n]
     return complex(value) if value.ndim == 0 else value
 
@@ -143,6 +148,8 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
     shape ``(m_max+1, n_max+1, *broadcast_shape)``.
     """
     alpha = check_alpha(alpha, closed=False)
+    check_index(m_max, "m_max")
+    check_index(n_max, "n_max")
     z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = 2.0 * math.sqrt(alpha) / (1.0 + alpha)
@@ -170,8 +177,8 @@ def _polynomial_2v_table(m_max: int, n_max: int, alpha: float, z1: np.ndarray, z
 
 def basis_function_2v(m: int, n: int, alpha: float, z1, z2):
     """Two-variable alpha-parameterized basis function."""
-    if m < 0 or n < 0:
-        raise ValueError(f"indices must be nonnegative, got ({m}, {n})")
+    check_index(m, "m")
+    check_index(n, "n")
     value = basis_function_2v_table(m, n, alpha, z1, z2)[m, n]
     return complex(value) if value.ndim == 0 else value
 
@@ -188,8 +195,8 @@ def coefficient_table(k: int, alpha: float, z1: complex, z2: complex, n_max: int
 
 def coefficient(k: int, m: int, n: int, alpha: float, z1: complex, z2: complex) -> complex:
     """Single expansion coefficient phi_{k,(m,n)}(z1, z2)."""
-    if m < 0 or n < 0:
-        raise ValueError(f"indices must be nonnegative, got ({m}, {n})")
+    check_index(m, "m")
+    check_index(n, "n")
     return complex(coefficient_table(k, alpha, z1, z2, max(m, n))[m, n])
 
 

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .basis import check_alpha
+from .basis import check_alpha, check_index
 from .quadrature import _refine_by_doubling, scaled_gauss_hermite
 
 __all__ = [
@@ -40,18 +40,13 @@ __all__ = [
 ]
 
 
-def _check_index(n: int, name: str = "n") -> None:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
-
-
 def hermite_holo_sequence(n_max: int, z) -> np.ndarray:
     """Values H_0(z) .. H_{n_max}(z) by the three-term recurrence.
 
     ``z`` may be a scalar or an ndarray; the returned array has shape
     ``(n_max + 1, *shape(z))`` and complex dtype.
     """
-    _check_index(n_max, "n_max")
+    check_index(n_max, "n_max")
     z = np.asarray(z, dtype=complex)
     out = np.empty((n_max + 1,) + z.shape, dtype=complex)
     out[0] = 1.0
@@ -67,7 +62,7 @@ def hermite_real(n: int, x):
 
     Total function: any finite real argument (scalar or array) is accepted.
     """
-    _check_index(n)
+    check_index(n)
     x = np.asarray(x, dtype=float)
     value = hermite_holo_sequence(n, x)[n].real
     return float(value) if value.ndim == 0 else value
@@ -75,7 +70,7 @@ def hermite_real(n: int, x):
 
 def hermite_holo(n: int, z):
     """H_n(z) with complex argument, evaluated by the same recurrence."""
-    _check_index(n)
+    check_index(n)
     value = hermite_holo_sequence(n, z)[n]
     return complex(value) if value.ndim == 0 else value
 
@@ -87,8 +82,8 @@ def hermite_complex_2v_table(m_max: int, n_max: int, z1: complex, z2: complex) -
     H_{m+1,n} = z1 H_{m,n} - n H_{m,n-1} (the s-derivative of the
     generating function exp(s z1 + t z2 - s t)).
     """
-    _check_index(m_max, "m_max")
-    _check_index(n_max, "n_max")
+    check_index(m_max, "m_max")
+    check_index(n_max, "n_max")
     z1 = complex(z1)
     z2 = complex(z2)
     table = np.empty((m_max + 1, n_max + 1), dtype=complex)
@@ -104,8 +99,8 @@ def hermite_complex_2v_table(m_max: int, n_max: int, z1: complex, z2: complex) -
 
 def hermite_complex_2v(m: int, n: int, z1: complex, z2: complex) -> complex:
     """Two-variable complex Hermite polynomial H_{m,n}(z1, z2)."""
-    _check_index(m, "m")
-    _check_index(n, "n")
+    check_index(m, "m")
+    check_index(n, "n")
     return complex(hermite_complex_2v_table(m, n, z1, z2)[m, n])
 
 
@@ -124,7 +119,7 @@ def mehler_product(t: float, z1: complex, z2: complex, n_terms: int = 60) -> tup
     t = float(t)
     if abs(t) >= 1.0:
         raise ValueError(f"|t| must be < 1, got {t}")
-    _check_index(n_terms, "n_terms")
+    check_index(n_terms, "n_terms")
     h1 = hermite_holo_sequence(n_terms, complex(z1))
     h2 = hermite_holo_sequence(n_terms, complex(z2))
     series = 0.0 + 0.0j
@@ -163,7 +158,7 @@ def mehler_two_variable(
     t = float(t)
     if abs(s * t) >= 1.0:
         raise ValueError(f"|s*t| must be < 1, got {s * t}")
-    _check_index(n_terms, "n_terms")
+    check_index(n_terms, "n_terms")
     z1 = complex(z1)
     z2 = complex(z2)
     table = hermite_complex_2v_table(n_terms, n_terms, z1, z2)
@@ -198,8 +193,8 @@ def orthogonality_rhs(m: int, n: int, alpha: float) -> float:
     Diagonal value pi sqrt(alpha)/(1-alpha) * (2(1+alpha)/(1-alpha))^n n!;
     zero off the diagonal.
     """
-    _check_index(m, "m")
-    _check_index(n, "n")
+    check_index(m, "m")
+    check_index(n, "n")
     alpha = check_alpha(alpha, closed=False)
     if m != n:
         return 0.0
@@ -218,7 +213,7 @@ def _orthogonality_quad(n_max: int, alpha: float, order: int) -> np.ndarray:
     x, wx = scaled_gauss_hermite(order, 1.0 - alpha)
     y, wy = scaled_gauss_hermite(order, 1.0 / alpha - 1.0)
     seq = hermite_holo_sequence(n_max, x[:, None] + 1j * y[None, :])
-    return np.einsum("mij,nij,i,j->mn", seq, np.conj(seq), wx, wy)
+    return np.einsum("mij,nij,i,j->mn", seq, np.conj(seq), wx, wy, optimize=True)
 
 
 def orthogonality_integral(
@@ -238,8 +233,8 @@ def orthogonality_integral(
     at doubled order and a :class:`~cvsqueeze.quadrature.ConvergenceError`
     is raised if the two values disagree beyond ``rtol``.
     """
-    _check_index(m, "m")
-    _check_index(n, "n")
+    check_index(m, "m")
+    check_index(n, "n")
     alpha = check_alpha(alpha, closed=False)
     # compared in units of the diagonal magnitude, so that off-diagonal
     # zeros are not judged relative to themselves

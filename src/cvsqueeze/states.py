@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import check_alpha, check_mode, coefficient_table
+from .basis import check_alpha, check_index, check_mode, coefficient_table
 from .quadrature import _refine_by_doubling, scaled_gauss_hermite
 
 __all__ = [
@@ -59,8 +59,8 @@ class OscillatorGeometry:
     def __post_init__(self) -> None:
         for name in ("a", "b", "hbar"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +123,7 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     Uses the normalized recurrence (stable for the index ranges handled
     here); ``inverse_length`` is the ``a`` in exp(-(a x)^2 / 2).
     """
+    check_index(n_max, "n_max")
     x = np.asarray(x, dtype=float)
     ax = inverse_length * x
     out = np.empty((n_max + 1,) + x.shape, dtype=float)
@@ -136,8 +137,8 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
 
 def fock_position_basis(m: int, n: int, x1, x2, geom: OscillatorGeometry):
     """Position representation of the product number state (m, n)."""
-    if m < 0 or n < 0:
-        raise ValueError(f"indices must be nonnegative, got ({m}, {n})")
+    check_index(m, "m")
+    check_index(n, "n")
     f1 = hermite_function_sequence(m, x1, geom.a)[m]
     f2 = hermite_function_sequence(n, x2, geom.b)[n]
     value = f1 * f2
@@ -147,38 +148,48 @@ def fock_position_basis(m: int, n: int, x1, x2, geom: OscillatorGeometry):
 def wave_function(k: int, x1, x2, geom: OscillatorGeometry, labels: DisplacementLabels, alpha: float):
     """Closed-form normalized wave function of the mode-``k`` state.
 
-    ``x1``/``x2`` may be scalars or broadcastable arrays.  ``alpha = 1``
-    (no squeezing) is admitted: both closed forms are regular there.
+    ``x1``/``x2`` may be scalars or broadcastable arrays of finite positions
+    (``ValueError`` otherwise).  ``alpha = 1`` (no squeezing) is admitted:
+    both closed forms are regular there.
     """
     check_mode(k)
     alpha = check_alpha(alpha, closed=True)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1, x2 = _check_positions(x1, x2)
     a, b = geom.a, geom.b
     z1r, z1i = labels.z1.real, labels.z1.imag
     z2r, z2i = labels.z2.real, labels.z2.imag
     if k == 1:
-        exponent = (
+        modulus = math.sqrt(a * b / (math.pi * alpha)) * np.exp(
             -(a * a / (2.0 * alpha)) * np.square(x1 - math.sqrt(2.0 * alpha) * z1r / a)
             - (b * b / (2.0 * alpha)) * np.square(x2 - math.sqrt(2.0 * alpha) * z2r / b)
-            + 1j * math.sqrt(2.0 / alpha) * (a * x1 * z1i + b * x2 * z2i)
-            - 1j * (z1r * z1i + z2r * z2i)
         )
-        value = math.sqrt(a * b / (math.pi * alpha)) * np.exp(exponent)
+        wave1 = math.sqrt(2.0 / alpha) * a * z1i
+        wave2 = math.sqrt(2.0 / alpha) * b * z2i
     else:
         root = math.sqrt(2.0 * alpha)
         y1 = ((alpha + 1.0) * z1r + (alpha - 1.0) * z2r) / (a * root)
         y2 = ((alpha - 1.0) * z1r + (alpha + 1.0) * z2r) / (b * root)
-        exponent = (
+        modulus = math.sqrt(a * b / math.pi) * np.exp(
             -((1.0 + alpha * alpha) / (4.0 * alpha)) * a * a * np.square(x1 - y1)
             - ((1.0 + alpha * alpha) / (4.0 * alpha)) * b * b * np.square(x2 - y2)
             - ((1.0 - alpha * alpha) / (2.0 * alpha)) * a * b * (x1 - y1) * (x2 - y2)
-            - 1j * (z1r * z1i + z2r * z2i)
-            + 1j * (a * x1 / root) * ((1.0 + alpha) * z1i + (1.0 - alpha) * z2i)
-            + 1j * (b * x2 / root) * ((1.0 + alpha) * z2i + (1.0 - alpha) * z1i)
         )
-        value = math.sqrt(a * b / math.pi) * np.exp(exponent)
+        wave1 = (a / root) * ((1.0 + alpha) * z1i + (1.0 - alpha) * z2i)
+        wave2 = (b / root) * ((1.0 + alpha) * z2i + (1.0 - alpha) * z1i)
+    # the phase is linear in each coordinate, so it factors into one complex
+    # exponential on x1's shape and one on x2's, not one on the broadcast grid
+    value = np.exp(1j * (wave1 * x1 - (z1r * z1i + z2r * z2i))) * np.exp(1j * wave2 * x2)
+    value *= modulus
     return complex(value) if value.ndim == 0 else value
+
+
+def _check_positions(x1, x2) -> tuple[np.ndarray, np.ndarray]:
+    # positions as float arrays, each on its own shape; inf or NaN raises
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
+        raise ValueError("positions x1, x2 must be finite")
+    return x1, x2
 
 
 def _coherent_normalizer(labels: DisplacementLabels) -> float:
@@ -206,12 +217,10 @@ def series_expansion(
     check_mode(k)
     alpha = check_alpha(alpha, closed=False)
     phi = coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    x1b, x2b = np.broadcast_arrays(x1, x2)
-    f1 = hermite_function_sequence(n_max, x1b, geom.a)
-    f2 = hermite_function_sequence(n_max, x2b, geom.b)
-    value = np.einsum("mn,m...,n...->...", phi, f1, f2)
+    x1, x2 = _check_positions(x1, x2)
+    f1 = hermite_function_sequence(n_max, x1, geom.a)
+    f2 = hermite_function_sequence(n_max, x2, geom.b)
+    value = np.einsum("mn,m...,n...->...", phi, f1, f2, optimize=True)
     return complex(value) if value.ndim == 0 else value
 
 
@@ -335,9 +344,8 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
         return out
 
     def psi_b(w1, w2):
-        # contract n on w2's shape first, then m while broadcasting against w1
-        inner = np.tensordot(coeffs, powers(w2), axes=(1, 0))
-        return np.einsum("m...,m...->...", powers(w1), inner)
+        # optimize=True orders the two contractions and hands them to BLAS
+        return np.einsum("m...,mn,n...->...", powers(w1), coeffs, powers(w2), optimize=True)
 
     return psi_b
 
@@ -378,7 +386,7 @@ def inverse_segal_bargmann(
     doubled and disagreement beyond ``rtol`` at any point raises
     :class:`~cvsqueeze.quadrature.ConvergenceError`.
     """
-    x1b, x2b = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
+    x1b, x2b = np.broadcast_arrays(*_check_positions(x1, x2))
     flat = _refine_by_doubling(
         lambda quad_order: _inverse_sb_quad(psi_b, x1b.ravel(), x2b.ravel(), geom, quad_order),
         order, check, rtol, "inverse_segal_bargmann",

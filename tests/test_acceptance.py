@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from cvsqueeze import hermite, model, phase_space, states
+from cvsqueeze import hermite, model, phase_space, states, verify
 
 ALPHA_GRID = [round(0.05 * i, 2) for i in range(1, 20)]
 GEOM = states.OscillatorGeometry(a=1.0, b=1.0, hbar=1.0)
@@ -126,22 +126,12 @@ def test_criterion_6_wave_function_consistency():
         closed = states.wave_function(k, grid[:, None], grid[None, :], geom, labels, 0.5)
         tolerances.append(("series sup-norm", float(np.abs(series - closed).max()), 1e-7))
 
-    def norm_squared(k, alpha, g):
-        # trapezoid-rule L2 norm (spectrally accurate for decaying Gaussians)
-        shifts = states.shift_params(k, alpha, g, labels)
-        spread1 = math.sqrt(max(alpha, (1 + alpha**2) / (4 * alpha))) / g.a
-        spread2 = math.sqrt(max(alpha, (1 + alpha**2) / (4 * alpha))) / g.b
-        x1 = shifts.y1 + np.linspace(-10 * spread1, 10 * spread1, 401)
-        x2 = shifts.y2 + np.linspace(-10 * spread2, 10 * spread2, 401)
-        density = np.abs(states.wave_function(k, x1[:, None], x2[None, :], g, labels, alpha)) ** 2
-        return float(np.trapezoid(np.trapezoid(density, x2, axis=1), x1))
-
     worst_norm = 0.0
     for k in (1, 2):
         for alpha in (0.2, 0.5, 0.8):
             for (a, b) in [(1.0, 1.0), (1.0, 2.0)]:
                 g = states.OscillatorGeometry(a=a, b=b)
-                worst_norm = max(worst_norm, abs(norm_squared(k, alpha, g) - 1.0))
+                worst_norm = max(worst_norm, abs(verify._norm_integral(k, alpha, g, labels) - 1.0))
     tolerances.append(("normalization", worst_norm, 1e-9))
 
     xs = np.linspace(-2.5, 2.5, 9)

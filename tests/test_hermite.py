@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cvsqueeze import hermite
+from cvsqueeze import hermite, verify
 from cvsqueeze.quadrature import ConvergenceError
 
 
@@ -103,6 +103,27 @@ class TestTwoIndexFamily:
                     total += weight * np.exp(s * z1 + t * z2 - s * t)
             approx = total / step ** (m + n)
             assert approx == pytest.approx(hermite.hermite_complex_2v(m, n, z1, z2), rel=1e-3)
+
+
+    @pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 3), (2, 5), (4, 4), (6, 1), (6, 6)])
+    def test_lattice_table_is_the_per_entry_stencil(self, m, n):
+        # the suite samples the generating function once on the half-step
+        # lattice; each entry must equal its own stencil evaluated afresh
+        import mpmath as mp
+
+        z1, z2 = 0.6 + 0.4j, -0.3 + 0.8j
+        with mp.workdps(60):
+            step = mp.mpf("1e-4")
+            w1, w2 = mp.mpc(z1.real, z1.imag), mp.mpc(z2.real, z2.imag)
+            total = mp.mpc(0)
+            for k in range(m + 1):
+                for l in range(n + 1):
+                    weight = (-1) ** (k + l) * math.comb(m, k) * math.comb(n, l)
+                    s = (mp.mpf(m) / 2 - k) * step
+                    t = (mp.mpf(n) / 2 - l) * step
+                    total += weight * mp.exp(s * w1 + t * w2 - s * t)
+            stencil = complex(total / step ** (m + n))
+        assert verify._finite_difference_table(6, 6, z1, z2)[m, n] == stencil
 
 
 class TestMehlerProduct:

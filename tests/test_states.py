@@ -5,22 +5,70 @@ import math
 import numpy as np
 import pytest
 
-from cvsqueeze import states
+from cvsqueeze import basis, states, verify
 from cvsqueeze.quadrature import ConvergenceError, gauss_hermite
 
 GEOM = states.OscillatorGeometry(a=1.0, b=1.3)
 LABELS = states.DisplacementLabels(z1=0.4 + 0.3j, z2=-0.2 + 0.5j)
 
 
-def norm_squared(k, alpha, geom, labels, points=401, width=10.0):
-    """Trapezoid-rule L2 norm oracle (spectrally accurate for Gaussians)."""
-    shifts = states.shift_params(k, alpha, geom, labels)
-    spread1 = math.sqrt(max(alpha, (1 + alpha**2) / (4 * alpha))) / geom.a
-    spread2 = math.sqrt(max(alpha, (1 + alpha**2) / (4 * alpha))) / geom.b
-    x1 = shifts.y1 + np.linspace(-width * spread1, width * spread1, points)
-    x2 = shifts.y2 + np.linspace(-width * spread2, width * spread2, points)
-    values = states.wave_function(k, x1[:, None], x2[None, :], geom, labels, alpha)
-    return float(np.trapezoid(np.trapezoid(np.abs(values) ** 2, x2, axis=1), x1))
+def direct_wave_function(k, x1, x2, geom, labels, alpha):
+    """The closed forms as one complex exponential on the broadcast grid."""
+    x1 = np.asarray(x1, dtype=float)
+    x2 = np.asarray(x2, dtype=float)
+    a, b = geom.a, geom.b
+    z1r, z1i = labels.z1.real, labels.z1.imag
+    z2r, z2i = labels.z2.real, labels.z2.imag
+    if k == 1:
+        exponent = (
+            -(a * a / (2.0 * alpha)) * np.square(x1 - math.sqrt(2.0 * alpha) * z1r / a)
+            - (b * b / (2.0 * alpha)) * np.square(x2 - math.sqrt(2.0 * alpha) * z2r / b)
+            + 1j * math.sqrt(2.0 / alpha) * (a * x1 * z1i + b * x2 * z2i)
+            - 1j * (z1r * z1i + z2r * z2i)
+        )
+        return math.sqrt(a * b / (math.pi * alpha)) * np.exp(exponent)
+    root = math.sqrt(2.0 * alpha)
+    y1 = ((alpha + 1.0) * z1r + (alpha - 1.0) * z2r) / (a * root)
+    y2 = ((alpha - 1.0) * z1r + (alpha + 1.0) * z2r) / (b * root)
+    exponent = (
+        -((1.0 + alpha * alpha) / (4.0 * alpha)) * a * a * np.square(x1 - y1)
+        - ((1.0 + alpha * alpha) / (4.0 * alpha)) * b * b * np.square(x2 - y2)
+        - ((1.0 - alpha * alpha) / (2.0 * alpha)) * a * b * (x1 - y1) * (x2 - y2)
+        - 1j * (z1r * z1i + z2r * z2i)
+        + 1j * (a * x1 / root) * ((1.0 + alpha) * z1i + (1.0 - alpha) * z2i)
+        + 1j * (b * x2 / root) * ((1.0 + alpha) * z2i + (1.0 - alpha) * z1i)
+    )
+    return math.sqrt(a * b / math.pi) * np.exp(exponent)
+
+
+def mp_wave_function(k, x1, x2, geom, labels, alpha):
+    """The closed forms in 50-digit arithmetic at one point of float inputs."""
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b, al = mp.mpf(geom.a), mp.mpf(geom.b), mp.mpf(alpha)
+        z1r, z1i = mp.mpf(labels.z1.real), mp.mpf(labels.z1.imag)
+        z2r, z2i = mp.mpf(labels.z2.real), mp.mpf(labels.z2.imag)
+        x1, x2 = mp.mpf(float(x1)), mp.mpf(float(x2))
+        if k == 1:
+            y1, y2 = mp.sqrt(2 * al) * z1r / a, mp.sqrt(2 * al) * z2r / b
+            exponent = (
+                -(a * a * (x1 - y1) ** 2 + b * b * (x2 - y2) ** 2) / (2 * al)
+                + 1j * mp.sqrt(2 / al) * (a * x1 * z1i + b * x2 * z2i)
+                - 1j * (z1r * z1i + z2r * z2i)
+            )
+            return complex(mp.sqrt(a * b / (mp.pi * al)) * mp.exp(exponent))
+        root = mp.sqrt(2 * al)
+        y1 = ((al + 1) * z1r + (al - 1) * z2r) / (a * root)
+        y2 = ((al - 1) * z1r + (al + 1) * z2r) / (b * root)
+        exponent = (
+            -(1 + al * al) / (4 * al) * (a * a * (x1 - y1) ** 2 + b * b * (x2 - y2) ** 2)
+            - (1 - al * al) / (2 * al) * a * b * (x1 - y1) * (x2 - y2)
+            - 1j * (z1r * z1i + z2r * z2i)
+            + 1j * (a * x1 / root) * ((1 + al) * z1i + (1 - al) * z2i)
+            + 1j * (b * x2 / root) * ((1 + al) * z2i + (1 - al) * z1i)
+        )
+        return complex(mp.sqrt(a * b / mp.pi) * mp.exp(exponent))
 
 
 class TestClosedForms:
@@ -48,18 +96,18 @@ class TestClosedForms:
         assert value == pytest.approx(math.sqrt(a * b / math.pi) * math.exp(exponent), rel=1e-14)
 
     def test_mode1_normalization(self):
-        assert norm_squared(1, 0.5, states.OscillatorGeometry(1.0, 1.0), states.DisplacementLabels()) == pytest.approx(1.0, abs=1e-12)
+        assert verify._norm_integral(1, 0.5, states.OscillatorGeometry(1.0, 1.0), states.DisplacementLabels()) == pytest.approx(1.0, abs=1e-12)
 
     def test_mode2_normalization(self):
         geom = states.OscillatorGeometry(a=1.0, b=1.5)
-        assert norm_squared(2, 0.3, geom, states.DisplacementLabels()) == pytest.approx(1.0, abs=1e-10)
+        assert verify._norm_integral(2, 0.3, geom, states.DisplacementLabels()) == pytest.approx(1.0, abs=1e-10)
 
     def test_normalization_grid(self):
         for k in (1, 2):
             for alpha in (0.2, 0.5, 0.8):
                 for (a, b) in [(1.0, 1.0), (1.0, 2.0)]:
                     geom = states.OscillatorGeometry(a=a, b=b)
-                    assert norm_squared(k, alpha, geom, LABELS) == pytest.approx(1.0, abs=1e-9)
+                    assert verify._norm_integral(k, alpha, geom, LABELS) == pytest.approx(1.0, abs=1e-9)
 
     def test_mode2_transposition_symmetry(self):
         geom = states.OscillatorGeometry(a=1.2, b=1.2)
@@ -75,6 +123,106 @@ class TestClosedForms:
             states.wave_function(1, 0.0, 0.0, GEOM, LABELS, 0.0)
         with pytest.raises(ValueError):
             states.wave_function(2, 0.0, 0.0, GEOM, LABELS, 1.2)
+
+
+class TestFactoredWaveFunction:
+    """The per-axis phase form against the single complex exponential."""
+
+    GRIDS = {
+        "outer": (np.linspace(-2.0, 2.5, 7)[:, None], np.linspace(-1.5, 2.0, 5)[None, :]),
+        "full": tuple(np.meshgrid(np.linspace(-2.0, 2.5, 7), np.linspace(-1.5, 2.0, 5), indexing="ij")),
+        "full-by-row": (np.full((7, 5), 0.3), np.linspace(-1.5, 2.0, 5)),
+        "scalar": (0.4, -0.7),
+    }
+
+    @pytest.mark.parametrize("grid", GRIDS)
+    @pytest.mark.parametrize("alpha", [0.05, 0.3, 0.8, 1.0])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_direct_transcription(self, k, alpha, grid):
+        x1, x2 = self.GRIDS[grid]
+        labels = states.DisplacementLabels(0.7 - 0.4j, -0.3 + 0.9j)
+        got = states.wave_function(k, x1, x2, GEOM, labels, alpha)
+        expected = direct_wave_function(k, x1, x2, GEOM, labels, alpha)
+        assert np.shape(got) == np.shape(expected)
+        if grid == "scalar":
+            assert isinstance(got, complex)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [1e-4, 1e-6])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_strong_squeezing_no_less_accurate(self, k, alpha):
+        # points within two position spreads of the center along the narrow
+        # and the wide axis; the rounding of the raw-coordinate modulus,
+        # shared by both forms, sets the error (2e-9 at 1e-4 for k = 2)
+        geom = states.OscillatorGeometry(0.8, 1.3)
+        labels = states.DisplacementLabels(0.3 + 0.2j, -0.1 + 0.4j)
+        shift = states.shift_params(k, alpha, geom, labels)
+        steps = np.linspace(-2.0, 2.0, 5)
+        if k == 1:
+            spread = math.sqrt(alpha / 2.0)
+            s, t = spread * steps[:, None], spread * steps[None, :]
+            x1 = shift.y1 + s / geom.a + 0.0 * t
+            x2 = shift.y2 + t / geom.b + 0.0 * s
+        else:
+            s = math.sqrt(alpha / 2.0) * steps[:, None]
+            t = steps[None, :] / math.sqrt(2.0 * alpha)
+            x1 = shift.y1 + (s + t) / (math.sqrt(2.0) * geom.a)
+            x2 = shift.y2 + (s - t) / (math.sqrt(2.0) * geom.b)
+        reference = np.vectorize(lambda p, q: mp_wave_function(k, p, q, geom, labels, alpha))(x1, x2)
+        scale = np.abs(reference).max()
+        factored = np.abs(states.wave_function(k, x1, x2, geom, labels, alpha) - reference).max()
+        direct = np.abs(direct_wave_function(k, x1, x2, geom, labels, alpha) - reference).max()
+        assert factored / scale <= direct / scale + 4 * np.finfo(float).eps
+
+
+class TestInputDomain:
+    @pytest.mark.parametrize("field", ["a", "b", "hbar"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
+    def test_geometry_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            states.OscillatorGeometry(**{"a": 1.0, "b": 1.0, field: value})
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x1, x2: states.wave_function(2, x1, x2, GEOM, LABELS, 0.5),
+            lambda x1, x2: states.series_expansion(2, 4, x1, x2, GEOM, LABELS, 0.5),
+            lambda x1, x2: states.inverse_segal_bargmann(
+                states.bargmann_series(2, 0.5, LABELS, 4), x1, x2, GEOM, order=4
+            ),
+        ],
+        ids=["wave_function", "series_expansion", "inverse_segal_bargmann"],
+    )
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_positions_raise(self, call, bad):
+        with pytest.raises(ValueError, match="finite"):
+            call(bad, 0.2)
+        with pytest.raises(ValueError, match="finite"):
+            call(np.array([0.1, 0.3]), np.array([[0.2], [bad]]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: basis.coefficient_table(2, 0.5, 0.1, 0.2j, n),
+            lambda n: basis.coefficient_table(1, 0.5, 0.1, 0.2j, n),
+            lambda n: basis.basis_function_sequence(n, 0.5, 0.1),
+            lambda n: basis.basis_function_2v_table(n, 2, 0.5, 0.1, 0.2j),
+            lambda n: basis.basis_function_2v_table(2, n, 0.5, 0.1, 0.2j),
+            lambda n: states.hermite_function_sequence(n, 0.3, 1.0),
+            lambda n: states.series_expansion(2, n, 0.1, 0.2, GEOM, LABELS, 0.5),
+            lambda n: states.bargmann_series(2, 0.5, LABELS, n),
+            lambda n: states.fock_position_basis(n, 1, 0.1, 0.2, GEOM),
+        ],
+        ids=[
+            "coefficient_table-k2", "coefficient_table-k1", "basis_function_sequence",
+            "basis_function_2v_table-m", "basis_function_2v_table-n", "hermite_function_sequence",
+            "series_expansion", "bargmann_series", "fock_position_basis",
+        ],
+    )
+    @pytest.mark.parametrize("n", [-1, -3, 2.0])
+    def test_bad_truncation_raises(self, call, n):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            call(n)
 
 
 class TestFockPositionBasis:
@@ -306,6 +454,8 @@ class TestInverseSegalBargmann:
         got = psi_b(w1, w2)
         assert got.shape == (3, 4)
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-15)
+        full1, full2 = np.broadcast_arrays(w1, w2)
+        np.testing.assert_allclose(psi_b(full1, full2), expected, rtol=1e-13, atol=1e-15)
         assert psi_b(w1[1, 0], w2[2]) == pytest.approx(expected[1, 2], rel=1e-13)
 
     @pytest.mark.parametrize("source", ["bargmann_series", "vacuum"])
