@@ -211,7 +211,7 @@ def _orthogonality_quad(n_max: int, alpha: float, order: int) -> np.ndarray:
     # Gram matrix [m, n] of int_C H_m conj(H_n) w_alpha for m, n <= n_max, one
     # rule per axis for the two Gaussian weights exp(-(1-a)x^2), exp(-(1/a-1)y^2)
     x, wx = scaled_gauss_hermite(order, 1.0 - alpha)
-    y, wy = scaled_gauss_hermite(order, 1.0 / alpha - 1.0)
+    y, wy = scaled_gauss_hermite(order, (1.0 - alpha) / alpha)
     seq = hermite_holo_sequence(n_max, x[:, None] + 1j * y[None, :])
     return np.einsum("mij,nij,i,j->mn", seq, np.conj(seq), wx, wy, optimize=True)
 

@@ -16,9 +16,9 @@ and p1 p2 couplings, and at ``alpha = 1`` it collapses to two independent
 displaced oscillators.  :func:`ground_state_energy_check` closes the loop by
 applying (Q, L, c) to the closed-form wave function with 8th-order finite
 differences and verifying the eigenvalue hbar (omega_1 + omega_2) / 2.  It
-samples the state on the principal axes (s, t) of its Gaussian, where it is
-exactly a product f(s) g(t); there every term of (Q, L, c) is a product of
-a 1D operator on f and one on g, so the operator's action is a four-column
+samples the state on the principal axes (s, t) of its Gaussian record, where
+it is exactly a product f(s) g(t); there every term of (Q, L, c) is a product
+of a 1D operator on f and one on g, so the operator's action is a four-column
 product U V^T and the check never forms a 2D grid.
 
 Conventions.  The ladder operators are the canonical pair of the position
@@ -50,7 +50,7 @@ from functools import cached_property
 import numpy as np
 
 from .basis import check_alpha
-from .states import DisplacementLabels, OscillatorGeometry, ShiftParams, shift_params, wave_function
+from .states import DisplacementLabels, GaussianState, OscillatorGeometry, gaussian_state, wave_function
 
 __all__ = [
     "OscillatorSpec",
@@ -177,21 +177,6 @@ class TruncatedOperator:
     bands: dict[tuple[int, int], np.ndarray]
     n_trunc: int
 
-    @classmethod
-    def from_matrix(cls, matrix: np.ndarray, n_trunc: int) -> TruncatedOperator:
-        """Operator whose bands are views of a dense (n_trunc^2, n_trunc^2) matrix."""
-        n = n_trunc
-        matrix = np.asarray(matrix)
-        if matrix.shape != (n * n, n * n):
-            raise ValueError(f"matrix of shape {matrix.shape} does not match n_trunc {n}")
-        entries = matrix.reshape(n, n, n, n)  # [m, n, m', n']
-        offsets = range(1 - n, n)
-        firsts = [(d1, entries.diagonal(d1, 0, 2)) for d1 in offsets]  # [n, n', i]
-        op = cls({(d1, d2): first.diagonal(d2, 0, 1) for d1, first in firsts for d2 in offsets}, n)
-        # the bands cover every entry of ``matrix``, which is their scatter
-        op.__dict__["matrix"] = matrix
-        return op
-
     @cached_property
     def matrix(self) -> np.ndarray:
         """Dense (n_trunc^2, n_trunc^2) matrix, row/column index m * n_trunc + n."""
@@ -239,7 +224,7 @@ class TruncatedOperator:
             theirs = _band_prefix(other, (d1, d2), rows, cols)
             gaps.append(np.abs(mine - theirs).max())
         # np.max rather than max(): a NaN in any band must reach the result
-        return float(np.max(gaps))
+        return float(np.max(gaps, initial=0.0))
 
     def hermiticity_defect(self) -> float:
         """max |H - H^dagger| over all entries."""
@@ -568,24 +553,19 @@ def _factored_action(
 
 
 def _principal_axis_grid(
-    alpha: float, geom: OscillatorGeometry, shifts: ShiftParams, grid_points: int, box_sigmas: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(frame, s_axis, t_axis) of the ground-state check's grid x = y + frame (s, t).
+    state: GaussianState, grid_points: int, box_sigmas: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(s_axis, t_axis) of the ground-state check's grid x = y + frame (s, t).
 
-    The columns of ``frame`` are the principal directions of the mode-2
-    matrix M, frame^T M frame = diag(1/alpha, alpha), so s and t have the
-    position spreads sqrt(alpha/2) and 1/sqrt(2 alpha).  Each axis spans
-    ``box_sigmas`` spreads on either side of the center in ``points``
-    samples, plus :data:`_PAD` more at each end.  Along an axis the state
-    is that Gaussian times a plane wave of wavenumber k = frame^T q / hbar,
-    whose spectrum sits |k| sqrt(2) spread Gaussian widths off zero; the
-    step shrinks by one plus the larger of those shifts, so ``points`` is
-    at least ``grid_points``.
+    On the record's principal axes, of position spreads 1/sqrt(2 kappa),
+    each axis spans ``box_sigmas`` spreads either side of the center in
+    ``points`` samples, plus :data:`_PAD` more at each end.  The plane wave
+    of wavenumber k shifts an axis' spectrum |k| sqrt(2) spread Gaussian
+    widths off zero; the step shrinks by one plus the larger shift, so
+    ``points`` is at least ``grid_points``.
     """
-    frame = np.array([[1.0 / geom.a, 1.0 / geom.a], [1.0 / geom.b, -1.0 / geom.b]]) / math.sqrt(2.0)
-    spreads = np.array([math.sqrt(0.5 * alpha), 1.0 / math.sqrt(2.0 * alpha)])
-    wavenumbers = frame.T @ np.array([shifts.q1, shifts.q2]) / geom.hbar
-    refine = 1.0 + float(np.max(np.abs(wavenumbers) * math.sqrt(2.0) * spreads))
+    spreads = 1.0 / np.sqrt(2.0 * np.array(state.gaussian.curvatures))
+    refine = 1.0 + float(np.max(np.abs(state.wavenumbers) * math.sqrt(2.0) * spreads))
     needed = (grid_points - 1) * refine + 1.0
     if not needed <= _MAX_GRID_POINTS:
         raise ValueError(
@@ -596,7 +576,7 @@ def _principal_axis_grid(
     points = math.ceil(needed - 1e-9)
     offsets = np.arange(-_PAD, points + _PAD) - 0.5 * (points - 1)
     steps = 2.0 * box_sigmas * spreads / (points - 1)
-    return frame, steps[0] * offsets, steps[1] * offsets
+    return steps[0] * offsets, steps[1] * offsets
 
 
 @dataclass(frozen=True)
@@ -627,23 +607,18 @@ def ground_state_energy_check(
 ) -> GroundStateCheck:
     """Verify the mode-2 state is an eigenstate of the reconstructed Hamiltonian.
 
-    Samples the closed-form wave function on the principal axes of its
-    matrix M (:func:`_principal_axis_grid`, ``box_sigmas`` spreads each
-    side of the displaced center, at least ``grid_points`` samples per
-    axis).  With xi = x - y, s = (a xi_1 + b xi_2)/sqrt(2) and
-    t = (a xi_1 - b xi_2)/sqrt(2), the state is a Gaussian times a plane
-    wave in each, i.e. exactly a product f(s) g(t): f and g are read off
-    :func:`~cvsqueeze.states.wave_function` on the two axis lines, and the
-    product form is checked on the grid's diagonal and anti-diagonal.
-    (Q, L, c) acts on f (x) g as U V^T with four columns
-    (:func:`_factored_action`), so the energy expectation next to
-    hbar (omega_1 + omega_2)/2 and the normalized eigen-residual
+    Samples the state on the principal axes of its record
+    (:func:`~cvsqueeze.states.gaussian_state`; :func:`_principal_axis_grid`),
+    where it is exactly a product f(s) g(t) of a Gaussian times a plane wave
+    in each, checked against :func:`~cvsqueeze.states.wave_function` on the
+    grid's diagonal and anti-diagonal.  (Q, L, c) acts on f (x) g as U V^T
+    with four columns (:func:`_factored_action`), so the energy expectation
+    next to hbar (omega_1 + omega_2)/2 and the normalized eigen-residual
     ||(H - E0) psi|| / ||psi||, which must shrink under grid refinement,
     come from 1D inner products and two thin QR factorizations: time and
     memory are O(grid_points).  The geometry must match the frequencies
     through omega_i = hbar a_i^2 / M.
     """
-    alpha = check_alpha(alpha, closed=True)
     expected_a, expected_b = spec.inverse_lengths()
     if not (
         math.isclose(geom.a, expected_a, rel_tol=1e-10)
@@ -659,29 +634,25 @@ def ground_state_energy_check(
     if not (math.isfinite(box_sigmas) and box_sigmas > 0.0):
         raise ValueError(f"box_sigmas must be finite and positive, got {box_sigmas}")
     labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
-    shifts = shift_params(2, alpha, geom, labels)
-    center = np.array([shifts.y1, shifts.y2])
-    frame, s_axis, t_axis = _principal_axis_grid(alpha, geom, shifts, grid_points, box_sigmas)
-
-    def sample(s, t):
-        # wave function at x = center + frame (s, t)
-        x1 = center[0] + frame[0, 0] * s + frame[0, 1] * t
-        x2 = center[1] + frame[1, 0] * s + frame[1, 1] * t
-        return np.asarray(wave_function(2, x1, x2, geom, labels, alpha), dtype=complex)
-
-    f = sample(s_axis, 0.0) / sample(0.0, 0.0)
-    g = sample(0.0, t_axis)
+    state = gaussian_state(2, alpha, geom, labels)
+    frame, center = state.gaussian.frame, state.position_center
+    s_axis, t_axis = _principal_axis_grid(state, grid_points, box_sigmas)
+    # on these axes the record is exactly f(s) g(t), g carrying the constants
+    (kappa_s, kappa_t), (k_s, k_t) = state.gaussian.curvatures, state.wavenumbers
+    f = np.exp(s_axis * (1j * k_s - 0.5 * kappa_s * s_axis))
+    constant = 1j * (np.dot(state.wavenumbers, state.center) + state.phase)
+    g = state.gaussian.norm_prefactor * np.exp(constant + t_axis * (1j * k_t - 0.5 * kappa_t * t_axis))
     ham = hamiltonian_quadratic(alpha, spec, z1, z2)
     u, v = _factored_action(ham, f, g, s_axis, t_axis, frame, center, spec.hbar)
     expected = 0.5 * spec.hbar * (spec.omega1 + spec.omega2)
     u[:, 0] -= expected * f
     core = slice(_PAD, -_PAD)
     f, g, u, v = f[core], g[core], u[core], v[core]
-    s_core, t_core = s_axis[core], t_axis[core]
-    # the product form on the diagonal and the anti-diagonal
-    off_product = np.concatenate(
-        [sample(s_core, t_core) - f * g, sample(s_core, t_core[::-1]) - f * g[::-1]]
-    )
+    # the closed form at x = center + frame (s, t) on the diagonal and the
+    # anti-diagonal, against the product form
+    s_core, t_core = np.tile(s_axis[core], 2), np.concatenate([t_axis[core], t_axis[core][::-1]])
+    x1, x2 = center[:, None] + frame @ np.array([s_core, t_core])
+    off_product = wave_function(2, x1, x2, geom, labels, alpha) - np.tile(f, 2) * np.concatenate([g, g[::-1]])
     defect = float(np.max(np.abs(off_product))) / float(np.max(np.abs(f)) * np.max(np.abs(g)))
     # uniform cell areas cancel from both ratios
     norm_sq = float(np.vdot(f, f).real * np.vdot(g, g).real)
@@ -694,6 +665,6 @@ def ground_state_energy_check(
         energy=energy,
         expected=expected,
         residual=residual,
-        grid_points=len(s_core),
+        grid_points=len(f),
         factorization_defect=defect,
     )

@@ -1,11 +1,11 @@
 """Gaussian Wigner transforms, covariance matrices, and separability tests.
 
-Phase-space ordering is fixed to (x1, x2, p1, p2) throughout; the standard
-symplectic matrix :func:`symplectic_form` is built for that ordering.  The
-central quantitative objects are the symplectic eigenvalues of a covariance
-matrix (positive lambda such that +-i lambda are the eigenvalues of J Sigma),
-from which the partial-transpose separability verdict and the logarithmic
-negativity follow.  Logarithms are natural throughout, consistent with the
+Phase-space ordering is (x1, x2, p1, p2), for which :func:`symplectic_form`
+is built.  The Wigner transform reads the principal frame and curvatures of
+a state's record, so M^-1 needs no inverse of M.  The central objects are the
+symplectic eigenvalues of a covariance matrix (positive lambda with +-i lambda
+the eigenvalues of J Sigma), from which the partial-transpose verdict and the
+logarithmic negativity follow.  Logarithms are natural, consistent with the
 squeeze-strength convention xi = -ln(alpha)/2.
 """
 
@@ -101,29 +101,23 @@ def wigner_gaussian(gaussian: QuadraticGaussian, hbar: float = 1.0):
     For the normalized state with quadratic-form matrix M the Wigner
     function is the phase-space Gaussian (pi hbar)^-2
     exp(-gamma^T Sigma^-1 gamma / 2) with Sigma = blockdiag(M^-1/2,
-    hbar^2 M/2); the evaluator integrates to one over phase space.
+    hbar^2 M/2); the evaluator integrates to one over phase space.  M^-1 is
+    read off the Fourier-dual Gaussian (frame^-T, curvatures 1/kappa), so both
+    exponents are sums of squares on principal axes.
     Returns ``(CovarianceMatrix, evaluator)``.
     """
     if not hbar > 0.0:
         raise ValueError(f"hbar must be positive, got {hbar}")
-    m = gaussian.matrix
-    # explicit 2x2 adjugate inverse; the determinant subtraction cancels
-    # badly for strongly squeezed matrices, so take the products in
-    # extended precision
-    m_ext = m.astype(np.longdouble)
-    det = float(m_ext[0, 0] * m_ext[1, 1] - m_ext[0, 1] * m_ext[1, 0])
-    m_inv = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+    dual = QuadraticGaussian(gaussian.inverse.T, [1.0 / c for c in gaussian.curvatures])
     sigma = np.zeros((4, 4))
-    sigma[:2, :2] = 0.5 * m_inv
-    sigma[2:, 2:] = 0.5 * hbar * hbar * m
+    sigma[:2, :2] = 0.5 * dual.matrix
+    sigma[2:, 2:] = 0.5 * hbar * hbar * gaussian.matrix
     cov = CovarianceMatrix(sigma=sigma, hbar=hbar)
 
     def evaluator(x1, x2, p1, p2):
-        xs = [np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)]
-        ps = [np.asarray(p1, dtype=float), np.asarray(p2, dtype=float)]
-        quad_x = m[0, 0] * xs[0] ** 2 + 2.0 * m[0, 1] * xs[0] * xs[1] + m[1, 1] * xs[1] ** 2
-        quad_p = m_inv[0, 0] * ps[0] ** 2 + 2.0 * m_inv[0, 1] * ps[0] * ps[1] + m_inv[1, 1] * ps[1] ** 2
-        return (np.pi * hbar) ** -2 * np.exp(-quad_x - quad_p / hbar**2)
+        return (np.pi * hbar) ** -2 * np.exp(
+            -2.0 * (gaussian.exponent(x1, x2) + dual.exponent(p1, p2) / hbar**2)
+        )
 
     return cov, evaluator
 

@@ -6,12 +6,11 @@ Both squeezing routes are covered by a mode tag ``k``:
 * ``k=2``: joint two-mode squeezing; a position cross term appears for
   every ``alpha < 1`` and the state is entangled.
 
-Wave functions are represented as closed-form evaluators plus structured
-parameter records (:class:`OscillatorGeometry`, :class:`DisplacementLabels`),
-never as sampled grids.  The same states are reachable three independent
-ways, which the test suite exploits: the closed forms, the truncated
-Fock-basis series (:func:`series_expansion`), and the inverse
-Segal-Bargmann transform of the coefficient series
+Each state is one record (:func:`gaussian_state`), a Gaussian on its principal
+axes times a plane wave, that every other state formula reads.  The same
+states are reachable three independent ways, which the test suite exploits:
+the closed forms, the truncated Fock-basis series (:func:`series_expansion`),
+and the inverse Segal-Bargmann transform of the coefficient series
 (:func:`inverse_segal_bargmann`).
 
 Conventions: positions carry the inverse oscillator lengths ``a``, ``b``;
@@ -23,7 +22,7 @@ parameters pick up an explicit factor ``hbar`` so the translation phase
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,6 +34,8 @@ __all__ = [
     "DisplacementLabels",
     "ShiftParams",
     "QuadraticGaussian",
+    "GaussianState",
+    "gaussian_state",
     "hermite_function_sequence",
     "fock_position_basis",
     "wave_function",
@@ -87,34 +88,106 @@ class ShiftParams:
 
 @dataclass(frozen=True)
 class QuadraticGaussian:
-    """Centered normalized Gaussian defined by a 2x2 positive-definite matrix.
+    """Centered normalized Gaussian on the principal axes of its form.
 
-    The induced wave function is (det M / pi^2)^(1/4) exp(-r^T M r / 2),
-    which has unit L2 norm for every admissible M.
+    With u = frame^-1 r it is (kappa_1 kappa_2)^(1/4) (pi |det frame|)^(-1/2)
+    exp(-(kappa_1 u_1^2 + kappa_2 u_2^2) / 2), and M = frame^-T diag(kappa)
+    frame^-1 is positive definite for any finite positive curvatures.
     """
 
-    matrix: np.ndarray
+    frame: np.ndarray
+    curvatures: tuple[float, float]
+    inverse: np.ndarray = field(init=False, repr=False, compare=False)
+    norm_prefactor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (2, 2):
-            raise ValueError(f"matrix must be 2x2, got shape {m.shape}")
-        if not np.allclose(m, m.T, rtol=0.0, atol=1e-13 * max(1.0, abs(m).max())):
-            raise ValueError("matrix must be symmetric")
-        if np.linalg.eigvalsh(m).min() <= 0.0:
-            raise ValueError("matrix must be positive definite")
-        object.__setattr__(self, "matrix", m)
+        frame = np.array(self.frame, dtype=float)
+        kappa = tuple(float(c) for c in self.curvatures)
+        # a frame of the wrong shape counts as singular; an inf or NaN entry
+        # makes the determinant inf or NaN
+        (f00, f01), (f10, f11) = frame.tolist() if frame.shape == (2, 2) else 2 * [(0.0, 0.0)]
+        det = f00 * f11 - f01 * f10
+        if not (len(kappa) == 2 and all(0.0 < c < math.inf for c in kappa) and 0.0 < abs(det) < math.inf):
+            raise ValueError(f"need positive finite curvatures and a finite nonsingular 2x2 frame, not {kappa}")
+        frame.flags.writeable = False
+        object.__setattr__(self, "frame", frame)
+        object.__setattr__(self, "curvatures", kappa)
+        object.__setattr__(self, "inverse", np.array([[f11, -f01], [-f10, f00]]) / det)
+        prefactor = math.sqrt(math.sqrt(kappa[0]) * math.sqrt(kappa[1]) / (math.pi * abs(det)))
+        object.__setattr__(self, "norm_prefactor", prefactor)
 
     @property
-    def norm_prefactor(self) -> float:
-        return float((np.linalg.det(self.matrix) / np.pi**2) ** 0.25)
+    def matrix(self) -> np.ndarray:
+        """M = frame^-T diag(kappa) frame^-1."""
+        return self.inverse.T @ np.diag(self.curvatures) @ self.inverse
 
-    def evaluate(self, x1, x2):
-        m = self.matrix
-        quad = m[0, 0] * np.square(x1) + 2.0 * m[0, 1] * np.multiply(x1, x2) + m[1, 1] * np.square(x2)
-        return self.norm_prefactor * np.exp(-0.5 * quad)
+    def exponent(self, x1, x2) -> np.ndarray:
+        """r^T M r / 2 at r = (x1, x2): two squares on the principal axes, summed in place."""
+        rows = np.sqrt(np.multiply(0.5, self.curvatures))[:, None] * self.inverse
+        shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
+        total, term = (np.add(r1 * x1, r2 * x2, out=np.empty(shape)) for r1, r2 in rows.tolist())
+        np.square(total, out=total)
+        total += np.square(term, out=term)
+        return total
+
+    def evaluate(self, x1, x2) -> np.ndarray:
+        value = self.exponent(x1, x2)
+        np.subtract(math.log(self.norm_prefactor), value, out=value)
+        return np.exp(value, out=value)
 
     __call__ = evaluate
+
+
+@dataclass(frozen=True)
+class GaussianState:
+    """A state at x = frame (center + u): gaussian(frame u) exp(i (wavenumbers . (center + u) + phase))."""
+
+    gaussian: QuadraticGaussian
+    center: tuple[float, float]
+    wavenumbers: tuple[float, float]
+    phase: float
+
+    @property
+    def position_center(self) -> np.ndarray:
+        return self.gaussian.frame @ self.center
+
+    @property
+    def position_wavenumbers(self) -> np.ndarray:
+        return self.gaussian.inverse.T @ self.wavenumbers
+
+
+def gaussian_state(
+    k: int, alpha: float, geom: OscillatorGeometry, labels: DisplacementLabels
+) -> GaussianState:
+    """The record of the mode-``k`` state, the one place its formulas live.
+
+    ``k=1``: frame diag(1/a, 1/b), curvatures 1/alpha.  ``k=2``: axes
+    (a x1 +- b x2)/sqrt(2), curvatures (1/alpha, alpha), and each center and
+    wavenumber one product, free of cancellation at any alpha in (0, 1].
+    """
+    check_mode(k)
+    alpha = check_alpha(alpha, closed=True)
+    a, b = geom.a, geom.b
+    (z1r, z1i), (z2r, z2i) = (labels.z1.real, labels.z1.imag), (labels.z2.real, labels.z2.imag)
+    if k == 1:
+        frame, curvatures = np.diag([1.0 / a, 1.0 / b]), (1.0 / alpha, 1.0 / alpha)
+        center = (math.sqrt(2.0 * alpha) * z1r, math.sqrt(2.0 * alpha) * z2r)
+        wavenumbers = (math.sqrt(2.0 / alpha) * z1i, math.sqrt(2.0 / alpha) * z2i)
+    else:
+        frame = np.array([[1.0 / a, 1.0 / a], [1.0 / b, -1.0 / b]]) / math.sqrt(2.0)
+        curvatures = (1.0 / alpha, alpha)
+        root = math.sqrt(alpha)
+        center = (root * (z1r + z2r), (z1r - z2r) / root)
+        wavenumbers = ((z1i + z2i) / root, root * (z1i - z2i))
+    return GaussianState(QuadraticGaussian(frame, curvatures), center, wavenumbers, -(z1r * z1i + z2r * z2i))
+
+
+def _check_positions(*positions) -> tuple[np.ndarray, ...]:
+    # positions as float arrays, each on its own shape; inf or NaN raises
+    arrays = tuple(np.asarray(x, dtype=float) for x in positions)
+    if not all(np.isfinite(x).all() for x in arrays):
+        raise ValueError("positions must be finite")
+    return arrays
 
 
 def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarray:
@@ -124,7 +197,7 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     here); ``inverse_length`` is the ``a`` in exp(-(a x)^2 / 2).
     """
     check_index(n_max, "n_max")
-    x = np.asarray(x, dtype=float)
+    (x,) = _check_positions(x)
     ax = inverse_length * x
     out = np.empty((n_max + 1,) + x.shape, dtype=float)
     out[0] = math.sqrt(inverse_length) * np.pi**-0.25 * np.exp(-0.5 * ax * ax)
@@ -149,47 +222,16 @@ def wave_function(k: int, x1, x2, geom: OscillatorGeometry, labels: Displacement
     """Closed-form normalized wave function of the mode-``k`` state.
 
     ``x1``/``x2`` may be scalars or broadcastable arrays of finite positions
-    (``ValueError`` otherwise).  ``alpha = 1`` (no squeezing) is admitted:
-    both closed forms are regular there.
+    (``ValueError``).  The modulus is the record's Gaussian at x - y; the
+    phase, linear in x, is one complex exponential on each of x1, x2.
     """
-    check_mode(k)
-    alpha = check_alpha(alpha, closed=True)
+    state = gaussian_state(k, alpha, geom, labels)
     x1, x2 = _check_positions(x1, x2)
-    a, b = geom.a, geom.b
-    z1r, z1i = labels.z1.real, labels.z1.imag
-    z2r, z2i = labels.z2.real, labels.z2.imag
-    if k == 1:
-        modulus = math.sqrt(a * b / (math.pi * alpha)) * np.exp(
-            -(a * a / (2.0 * alpha)) * np.square(x1 - math.sqrt(2.0 * alpha) * z1r / a)
-            - (b * b / (2.0 * alpha)) * np.square(x2 - math.sqrt(2.0 * alpha) * z2r / b)
-        )
-        wave1 = math.sqrt(2.0 / alpha) * a * z1i
-        wave2 = math.sqrt(2.0 / alpha) * b * z2i
-    else:
-        root = math.sqrt(2.0 * alpha)
-        y1 = ((alpha + 1.0) * z1r + (alpha - 1.0) * z2r) / (a * root)
-        y2 = ((alpha - 1.0) * z1r + (alpha + 1.0) * z2r) / (b * root)
-        modulus = math.sqrt(a * b / math.pi) * np.exp(
-            -((1.0 + alpha * alpha) / (4.0 * alpha)) * a * a * np.square(x1 - y1)
-            - ((1.0 + alpha * alpha) / (4.0 * alpha)) * b * b * np.square(x2 - y2)
-            - ((1.0 - alpha * alpha) / (2.0 * alpha)) * a * b * (x1 - y1) * (x2 - y2)
-        )
-        wave1 = (a / root) * ((1.0 + alpha) * z1i + (1.0 - alpha) * z2i)
-        wave2 = (b / root) * ((1.0 + alpha) * z2i + (1.0 - alpha) * z1i)
-    # the phase is linear in each coordinate, so it factors into one complex
-    # exponential on x1's shape and one on x2's, not one on the broadcast grid
-    value = np.exp(1j * (wave1 * x1 - (z1r * z1i + z2r * z2i))) * np.exp(1j * wave2 * x2)
-    value *= modulus
+    y1, y2 = state.position_center
+    w1, w2 = state.position_wavenumbers
+    value = np.exp(1j * (w1 * x1 + state.phase)) * state.gaussian.evaluate(x1 - y1, x2 - y2)
+    value *= np.exp(1j * w2 * x2)
     return complex(value) if value.ndim == 0 else value
-
-
-def _check_positions(x1, x2) -> tuple[np.ndarray, np.ndarray]:
-    # positions as float arrays, each on its own shape; inf or NaN raises
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    if not (np.isfinite(x1).all() and np.isfinite(x2).all()):
-        raise ValueError("positions x1, x2 must be finite")
-    return x1, x2
 
 
 def _coherent_normalizer(labels: DisplacementLabels) -> float:
@@ -214,10 +256,7 @@ def series_expansion(
     position-space number states, times the coherent normalizer; converges
     pointwise to :func:`wave_function` as ``n_max`` grows.
     """
-    check_mode(k)
-    alpha = check_alpha(alpha, closed=False)
     phi = coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels)
-    x1, x2 = _check_positions(x1, x2)
     f1 = hermite_function_sequence(n_max, x1, geom.a)
     f2 = hermite_function_sequence(n_max, x2, geom.b)
     value = np.einsum("mn,m...,n...->...", phi, f1, f2, optimize=True)
@@ -227,28 +266,13 @@ def series_expansion(
 def shift_params(k: int, alpha: float, geom: OscillatorGeometry, labels: DisplacementLabels) -> ShiftParams:
     """Translation parameters that carry the centered Gaussian onto the state.
 
-    Momentum entries include the factor ``geom.hbar`` so that the
-    translation phase is dimensionless for any unit system.
+    y = frame center and q = hbar frame^-T wavenumbers of :func:`gaussian_state`,
+    so the translation phase is dimensionless for any unit system.
     """
-    check_mode(k)
-    alpha = check_alpha(alpha, closed=True)
-    a, b, hbar = geom.a, geom.b, geom.hbar
-    z1r, z1i = labels.z1.real, labels.z1.imag
-    z2r, z2i = labels.z2.real, labels.z2.imag
-    if k == 1:
-        return ShiftParams(
-            y1=math.sqrt(2.0 * alpha) * z1r / a,
-            y2=math.sqrt(2.0 * alpha) * z2r / b,
-            q1=math.sqrt(2.0 / alpha) * a * hbar * z1i,
-            q2=math.sqrt(2.0 / alpha) * b * hbar * z2i,
-        )
-    root = math.sqrt(2.0 * alpha)
-    return ShiftParams(
-        y1=((alpha + 1.0) * z1r + (alpha - 1.0) * z2r) / (a * root),
-        y2=((alpha - 1.0) * z1r + (alpha + 1.0) * z2r) / (b * root),
-        q1=(a * hbar / root) * ((1.0 + alpha) * z1i + (1.0 - alpha) * z2i),
-        q2=(b * hbar / root) * ((1.0 + alpha) * z2i + (1.0 - alpha) * z1i),
-    )
+    state = gaussian_state(k, alpha, geom, labels)
+    y1, y2 = state.position_center.tolist()
+    q1, q2 = (geom.hbar * state.position_wavenumbers).tolist()
+    return ShiftParams(y1=y1, y2=y2, q1=q1, q2=q2)
 
 
 def heisenberg_weyl_shift(params: ShiftParams, f, x1, x2, hbar: float = 1.0):
@@ -259,8 +283,7 @@ def heisenberg_weyl_shift(params: ShiftParams, f, x1, x2, hbar: float = 1.0):
     unitary and composition obey the Weyl relation (two translations
     compose into their sum times a pure phase).
     """
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1, x2 = _check_positions(x1, x2)
     phase = np.exp(
         (1j / hbar)
         * (params.q1 * x1 + params.q2 * x2 - 0.5 * (params.q1 * params.y1 + params.q2 * params.y2))
@@ -270,27 +293,8 @@ def heisenberg_weyl_shift(params: ShiftParams, f, x1, x2, hbar: float = 1.0):
 
 
 def unshifted_gaussian(k: int, alpha: float, geom: OscillatorGeometry) -> QuadraticGaussian:
-    """Quadratic-form matrix of the centered (labels = 0) wave function.
-
-    k=1 gives diag(a^2, b^2)/alpha; k=2 couples the axes with determinant
-    a^2 b^2 independent of alpha.
-    """
-    check_mode(k)
-    alpha = check_alpha(alpha, closed=True)
-    a, b = geom.a, geom.b
-    if k == 1:
-        m = np.diag([a * a / alpha, b * b / alpha])
-    else:
-        m = (
-            np.array(
-                [
-                    [(1.0 + alpha * alpha) * a * a, (1.0 - alpha * alpha) * a * b],
-                    [(1.0 - alpha * alpha) * a * b, (1.0 + alpha * alpha) * b * b],
-                ]
-            )
-            / (2.0 * alpha)
-        )
-    return QuadraticGaussian(matrix=m)
+    """Centered (labels = 0) Gaussian of the mode-``k`` state, from :func:`gaussian_state`."""
+    return gaussian_state(k, alpha, geom, DisplacementLabels()).gaussian
 
 
 def _sb_mode_exponent(s, w):
@@ -307,11 +311,12 @@ def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
     weight folded into it; Gaussian in (x1, x2) for fixed arguments.
     """
     a, b = geom.a, geom.b
+    x1, x2 = _check_positions(x1, x2)
     w1 = np.asarray(w1, dtype=complex)
     w2 = np.asarray(w2, dtype=complex)
     exponent = (
-        _sb_mode_exponent(a * np.asarray(x1, dtype=float), w1)
-        + _sb_mode_exponent(b * np.asarray(x2, dtype=float), w2)
+        _sb_mode_exponent(a * x1, w1)
+        + _sb_mode_exponent(b * x2, w2)
         - 1.5 * (w1.real**2 + w2.real**2)
         - 0.5 * (w1.imag**2 + w2.imag**2)
     )
@@ -328,8 +333,6 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
     :func:`inverse_segal_bargmann` reproduces :func:`wave_function` up to
     truncation and quadrature error.
     """
-    check_mode(k)
-    alpha = check_alpha(alpha, closed=False)
     phi = coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels)
     root_fact = np.array([math.sqrt(math.factorial(j)) for j in range(n_max + 1)])
     coeffs = phi / np.outer(root_fact, root_fact)

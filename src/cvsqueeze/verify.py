@@ -177,6 +177,27 @@ def _norm_integral(k: int, alpha: float, geom: states.OscillatorGeometry, labels
     return float(np.trapezoid(np.trapezoid(density, x2, axis=1), x1))
 
 
+def _mp_wave_function(x1: float, x2: float, geom, labels, alpha: float) -> complex:
+    # the raw mode-2 closed form at one point of float inputs, in 50 digits,
+    # where its 1/alpha terms cancel without loss
+    import mpmath as mp
+
+    with mp.workdps(50):
+        a, b, al, x1, x2 = (mp.mpf(float(v)) for v in (geom.a, geom.b, alpha, x1, x2))
+        (z1r, z1i), (z2r, z2i) = ((mp.mpf(z.real), mp.mpf(z.imag)) for z in (labels.z1, labels.z2))
+        root = mp.sqrt(2 * al)
+        xi1 = x1 - ((al + 1) * z1r + (al - 1) * z2r) / (a * root)
+        xi2 = x2 - ((al - 1) * z1r + (al + 1) * z2r) / (b * root)
+        exponent = (
+            -(1 + al * al) / (4 * al) * (a * a * xi1**2 + b * b * xi2**2)
+            - (1 - al * al) / (2 * al) * a * b * xi1 * xi2
+            + 1j * a * x1 * ((1 + al) * z1i + (1 - al) * z2i) / root
+            + 1j * b * x2 * ((1 + al) * z2i + (1 - al) * z1i) / root
+            - 1j * (z1r * z1i + z2r * z2i)
+        )
+        return complex(mp.sqrt(a * b / mp.pi) * mp.exp(exponent))
+
+
 def states_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
     label_grid = [
@@ -224,6 +245,20 @@ def states_suite() -> list[CheckResult]:
         )
     checks.append(_check("series expansion sup-norm at order 50", worst_final, 1e-7))
     checks.append(_check("series expansion sup-norm monotone decrease", monotone_violation, 0.0))
+
+    # strong squeezing at alpha 1e-8, against 50 digits: 9 points within one
+    # spread of the center along each principal axis, where the slope of the
+    # state, which carries the rounding of x, is largest
+    geom = states.OscillatorGeometry(0.8, 1.3)
+    labels = states.DisplacementLabels(0.3 + 0.2j, -0.1 + 0.4j)
+    state = states.gaussian_state(2, 1e-8, geom, labels)
+    spreads = 1.0 / np.sqrt(2.0 * np.array(state.gaussian.curvatures))
+    u = spreads[:, None] * np.stack(np.meshgrid(*2 * [np.linspace(-1.0, 1.0, 3)])).reshape(2, -1)
+    x1, x2 = state.position_center[:, None] + state.gaussian.frame @ u
+    reference = np.array([_mp_wave_function(p, q, geom, labels, 1e-8) for p, q in zip(x1, x2)])
+    error = np.abs(states.wave_function(2, x1, x2, geom, labels, 1e-8) - reference).max()
+    error /= np.abs(reference).max()
+    checks.append(_check("wave function at alpha 1e-8 vs 50 digits, over peak", error, 1e-8))
 
     # factorizability: mixed second difference of log |psi|; exact for the
     # quadratic log-modulus, so the step can stay large
@@ -281,8 +316,6 @@ def phase_space_suite() -> list[CheckResult]:
             1e-14,
         )
     )
-    # the rounding already present in the quadratic-form entries limits any
-    # inversion route to cond * eps, so strong squeezing gets a looser bound
     checks.append(
         _check(
             "covariance dual-path agreement, strong squeezing",
@@ -394,18 +427,15 @@ def model_suite() -> list[CheckResult]:
     checks.append(_check("no-squeezing limit monotone approach", max(0.0, -monotone), 0.0))
 
     worst = 0.0
+    # [X (x) 1 + 1 (x) Y, X' (x) 1 + 1 (x) Y'] = [X, X'] (x) 1 + 1 (x) [Y, Y'] in band form
+    identity, zero = model._kron_operator([(np.eye(14), np.eye(14))]), model.TruncatedOperator({}, 14)
     for alpha in (0.25, 0.6):
-        c1, c1_dag, c2, c2_dag = model.transformed_ladder_matrices(alpha, 0.3 + 0.1j, -0.2j, 14)
-        eye = np.eye((14 - 2) ** 2)
-        pairs = [
-            (c1.matrix @ c1_dag.matrix - c1_dag.matrix @ c1.matrix, eye),
-            (c2.matrix @ c2_dag.matrix - c2_dag.matrix @ c2.matrix, eye),
-            (c1.matrix @ c2.matrix - c2.matrix @ c1.matrix, 0.0 * eye),
-            (c1.matrix @ c2_dag.matrix - c2_dag.matrix @ c1.matrix, 0.0 * eye),
-        ]
-        for commutator, expected in pairs:
-            interior = model.TruncatedOperator.from_matrix(commutator, 14).interior()
-            worst = max(worst, float(np.abs(interior - expected).max()))
+        c1, c1_dag, c2, c2_dag = model._ladder_terms(alpha, 0.3 + 0.1j, -0.2j, 14)
+        for ((x, eye), (_, y)), ((x_other, _), (_, y_other)), expected in [
+            (c1, c1_dag, identity), (c2, c2_dag, identity), (c1, c2, zero), (c1, c2_dag, zero)
+        ]:
+            terms = [(x @ x_other - x_other @ x, eye), (eye, y @ y_other - y_other @ y)]
+            worst = max(worst, model._kron_operator(terms).interior_gap(expected))
     checks.append(_check("canonical commutators on the interior block", worst, 1e-12))
 
     geom = states.OscillatorGeometry(1.0, 1.2)

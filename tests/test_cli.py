@@ -131,6 +131,21 @@ class TestWigner:
         assert "# fixed_x1 = 0.5" in out
         assert "# fixed_x2 = 0" in out
 
+    @pytest.mark.parametrize("a, b", [("1", "1"), ("0.8", "1.3")])
+    def test_strong_squeezing_exit_0(self, a, b, capsys):
+        # at alpha 1e-8 the raw quadratic form failed its positive-definite
+        # check on geometry (0.8, 1.3) and lost digits on (1, 1)
+        code, out, err = run(
+            ["wigner", "--alpha=1e-8", f"--a={a}", f"--b={b}", "--n1=5", "--n2=5",
+             "--range1=-2e-4:2e-4", "--range2=-2e-4:2e-4"],
+            capsys,
+        )
+        assert code == 0, err
+        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+        values = {(float(r[0]), float(r[1])): float(r[2]) for r in rows}
+        assert values[0.0, 0.0] == pytest.approx(math.pi**-2, rel=1e-15)
+        assert all(0.0 <= value <= math.pi**-2 for value in values.values())
+
     def test_rejects_bad_axes(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["wigner", "--alpha", "0.5", "--axes", "x1,q9"])
@@ -212,8 +227,9 @@ class TestHamiltonianCommand:
         assert ground["factorization_defect"] <= 1e-6
 
     def test_lost_digits_exit_1(self, capsys):
-        # at alpha 1e-8 the closed form in raw coordinates is no longer a
-        # product on the principal axes, and the check says so
+        # at alpha 1e-8 the state keeps its digits on the principal axes,
+        # but the raw (Q, L, c) loses them, so the energy is off and the
+        # check says so
         code, out, _ = run(
             ["hamiltonian", "--alpha=1e-8", "--omega1=0.7", "--omega2=1.9",
              "--z1=0.4+0.3j", "--z2=-0.2+0.5j", "--trunc=12"],
@@ -222,7 +238,8 @@ class TestHamiltonianCommand:
         ground = json.loads(out)["ground_state"]
         assert code == 1
         assert not ground["within_tolerance"]
-        assert ground["factorization_defect"] > 1e-6
+        assert ground["factorization_defect"] <= 1e-7
+        assert abs(ground["energy"] - ground["expected"]) > 1e-6 * ground["expected"]
 
     def test_factorization_defect_gates_the_exit(self, capsys, monkeypatch):
         # a correct energy does not pass when the state is not a product

@@ -189,6 +189,13 @@ class TestOrthogonality:
         value = hermite.orthogonality_integral(4, 4, 0.7)
         assert value.real == pytest.approx(hermite.orthogonality_rhs(4, 4, 0.7), rel=1e-10)
 
+    def test_diagonal_near_no_squeezing(self):
+        # the y-axis weight (1 - alpha) / alpha; written 1 / alpha - 1 it
+        # cancelled to 3.3e-7 relative error at alpha 1 - 1e-9
+        alpha = 1.0 - 1e-9
+        value = hermite.orthogonality_integral(5, 5, alpha)
+        assert value.real == pytest.approx(hermite.orthogonality_rhs(5, 5, alpha), rel=1e-14)
+
     def test_off_diagonal_vanishes(self):
         value = hermite.orthogonality_integral(2, 3, 0.3)
         scale = hermite.orthogonality_rhs(3, 3, 0.3)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.ndimage import correlate1d
 
 import cvsqueeze
-from cvsqueeze import model, states
+from cvsqueeze import model, phase_space, states
 from cvsqueeze.model import _D1_STENCIL, _D2_STENCIL, _factored_action, _stencil_1d
 
 GEOM = states.OscillatorGeometry(a=1.0, b=1.2)
@@ -112,10 +112,12 @@ class TestTransformedLadders:
     def test_canonical_commutators_on_interior(self):
         n_trunc = 16
         c1, c1_dag, c2, c2_dag = model.transformed_ladder_matrices(0.5, 0.3 + 0.1j, -0.2j, n_trunc)
-        eye = np.eye((n_trunc - 2) ** 2)
+        keep = n_trunc - 2
+        eye = np.eye(keep**2)
 
         def interior(matrix):
-            return model.TruncatedOperator.from_matrix(matrix, n_trunc).interior()
+            block = matrix.reshape(n_trunc, n_trunc, n_trunc, n_trunc)[:keep, :keep, :keep, :keep]
+            return block.reshape(keep**2, keep**2)
 
         assert np.abs(interior(c1.matrix @ c1_dag.matrix - c1_dag.matrix @ c1.matrix) - eye).max() < 1e-12
         assert np.abs(interior(c2.matrix @ c2_dag.matrix - c2_dag.matrix @ c2.matrix) - eye).max() < 1e-12
@@ -282,12 +284,19 @@ class TestSlabChecks:
 
     @pytest.mark.parametrize("n_trunc", [5, 8, 11])
     def test_match_whole_matrix_formulas(self, n_trunc):
+        # every band of the product basis filled, i.e. a dense random operator
         rng = np.random.default_rng(n_trunc)
-        shape = (n_trunc**2, n_trunc**2)
-        first, second = (
-            model.TruncatedOperator.from_matrix(rng.normal(size=shape) + 1j * rng.normal(size=shape), n_trunc)
-            for _ in range(2)
-        )
+        offsets = range(1 - n_trunc, n_trunc)
+
+        def random_operator():
+            bands = {}
+            for d1 in offsets:
+                for d2 in offsets:
+                    shape = (n_trunc - abs(d1), n_trunc - abs(d2))
+                    bands[d1, d2] = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            return model.TruncatedOperator(bands, n_trunc)
+
+        first, second = random_operator(), random_operator()
         for pad in (1, 2, 4):
             whole = np.abs(first.interior(pad) - second.interior(pad)).max()
             assert first.interior_gap(second, pad) == whole
@@ -295,19 +304,19 @@ class TestSlabChecks:
 
     def test_interior_selects_low_levels(self):
         n_trunc, pad = 6, 2
-        matrix = np.arange(n_trunc**4, dtype=complex).reshape(n_trunc**2, n_trunc**2)
+        rng = np.random.default_rng(6)
+        op = model._kron_operator(_random_terms(rng, 3, n_trunc, np.arange(-2, 3)))
         keep = [m * n_trunc + n for m in range(n_trunc - pad) for n in range(n_trunc - pad)]
-        np.testing.assert_array_equal(
-            model.TruncatedOperator.from_matrix(matrix, n_trunc).interior(pad), matrix[np.ix_(keep, keep)]
-        )
+        np.testing.assert_array_equal(op.interior(pad), op.matrix[np.ix_(keep, keep)])
 
     def test_nan_reaches_result(self):
         ham = model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 8)
-        broken = ham.matrix.copy()
-        broken[-3, -4] = np.nan
-        corrupt = model.TruncatedOperator.from_matrix(broken, 8)
+        bands = {offsets: band.copy() for offsets, band in ham.bands.items()}
+        corrupt = model.TruncatedOperator(bands, 8)
+        bands[0, -1][7, 4] = np.nan  # <7, 5| H |7, 4>, outside the interior
         assert math.isnan(corrupt.hermiticity_defect())
-        broken[3 * 8 + 2, 2 * 8 + 4] = np.nan  # interior, outside the first slab
+        assert not math.isnan(corrupt.interior_gap(ham))
+        bands[1, 1][2, 2] = np.nan  # <2, 2| H |3, 3>, inside the interior
         assert math.isnan(corrupt.interior_gap(ham))
 
     def test_cli_peak_memory(self, tmp_path):
@@ -591,33 +600,31 @@ class TestGroundStateCheck:
             model.ground_state_energy_check(0.5, SPEC, GEOM, box_sigmas=box_sigmas)
 
     def test_frame_diagonalizes_the_state_matrix(self):
+        # the record's frame against M read off the raw covariance transcription
         alpha = 0.3
-        shifts = states.shift_params(2, alpha, GEOM, states.DisplacementLabels())
-        frame, _, _ = model._principal_axis_grid(alpha, GEOM, shifts, 81, 8.0)
-        m = states.unshifted_gaussian(2, alpha, GEOM).matrix
+        frame = states.gaussian_state(2, alpha, GEOM, states.DisplacementLabels()).gaussian.frame
+        m = 2.0 * phase_space.covariance(2, alpha, GEOM).sigma[2:, 2:] / GEOM.hbar**2
         np.testing.assert_allclose(frame.T @ m @ frame, np.diag([1 / alpha, alpha]), atol=1e-14)
 
-    def test_defect_flags_lost_digits(self):
-        # at alpha 1e-8 the raw-coordinate closed form loses its digits;
-        # the product check must say so rather than pass a wrong energy
+    def test_defect_small_at_strong_squeezing(self):
+        # at alpha 1e-8 the raw-coordinate closed form lost its digits (a
+        # defect of 0.33); read off the principal frame it keeps them
         result = model.ground_state_energy_check(1e-8, SPEC, GEOM, 0.3 + 0.1j, -0.2 + 0.4j)
-        assert result.factorization_defect > 1e-6
+        assert result.factorization_defect <= 1e-7
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["anti-diagonal", "diagonal"])
     def test_defect_reads_both_diagonals(self, sign, monkeypatch):
         # a deviation from the product form that vanishes on both axis lines
         # and on one of the two diagonals still shows in the defect
         alpha = 0.3
-        shifts = states.shift_params(2, alpha, GEOM, states.DisplacementLabels())
-        frame, _, _ = model._principal_axis_grid(alpha, GEOM, shifts, 81, 8.0)
-        inverse = np.linalg.inv(frame)
+        inverse = states.gaussian_state(2, alpha, GEOM, states.DisplacementLabels()).gaussian.inverse
         spreads = (math.sqrt(alpha / 2), 1 / math.sqrt(2 * alpha))
         exact = states.wave_function
 
         def perturbed(k, x1, x2, geom, labels, alpha):
             # axis coordinates in spreads: u = w on the grid's diagonal, u = -w
-            # on its anti-diagonal
-            xi = (np.asarray(x1) - shifts.y1, np.asarray(x2) - shifts.y2)
+            # on its anti-diagonal; the labels are zero, so the center is too
+            xi = (np.asarray(x1), np.asarray(x2))
             u = (inverse[0, 0] * xi[0] + inverse[0, 1] * xi[1]) / spreads[0]
             w = (inverse[1, 0] * xi[0] + inverse[1, 1] * xi[1]) / spreads[1]
             return exact(k, x1, x2, geom, labels, alpha) * (1 + 1e-6 * u * w * (u - sign * w))
@@ -647,19 +654,17 @@ def _correlate(values, weights, axis, spacing, order):
 
 
 def _dense_ground_check(alpha, spec, geom, z1, z2, grid_points):
-    # f (x) g materialized on the principal-axis grid and (Q, L, c) applied
-    # node by node, the derivatives in (s, t) taken by scipy
-    labels = states.DisplacementLabels(z1, z2)
-    shifts = states.shift_params(2, alpha, geom, labels)
-    frame, s_axis, t_axis = model._principal_axis_grid(alpha, geom, shifts, grid_points, 8.0)
-
-    def position(s, t):
-        return shifts.y1 + frame[0, 0] * s + frame[0, 1] * t, shifts.y2 + frame[1, 0] * s + frame[1, 1] * t
-
-    def psi_at(s, t):
-        return np.asarray(states.wave_function(2, *position(s, t), geom, labels, alpha))
-
-    psi = np.outer(psi_at(s_axis, 0.0), psi_at(0.0, t_axis)) / psi_at(0.0, 0.0)
+    # the state materialized on the principal-axis grid from its record, in
+    # one complex exponential per node, and (Q, L, c) applied node by node,
+    # the derivatives in (s, t) taken by scipy
+    state = states.gaussian_state(2, alpha, geom, states.DisplacementLabels(z1, z2))
+    frame, y = state.gaussian.frame, state.position_center
+    s_axis, t_axis = model._principal_axis_grid(state, grid_points, 8.0)
+    (kappa_s, kappa_t), (k_s, k_t), (c_s, c_t) = state.gaussian.curvatures, state.wavenumbers, state.center
+    s, t = s_axis[:, None], t_axis[None, :]
+    psi = state.gaussian.norm_prefactor * np.exp(
+        -0.5 * (kappa_s * s**2 + kappa_t * t**2) + 1j * (k_s * (c_s + s) + k_t * (c_t + t) + state.phase)
+    )
     h = (s_axis[1] - s_axis[0], t_axis[1] - t_axis[0])
     grad = [_correlate(psi, _D1_STENCIL, axis, h[axis], 1) for axis in (0, 1)]
     mixed = _correlate(grad[0], _D1_STENCIL, 1, h[1], 1)
@@ -674,9 +679,7 @@ def _dense_ground_check(alpha, spec, geom, z1, z2, grid_points):
     inv = np.linalg.inv(frame)
     kinetic = inv @ q[2:, 2:] @ inv.T
     frame_q = frame.T @ q[:2, :2] @ frame
-    y = np.array([shifts.y1, shifts.y2])
     slope = frame.T @ (q[:2, :2] @ y + lin[:2])
-    s, t = s_axis[:, None], t_axis[None, :]
     potential = (
         0.5 * y @ q[:2, :2] @ y + lin[:2] @ y + ham.constant
         + slope[0] * s + slope[1] * t

@@ -55,6 +55,40 @@ class TestWignerGaussian:
                 scale = np.abs(direct.sigma).max()
                 assert np.abs(direct.sigma - built.sigma).max() <= 1e-13 * scale
 
+    @pytest.mark.parametrize("sides", [(1.0, 1.0), (0.8, 1.3)])
+    def test_evaluator_strong_squeezing(self, sides):
+        # alpha 1e-8 on bulk points of both principal axes in position and
+        # in momentum, against the principal form in 50 digits: u = F^-1 x,
+        # v = F^T p, W = (pi hbar)^-2 exp(-sum kappa u^2 - sum v^2 / (kappa hbar^2))
+        import mpmath as mp
+
+        alpha, hbar = 1e-8, 0.7
+        a, b = sides
+        gaussian = states.unshifted_gaussian(2, alpha, states.OscillatorGeometry(a, b, hbar))
+        _, evaluator = phase_space.wigner_gaussian(gaussian, hbar)
+        frame = np.array([[1 / a, 1 / a], [1 / b, -1 / b]]) / math.sqrt(2.0)
+        steps = np.linspace(-1.5, 1.5, 4)
+        # position spreads 1/sqrt(2 kappa), momentum spreads hbar sqrt(kappa / 2)
+        u = np.stack(np.meshgrid(math.sqrt(alpha / 2) * steps, steps / math.sqrt(2 * alpha)), -1).reshape(-1, 2)
+        v = np.stack(np.meshgrid(hbar * steps / math.sqrt(2 * alpha), hbar * math.sqrt(alpha / 2) * steps), -1)
+        x = u @ frame.T
+        p = v.reshape(-1, 2) @ np.linalg.inv(frame)
+        got = evaluator(x[:, 0, None], x[:, 1, None], p[None, :, 0], p[None, :, 1])
+        with mp.workdps(50):
+            al, ma, mb, mh = mp.mpf(alpha), mp.mpf(a), mp.mpf(b), mp.mpf(hbar)
+            root = mp.sqrt(2)
+
+            def reference(x1, x2, p1, p2):
+                x1, x2, p1, p2 = (mp.mpf(float(c)) for c in (x1, x2, p1, p2))
+                s, t = (ma * x1 + mb * x2) / root, (ma * x1 - mb * x2) / root
+                ps, pt = (p1 / ma + p2 / mb) / root, (p1 / ma - p2 / mb) / root
+                exponent = s * s / al + al * t * t + (al * ps * ps + pt * pt / al) / mh**2
+                return float(mp.exp(-exponent) / (mp.pi * mh) ** 2)
+
+            expected = np.array([[reference(*xi, *pj) for pj in p] for xi in x])
+        peak = (math.pi * hbar) ** -2
+        assert np.abs(got - expected).max() <= 1e-8 * peak
+
     def test_pure_state_spectrum(self):
         for k in (1, 2):
             spectrum = phase_space.symplectic_spectrum(phase_space.covariance(k, 0.35, GEOM))

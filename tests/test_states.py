@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvsqueeze import basis, states, verify
 from cvsqueeze.quadrature import ConvergenceError, gauss_hermite
@@ -69,6 +71,16 @@ def mp_wave_function(k, x1, x2, geom, labels, alpha):
             + 1j * (b * x2 / root) * ((1 + al) * z2i + (1 - al) * z1i)
         )
         return complex(mp.sqrt(a * b / mp.pi) * mp.exp(exponent))
+
+
+def principal_bulk(k, alpha, geom, labels, steps):
+    """Positions y + frame (s, t) on a grid of ``steps`` spreads along each principal axis."""
+    state = states.gaussian_state(k, alpha, geom, labels)
+    spreads = 1.0 / np.sqrt(2.0 * np.array(state.gaussian.curvatures))
+    s, t = spreads[0] * steps[:, None], spreads[1] * steps[None, :]
+    (f00, f01), (f10, f11) = state.gaussian.frame
+    y1, y2 = state.position_center
+    return y1 + f00 * s + f01 * t, y2 + f10 * s + f11 * t
 
 
 class TestClosedForms:
@@ -152,27 +164,55 @@ class TestFactoredWaveFunction:
     @pytest.mark.parametrize("k", [1, 2])
     def test_strong_squeezing_no_less_accurate(self, k, alpha):
         # points within two position spreads of the center along the narrow
-        # and the wide axis; the rounding of the raw-coordinate modulus,
-        # shared by both forms, sets the error (2e-9 at 1e-4 for k = 2)
+        # and the wide axis
         geom = states.OscillatorGeometry(0.8, 1.3)
         labels = states.DisplacementLabels(0.3 + 0.2j, -0.1 + 0.4j)
-        shift = states.shift_params(k, alpha, geom, labels)
-        steps = np.linspace(-2.0, 2.0, 5)
-        if k == 1:
-            spread = math.sqrt(alpha / 2.0)
-            s, t = spread * steps[:, None], spread * steps[None, :]
-            x1 = shift.y1 + s / geom.a + 0.0 * t
-            x2 = shift.y2 + t / geom.b + 0.0 * s
-        else:
-            s = math.sqrt(alpha / 2.0) * steps[:, None]
-            t = steps[None, :] / math.sqrt(2.0 * alpha)
-            x1 = shift.y1 + (s + t) / (math.sqrt(2.0) * geom.a)
-            x2 = shift.y2 + (s - t) / (math.sqrt(2.0) * geom.b)
+        x1, x2 = principal_bulk(k, alpha, geom, labels, np.linspace(-2.0, 2.0, 5))
         reference = np.vectorize(lambda p, q: mp_wave_function(k, p, q, geom, labels, alpha))(x1, x2)
         scale = np.abs(reference).max()
         factored = np.abs(states.wave_function(k, x1, x2, geom, labels, alpha) - reference).max()
         direct = np.abs(direct_wave_function(k, x1, x2, geom, labels, alpha) - reference).max()
         assert factored / scale <= direct / scale + 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("alpha, bound", [(1e-4, 1e-12), (1e-8, 1e-8)])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_strong_squeezing_against_50_digits(self, k, alpha, bound):
+        # the raw transcription loses 0.2 of the peak at 1e-8; on the
+        # principal axes the rounding of the inputs' magnitude, about
+        # eps / alpha, is what remains
+        geom = states.OscillatorGeometry(0.8, 1.3)
+        labels = states.DisplacementLabels(0.3 + 0.2j, -0.1 + 0.4j)
+        x1, x2 = principal_bulk(k, alpha, geom, labels, np.linspace(-2.0, 2.0, 5))
+        reference = np.vectorize(lambda p, q: mp_wave_function(k, p, q, geom, labels, alpha))(x1, x2)
+        error = np.abs(states.wave_function(k, x1, x2, geom, labels, alpha) - reference).max()
+        assert error <= bound * np.abs(reference).max()
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        k=st.sampled_from([1, 2]),
+        log_alpha=st.floats(-8.0, 0.0),
+        sides=st.sampled_from([(1.0, 1.0), (0.8, 1.3), (1.7, 0.6)]),
+        hbar=st.sampled_from([0.5, 1.0, 2.0]),
+        parts=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+    )
+    def test_matches_translation_route(self, k, log_alpha, sides, hbar, parts):
+        # the closed form against heisenberg_weyl_shift of the centered
+        # Gaussian: the moduli are the same Gaussian at x - y, so the two
+        # differ by the rounding of their phases, a few eps times the
+        # largest phase term |q . x| / hbar, which grows like 1 / alpha
+        alpha = 10.0**log_alpha
+        geom = states.OscillatorGeometry(*sides, hbar=hbar)
+        labels = states.DisplacementLabels(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
+        x1, x2 = principal_bulk(k, alpha, geom, labels, np.linspace(-2.0, 2.0, 5))
+        shift = states.shift_params(k, alpha, geom, labels)
+        rebuilt = states.heisenberg_weyl_shift(shift, states.unshifted_gaussian(k, alpha, geom), x1, x2, hbar)
+        direct = states.wave_function(k, x1, x2, geom, labels, alpha)
+        phase_size = (
+            np.abs(shift.q1 * x1) + np.abs(shift.q2 * x2) + abs(shift.q1 * shift.y1) + abs(shift.q2 * shift.y2)
+        ) / hbar
+        peak = states.unshifted_gaussian(k, alpha, geom).norm_prefactor
+        bound = 8 * np.finfo(float).eps * (1.0 + phase_size.max()) * peak
+        assert np.abs(direct - rebuilt).max() <= bound
 
 
 class TestInputDomain:
@@ -199,6 +239,26 @@ class TestInputDomain:
             call(bad, 0.2)
         with pytest.raises(ValueError, match="finite"):
             call(np.array([0.1, 0.3]), np.array([[0.2], [bad]]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda x: states.heisenberg_weyl_shift(
+                states.ShiftParams(0.1, 0.2, 0.3, 0.4), states.unshifted_gaussian(2, 0.5, GEOM), x, 0.2
+            ),
+            lambda x: states.segal_bargmann_kernel(x, 0.2, 0.3 + 0.1j, -0.2j, GEOM),
+            lambda x: states.fock_position_basis(2, 1, x, 0.2, GEOM),
+            lambda x: states.hermite_function_sequence(3, x, 1.0),
+        ],
+        ids=["heisenberg_weyl_shift", "segal_bargmann_kernel", "fock_position_basis", "hermite_function_sequence"],
+    )
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_position_raises(self, call, bad):
+        # each used to return NaN: nan+nanj, nan+nanj, nan and [0, nan, nan, nan]
+        with pytest.raises(ValueError, match="finite"):
+            call(bad)
+        with pytest.raises(ValueError, match="finite"):
+            call(np.array([0.1, bad]))
 
     @pytest.mark.parametrize(
         "call",
@@ -362,8 +422,36 @@ class TestUnshiftedGaussian:
         assert total == pytest.approx(1.0, abs=1e-12)
 
     def test_rejects_non_positive_definite(self):
-        with pytest.raises(ValueError):
-            states.QuadraticGaussian(matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        # positive definiteness follows from finite positive curvatures and
+        # a finite nonsingular frame, and nothing else is admitted
+        frame = np.array([[1.0, 1.0], [1.0, -1.0]])
+        for curvatures in [(1.0, 0.0), (-1.0, 2.0), (math.inf, 1.0), (1.0, math.nan)]:
+            with pytest.raises(ValueError, match="curvatures"):
+                states.QuadraticGaussian(frame, curvatures)
+        for bad in [np.array([[1.0, 2.0], [2.0, 4.0]]), np.array([[math.inf, 0.0], [0.0, 1.0]]), np.eye(3)]:
+            with pytest.raises(ValueError, match="frame"):
+                states.QuadraticGaussian(bad, (1.0, 1.0))
+
+    def test_matrix_is_derived(self):
+        g = states.unshifted_gaussian(2, 0.3, GEOM)
+        frame, kappa = g.frame, np.array(g.curvatures)
+        np.testing.assert_allclose(frame.T @ g.matrix @ frame, np.diag(kappa), rtol=1e-14, atol=1e-14)
+        with pytest.raises(AttributeError):
+            g.matrix = np.eye(2)
+
+    def test_strong_squeezing_constructs(self):
+        # the raw matrix failed its eigenvalue check here
+        g = states.unshifted_gaussian(2, 1e-8, states.OscillatorGeometry(0.8, 1.3))
+        assert g.curvatures == (1e8, 1e-8)
+        assert np.isfinite(g.evaluate(0.0, 0.0))
+
+    @pytest.mark.parametrize("sides", [(1.0, 1.0), (0.8, 1.3)])
+    def test_mode2_norm_prefactor_exact(self, sides):
+        # det M = a^2 b^2 at every alpha; np.linalg.det of the raw matrix
+        # gave 0.56370 against 0.56419 at alpha 1e-7 on (1, 1)
+        a, b = sides
+        g = states.unshifted_gaussian(2, 1e-7, states.OscillatorGeometry(a, b))
+        assert g.norm_prefactor == pytest.approx(math.sqrt(a * b / math.pi), rel=1e-15, abs=0.0)
 
 
 class TestSegalBargmannKernel:
