@@ -168,10 +168,12 @@ def _polynomial_2v_table(m_max: int, n_max: int, alpha: float, z1: np.ndarray, z
     g[0, 0] = 1.0
     for n in range(n_max):
         g[0, n + 1] = w2 * g[0, n] / math.sqrt(n + 1)
+    # row m + 1 needs only row m, so each row is one array expression over
+    # n >= 1, with the loop's operation order: (beta sqrt(n)) g[m, n - 1]
+    coupling = (beta * np.sqrt(np.arange(1.0, n_max + 1))).reshape((n_max,) + (1,) * z1.ndim)
     for m in range(m_max):
         g[m + 1, 0] = w1 * g[m, 0] / math.sqrt(m + 1)
-        for n in range(1, n_max + 1):
-            g[m + 1, n] = (w1 * g[m, n] - beta * math.sqrt(n) * g[m, n - 1]) / math.sqrt(m + 1)
+        g[m + 1, 1:] = (w1 * g[m, 1:] - coupling * g[m, :-1]) / math.sqrt(m + 1)
     return g
 
 

@@ -90,10 +90,11 @@ def hermite_complex_2v_table(m_max: int, n_max: int, z1: complex, z2: complex) -
     table[0, 0] = 1.0
     for n in range(n_max):
         table[0, n + 1] = z2 * table[0, n]
+    # row m + 1 needs only row m: one array expression per row over n >= 1
+    n_axis = np.arange(1.0, n_max + 1)
     for m in range(m_max):
         table[m + 1, 0] = z1 * table[m, 0]
-        for n in range(1, n_max + 1):
-            table[m + 1, n] = z1 * table[m, n] - n * table[m, n - 1]
+        table[m + 1, 1:] = z1 * table[m, 1:] - n_axis * table[m, :-1]
     return table
 
 

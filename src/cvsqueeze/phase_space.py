@@ -61,10 +61,12 @@ class CovarianceMatrix:
         sigma = np.asarray(self.sigma, dtype=float)
         if sigma.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {sigma.shape}")
-        if not np.allclose(sigma, sigma.T, rtol=0.0, atol=1e-12 * max(1.0, abs(sigma).max())):
+        if not np.isfinite(sigma).all():
+            raise ValueError(f"covariance matrix entries must be finite, got {sigma.tolist()}")
+        if not 0.0 < self.hbar < math.inf:
+            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        if np.abs(sigma - sigma.T).max() > 1e-12 * max(1.0, np.abs(sigma).max()):
             raise ValueError("covariance matrix must be symmetric")
-        if not self.hbar > 0.0:
-            raise ValueError(f"hbar must be positive, got {self.hbar}")
         object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
 
 
@@ -243,9 +245,10 @@ def symplectic_spectrum(cov: CovarianceMatrix, pair_rtol: float = 1e-10) -> Symp
             f"expected 2 positive-imaginary eigenvalues, found {positive.size}"
         )
     # cross-check against -(J Sigma)^2, whose spectrum is {lambda^2}, doubled
+    # (allclose's own test, written out: a NaN still fails it)
     squares = np.sort(np.linalg.eigvals(-product @ product).real)
     expected = np.repeat(positive**2, 2)
-    if not np.allclose(np.sort(squares), np.sort(expected), rtol=1e-12, atol=1e-12 * scale**2):
+    if not (np.abs(squares - expected) <= 1e-12 * scale**2 + 1e-12 * np.abs(expected)).all():
         raise SpectrumPairingError("square-root-free route disagrees with the paired spectrum")
     return SymplecticSpectrum(values=(float(positive[0]), float(positive[1])))
 

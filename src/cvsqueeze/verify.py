@@ -164,17 +164,26 @@ def basis_suite() -> list[CheckResult]:
     return checks
 
 
-def _norm_integral(k: int, alpha: float, geom: states.OscillatorGeometry, labels) -> float:
-    # trapezoid-rule L2 norm over 10 spreads on a 401^2 grid, spectrally
-    # accurate for the decaying Gaussians; the tests share this oracle
+def _norm_integral(k: int, alpha: float, geom: states.OscillatorGeometry, labels) -> tuple[float, float]:
+    # trapezoid-rule L2 norm over 10 spreads on a 201^2 grid, spectrally
+    # accurate for the decaying Gaussians, and the same rule on its
+    # every-other-point 101^2 subgrid: the two agree only when the coarser
+    # grid has converged too.  Returns (norm, half-grid norm); the tests
+    # share this oracle.  The steps come from the centred offsets, since
+    # x[1] - x[0] would round at the magnitude of the center.
     shifts = states.shift_params(k, alpha, geom, labels)
-    spread1 = math.sqrt(max(alpha, (1.0 + alpha**2) / (4.0 * alpha))) / geom.a
-    spread2 = math.sqrt(max(alpha, (1.0 + alpha**2) / (4.0 * alpha))) / geom.b
-    x1 = shifts.y1 + np.linspace(-10.0 * spread1, 10.0 * spread1, 401)
-    x2 = shifts.y2 + np.linspace(-10.0 * spread2, 10.0 * spread2, 401)
-    values = states.wave_function(k, x1[:, None], x2[None, :], geom, labels, alpha)
+    spread = math.sqrt(max(alpha, (1.0 + alpha**2) / (4.0 * alpha)))
+    spread1, spread2 = spread / geom.a, spread / geom.b
+    offsets, step = np.linspace(-10.0, 10.0, 201, retstep=True)
+    step1, step2 = spread1 * step, spread2 * step
+    values = states.wave_function(
+        k, shifts.y1 + spread1 * offsets[:, None], shifts.y2 + spread2 * offsets[None, :],
+        geom, labels, alpha,
+    )
     density = np.abs(values) ** 2
-    return float(np.trapezoid(np.trapezoid(density, x2, axis=1), x1))
+    norm = np.trapezoid(np.trapezoid(density, dx=step2, axis=1), dx=step1)
+    half = np.trapezoid(np.trapezoid(density[::2, ::2], dx=2.0 * step2, axis=1), dx=2.0 * step1)
+    return float(norm), float(half)
 
 
 def _mp_wave_function(x1: float, x2: float, geom, labels, alpha: float) -> complex:
@@ -205,14 +214,22 @@ def states_suite() -> list[CheckResult]:
         states.DisplacementLabels(0.4 + 0.3j, -0.2 + 0.5j),
         states.DisplacementLabels(-0.6 + 0.1j, 0.3 - 0.4j),
     ]
-    worst = 0.0
-    for k in (1, 2):
-        for alpha in (0.2, 0.5, 0.8):
-            for (a, b) in [(1.0, 1.0), (1.0, 2.0)]:
-                geom = states.OscillatorGeometry(a=a, b=b)
-                for labels in label_grid:
-                    worst = max(worst, abs(_norm_integral(k, alpha, geom, labels) - 1.0))
-    checks.append(_check("wave-function normalization", worst, 1e-9))
+    norms = np.array([
+        _norm_integral(k, alpha, states.OscillatorGeometry(a=a, b=b), labels)
+        for k in (1, 2)
+        for alpha in (0.2, 0.5, 0.8)
+        for (a, b) in [(1.0, 1.0), (1.0, 2.0)]
+        for labels in label_grid
+    ])
+    # np.max rather than max(): a NaN must reach the check
+    checks.append(_check("wave-function normalization", np.max(np.abs(norms[:, 0] - 1.0)), 1e-9))
+    checks.append(
+        _check(
+            "wave-function normalization, grid-halving delta",
+            np.max(np.abs(norms[:, 0] - norms[:, 1])),
+            1e-12,
+        )
+    )
 
     geom = states.OscillatorGeometry(a=1.0, b=1.4)
     labels = states.DisplacementLabels(0.5 - 0.3j, -0.4 + 0.6j)

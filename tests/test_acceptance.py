@@ -126,13 +126,16 @@ def test_criterion_6_wave_function_consistency():
         closed = states.wave_function(k, grid[:, None], grid[None, :], geom, labels, 0.5)
         tolerances.append(("series sup-norm", float(np.abs(series - closed).max()), 1e-7))
 
-    worst_norm = 0.0
-    for k in (1, 2):
-        for alpha in (0.2, 0.5, 0.8):
-            for (a, b) in [(1.0, 1.0), (1.0, 2.0)]:
-                g = states.OscillatorGeometry(a=a, b=b)
-                worst_norm = max(worst_norm, abs(verify._norm_integral(k, alpha, g, labels) - 1.0))
-    tolerances.append(("normalization", worst_norm, 1e-9))
+    norms = np.array([
+        verify._norm_integral(k, alpha, states.OscillatorGeometry(a=a, b=b), labels)
+        for k in (1, 2)
+        for alpha in (0.2, 0.5, 0.8)
+        for (a, b) in [(1.0, 1.0), (1.0, 2.0)]
+    ])
+    tolerances.append(("normalization", float(np.max(np.abs(norms[:, 0] - 1.0))), 1e-9))
+    tolerances.append(
+        ("normalization grid-halving delta", float(np.max(np.abs(norms[:, 0] - norms[:, 1]))), 1e-12)
+    )
 
     xs = np.linspace(-2.5, 2.5, 9)
     worst_shift = 0.0

@@ -96,6 +96,70 @@ class TestBasisFunction2v:
         assert basis.basis_function_2v(m, n, alpha, z1, z2) == pytest.approx(direct, rel=1e-12)
 
 
+def _loop_polynomial_2v_table(m_max, n_max, alpha, z1, z2):
+    # reference: the per-entry loop the row-vectorized recurrence replaced
+    beta = (1.0 - alpha) / (1.0 + alpha)
+    gamma = math.sqrt(beta)
+    scale = 2.0 * math.sqrt(alpha) / math.sqrt((1.0 - alpha) * (1.0 + alpha))
+    w1 = gamma * scale * z1
+    w2 = gamma * scale * z2
+    g = np.empty((m_max + 1, n_max + 1) + z1.shape, dtype=complex)
+    g[0, 0] = 1.0
+    for n in range(n_max):
+        g[0, n + 1] = w2 * g[0, n] / math.sqrt(n + 1)
+    for m in range(m_max):
+        g[m + 1, 0] = w1 * g[m, 0] / math.sqrt(m + 1)
+        for n in range(1, n_max + 1):
+            g[m + 1, n] = (w1 * g[m, n] - beta * math.sqrt(n) * g[m, n - 1]) / math.sqrt(m + 1)
+    return g
+
+
+def _magnitude_table(m_max, n_max, alpha, z1, z2):
+    # the same recurrence on |w1|, |w2| with both terms added: it bounds
+    # each entry and the rounding carried into it, also where the entry
+    # itself cancels to near zero
+    beta = (1.0 - alpha) / (1.0 + alpha)
+    c = math.sqrt(beta) * 2.0 * math.sqrt(alpha) / math.sqrt((1.0 - alpha) * (1.0 + alpha))
+    t = np.empty((m_max + 1, n_max + 1))
+    t[0, 0] = 1.0
+    for n in range(n_max):
+        t[0, n + 1] = c * abs(z2) * t[0, n] / math.sqrt(n + 1)
+    for m in range(m_max):
+        t[m + 1, 0] = c * abs(z1) * t[m, 0] / math.sqrt(m + 1)
+        for n in range(1, n_max + 1):
+            t[m + 1, n] = (c * abs(z1) * t[m, n] + beta * math.sqrt(n) * t[m, n - 1]) / math.sqrt(m + 1)
+    return t
+
+
+TABLE_SHAPES = [(0, 0), (0, 7), (7, 0), (6, 11), (11, 6), (50, 50)]
+TABLE_LABELS = [(0.3 + 0.2j, -0.5 + 0.1j), (1.5 - 0.7j, 0.2 + 2.0j), (3.0 + 1.0j, -2.0j)]
+
+
+class TestPolynomialTableAgainstLoop:
+    @pytest.mark.parametrize("m_max, n_max", TABLE_SHAPES)
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.999])
+    def test_array_arguments_bit_identical(self, m_max, n_max, alpha):
+        rng = np.random.default_rng(m_max + 100 * n_max)
+        z1 = 1.5 * (rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4)))
+        z2 = 1.5 * (rng.normal(size=(1, 4)) + 1j * rng.normal(size=(1, 4)))
+        z1, z2 = np.broadcast_arrays(z1, z2)
+        table = basis._polynomial_2v_table(m_max, n_max, alpha, z1, z2)
+        np.testing.assert_array_equal(table, _loop_polynomial_2v_table(m_max, n_max, alpha, z1, z2))
+
+    @pytest.mark.parametrize("m_max, n_max", TABLE_SHAPES)
+    @pytest.mark.parametrize("alpha", [0.05, 0.4, 0.999])
+    @pytest.mark.parametrize("labels", TABLE_LABELS)
+    def test_scalar_arguments_within_rounding(self, m_max, n_max, alpha, labels):
+        # scalar z runs the loop through numpy's scalar complex multiply and
+        # the rows through the array one, which may round differently
+        z1, z2 = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for z in labels))
+        table = basis._polynomial_2v_table(m_max, n_max, alpha, z1, z2)
+        reference = _loop_polynomial_2v_table(m_max, n_max, alpha, z1, z2)
+        degree = np.arange(m_max + 1)[:, None] + np.arange(n_max + 1)[None, :]
+        bound = 4 * (degree + 1) * np.finfo(float).eps * _magnitude_table(m_max, n_max, alpha, *labels)
+        assert (np.abs(table - reference) <= bound).all()
+
+
 class TestCoefficientNorm:
     def test_monotone_in_truncation(self):
         for k in (1, 2):

@@ -126,6 +126,48 @@ class TestTwoIndexFamily:
         assert verify._finite_difference_table(6, 6, z1, z2)[m, n] == stencil
 
 
+def loop_two_index_table(m_max, n_max, z1, z2):
+    """Reference: the per-entry loop the row-vectorized recurrence replaced."""
+    table = np.empty((m_max + 1, n_max + 1), dtype=complex)
+    table[0, 0] = 1.0
+    for n in range(n_max):
+        table[0, n + 1] = z2 * table[0, n]
+    for m in range(m_max):
+        table[m + 1, 0] = z1 * table[m, 0]
+        for n in range(1, n_max + 1):
+            table[m + 1, n] = z1 * table[m, n] - n * table[m, n - 1]
+    return table
+
+
+def magnitude_table(m_max, n_max, z1, z2):
+    """The recurrence on |z1|, |z2| with both terms added: it bounds each
+    entry and the rounding carried into it, also where an entry cancels."""
+    table = np.empty((m_max + 1, n_max + 1))
+    table[0, 0] = 1.0
+    for n in range(n_max):
+        table[0, n + 1] = abs(z2) * table[0, n]
+    for m in range(m_max):
+        table[m + 1, 0] = abs(z1) * table[m, 0]
+        for n in range(1, n_max + 1):
+            table[m + 1, n] = abs(z1) * table[m, n] + n * table[m, n - 1]
+    return table
+
+
+class TestTwoIndexTableAgainstLoop:
+    @pytest.mark.parametrize("m_max, n_max", [(0, 0), (0, 7), (7, 0), (6, 11), (11, 6), (50, 50)])
+    @pytest.mark.parametrize(
+        "z1, z2", [(0.3 + 0.2j, -0.5 + 0.1j), (1.5 - 0.7j, 0.2 + 2.0j), (3.0 + 1.0j, -2.0j), (0.0, 0.0)]
+    )
+    def test_within_rounding_of_loop(self, m_max, n_max, z1, z2):
+        # the loop multiplies numpy complex scalars, the rows whole arrays,
+        # which may round differently in the last place
+        table = hermite.hermite_complex_2v_table(m_max, n_max, z1, z2)
+        reference = loop_two_index_table(m_max, n_max, complex(z1), complex(z2))
+        degree = np.arange(m_max + 1)[:, None] + np.arange(n_max + 1)[None, :]
+        bound = 4 * (degree + 1) * np.finfo(float).eps * magnitude_table(m_max, n_max, z1, z2)
+        assert (np.abs(table - reference) <= bound).all()
+
+
 class TestMehlerProduct:
     def test_zero_coupling(self):
         series, closed = hermite.mehler_product(0.0, 1.7 + 0.3j, -0.4j, 25)

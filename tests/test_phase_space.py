@@ -308,6 +308,34 @@ class TestRobertsonSchrodinger:
                 assert phase_space.robertson_schrodinger_check(transformed, tol=1e-9).passed == base
 
 
+class TestCovarianceMatrixInput:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("entry", [(0, 0), (3, 3), (0, 1), (2, 3)])
+    def test_non_finite_entry_raises(self, value, entry):
+        # set symmetrically, so only finiteness can reject it
+        sigma = 0.5 * np.eye(4)
+        sigma[entry] = sigma[entry[::-1]] = value
+        with pytest.raises(ValueError, match="entries must be finite"):
+            phase_space.CovarianceMatrix(sigma=sigma, hbar=1.0)
+
+    @pytest.mark.parametrize("hbar", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_non_positive_or_non_finite_hbar_raises(self, hbar):
+        with pytest.raises(ValueError, match="hbar must be positive and finite"):
+            phase_space.CovarianceMatrix(sigma=0.5 * np.eye(4), hbar=hbar)
+
+    def test_symmetry_tolerance_scales_with_largest_entry(self):
+        # atol 1e-12 max(1, max |Sigma|): inside it the matrix is symmetrized,
+        # beyond it rejected
+        for scale in (1.0, 1e6):
+            sigma = scale * np.diag([1.0, 2.0, 3.0, 4.0])
+            sigma[0, 1] = 2e-12 * scale
+            cov = phase_space.CovarianceMatrix(sigma=sigma, hbar=1.0)
+            assert cov.sigma[0, 1] == cov.sigma[1, 0] == pytest.approx(1e-12 * scale, rel=1e-15)
+            sigma[0, 1] = 5e-12 * scale
+            with pytest.raises(ValueError, match="symmetric"):
+                phase_space.CovarianceMatrix(sigma=sigma, hbar=1.0)
+
+
 class TestPartialTranspose:
     def test_diagonal_unchanged(self):
         cov = phase_space.covariance(1, 0.3, GEOM)
@@ -347,6 +375,13 @@ class TestSymplecticSpectrum:
         cov = phase_space.partial_transpose(phase_space.covariance(2, 0.25, geom))
         spectrum = phase_space.symplectic_spectrum(cov)
         assert spectrum.values == pytest.approx((2.0 * 0.25 / 2, 2.0 / (2 * 0.25)), rel=1e-12)
+
+    def test_cross_check_refuses_lost_digits(self):
+        # at alpha 1e-4 eig(J Sigma) puts the pure k = 2 state's spectrum
+        # 1e-9 from hbar/2; the square-root-free route disagrees by more
+        # than 1e-12 relative, so the spectrum raises instead of returning it
+        with pytest.raises(phase_space.SpectrumPairingError, match="square-root-free"):
+            phase_space.symplectic_spectrum(phase_space.covariance(2, 1e-4, GEOM))
 
     def test_pairing_failure_signals_bad_input(self):
         bad = phase_space.CovarianceMatrix(sigma=np.diag([1.0, 1.0, -1.0, -1.0]), hbar=1.0)

@@ -108,18 +108,22 @@ class TestClosedForms:
         assert value == pytest.approx(math.sqrt(a * b / math.pi) * math.exp(exponent), rel=1e-14)
 
     def test_mode1_normalization(self):
-        assert verify._norm_integral(1, 0.5, states.OscillatorGeometry(1.0, 1.0), states.DisplacementLabels()) == pytest.approx(1.0, abs=1e-12)
+        norm, _ = verify._norm_integral(1, 0.5, states.OscillatorGeometry(1.0, 1.0), states.DisplacementLabels())
+        assert norm == pytest.approx(1.0, abs=1e-12)
 
     def test_mode2_normalization(self):
         geom = states.OscillatorGeometry(a=1.0, b=1.5)
-        assert verify._norm_integral(2, 0.3, geom, states.DisplacementLabels()) == pytest.approx(1.0, abs=1e-10)
+        norm, _ = verify._norm_integral(2, 0.3, geom, states.DisplacementLabels())
+        assert norm == pytest.approx(1.0, abs=1e-10)
 
     def test_normalization_grid(self):
         for k in (1, 2):
             for alpha in (0.2, 0.5, 0.8):
                 for (a, b) in [(1.0, 1.0), (1.0, 2.0)]:
                     geom = states.OscillatorGeometry(a=a, b=b)
-                    assert verify._norm_integral(k, alpha, geom, LABELS) == pytest.approx(1.0, abs=1e-9)
+                    norm, half = verify._norm_integral(k, alpha, geom, LABELS)
+                    assert norm == pytest.approx(1.0, abs=1e-9)
+                    assert half == pytest.approx(norm, abs=1e-12)
 
     def test_mode2_transposition_symmetry(self):
         geom = states.OscillatorGeometry(a=1.2, b=1.2)

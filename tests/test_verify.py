@@ -1,0 +1,109 @@
+"""What each verify suite checks, and that its oracles can fail."""
+
+import numpy as np
+import pytest
+
+from cvsqueeze import states, verify
+
+# (check name, tolerance) of every suite, in report order.  A change that
+# drops, renames or loosens a check must edit this table to pass.
+PINNED_CHECKS = {
+    "hermite": [
+        ("recurrence vs explicit sum, n <= 25", 1e-11),
+        ("two-index symmetry under (m,n,z1,z2)->(n,m,z2,z1)", 1e-14),
+        ("generating-function coefficients, m,n <= 6", 1e-07),
+        ("product generating identity, |t| <= 0.6, 60 terms", 1e-09),
+        ("two-variable generating identity, |s t| <= 0.36, 60 terms", 1e-09),
+        ("weighted orthogonality, diagonal, m,n <= 10", 1e-08),
+        ("weighted orthogonality, off-diagonal (scaled)", 1e-08),
+    ],
+    "basis": [
+        ("Gaussian-measure orthonormality, indices <= 4", 1e-13),
+        ("squeeze parameter round trip and dual expression", 1e-13),
+        ("coefficient norm partial sums nondecreasing", 1e-12),
+    ],
+    "states": [
+        ("wave-function normalization", 1e-09),
+        ("wave-function normalization, grid-halving delta", 1e-12),
+        ("translation-operator reconstruction", 1e-12),
+        ("series expansion sup-norm at order 50", 1e-07),
+        ("series expansion sup-norm monotone decrease", 0.0),
+        ("wave function at alpha 1e-8 vs 50 digits, over peak", 1e-08),
+        ("separately squeezed state factorizes", 1e-10),
+        ("jointly squeezed state carries the predicted cross curvature", 1e-09),
+    ],
+    "phase_space": [
+        ("covariance matrix dual-path agreement", 1e-14),
+        ("covariance dual-path agreement, strong squeezing", 1e-13),
+        ("partial-transpose symplectic spectrum closed form", 1e-12),
+        ("pure-state symplectic spectrum is hbar/2 twice", 1e-12),
+        ("separability verdicts across the parameter range", 0.0),
+        ("uncertainty-relation positivity of physical states", 1e-12),
+        ("chord-quadrature Wigner vs closed form", 1e-06),
+        ("Wigner translation covariance at sampled points", 1e-06),
+    ],
+    "model": [
+        ("Bogoliubov normalization identity", 1e-15),
+        ("ladder-product vs expanded Hamiltonian paths", 1e-10),
+        ("no-squeezing limit continuity (residual at 1e-7)", 1e-05),
+        ("no-squeezing limit monotone approach", 0.0),
+        ("canonical commutators on the interior block", 1e-12),
+        ("ground-state energy expectation", 1e-06),
+        ("eigen-residual shrinks under grid refinement", 0.1),
+        ("ground state factorizes on the principal axes", 1e-12),
+        ("couplings present iff squeezing is present", 0.0),
+    ],
+}
+
+
+def test_every_suite_is_pinned():
+    assert list(PINNED_CHECKS) == list(verify.SUITES)
+
+
+@pytest.mark.parametrize("suite", list(PINNED_CHECKS))
+def test_suite_checks_and_tolerances(suite):
+    results = verify.run_suite(suite)
+    assert [(r.name, r.tolerance) for r in results] == PINNED_CHECKS[suite]
+    assert all(r.passed for r in results)
+
+
+def test_normalization_check_sees_a_scaled_wave_function(monkeypatch):
+    # a wave function off by a factor 1 + 1e-8 integrates to 1 + 2e-8, which
+    # the 201^2 trapezoid must resolve against the 1e-9 bound
+    exact = states.wave_function
+
+    def scaled(*args, **kwargs):
+        return exact(*args, **kwargs) * (1.0 + 1e-8)
+
+    monkeypatch.setattr(states, "wave_function", scaled)
+    results = {r.name: r for r in verify.run_suite("states")}
+    normalization = results["wave-function normalization"]
+    assert normalization.tolerance == 1e-9
+    assert not normalization.passed
+    assert normalization.residual == pytest.approx(2e-8, rel=1e-6)
+
+
+def test_grid_halving_delta_sees_an_aliased_density(monkeypatch):
+    # a ripple cos(25 x1) on the density integrates to zero against the
+    # Gaussian: the 201^2 grid resolves it, so the norm stays 1, while the
+    # 101^2 subgrid aliases it into the delta
+    exact = states.wave_function
+
+    def rippled(k, x1, x2, *args, **kwargs):
+        return exact(k, x1, x2, *args, **kwargs) * np.sqrt(1.0 + 1e-6 * np.cos(25.0 * np.asarray(x1)))
+
+    monkeypatch.setattr(states, "wave_function", rippled)
+    results = {r.name: r for r in verify.run_suite("states")}
+    assert results["wave-function normalization"].passed
+    delta = results["wave-function normalization, grid-halving delta"]
+    assert not delta.passed
+    assert delta.residual > 1e-7
+
+
+def test_normalization_checks_fail_on_nan(monkeypatch):
+    # a NaN density must fail both checks rather than drop out of a max()
+    exact = states.wave_function
+    monkeypatch.setattr(states, "wave_function", lambda *args, **kwargs: exact(*args, **kwargs) * np.nan)
+    results = {r.name: r for r in verify.run_suite("states")}
+    assert not results["wave-function normalization"].passed
+    assert not results["wave-function normalization, grid-halving delta"].passed
