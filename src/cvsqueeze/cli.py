@@ -28,7 +28,6 @@ import math
 import os
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,13 +145,6 @@ def _cells(column: Sequence, fmt: str) -> list[str]:
     return list(map(str if fmt == "csv" else json.dumps, column))
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    hbar: float
-    fmt: str
-    out: str | None
-
-
 def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
     # string defaults, here and for the model flags of hamiltonian, so that
     # argparse checks environment values with the flag's type and reports a
@@ -169,18 +161,10 @@ def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("
     )
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(hbar=args.hbar, fmt=args.fmt, out=args.out)
-
-
-def _emit_table(params: dict, names: list[str], columns: list[Sequence], config: RunConfig) -> str:
-    return _emit_cells(params, names, [_cells(column, config.fmt) for column in columns], config)
-
-
-def _emit_cells(params: dict, names: list[str], cells: list[list[str]], config: RunConfig) -> str:
+def _emit_cells(params: dict, names: list[str], cells: list[list[str]], fmt: str) -> str:
     """The table from its formatted columns: one csv line or one indent-2
     json array per row."""
-    if config.fmt == "csv":
+    if fmt == "csv":
         lines = [f"# {key} = {_fmt(value)}" for key, value in params.items()]
         lines.append(",".join(names))
         lines.extend(map(",".join, zip(*cells)))
@@ -195,22 +179,21 @@ def _emit_cells(params: dict, names: list[str], cells: list[list[str]], config: 
     return "\n".join([head[:-len("]\n}")], ",\n".join(rows), "  ]\n}\n"])
 
 
-def _write(text: str, config: RunConfig) -> int:
-    if config.out is None:
+def _write(text: str, out: str | None) -> int:
+    if out is None:
         sys.stdout.write(text)
         return 0
     try:
-        with open(config.out, "w", encoding="utf-8") as handle:
+        with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write {config.out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = _config(args)
-    geom = states.OscillatorGeometry(a=args.a, b=args.b, hbar=config.hbar)
+    geom = states.OscillatorGeometry(a=args.a, b=args.b, hbar=args.hbar)
     rows: list[list] = []
     for k in (1, 2):
         for alpha in args.alphas:
@@ -233,19 +216,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 ]
             )
     params = {
-        "command": "sweep", "a": args.a, "b": args.b, "hbar": config.hbar,
+        "command": "sweep", "a": args.a, "b": args.b, "hbar": args.hbar,
         "alphas": ",".join(format(a, ".17g") for a in args.alphas),
     }
     columns = [
         "mode", "alpha", "squeeze_xi", "lambda_min_pt", "lambda_max_pt",
         "verdict", "log_negativity", "log_negativity_closed", "residual",
     ]
-    return _write(_emit_table(params, columns, list(zip(*rows)), config), config)
+    cells = [_cells(column, args.fmt) for column in zip(*rows)]
+    return _write(_emit_cells(params, columns, cells, args.fmt), args.out)
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
-    config = _config(args)
-    geom = states.OscillatorGeometry(a=args.a, b=args.b, hbar=config.hbar)
+    geom = states.OscillatorGeometry(a=args.a, b=args.b, hbar=args.hbar)
     labels = states.DisplacementLabels(z1=args.z1, z2=args.z2)
     axis1, axis2 = args.axes
     if args.n1 < 2 or args.n2 < 2:
@@ -253,7 +236,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
         return 2
 
     gaussian = states.unshifted_gaussian(args.k, args.alpha, geom)
-    _, evaluator = phase_space.wigner_gaussian(gaussian, config.hbar)
+    _, evaluator = phase_space.wigner_gaussian(gaussian, args.hbar)
     shift = states.shift_params(args.k, args.alpha, geom, labels)
     offsets = {"x1": shift.y1, "x2": shift.y2, "p1": shift.q1, "p2": shift.q2}
 
@@ -270,16 +253,16 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     shifted[axis2] = grid2[None, :] - offsets[axis2]
     values = evaluator(shifted["x1"], shifted["x2"], shifted["p1"], shifted["p2"])
     # each coordinate is formatted once and its text repeated over the mesh
-    cells1 = _cells(grid1.tolist(), config.fmt)
-    cells2 = _cells(grid2.tolist(), config.fmt)
+    cells1 = _cells(grid1.tolist(), args.fmt)
+    cells2 = _cells(grid2.tolist(), args.fmt)
     cells = [
         [cell for cell in cells1 for _ in range(args.n2)],
         cells2 * args.n1,
-        _cells(values.ravel().tolist(), config.fmt),
+        _cells(values.ravel().tolist(), args.fmt),
     ]
     params = {
         "command": "wigner", "mode": args.k, "alpha": args.alpha,
-        "a": args.a, "b": args.b, "hbar": config.hbar,
+        "a": args.a, "b": args.b, "hbar": args.hbar,
         "z1": args.z1, "z2": args.z2,
         "axis1": axis1, "axis2": axis2,
         "range1": f"{args.range1[0]:.17g}:{args.range1[1]:.17g}",
@@ -289,7 +272,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     for name in _AXES:
         if name not in (axis1, axis2):
             params[f"fixed_{name}"] = coords[name]
-    return _write(_emit_cells(params, [axis1, axis2, "wigner"], cells, config), config)
+    return _write(_emit_cells(params, [axis1, axis2, "wigner"], cells, args.fmt), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -302,10 +285,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_hamiltonian(args: argparse.Namespace) -> int:
-    config = _config(args)
-    spec = model.OscillatorSpec(
-        omega1=args.omega1, omega2=args.omega2, mass=args.mass, hbar=config.hbar
-    )
+    spec = model.OscillatorSpec(omega1=args.omega1, omega2=args.omega2, mass=args.mass, hbar=args.hbar)
     quad = model.hamiltonian_quadratic(args.alpha, spec, args.z1, args.z2)
     ladder = model.hamiltonian_fock(args.alpha, spec, args.z1, args.z2, args.trunc, "ladder")
     expanded = model.hamiltonian_fock(args.alpha, spec, args.z1, args.z2, args.trunc, "expanded")
@@ -313,7 +293,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     hermiticity = ladder.hermiticity_defect()
 
     a, b = spec.inverse_lengths()
-    geom = states.OscillatorGeometry(a=a, b=b, hbar=config.hbar)
+    geom = states.OscillatorGeometry(a=a, b=b, hbar=args.hbar)
     grid_points = max(81, 2 * args.order + 1)
     ground = model.ground_state_energy_check(
         args.alpha, spec, geom, args.z1, args.z2, grid_points=grid_points
@@ -327,7 +307,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
             "omega1": args.omega1,
             "omega2": args.omega2,
             "mass": args.mass,
-            "hbar": config.hbar,
+            "hbar": args.hbar,
             "z1": str(args.z1),
             "z2": str(args.z2),
             "n_trunc": args.trunc,
@@ -358,7 +338,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
         },
     }
     text = json.dumps(payload, indent=2) + "\n"
-    status = _write(text, config)
+    status = _write(text, args.out)
     if status != 0:
         return status
     return 0 if payload["ground_state"]["within_tolerance"] and path_gap <= args.tol else 1

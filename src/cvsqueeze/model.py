@@ -79,8 +79,8 @@ class OscillatorSpec:
     def __post_init__(self) -> None:
         for name in ("omega1", "omega2", "mass", "hbar"):
             value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be positive, got {value}")
+            if not (value > 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
     @classmethod
     def from_geometry(cls, geom: OscillatorGeometry, mass: float = 1.0) -> "OscillatorSpec":

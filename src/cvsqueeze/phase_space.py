@@ -42,6 +42,10 @@ __all__ = [
 # boundary-indeterminate
 SEPARABILITY_RTOL = 1e-10
 
+# symplectic_spectrum's pairing band, relative to the largest |eigenvalue| of
+# J Sigma: every |Re| must lie within it and exactly two imaginary parts above
+PAIRING_RTOL = 1e-10
+
 
 class SpectrumPairingError(ValueError):
     """Eigenvalues of J Sigma failed to form conjugate-imaginary pairs.
@@ -220,12 +224,12 @@ def partial_transpose(cov: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(sigma=lam @ cov.sigma @ lam.T, hbar=cov.hbar)
 
 
-def symplectic_spectrum(cov: CovarianceMatrix, pair_rtol: float = 1e-10) -> SymplecticSpectrum:
+def symplectic_spectrum(cov: CovarianceMatrix) -> SymplecticSpectrum:
     """Positive symplectic eigenvalues of a covariance matrix.
 
     Primary route: eigenvalues of J Sigma, which come in conjugate pairs
     +-i lambda for symmetric positive-definite input; the real parts must
-    vanish within ``pair_rtol`` (relative) or :class:`SpectrumPairingError`
+    vanish within ``PAIRING_RTOL`` (relative) or :class:`SpectrumPairingError`
     is raised.  A square-root-free cross-check through the eigenvalues of
     -(J Sigma)^2 must agree to 1e-12 relative.
     """
@@ -234,12 +238,12 @@ def symplectic_spectrum(cov: CovarianceMatrix, pair_rtol: float = 1e-10) -> Symp
     scale = float(np.abs(eigenvalues).max())
     if scale <= 0.0:
         raise SpectrumPairingError("J Sigma has all-zero spectrum")
-    if float(np.abs(eigenvalues.real).max()) > pair_rtol * scale:
+    if float(np.abs(eigenvalues.real).max()) > PAIRING_RTOL * scale:
         raise SpectrumPairingError(
             f"eigenvalues of J Sigma are not purely imaginary within tolerance "
             f"(max |Re| = {np.abs(eigenvalues.real).max():.3e}, scale {scale:.3e})"
         )
-    positive = np.sort(eigenvalues.imag[eigenvalues.imag > pair_rtol * scale])
+    positive = np.sort(eigenvalues.imag[eigenvalues.imag > PAIRING_RTOL * scale])
     if positive.size != 2:
         raise SpectrumPairingError(
             f"expected 2 positive-imaginary eigenvalues, found {positive.size}"

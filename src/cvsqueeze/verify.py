@@ -2,7 +2,8 @@
 
 Each suite returns a list of :class:`CheckResult` with the measured residual
 next to the tolerance it was judged against; the CLI prints one line per
-check and fails the process if any check fails.  The checks deliberately
+check and fails the process if any check fails.  A check reports the
+largest of its residuals, and a NaN residual fails it.  The checks deliberately
 re-derive expected values through independent routes (explicit sums,
 generating functions, quadrature, refinement) rather than calling the code
 under test twice.
@@ -32,8 +33,10 @@ class CheckResult:
         return f"[{status}] {self.name}: residual {self.residual:.3e} (tolerance {self.tolerance:.1e})"
 
 
-def _check(name: str, residual: float, tol: float) -> CheckResult:
-    residual = float(residual)
+def _check(name: str, residuals, tol: float) -> CheckResult:
+    # np.max, unlike the builtin max(), returns NaN when any residual is NaN,
+    # and NaN <= tol is False
+    residual = float(np.max(residuals))
     return CheckResult(name=name, passed=residual <= tol, residual=residual, tolerance=tol)
 
 
@@ -78,89 +81,76 @@ def _finite_difference_table(m_max: int, n_max: int, z1: complex, z2: complex) -
 
 
 def hermite_suite() -> list[CheckResult]:
+    def relative(value, reference):
+        # the scale is floored at 1 near a zero of the reference
+        return np.abs(np.subtract(value, reference)) / np.maximum(1.0, np.abs(reference))
+
     checks: list[CheckResult] = []
     grid = [0.7 + 0.0j, -1.3 + 0.0j, 0.4 + 0.9j, -0.8 + 0.3j, 1.1 - 1.2j]
-    worst = 0.0
-    for z in grid:
-        seq = hermite.hermite_holo_sequence(25, z)
-        for n in range(26):
-            reference = _explicit_hermite_sum(n, z)
-            worst = max(worst, abs(seq[n] - reference) / max(1.0, abs(reference)))
-    checks.append(_check("recurrence vs explicit sum, n <= 25", worst, 1e-11))
+    residuals = [
+        relative(hermite.hermite_holo_sequence(25, z), [_explicit_hermite_sum(n, z) for n in range(26)])
+        for z in grid
+    ]
+    checks.append(_check("recurrence vs explicit sum, n <= 25", residuals, 1e-11))
 
-    worst = 0.0
-    for (m, n) in [(0, 3), (2, 5), (4, 4), (6, 1), (8, 7)]:
-        za, zb = 0.5 - 0.2j, 1.1 + 0.3j
-        lhs = hermite.hermite_complex_2v(m, n, za, zb)
-        rhs = hermite.hermite_complex_2v(n, m, zb, za)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
-    checks.append(_check("two-index symmetry under (m,n,z1,z2)->(n,m,z2,z1)", worst, 1e-14))
+    za, zb = 0.5 - 0.2j, 1.1 + 0.3j
+    pairs = [(0, 3), (2, 5), (4, 4), (6, 1), (8, 7)]
+    lhs = [hermite.hermite_complex_2v(m, n, za, zb) for m, n in pairs]
+    rhs = [hermite.hermite_complex_2v(n, m, zb, za) for m, n in pairs]
+    checks.append(_check("two-index symmetry under (m,n,z1,z2)->(n,m,z2,z1)", relative(rhs, lhs), 1e-14))
 
-    worst = 0.0
     za, zb = 0.6 + 0.4j, -0.3 + 0.8j
-    approx = _finite_difference_table(6, 6, za, zb)
-    for m in range(7):
-        for n in range(7):
-            exact = hermite.hermite_complex_2v(m, n, za, zb)
-            worst = max(worst, abs(approx[m, n] - exact) / max(1.0, abs(exact)))
-    checks.append(_check("generating-function coefficients, m,n <= 6", worst, 1e-7))
+    exact = [[hermite.hermite_complex_2v(m, n, za, zb) for n in range(7)] for m in range(7)]
+    residuals = relative(_finite_difference_table(6, 6, za, zb), exact)
+    checks.append(_check("generating-function coefficients, m,n <= 6", residuals, 1e-7))
 
-    worst = 0.0
-    for t in (-0.6, -0.3, 0.3, 0.6):
-        for (za, zb) in [(1.0 + 0.0j, 1.0 + 0.0j), (0.4 + 0.7j, -0.9 + 0.2j)]:
-            series, closed = hermite.mehler_product(t, za, zb, 60)
-            worst = max(worst, abs(series - closed))
-    checks.append(_check("product generating identity, |t| <= 0.6, 60 terms", worst, 1e-9))
+    points = [(1.0 + 0.0j, 1.0 + 0.0j), (0.4 + 0.7j, -0.9 + 0.2j)]
+    pairs = [hermite.mehler_product(t, za, zb, 60) for t in (-0.6, -0.3, 0.3, 0.6) for za, zb in points]
+    residuals = [abs(series - closed) for series, closed in pairs]
+    checks.append(_check("product generating identity, |t| <= 0.6, 60 terms", residuals, 1e-9))
 
-    worst = 0.0
-    for (s, t) in [(0.4, 0.4), (0.6, 0.6), (-0.5, 0.7)]:
-        series, closed = hermite.mehler_two_variable(s, t, 0.3 + 0.1j, -0.2 + 0.5j, 0.7, -1.1, 60)
-        worst = max(worst, abs(series - closed))
-    checks.append(_check("two-variable generating identity, |s t| <= 0.36, 60 terms", worst, 1e-9))
+    pairs = [
+        hermite.mehler_two_variable(s, t, 0.3 + 0.1j, -0.2 + 0.5j, 0.7, -1.1, 60)
+        for (s, t) in [(0.4, 0.4), (0.6, 0.6), (-0.5, 0.7)]
+    ]
+    residuals = [abs(series - closed) for series, closed in pairs]
+    checks.append(_check("two-variable generating identity, |s t| <= 0.36, 60 terms", residuals, 1e-9))
 
-    worst_diag = 0.0
-    worst_off = 0.0
+    # an off-diagonal entry (m, n) is scaled by the norm of the larger index
+    index = np.arange(11)
+    off = index[:, None] != index[None, :]
+    diagonal, off_diagonal = [], []
     for alpha in (0.3, 0.5, 0.7):
         gram = hermite._orthogonality_quad(10, alpha, order=80)
-        for m in range(11):
-            for n in range(11):
-                if m == n:
-                    expected = hermite.orthogonality_rhs(n, n, alpha)
-                    worst_diag = max(worst_diag, abs(gram[n, n] - expected) / expected)
-                else:
-                    scale = hermite.orthogonality_rhs(max(m, n), max(m, n), alpha)
-                    worst_off = max(worst_off, abs(gram[m, n]) / scale)
-    checks.append(_check("weighted orthogonality, diagonal, m,n <= 10", worst_diag, 1e-8))
-    checks.append(_check("weighted orthogonality, off-diagonal (scaled)", worst_off, 1e-8))
+        rhs = np.array([hermite.orthogonality_rhs(n, n, alpha) for n in index])
+        diagonal.append(np.abs(np.diagonal(gram) - rhs) / rhs)
+        off_diagonal.append((np.abs(gram) / rhs[np.maximum.outer(index, index)])[off])
+    checks.append(_check("weighted orthogonality, diagonal, m,n <= 10", diagonal, 1e-8))
+    checks.append(_check("weighted orthogonality, off-diagonal (scaled)", off_diagonal, 1e-8))
     return checks
 
 
 def basis_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
-    worst = 0.0
     # strong (1e-4, 0.05) to weak (0.999) squeezing; the worst, 1.2e-14, is at 1e-4
-    for alpha in (1e-4, 0.05, 0.3, 0.6, 0.999):
-        gram = basis.basis_gram(alpha, max_index=4, order=40)
-        worst = max(worst, float(np.abs(gram - np.eye(gram.shape[0])).max()))
-    checks.append(_check("Gaussian-measure orthonormality, indices <= 4", worst, 1e-13))
+    grams = [basis.basis_gram(alpha, max_index=4, order=40) for alpha in (1e-4, 0.05, 0.3, 0.6, 0.999)]
+    residuals = [np.abs(gram - np.eye(gram.shape[0])) for gram in grams]
+    checks.append(_check("Gaussian-measure orthonormality, indices <= 4", residuals, 1e-13))
 
-    worst = 0.0
+    residuals = []
     for alpha in np.logspace(-3, 0, 25):
         param = basis.squeeze_from_alpha(float(alpha))
         round_trip = basis.alpha_from_squeeze(param.xi)
-        worst = max(worst, abs(round_trip - alpha) / alpha)
         arctanh_form = math.atanh((1.0 - alpha) / (1.0 + alpha))
-        worst = max(worst, abs(param.xi - arctanh_form))
-    checks.append(_check("squeeze parameter round trip and dual expression", worst, 1e-13))
+        residuals += [abs(round_trip - alpha) / alpha, abs(param.xi - arctanh_form)]
+    checks.append(_check("squeeze parameter round trip and dual expression", residuals, 1e-13))
 
-    worst = 0.0
-    for k in (1, 2):
-        previous = -1.0
-        for n_max in (5, 10, 20, 40, 60):
-            value = basis.coefficient_norm_partial(k, 0.4, 0.8 - 0.3j, -0.5 + 0.2j, n_max)
-            worst = max(worst, max(0.0, previous - value))
-            previous = value
-    checks.append(_check("coefficient norm partial sums nondecreasing", worst, 1e-12))
+    sums = np.array([
+        [basis.coefficient_norm_partial(k, 0.4, 0.8 - 0.3j, -0.5 + 0.2j, n) for n in (5, 10, 20, 40, 60)]
+        for k in (1, 2)
+    ])
+    drops = np.maximum(sums[:, :-1] - sums[:, 1:], 0.0)
+    checks.append(_check("coefficient norm partial sums nondecreasing", drops, 1e-12))
     return checks
 
 
@@ -221,47 +211,35 @@ def states_suite() -> list[CheckResult]:
         for (a, b) in [(1.0, 1.0), (1.0, 2.0)]
         for labels in label_grid
     ])
-    # np.max rather than max(): a NaN must reach the check
-    checks.append(_check("wave-function normalization", np.max(np.abs(norms[:, 0] - 1.0)), 1e-9))
-    checks.append(
-        _check(
-            "wave-function normalization, grid-halving delta",
-            np.max(np.abs(norms[:, 0] - norms[:, 1])),
-            1e-12,
-        )
-    )
+    checks.append(_check("wave-function normalization", np.abs(norms[:, 0] - 1.0), 1e-9))
+    delta = np.abs(norms[:, 0] - norms[:, 1])
+    checks.append(_check("wave-function normalization, grid-halving delta", delta, 1e-12))
 
     geom = states.OscillatorGeometry(a=1.0, b=1.4)
     labels = states.DisplacementLabels(0.5 - 0.3j, -0.4 + 0.6j)
     xs = np.linspace(-2.5, 2.5, 9)
-    worst = 0.0
+    mesh = (xs[:, None], xs[None, :])
+    residuals = []
     for k in (1, 2):
         for alpha in (0.3, 0.7):
             params = states.shift_params(k, alpha, geom, labels)
             centered = states.unshifted_gaussian(k, alpha, geom)
-            rebuilt = states.heisenberg_weyl_shift(
-                params, centered.evaluate, xs[:, None], xs[None, :], geom.hbar
-            )
-            direct = states.wave_function(k, xs[:, None], xs[None, :], geom, labels, alpha)
-            worst = max(worst, float(np.abs(rebuilt - direct).max()))
-    checks.append(_check("translation-operator reconstruction", worst, 1e-12))
+            rebuilt = states.heisenberg_weyl_shift(params, centered.evaluate, *mesh, geom.hbar)
+            direct = states.wave_function(k, *mesh, geom, labels, alpha)
+            residuals.append(np.abs(rebuilt - direct))
+    checks.append(_check("translation-operator reconstruction", residuals, 1e-12))
 
-    worst_final = 0.0
-    monotone_violation = 0.0
     grid = np.linspace(-3.0, 3.0, 21)
+    mesh = (grid[:, None], grid[None, :])
     labels = states.DisplacementLabels(0.2 + 0.1j, -0.1 + 0.15j)
+    gaps = []  # [k, order]: sup-norm gap of the series at orders 20, 30, 40, 50
     for k in (1, 2):
-        gaps = []
-        for n_max in (20, 30, 40, 50):
-            approx = states.series_expansion(k, n_max, grid[:, None], grid[None, :], geom, labels, 0.5)
-            exact = states.wave_function(k, grid[:, None], grid[None, :], geom, labels, 0.5)
-            gaps.append(float(np.abs(approx - exact).max()))
-        worst_final = max(worst_final, gaps[-1])
-        monotone_violation = max(
-            monotone_violation, max(after - before for before, after in zip(gaps, gaps[1:]))
-        )
-    checks.append(_check("series expansion sup-norm at order 50", worst_final, 1e-7))
-    checks.append(_check("series expansion sup-norm monotone decrease", monotone_violation, 0.0))
+        exact = states.wave_function(k, *mesh, geom, labels, 0.5)
+        series = [states.series_expansion(k, n, *mesh, geom, labels, 0.5) for n in (20, 30, 40, 50)]
+        gaps.append([np.abs(approx - exact).max() for approx in series])
+    checks.append(_check("series expansion sup-norm at order 50", np.array(gaps)[:, -1], 1e-7))
+    growth = np.maximum(np.diff(gaps, axis=1), 0.0)
+    checks.append(_check("series expansion sup-norm monotone decrease", growth, 0.0))
 
     # strong squeezing at alpha 1e-8, against 50 digits: 9 points within one
     # spread of the center along each principal axis, where the slope of the
@@ -298,13 +276,8 @@ def states_suite() -> list[CheckResult]:
 
     checks.append(_check("separately squeezed state factorizes", abs(cross_curvature(1)), 1e-10))
     expected = -(1.0 - alpha**2) * geom.a * geom.b / (2.0 * alpha)
-    checks.append(
-        _check(
-            "jointly squeezed state carries the predicted cross curvature",
-            abs(cross_curvature(2) - expected),
-            1e-9,
-        )
-    )
+    residual = abs(cross_curvature(2) - expected)
+    checks.append(_check("jointly squeezed state carries the predicted cross curvature", residual, 1e-9))
     return checks
 
 
@@ -313,8 +286,8 @@ def phase_space_suite() -> list[CheckResult]:
     geoms = [states.OscillatorGeometry(1.0, 1.0), states.OscillatorGeometry(1.0, 2.0)]
     alphas = np.arange(0.05, 1.0, 0.05)
 
-    def dual_path_gap(geometries, alpha_values) -> float:
-        gap = 0.0
+    def dual_path_gaps(geometries, alpha_values) -> list[float]:
+        gaps = []
         for geometry in geometries:
             for alpha in alpha_values:
                 for k in (1, 2):
@@ -322,80 +295,60 @@ def phase_space_suite() -> list[CheckResult]:
                     built, _ = phase_space.wigner_gaussian(
                         states.unshifted_gaussian(k, float(alpha), geometry), geometry.hbar
                     )
-                    scale = abs(direct.sigma).max()
-                    gap = max(gap, float(np.abs(direct.sigma - built.sigma).max()) / scale)
-        return gap
+                    gaps.append(np.abs(direct.sigma - built.sigma).max() / abs(direct.sigma).max())
+        return gaps
 
-    checks.append(
-        _check(
-            "covariance matrix dual-path agreement",
-            dual_path_gap(geoms, [a for a in alphas if a >= 0.2]),
-            1e-14,
-        )
-    )
-    checks.append(
-        _check(
-            "covariance dual-path agreement, strong squeezing",
-            dual_path_gap(geoms + [states.OscillatorGeometry(0.8, 1.7, hbar=0.5)], alphas),
-            1e-13,
-        )
-    )
+    gaps = dual_path_gaps(geoms, [a for a in alphas if a >= 0.2])
+    checks.append(_check("covariance matrix dual-path agreement", gaps, 1e-14))
+    gaps = dual_path_gaps(geoms + [states.OscillatorGeometry(0.8, 1.7, hbar=0.5)], alphas)
+    checks.append(_check("covariance dual-path agreement, strong squeezing", gaps, 1e-13))
 
-    worst = 0.0
     geom = geoms[0]
+    residuals = []
     for alpha in alphas:
         cov = phase_space.covariance(2, float(alpha), geom)
         spectrum = phase_space.symplectic_spectrum(phase_space.partial_transpose(cov))
         expected = sorted((0.5 * geom.hbar * alpha, 0.5 * geom.hbar / alpha))
-        worst = max(
-            worst,
-            max(abs(v - e) / e for v, e in zip(spectrum.values, expected)),
-        )
-    checks.append(_check("partial-transpose symplectic spectrum closed form", worst, 1e-12))
+        residuals += [abs(v - e) / e for v, e in zip(spectrum.values, expected)]
+    checks.append(_check("partial-transpose symplectic spectrum closed form", residuals, 1e-12))
 
-    worst = 0.0
-    for alpha in alphas:
-        for k in (1, 2):
-            spectrum = phase_space.symplectic_spectrum(phase_space.covariance(k, float(alpha), geom))
-            worst = max(
-                worst, max(abs(v - 0.5 * geom.hbar) / (0.5 * geom.hbar) for v in spectrum.values)
-            )
-    checks.append(_check("pure-state symplectic spectrum is hbar/2 twice", worst, 1e-12))
+    half = 0.5 * geom.hbar
+    residuals = [
+        abs(v - half) / half
+        for alpha in alphas
+        for k in (1, 2)
+        for v in phase_space.symplectic_spectrum(phase_space.covariance(k, float(alpha), geom)).values
+    ]
+    checks.append(_check("pure-state symplectic spectrum is hbar/2 twice", residuals, 1e-12))
 
-    verdict_bad = 0.0
-    for alpha in list(alphas) + [1.0 - 1e-6]:
-        sep = phase_space.ppt_separable(phase_space.covariance(1, float(alpha), geom))
-        ent = phase_space.ppt_separable(phase_space.covariance(2, float(alpha), geom))
-        if not sep.separable or ent.separable:
-            verdict_bad = 1.0
-    near_one = phase_space.ppt_separable(phase_space.covariance(2, 1.0 - 1e-12, geom))
-    if not near_one.separable:
-        verdict_bad = 1.0
-    checks.append(_check("separability verdicts across the parameter range", verdict_bad, 0.0))
+    # (mode, alpha, separable): mode 1 is a product state, mode 2 entangled
+    # below alpha 1 and within the boundary band at 1 - 1e-12
+    cases = [(k, float(alpha), k == 1) for alpha in [*alphas, 1.0 - 1e-6] for k in (1, 2)]
+    cases.append((2, 1.0 - 1e-12, True))
+    wrong = [
+        phase_space.ppt_separable(phase_space.covariance(k, alpha, geom)).separable != separable
+        for k, alpha, separable in cases
+    ]
+    checks.append(_check("separability verdicts across the parameter range", wrong, 0.0))
 
-    worst = 0.0
-    for alpha in (0.1, 0.5, 0.9):
-        for k in (1, 2):
-            margin = phase_space.robertson_schrodinger_check(
-                phase_space.covariance(k, alpha, geom)
-            ).margin
-            worst = max(worst, max(0.0, -margin))
-    checks.append(_check("uncertainty-relation positivity of physical states", worst, 1e-12))
+    margins = np.array([
+        phase_space.robertson_schrodinger_check(phase_space.covariance(k, alpha, geom)).margin
+        for alpha in (0.1, 0.5, 0.9)
+        for k in (1, 2)
+    ])
+    violations = np.maximum(-margins, 0.0)
+    checks.append(_check("uncertainty-relation positivity of physical states", violations, 1e-12))
 
     gaussian = states.unshifted_gaussian(2, 0.5, geom)
     _, closed = phase_space.wigner_gaussian(gaussian, geom.hbar)
-    worst = 0.0
     stencil = [0.0, 0.35, -0.35]
     points = [(x, 0.1, p, -0.2) for x in stencil for p in stencil]
-    for (x1, x2, p1, p2) in points[:9]:
-        numeric = phase_space.wigner_numeric(
-            gaussian.evaluate,
-            phase_space.PhaseSpacePoint(x1, x2, p1, p2),
-            geom.hbar,
-            m_matrix=gaussian.matrix,
-        )
-        worst = max(worst, abs(numeric - float(closed(x1, x2, p1, p2))))
-    checks.append(_check("chord-quadrature Wigner vs closed form", worst, 1e-6))
+    residuals = []
+    for (x1, x2, p1, p2) in points:
+        point = phase_space.PhaseSpacePoint(x1, x2, p1, p2)
+        numeric = phase_space.wigner_numeric(gaussian.evaluate, point, geom.hbar, m_matrix=gaussian.matrix)
+        residuals.append(abs(numeric - float(closed(x1, x2, p1, p2))))
+    checks.append(_check("chord-quadrature Wigner vs closed form", residuals, 1e-6))
 
     labels = states.DisplacementLabels(0.4 + 0.2j, -0.3 + 0.5j)
     shift = states.shift_params(2, 0.5, geom, labels)
@@ -403,57 +356,56 @@ def phase_space_suite() -> list[CheckResult]:
     def shifted(x1, x2):
         return states.wave_function(2, x1, x2, geom, labels, 0.5)
 
-    worst = 0.0
+    residuals = []
     for (x1, x2, p1, p2) in [(0, 0, 0, 0), (0.5, 0.1, -0.3, 0.2), (1.0, -0.4, 0.2, 0.3),
                              (-0.6, 0.8, 0.1, -0.5), (0.2, 0.2, 0.6, 0.6)]:
         numeric = phase_space.wigner_numeric(
             shifted, phase_space.PhaseSpacePoint(x1, x2, p1, p2), geom.hbar, m_matrix=gaussian.matrix
         )
         reference = float(closed(x1 - shift.y1, x2 - shift.y2, p1 - shift.q1, p2 - shift.q2))
-        worst = max(worst, abs(numeric - reference))
-    checks.append(_check("Wigner translation covariance at sampled points", worst, 1e-6))
+        residuals.append(abs(numeric - reference))
+    checks.append(_check("Wigner translation covariance at sampled points", residuals, 1e-6))
     return checks
 
 
 def model_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
-    worst = 0.0
-    for alpha in np.linspace(0.01, 1.0, 34):
-        identity = ((1.0 + alpha) ** 2 - (1.0 - alpha) ** 2) / (4.0 * alpha)
-        worst = max(worst, abs(identity - 1.0))
-    checks.append(_check("Bogoliubov normalization identity", worst, 1e-15))
+    residuals = [
+        abs(((1.0 + alpha) ** 2 - (1.0 - alpha) ** 2) / (4.0 * alpha) - 1.0)
+        for alpha in np.linspace(0.01, 1.0, 34)
+    ]
+    checks.append(_check("Bogoliubov normalization identity", residuals, 1e-15))
 
     spec = model.OscillatorSpec(omega1=1.0, omega2=1.8)
-    worst = 0.0
+    residuals = []
     for alpha in (0.25, 0.5, 0.75):
         for z in (0.0 + 0.0j, 0.3 + 0.1j):
             ladder = model.hamiltonian_fock(alpha, spec, z, -z / 2, 14, method="ladder")
             expanded = model.hamiltonian_fock(alpha, spec, z, -z / 2, 14, method="expanded")
-            worst = max(worst, ladder.interior_gap(expanded))
-    checks.append(_check("ladder-product vs expanded Hamiltonian paths", worst, 1e-10))
+            residuals.append(ladder.interior_gap(expanded))
+    checks.append(_check("ladder-product vs expanded Hamiltonian paths", residuals, 1e-10))
 
     limit = model.hamiltonian_quadratic(1.0, spec, 0.2 + 0.1j, -0.3 + 0.4j)
     deviations = []
     for alpha in (1.0 - 1e-3, 1.0 - 1e-5, 1.0 - 1e-7):
         ham = model.hamiltonian_quadratic(alpha, spec, 0.2 + 0.1j, -0.3 + 0.4j)
-        deviations.append(
-            float(np.abs(ham.q - limit.q).max() + np.abs(ham.linear - limit.linear).max())
-        )
-    monotone = max(after - before for before, after in zip(deviations[1:], deviations[:-1]))
+        deviations.append(np.abs(ham.q - limit.q).max() + np.abs(ham.linear - limit.linear).max())
     checks.append(_check("no-squeezing limit continuity (residual at 1e-7)", deviations[-1], 1e-5))
-    checks.append(_check("no-squeezing limit monotone approach", max(0.0, -monotone), 0.0))
+    # any step toward alpha 1 that moves away from the limit
+    growth = np.maximum(np.diff(deviations), 0.0)
+    checks.append(_check("no-squeezing limit monotone approach", growth, 0.0))
 
-    worst = 0.0
     # [X (x) 1 + 1 (x) Y, X' (x) 1 + 1 (x) Y'] = [X, X'] (x) 1 + 1 (x) [Y, Y'] in band form
     identity, zero = model._kron_operator([(np.eye(14), np.eye(14))]), model.TruncatedOperator({}, 14)
+    residuals = []
     for alpha in (0.25, 0.6):
         c1, c1_dag, c2, c2_dag = model._ladder_terms(alpha, 0.3 + 0.1j, -0.2j, 14)
         for ((x, eye), (_, y)), ((x_other, _), (_, y_other)), expected in [
             (c1, c1_dag, identity), (c2, c2_dag, identity), (c1, c2, zero), (c1, c2_dag, zero)
         ]:
             terms = [(x @ x_other - x_other @ x, eye), (eye, y @ y_other - y_other @ y)]
-            worst = max(worst, model._kron_operator(terms).interior_gap(expected))
-    checks.append(_check("canonical commutators on the interior block", worst, 1e-12))
+            residuals.append(model._kron_operator(terms).interior_gap(expected))
+    checks.append(_check("canonical commutators on the interior block", residuals, 1e-12))
 
     geom = states.OscillatorGeometry(1.0, 1.2)
     spec_g = model.OscillatorSpec.from_geometry(geom)
@@ -466,23 +418,21 @@ def model_suite() -> list[CheckResult]:
         energy_errs.append(abs(fine.energy - fine.expected))
         refinements.append(fine.residual / coarse.residual)
         defects += [coarse.factorization_defect, fine.factorization_defect]
-    # np.max rather than max(): a NaN must reach the check
-    checks.append(_check("ground-state energy expectation", float(np.max(energy_errs)), 1e-6))
-    checks.append(
-        _check("eigen-residual shrinks under grid refinement", float(np.max(refinements)), 0.1)
-    )
-    checks.append(_check("ground state factorizes on the principal axes", float(np.max(defects)), 1e-12))
+    checks.append(_check("ground-state energy expectation", energy_errs, 1e-6))
+    checks.append(_check("eigen-residual shrinks under grid refinement", refinements, 0.1))
+    checks.append(_check("ground state factorizes on the principal axes", defects, 1e-12))
 
-    coupling_missing = 0.0
-    for alpha in (0.25, 0.5):
-        ham = model.hamiltonian_quadratic(alpha, spec, 0, 0)
-        if ham.q[0, 1] == 0.0 or ham.q[2, 3] == 0.0:
-            coupling_missing = 1.0
+    # a coupling is missing below alpha 1, or present (nonzero) at alpha 1
+    missing = [
+        ham.q[0, 1] == 0.0 or ham.q[2, 3] == 0.0
+        for ham in (model.hamiltonian_quadratic(alpha, spec, 0, 0) for alpha in (0.25, 0.5))
+    ]
     ham_one = model.hamiltonian_quadratic(1.0, spec, 0, 0)
-    coupling_missing = max(
-        coupling_missing, abs(ham_one.q[0, 1]), abs(ham_one.q[2, 3])
-    )
-    checks.append(_check("couplings present iff squeezing is present", coupling_missing, 0.0))
+    checks.append(_check(
+        "couplings present iff squeezing is present",
+        [*missing, abs(ham_one.q[0, 1]), abs(ham_one.q[2, 3])],
+        0.0,
+    ))
     return checks
 
 

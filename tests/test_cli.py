@@ -431,8 +431,8 @@ class TestByteIdentity:
         columns = [list(range(len(column))), column, ["a", "b\"", "c", "d", "e", "f"]]
         rows = [list(row) for row in zip(*columns)]
         for fmt in ("csv", "json"):
-            config = cli.RunConfig(hbar=1.0, fmt=fmt, out=None)
-            text = cli._emit_table(params, ["i", "v", "s"], columns, config)
+            cells = [cli._cells(column, fmt) for column in columns]
+            text = cli._emit_cells(params, ["i", "v", "s"], cells, fmt)
             assert text == _reference_table(params, ["i", "v", "s"], rows, fmt)
 
     def test_one_evaluator_call_per_table(self, capsys, monkeypatch):

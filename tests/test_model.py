@@ -38,6 +38,14 @@ class TestOscillatorSpec:
         with pytest.raises(ValueError):
             model.OscillatorSpec(omega1=0.0, omega2=1.0)
 
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["omega1", "omega2", "mass", "hbar"])
+    def test_rejects_non_finite(self, field, value):
+        # an infinite frequency once gave a Fock operator with a NaN diagonal
+        fields = {"omega1": 1.0, "omega2": 1.0, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            model.OscillatorSpec(**fields)
+
 
 class TestLadderCoefficients:
     def test_no_squeezing_limit(self):

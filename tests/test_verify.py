@@ -1,9 +1,11 @@
 """What each verify suite checks, and that its oracles can fail."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cvsqueeze import states, verify
+from cvsqueeze import basis, hermite, model, phase_space, states, verify
 
 # (check name, tolerance) of every suite, in report order.  A change that
 # drops, renames or loosens a check must edit this table to pass.
@@ -107,3 +109,87 @@ def test_normalization_checks_fail_on_nan(monkeypatch):
     results = {r.name: r for r in verify.run_suite("states")}
     assert not results["wave-function normalization"].passed
     assert not results["wave-function normalization, grid-halving delta"].passed
+
+
+def test_check_fails_on_a_nan_residual():
+    assert verify._check("x", [0.0, np.nan], 1.0).passed is False
+
+
+def _times_nan(result):
+    return result * np.nan
+
+
+def _nan_spectrum(spectrum):
+    return phase_space.SymplecticSpectrum(values=tuple(v * np.nan for v in spectrum.values))
+
+
+# (suite, owner, routine, how its result is poisoned, checks that must fail)
+NAN_POISONINGS = [
+    ("hermite", hermite, "hermite_holo_sequence", _times_nan, [
+        "recurrence vs explicit sum, n <= 25",
+        "product generating identity, |t| <= 0.6, 60 terms",
+        "two-variable generating identity, |s t| <= 0.36, 60 terms",
+        "weighted orthogonality, diagonal, m,n <= 10",
+        "weighted orthogonality, off-diagonal (scaled)",
+    ]),
+    ("hermite", hermite, "hermite_complex_2v_table", _times_nan, [
+        "two-index symmetry under (m,n,z1,z2)->(n,m,z2,z1)",
+        "generating-function coefficients, m,n <= 6",
+        "two-variable generating identity, |s t| <= 0.36, 60 terms",
+    ]),
+    ("basis", basis, "basis_gram", _times_nan, ["Gaussian-measure orthonormality, indices <= 4"]),
+    ("basis", basis, "coefficient_norm_partial", _times_nan, ["coefficient norm partial sums nondecreasing"]),
+    ("states", states, "heisenberg_weyl_shift", _times_nan, ["translation-operator reconstruction"]),
+    ("states", states, "series_expansion", _times_nan, [
+        "series expansion sup-norm at order 50",
+        "series expansion sup-norm monotone decrease",
+    ]),
+    ("phase_space", phase_space, "wigner_numeric", _times_nan, [
+        "chord-quadrature Wigner vs closed form",
+        "Wigner translation covariance at sampled points",
+    ]),
+    ("phase_space", phase_space, "symplectic_spectrum", _nan_spectrum, [
+        "partial-transpose symplectic spectrum closed form",
+        "pure-state symplectic spectrum is hbar/2 twice",
+    ]),
+    ("model", model.TruncatedOperator, "interior_gap", _times_nan, [
+        "ladder-product vs expanded Hamiltonian paths",
+        "canonical commutators on the interior block",
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "suite, owner, routine, poison, names",
+    NAN_POISONINGS,
+    ids=[f"{suite}-{routine}" for suite, _, routine, _, _ in NAN_POISONINGS],
+)
+def test_nan_from_a_layer_fails_its_checks(suite, owner, routine, poison, names, monkeypatch):
+    # a NaN residual must fail its check rather than drop out of the reduction
+    exact = getattr(owner, routine)
+
+    def poisoned(*args, **kwargs):
+        return poison(exact(*args, **kwargs))
+
+    monkeypatch.setattr(owner, routine, poisoned)
+    results = {r.name: r for r in verify.run_suite(suite)}
+    for name in names:
+        assert not results[name].passed, name
+        assert math.isnan(results[name].residual), name
+
+
+def test_monotone_approach_sees_one_step_away_from_the_limit(monkeypatch):
+    # evaluating alpha = 1 - 1e-5 at 1 - 1.26e-3 makes the deviations from
+    # the alpha = 1 form read 2.39e-3, 3.01e-3, 2.39e-7: the second step
+    # still shrinks, but the first one grows by 6.2e-4
+    exact = model.hamiltonian_quadratic
+
+    def detuned(alpha, *args, **kwargs):
+        return exact(1.0 - 1.26e-3 if alpha == 1.0 - 1e-5 else alpha, *args, **kwargs)
+
+    monkeypatch.setattr(model, "hamiltonian_quadratic", detuned)
+    results = {r.name: r for r in verify.run_suite("model")}
+    assert results["no-squeezing limit continuity (residual at 1e-7)"].passed
+    monotone = results["no-squeezing limit monotone approach"]
+    assert not monotone.passed
+    assert monotone.residual == pytest.approx(6.21e-4, rel=1e-2)
