@@ -23,11 +23,11 @@ same float.  Identical inputs produce byte-identical files.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
 import sys
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -125,24 +125,22 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _cell(value, fmt: str) -> str:
+    """A fixed cell's text as the per-cell ``_fmt`` (csv) or ``json.dumps``
+    (json) writes it, with ``%`` escaped for a row template."""
+    return (_fmt(value) if fmt == "csv" else json.dumps(value)).replace("%", "%%")
+
+
+# a table row's opening, cell separator and closing, the separator between
+# rows and the slot one value fills: csv lines, or the indent-2 arrays of
+# json.dumps, whose float text is the repr that ``%s`` gives
+_LAYOUT = {
+    "csv": ("", ",", "", "\n", "%.17g"),
+    "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n", "%s"),
+}
+
 # json.dumps spells the non-finite floats as JavaScript does
 _JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_floats(column: Sequence) -> list[str]:
-    cells = list(map(float.__repr__, column))
-    if not all(map(math.isfinite, column)):
-        cells = [_JSON_NONFINITE.get(cell, cell) for cell in cells]
-    return cells
-
-
-def _cells(column: Sequence, fmt: str) -> list[str]:
-    """One column's cells as text, with the bytes the per-cell ``_fmt`` (csv)
-    and ``json.dumps`` (json) give.  The column holds at least one cell, all
-    of one type."""
-    if isinstance(column[0], float):
-        return list(map("%.17g".__mod__, column)) if fmt == "csv" else _json_floats(column)
-    return list(map(str if fmt == "csv" else json.dumps, column))
 
 
 def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
@@ -161,22 +159,24 @@ def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("
     )
 
 
-def _emit_cells(params: dict, names: list[str], cells: list[list[str]], fmt: str) -> str:
-    """The table from its formatted columns: one csv line or one indent-2
-    json array per row."""
+def _emit_table(params: dict, names: list[str], templates: list[str], values, fmt: str) -> str:
+    """The table from one template per row of ``values``: ``templates[i]``
+    is the text of one or more table rows with a slot for each value of
+    ``values[i]``, and one ``%`` fills it."""
+    values = np.asarray(values, dtype=float)
+    rows = values.tolist()
+    if fmt == "json" and not np.isfinite(values).all():
+        rows = [[_JSON_NONFINITE.get(cell, cell) for cell in map(repr, row)] for row in rows]
+    body = _LAYOUT[fmt][3].join(map(str.__mod__, templates, map(tuple, rows)))
     if fmt == "csv":
         lines = [f"# {key} = {_fmt(value)}" for key, value in params.items()]
-        lines.append(",".join(names))
-        lines.extend(map(",".join, zip(*cells)))
-        return "\n".join(lines) + "\n"
-    template = "    [\n" + ",\n".join("      %s" for _ in cells) + "\n    ]"
-    rows = map(template.__mod__, zip(*cells))
+        return "\n".join(lines + [",".join(names), body]) + "\n"
     payload = {"params": {k: (str(v) if isinstance(v, complex) else v) for k, v in params.items()},
                "columns": names,
                "rows": []}
     head = json.dumps(payload, indent=2)
     # head ends in the empty '"rows": []' and the closing brace
-    return "\n".join([head[:-len("]\n}")], ",\n".join(rows), "  ]\n}\n"])
+    return "\n".join([head[:-len("]\n}")], body, "  ]\n}\n"])
 
 
 def _write(text: str, out: str | None) -> int:
@@ -194,27 +194,21 @@ def _write(text: str, out: str | None) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     geom = states.OscillatorGeometry(a=args.a, b=args.b, hbar=args.hbar)
-    rows: list[list] = []
+    opening, sep, closing, _, slot = _LAYOUT[args.fmt]
+    templates: list[str] = []
+    values: list[list[float]] = []
     for k in (1, 2):
         for alpha in args.alphas:
             cov = phase_space.covariance(k, alpha, geom)
+            # one spectrum gives the row's eigenvalues, verdict and negativity
             spectrum = phase_space.symplectic_spectrum(phase_space.partial_transpose(cov))
-            verdict = phase_space.ppt_separable(cov)
-            negativity = phase_space.log_negativity(cov)
+            verdict = phase_space.ppt_separable(cov, spectrum)
+            negativity = phase_space.log_negativity(cov, spectrum)
             closed = max(-math.log(alpha), 0.0) if k == 2 else 0.0
-            rows.append(
-                [
-                    k,
-                    alpha,
-                    -0.5 * math.log(alpha),
-                    spectrum.values[0],
-                    spectrum.values[1],
-                    verdict.verdict,
-                    negativity,
-                    closed,
-                    abs(negativity - closed),
-                ]
-            )
+            cells = [_cell(k, args.fmt), *[slot] * 4, _cell(verdict.verdict, args.fmt), *[slot] * 3]
+            templates.append(opening + sep.join(cells) + closing)
+            values.append([alpha, -0.5 * math.log(alpha), *spectrum.values, negativity, closed,
+                           abs(negativity - closed)])
     params = {
         "command": "sweep", "a": args.a, "b": args.b, "hbar": args.hbar,
         "alphas": ",".join(format(a, ".17g") for a in args.alphas),
@@ -223,8 +217,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         "mode", "alpha", "squeeze_xi", "lambda_min_pt", "lambda_max_pt",
         "verdict", "log_negativity", "log_negativity_closed", "residual",
     ]
-    cells = [_cells(column, args.fmt) for column in zip(*rows)]
-    return _write(_emit_cells(params, columns, cells, args.fmt), args.out)
+    return _write(_emit_table(params, columns, templates, values, args.fmt), args.out)
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
@@ -240,7 +233,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     shift = states.shift_params(args.k, args.alpha, geom, labels)
     offsets = {"x1": shift.y1, "x2": shift.y2, "p1": shift.q1, "p2": shift.q2}
 
-    coords = {name: float(value) for name, value in args.fix}
+    coords = {name: float(value) for name, value in args.fix or ()}
     for name in _AXES:
         coords.setdefault(name, 0.0)
 
@@ -252,14 +245,12 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     shifted[axis1] = grid1[:, None] - offsets[axis1]
     shifted[axis2] = grid2[None, :] - offsets[axis2]
     values = evaluator(shifted["x1"], shifted["x2"], shifted["p1"], shifted["p2"])
-    # each coordinate is formatted once and its text repeated over the mesh
-    cells1 = _cells(grid1.tolist(), args.fmt)
-    cells2 = _cells(grid2.tolist(), args.fmt)
-    cells = [
-        [cell for cell in cells1 for _ in range(args.n2)],
-        cells2 * args.n1,
-        _cells(values.ravel().tolist(), args.fmt),
-    ]
+    # each coordinate is formatted once; grid row i is one template holding
+    # its n2 table rows, filled with values[i]
+    opening, sep, closing, newline, slot = _LAYOUT[args.fmt]
+    tails = [sep + _cell(v, args.fmt) + sep + slot + closing for v in grid2.tolist()]
+    heads = [opening + _cell(v, args.fmt) for v in grid1.tolist()]
+    templates = [head + (newline + head).join(tails) for head in heads]
     params = {
         "command": "wigner", "mode": args.k, "alpha": args.alpha,
         "a": args.a, "b": args.b, "hbar": args.hbar,
@@ -272,7 +263,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     for name in _AXES:
         if name not in (axis1, axis2):
             params[f"fixed_{name}"] = coords[name]
-    return _write(_emit_cells(params, [axis1, axis2, "wigner"], cells, args.fmt), args.out)
+    return _write(_emit_table(params, [axis1, axis2, "wigner"], templates, values, args.fmt), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -376,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     wigner.add_argument("--n1", type=int, default=41)
     wigner.add_argument("--n2", type=int, default=41)
     wigner.add_argument(
-        "--fix", type=_fix_arg, action="append", default=[],
+        "--fix", type=_fix_arg, action="append",
         help="fix a non-varied coordinate, e.g. --fix p1=0.5 (repeatable; default 0)",
     )
     wigner.set_defaults(handler=cmd_wigner)
@@ -405,13 +396,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the environment variables whose values build_parser reads
+_ENV_NAMES = ("HBAR", "FORMAT", "OUT", "MASS", "ORDER", "TRUNC", "TOL")
+
+
+@functools.lru_cache(maxsize=8)
+def _parser(environment: tuple) -> argparse.ArgumentParser:
+    # keyed on the values build_parser reads, so a cached parser has the
+    # defaults a new one would have
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser(tuple(os.environ.get(f"CVSQUEEZE_{name}") for name in _ENV_NAMES))
     args = parser.parse_args(argv)
-    if getattr(args, "axes", None) is not None and args.command == "wigner":
+    if args.command == "wigner":
         axes = args.axes
         if len(axes) != 2 or any(a not in _AXES for a in axes) or axes[0] == axes[1]:
             parser.error(f"--axes must name two distinct axes from {_AXES}")
+        fixed = [name for name, _ in args.fix or ()]
+        if len(set(fixed)) < len(fixed) or set(fixed) & set(axes):
+            parser.error(f"--fix must name each axis outside --axes at most once, got {fixed}")
     try:
         return args.handler(args)
     except (ValueError, phase_space.SpectrumPairingError) as exc:

@@ -42,6 +42,11 @@ __all__ = [
 # boundary-indeterminate
 SEPARABILITY_RTOL = 1e-10
 
+# robertson_schrodinger_check's rounding band, relative to the largest
+# |eigenvalue| of Sigma + (i hbar / 2) J: eigvalsh places a zero eigenvalue
+# within about eps times that scale, so a smaller |margin| has no sign
+UNCERTAINTY_RTOL = 4.0 * float(np.finfo(float).eps)
+
 # symplectic_spectrum's pairing band, relative to the largest |eigenvalue| of
 # J Sigma: every |Re| must lie within it and exactly two imaginary parts above
 PAIRING_RTOL = 1e-10
@@ -198,21 +203,29 @@ def covariance(k: int, alpha: float, geom: OscillatorGeometry) -> CovarianceMatr
 
 @dataclass(frozen=True)
 class RSCheck:
-    """Outcome of the uncertainty-relation positivity test."""
+    """Outcome of the uncertainty-relation positivity test.
+
+    ``indeterminate`` flags a margin inside the rounding band
+    ``UNCERTAINTY_RTOL``, whose sign the eigensolver cannot resolve.
+    """
 
     passed: bool
     margin: float
+    indeterminate: bool
 
 
 def robertson_schrodinger_check(cov: CovarianceMatrix, tol: float = 1e-12) -> RSCheck:
     """Test Sigma + (i hbar / 2) J >= 0 via the Hermitian eigenproblem.
 
     The margin is the minimum eigenvalue; physical covariance matrices pass
-    with margin >= -tol.
+    with margin >= -tol or a margin inside the rounding band, which at
+    strong squeezing (large max |eigenvalue|) exceeds tol.
     """
     h = cov.sigma + 0.5j * cov.hbar * symplectic_form()
-    margin = float(np.linalg.eigvalsh(h).min())
-    return RSCheck(passed=margin >= -tol, margin=margin)
+    eigenvalues = np.linalg.eigvalsh(h)
+    margin = float(eigenvalues.min())
+    indeterminate = abs(margin) <= UNCERTAINTY_RTOL * float(np.abs(eigenvalues).max())
+    return RSCheck(passed=margin >= -tol or indeterminate, margin=margin, indeterminate=indeterminate)
 
 
 def partial_transpose(cov: CovarianceMatrix) -> CovarianceMatrix:
@@ -276,14 +289,15 @@ class PPTVerdict:
         return "SEPARABLE" if self.separable else "ENTANGLED"
 
 
-def ppt_separable(cov: CovarianceMatrix) -> PPTVerdict:
+def ppt_separable(cov: CovarianceMatrix, spectrum: SymplecticSpectrum | None = None) -> PPTVerdict:
     """Partial-transpose separability test for the bipartite Gaussian state.
 
     Separable iff the minimal symplectic eigenvalue of the partially
     transposed covariance matrix stays >= hbar/2 (up to the relative
-    boundary tolerance ``SEPARABILITY_RTOL``).
+    boundary tolerance ``SEPARABILITY_RTOL``).  ``spectrum``, when given,
+    is ``symplectic_spectrum(partial_transpose(cov))``, already computed.
     """
-    lam_min = symplectic_spectrum(partial_transpose(cov)).minimum
+    lam_min = (spectrum or symplectic_spectrum(partial_transpose(cov))).minimum
     margin = lam_min / (0.5 * cov.hbar) - 1.0
     return PPTVerdict(
         separable=margin >= -SEPARABILITY_RTOL,
@@ -293,11 +307,12 @@ def ppt_separable(cov: CovarianceMatrix) -> PPTVerdict:
     )
 
 
-def log_negativity(cov: CovarianceMatrix) -> float:
+def log_negativity(cov: CovarianceMatrix, spectrum: SymplecticSpectrum | None = None) -> float:
     """Logarithmic negativity max(ln(hbar / (2 lambda_min)), 0).
 
     ``lambda_min`` is the minimal symplectic eigenvalue of the partially
-    transposed matrix; natural logarithm.
+    transposed matrix; natural logarithm.  ``spectrum`` is as for
+    :func:`ppt_separable`.
     """
-    lam_min = symplectic_spectrum(partial_transpose(cov)).minimum
+    lam_min = (spectrum or symplectic_spectrum(partial_transpose(cov))).minimum
     return max(math.log(cov.hbar / (2.0 * lam_min)), 0.0)

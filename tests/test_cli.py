@@ -151,6 +151,72 @@ class TestWigner:
             main(["wigner", "--alpha", "0.5", "--axes", "x1,q9"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize(
+        "fixes",
+        [
+            ["--fix", "x1=0.5"],
+            ["--fix=x2=0.5"],
+            ["--axes=p1,x2", "--fix=p1=1"],
+            ["--fix", "p1=1", "--fix", "p1=2"],
+            ["--fix=p2=1", "--fix=p1=0", "--fix=p2=1"],
+        ],
+        ids=["varied-flag", "varied-equals", "varied-axes", "twice-flag", "twice-equals"],
+    )
+    def test_fix_of_varied_or_repeated_axis_exits_2(self, fixes, capsys):
+        # the value would be ignored (a varied axis) or overwritten (a repeat)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["wigner", "--alpha=0.5", "--n1=2", "--n2=2", *fixes])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--fix" in captured.err
+
+
+class TestParserReuse:
+    """main keeps one parser per set of CVSQUEEZE_* values."""
+
+    def test_environment_read_per_call(self, capsys, monkeypatch):
+        monkeypatch.setenv("CVSQUEEZE_HBAR", "2")
+        code, out, _ = run(["sweep", "--alphas=0.5"], capsys)
+        assert code == 0 and "# hbar = 2\n" in out
+        monkeypatch.delenv("CVSQUEEZE_HBAR")
+        code, out, _ = run(["sweep", "--alphas=0.5"], capsys)
+        assert code == 0 and "# hbar = 1\n" in out
+        monkeypatch.setenv("CVSQUEEZE_HBAR", "-1")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sweep", "--alphas=0.5"])
+        assert excinfo.value.code == 2
+        assert "--hbar" in capsys.readouterr().err
+
+    def test_one_parser_per_environment(self, capsys, monkeypatch):
+        built = []
+        build_parser = cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build_parser()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        monkeypatch.delenv("CVSQUEEZE_FORMAT", raising=False)
+        cli._parser.cache_clear()
+        for argv in (["sweep", "--alphas=0.5"], ["wigner", "--alpha=0.5", "--n1=2", "--n2=2"]):
+            assert run(argv, capsys)[0] == 0
+        assert len(built) == 1
+        monkeypatch.setenv("CVSQUEEZE_FORMAT", "json")
+        code, out, _ = run(["sweep", "--alphas=0.5"], capsys)
+        assert code == 0 and json.loads(out)["params"]["command"] == "sweep"
+        assert len(built) == 2
+        cli._parser.cache_clear()
+
+    def test_fix_does_not_leak_into_later_calls(self, capsys):
+        argv = ["wigner", "--alpha=0.5", "--n1=2", "--n2=2"]
+        code, out, _ = run(argv + ["--fix", "p1=0.75", "--fix=p2=-0.5"], capsys)
+        assert code == 0 and "# fixed_p1 = 0.75\n" in out and "# fixed_p2 = -0.5\n" in out
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and "# fixed_p1 = 0\n" in out and "# fixed_p2 = 0\n" in out
+        code, out, _ = run(argv + ["--fix=p2=0.25"], capsys)
+        assert code == 0 and "# fixed_p1 = 0\n" in out and "# fixed_p2 = 0.25\n" in out
+
 
 class TestVerifyCommand:
     def test_phase_space_suite_passes(self, capsys):
@@ -367,6 +433,18 @@ def _reference_table(params: dict, columns: list, rows: list, fmt: str) -> str:
     return json.dumps({"params": params, "columns": columns, "rows": rows}, indent=2) + "\n"
 
 
+def _direct_table(params: dict, columns: list, rows: list, fmt: str) -> str:
+    """The table writer fed directly: one template per row, each float cell
+    a value slot."""
+    opening, sep, closing, _, slot = cli._LAYOUT[fmt]
+    templates = [
+        opening + sep.join(slot if isinstance(cell, float) else cli._cell(cell, fmt) for cell in row) + closing
+        for row in rows
+    ]
+    values = [[cell for cell in row if isinstance(cell, float)] for row in rows]
+    return cli._emit_table(params, columns, templates, values, fmt)
+
+
 def _reference_wigner_rows(params: dict) -> list:
     """The table a header describes, one scalar evaluator call per point."""
     hbar = params["hbar"]
@@ -402,8 +480,10 @@ class TestByteIdentity:
              "--fix=x1=0.5", "--fix=x2=-0.3", "--z2=-0.2+0.4j", "--hbar=0.7"],
             ["--k=2", "--axes=x2,p1", "--n1=9", "--n2=3", "--alpha=0.1", "--fix=p2=1e-3"],
             ["--k=1", "--axes=p2,x1", "--n1=4", "--n2=7", "--alpha=0.9", "--z1=-0.5j"],
+            ["--k=2", "--n1=2", "--n2=257", "--range2=-4:4.5", "--fix=p1=0.3"],
+            ["--k=1", "--axes=x1,p2", "--n1=257", "--n2=2", "--range1=-5:5", "--z2=0.1-0.2j"],
         ],
-        ids=["k1-positions", "k2-momenta", "k2-mixed", "k1-mixed-reversed"],
+        ids=["k1-positions", "k2-momenta", "k2-mixed", "k1-mixed-reversed", "long-rows", "tall"],
     )
     def test_wigner_matches_reference(self, argv, capsys):
         self._check_wigner(["wigner", "--alpha=0.35"] + argv, capsys)
@@ -431,9 +511,41 @@ class TestByteIdentity:
         columns = [list(range(len(column))), column, ["a", "b\"", "c", "d", "e", "f"]]
         rows = [list(row) for row in zip(*columns)]
         for fmt in ("csv", "json"):
-            cells = [cli._cells(column, fmt) for column in columns]
-            text = cli._emit_cells(params, ["i", "v", "s"], cells, fmt)
+            text = _direct_table(params, ["i", "v", "s"], rows, fmt)
             assert text == _reference_table(params, ["i", "v", "s"], rows, fmt)
+
+    @pytest.mark.parametrize("finite", [True, False])
+    def test_grid_templates_with_extreme_values(self, finite):
+        # the templates cmd_wigner builds, several table rows each, filled
+        # with values the evaluator never yields; np.float64 cells among
+        # Python floats, as coordinate and as value
+        cells = [[-0.0, 1e-300, 5e-324], [np.float64(0.1), -2.5e300, 1.0]]
+        if not finite:
+            cells = [[-0.0, float("nan"), 5e-324], [np.float64(0.1), float("inf"), -float("inf")]]
+        grid1, grid2 = [np.float64(0.1), -0.0], [1e-300, 5e-324, -7.25]
+        rows = [[v1, v2, cells[i][j]] for i, v1 in enumerate(grid1) for j, v2 in enumerate(grid2)]
+        params = {"command": "test", "n": 2}
+        for fmt in ("csv", "json"):
+            opening, sep, closing, newline, slot = cli._LAYOUT[fmt]
+            tails = [sep + cli._cell(v, fmt) + sep + slot + closing for v in grid2]
+            heads = [opening + cli._cell(v, fmt) for v in grid1]
+            templates = [head + (newline + head).join(tails) for head in heads]
+            text = cli._emit_table(params, ["x1", "x2", "wigner"], templates, cells, fmt)
+            assert text == _reference_table(params, ["x1", "x2", "wigner"], rows, fmt)
+
+    def test_one_spectrum_per_sweep_row(self, capsys, monkeypatch):
+        calls = []
+        symplectic_spectrum = phase_space.symplectic_spectrum
+
+        def counting(cov):
+            calls.append(cov)
+            return symplectic_spectrum(cov)
+
+        monkeypatch.setattr(phase_space, "symplectic_spectrum", counting)
+        alphas = [0.05, 0.3, 0.6, 0.97, 0.999]
+        code, _, _ = run(["sweep", "--alphas=" + ",".join(map(str, alphas))], capsys)
+        assert code == 0
+        assert len(calls) == 2 * len(alphas)
 
     def test_one_evaluator_call_per_table(self, capsys, monkeypatch):
         shapes = []

@@ -290,6 +290,33 @@ class TestRobertsonSchrodinger:
         assert not result.passed
         assert result.margin < -0.1
 
+    @pytest.mark.parametrize(
+        "alpha, route", [(1e-5, "covariance"), (1e-8, "covariance"), (1e-4, "wigner_gaussian")]
+    )
+    def test_rounding_band_is_indeterminate_not_failed(self, alpha, route):
+        # eigvalsh's floor, about eps times the largest eigenvalue, gave these
+        # physical states margins of -3.6e-12, -3.7e-9 and -1.1e-12
+        geom = states.OscillatorGeometry(0.8, 1.3, hbar=0.7)
+        if route == "covariance":
+            cov = phase_space.covariance(2, alpha, geom)
+        else:
+            cov, _ = phase_space.wigner_gaussian(states.unshifted_gaussian(2, alpha, geom), geom.hbar)
+        result = phase_space.robertson_schrodinger_check(cov)
+        assert result.passed and result.indeterminate
+        scale = np.abs(np.linalg.eigvalsh(cov.sigma + 0.5j * cov.hbar * phase_space.symplectic_form())).max()
+        assert abs(result.margin) <= phase_space.UNCERTAINTY_RTOL * scale
+
+    @pytest.mark.parametrize("alpha", [0.5, 1e-4])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_shrunk_covariance_fails_outside_the_band(self, alpha, k):
+        geom = states.OscillatorGeometry(0.8, 1.3, hbar=0.7)
+        cov = phase_space.covariance(k, alpha, geom)
+        shrunk = phase_space.CovarianceMatrix(sigma=cov.sigma * (1.0 - 1e-6), hbar=cov.hbar)
+        result = phase_space.robertson_schrodinger_check(shrunk)
+        assert not result.passed
+        assert not result.indeterminate
+        assert result.margin < -1e-11
+
     def test_verdict_invariant_under_symplectic_congruence(self):
         rng = np.random.default_rng(42)
         j = phase_space.symplectic_form()

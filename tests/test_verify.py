@@ -40,7 +40,7 @@ PINNED_CHECKS = {
         ("partial-transpose symplectic spectrum closed form", 1e-12),
         ("pure-state symplectic spectrum is hbar/2 twice", 1e-12),
         ("separability verdicts across the parameter range", 0.0),
-        ("uncertainty-relation positivity of physical states", 1e-12),
+        ("uncertainty-relation positivity of physical states, alpha 1e-8 to 0.9", 1e-12),
         ("chord-quadrature Wigner vs closed form", 1e-06),
         ("Wigner translation covariance at sampled points", 1e-06),
     ],
@@ -176,6 +176,22 @@ def test_nan_from_a_layer_fails_its_checks(suite, owner, routine, poison, names,
     for name in names:
         assert not results[name].passed, name
         assert math.isnan(results[name].residual), name
+
+
+def test_uncertainty_check_sees_a_shrunk_covariance(monkeypatch):
+    # Sigma scaled by 1 - 1e-6 violates the relation by far more than the
+    # rounding band, at every alpha of the check
+    exact = phase_space.covariance
+
+    def shrunk(*args, **kwargs):
+        cov = exact(*args, **kwargs)
+        return phase_space.CovarianceMatrix(sigma=cov.sigma * (1.0 - 1e-6), hbar=cov.hbar)
+
+    monkeypatch.setattr(phase_space, "covariance", shrunk)
+    results = {r.name: r for r in verify.run_suite("phase_space")}
+    check = results["uncertainty-relation positivity of physical states, alpha 1e-8 to 0.9"]
+    assert not check.passed
+    assert check.residual > 1e-7
 
 
 def test_monotone_approach_sees_one_step_away_from_the_limit(monkeypatch):
