@@ -1,120 +1,20 @@
 """Bipartite squeezed coherent states, their phase-space entanglement
-characterization, and the coupled-oscillator model behind them."""
+characterization, and the coupled-oscillator model behind them.
 
-from .basis import (
-    SqueezeParam,
-    alpha_from_squeeze,
-    basis_function,
-    basis_function_2v,
-    coefficient,
-    coefficient_norm_partial,
-    gaussian_measure_density,
-    squeeze_from_alpha,
-)
-from .hermite import (
-    hermite_complex_2v,
-    hermite_holo,
-    hermite_real,
-    mehler_product,
-    mehler_two_variable,
-    orthogonality_integral,
-    orthogonality_rhs,
-)
-from .model import (
-    GroundStateCheck,
-    LadderCoefficients,
-    OscillatorSpec,
-    QuadraticHamiltonian,
-    TruncatedOperator,
-    ground_state_energy_check,
-    hamiltonian_fock,
-    hamiltonian_quadratic,
-    ladder_coefficients,
-    transformed_ladder_matrices,
-)
-from .phase_space import (
-    CovarianceMatrix,
-    PhaseSpacePoint,
-    PPTVerdict,
-    SymplecticSpectrum,
-    covariance,
-    log_negativity,
-    partial_transpose,
-    ppt_separable,
-    robertson_schrodinger_check,
-    symplectic_form,
-    symplectic_spectrum,
-    wigner_gaussian,
-    wigner_numeric,
-)
+Every name in a layer's ``__all__`` is exported here, and so is
+``ConvergenceError``; the layers' lists are the only lists of names.
+"""
+
+from . import basis, hermite, model, phase_space, states
+from .basis import *  # noqa: F403
+from .hermite import *  # noqa: F403
+from .model import *  # noqa: F403
+from .phase_space import *  # noqa: F403
 from .quadrature import ConvergenceError
-from .states import (
-    DisplacementLabels,
-    OscillatorGeometry,
-    QuadraticGaussian,
-    ShiftParams,
-    fock_position_basis,
-    heisenberg_weyl_shift,
-    inverse_segal_bargmann,
-    segal_bargmann_kernel,
-    series_expansion,
-    shift_params,
-    unshifted_gaussian,
-    wave_function,
-)
+from .states import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ConvergenceError",
-    "CovarianceMatrix",
-    "DisplacementLabels",
-    "GroundStateCheck",
-    "LadderCoefficients",
-    "OscillatorGeometry",
-    "OscillatorSpec",
-    "PhaseSpacePoint",
-    "PPTVerdict",
-    "QuadraticGaussian",
-    "QuadraticHamiltonian",
-    "ShiftParams",
-    "SqueezeParam",
-    "SymplecticSpectrum",
-    "TruncatedOperator",
-    "alpha_from_squeeze",
-    "basis_function",
-    "basis_function_2v",
-    "coefficient",
-    "coefficient_norm_partial",
-    "covariance",
-    "fock_position_basis",
-    "gaussian_measure_density",
-    "ground_state_energy_check",
-    "hamiltonian_fock",
-    "hamiltonian_quadratic",
-    "heisenberg_weyl_shift",
-    "hermite_complex_2v",
-    "hermite_holo",
-    "hermite_real",
-    "inverse_segal_bargmann",
-    "ladder_coefficients",
-    "log_negativity",
-    "mehler_product",
-    "mehler_two_variable",
-    "orthogonality_integral",
-    "orthogonality_rhs",
-    "partial_transpose",
-    "ppt_separable",
-    "robertson_schrodinger_check",
-    "segal_bargmann_kernel",
-    "series_expansion",
-    "shift_params",
-    "squeeze_from_alpha",
-    "symplectic_form",
-    "symplectic_spectrum",
-    "transformed_ladder_matrices",
-    "unshifted_gaussian",
-    "wave_function",
-    "wigner_gaussian",
-    "wigner_numeric",
+__all__ = ["ConvergenceError"] + [
+    name for layer in (basis, hermite, model, phase_space, states) for name in layer.__all__
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quadrature import scaled_gauss_hermite
+from .quadrature import _plane_gauss_hermite
 
 __all__ = [
     "SqueezeParam",
@@ -86,10 +86,10 @@ def squeeze_from_alpha(alpha: float) -> SqueezeParam:
 
 
 def alpha_from_squeeze(xi: float) -> float:
-    """Inverse of :func:`squeeze_from_alpha`: alpha = exp(-2 xi), xi >= 0."""
+    """Inverse of :func:`squeeze_from_alpha`: alpha = exp(-2 xi), finite xi >= 0."""
     xi = float(xi)
-    if xi < 0.0:
-        raise ValueError(f"xi must be nonnegative, got {xi}")
+    if not 0.0 <= xi < math.inf:
+        raise ValueError(f"xi must be finite and nonnegative, got {xi}")
     return math.exp(-2.0 * xi)
 
 
@@ -290,9 +290,8 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
         expand[k] = expand[k - 1] @ step
     coeffs = (expand.T @ monomial @ expand).reshape(dim * dim, points * points)
 
-    s, ws = scaled_gauss_hermite(order, wide)
-    t, wt = scaled_gauss_hermite(order, narrow)
-    e = _polynomial_sequence(degree, alpha, (s[:, None] + 1j * t[None, :]).ravel())
-    plane = (e * np.outer(ws, wt).ravel()) @ e.conj().T
+    nodes, weights = _plane_gauss_hermite(order, wide, narrow)
+    e = _polynomial_sequence(degree, alpha, nodes)
+    plane = (e * weights) @ e.conj().T
     gram = coeffs @ np.kron(plane, plane) @ coeffs.conj().T
     return gram * (4.0 * alpha / ((1.0 + alpha) ** 2 * np.pi**2))

@@ -50,14 +50,21 @@ def _positive_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+def _int_at_least(minimum: int, what: str):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1, "a positive integer")
+_grid_count = _int_at_least(2, "an integer >= 2")
 
 
 def _format_arg(formats: tuple[str, ...]):
@@ -104,6 +111,13 @@ def _range_arg(text: str) -> tuple[float, float]:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise argparse.ArgumentTypeError(f"range must be finite and ordered, got {text!r}")
     return lo, hi
+
+
+def _axes_arg(text: str) -> tuple[str, str]:
+    axes = tuple(text.split(","))
+    if len(axes) != 2 or any(a not in _AXES for a in axes) or axes[0] == axes[1]:
+        raise argparse.ArgumentTypeError(f"must name two distinct axes from {_AXES}, got {text!r}")
+    return axes
 
 
 def _fix_arg(text: str) -> tuple[str, float]:
@@ -199,15 +213,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     values: list[list[float]] = []
     for k in (1, 2):
         for alpha in args.alphas:
-            cov = phase_space.covariance(k, alpha, geom)
-            # one spectrum gives the row's eigenvalues, verdict and negativity
-            spectrum = phase_space.symplectic_spectrum(phase_space.partial_transpose(cov))
-            verdict = phase_space.ppt_separable(cov, spectrum)
-            negativity = phase_space.log_negativity(cov, spectrum)
+            # one verdict gives the row's eigenvalues, verdict and negativity
+            verdict = phase_space.ppt_separable(phase_space.covariance(k, alpha, geom))
+            negativity = verdict.log_negativity
             closed = max(-math.log(alpha), 0.0) if k == 2 else 0.0
             cells = [_cell(k, args.fmt), *[slot] * 4, _cell(verdict.verdict, args.fmt), *[slot] * 3]
             templates.append(opening + sep.join(cells) + closing)
-            values.append([alpha, -0.5 * math.log(alpha), *spectrum.values, negativity, closed,
+            values.append([alpha, -0.5 * math.log(alpha), *verdict.spectrum.values, negativity, closed,
                            abs(negativity - closed)])
     params = {
         "command": "sweep", "a": args.a, "b": args.b, "hbar": args.hbar,
@@ -224,9 +236,9 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     geom = states.OscillatorGeometry(a=args.a, b=args.b, hbar=args.hbar)
     labels = states.DisplacementLabels(z1=args.z1, z2=args.z2)
     axis1, axis2 = args.axes
-    if args.n1 < 2 or args.n2 < 2:
-        print("error: grid counts must be >= 2", file=sys.stderr)
-        return 2
+    fixed = [name for name, _ in args.fix or ()]
+    if len(set(fixed)) < len(fixed) or set(fixed) & set(args.axes):
+        args.usage_error(f"--fix must name each axis outside --axes at most once, got {fixed}")
 
     gaussian = states.unshifted_gaussian(args.k, args.alpha, geom)
     _, evaluator = phase_space.wigner_gaussian(gaussian, args.hbar)
@@ -284,11 +296,8 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     hermiticity = ladder.hermiticity_defect()
 
     a, b = spec.inverse_lengths()
-    geom = states.OscillatorGeometry(a=a, b=b, hbar=args.hbar)
     grid_points = max(81, 2 * args.order + 1)
-    ground = model.ground_state_energy_check(
-        args.alpha, spec, geom, args.z1, args.z2, grid_points=grid_points
-    )
+    ground = model.ground_state_energy_check(args.alpha, spec, args.z1, args.z2, grid_points=grid_points)
 
     diag = np.real(ladder.diagonal())
     payload = {
@@ -359,18 +368,19 @@ def build_parser() -> argparse.ArgumentParser:
     wigner.add_argument("--z1", type=_complex_arg, default=0j, help="first displacement label, e.g. 0.3+0.1j")
     wigner.add_argument("--z2", type=_complex_arg, default=0j)
     wigner.add_argument(
-        "--axes", type=lambda t: tuple(t.split(",")), default=("x1", "x2"),
+        "--axes", type=_axes_arg, default=("x1", "x2"),
         help="two comma-separated axes to vary, from x1,x2,p1,p2",
     )
     wigner.add_argument("--range1", type=_range_arg, default=(-3.0, 3.0), help="lo:hi for the first axis")
     wigner.add_argument("--range2", type=_range_arg, default=(-3.0, 3.0), help="lo:hi for the second axis")
-    wigner.add_argument("--n1", type=int, default=41)
-    wigner.add_argument("--n2", type=int, default=41)
+    wigner.add_argument("--n1", type=_grid_count, default=41)
+    wigner.add_argument("--n2", type=_grid_count, default=41)
     wigner.add_argument(
         "--fix", type=_fix_arg, action="append",
         help="fix a non-varied coordinate, e.g. --fix p1=0.5 (repeatable; default 0)",
     )
-    wigner.set_defaults(handler=cmd_wigner)
+    # the --fix/--axes clash is known only once both are parsed
+    wigner.set_defaults(handler=cmd_wigner, usage_error=wigner.error)
 
     ver = sub.add_parser("verify", help="run a library invariant suite")
     ver.add_argument("suite", choices=verify.suite_names())
@@ -410,13 +420,6 @@ def _parser(environment: tuple) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _parser(tuple(os.environ.get(f"CVSQUEEZE_{name}") for name in _ENV_NAMES))
     args = parser.parse_args(argv)
-    if args.command == "wigner":
-        axes = args.axes
-        if len(axes) != 2 or any(a not in _AXES for a in axes) or axes[0] == axes[1]:
-            parser.error(f"--axes must name two distinct axes from {_AXES}")
-        fixed = [name for name, _ in args.fix or ()]
-        if len(set(fixed)) < len(fixed) or set(fixed) & set(axes):
-            parser.error(f"--fix must name each axis outside --axes at most once, got {fixed}")
     try:
         return args.handler(args)
     except (ValueError, phase_space.SpectrumPairingError) as exc:

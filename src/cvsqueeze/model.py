@@ -599,7 +599,6 @@ class GroundStateCheck:
 def ground_state_energy_check(
     alpha: float,
     spec: OscillatorSpec,
-    geom: OscillatorGeometry,
     z1: complex = 0.0,
     z2: complex = 0.0,
     grid_points: int = 161,
@@ -616,24 +615,15 @@ def ground_state_energy_check(
     next to hbar (omega_1 + omega_2)/2 and the normalized eigen-residual
     ||(H - E0) psi|| / ||psi||, which must shrink under grid refinement,
     come from 1D inner products and two thin QR factorizations: time and
-    memory are O(grid_points).  The geometry must match the frequencies
-    through omega_i = hbar a_i^2 / M.
+    memory are O(grid_points).  The state's geometry is the spec's:
+    a_i = sqrt(M omega_i / hbar) (:meth:`OscillatorSpec.inverse_lengths`).
     """
-    expected_a, expected_b = spec.inverse_lengths()
-    if not (
-        math.isclose(geom.a, expected_a, rel_tol=1e-10)
-        and math.isclose(geom.b, expected_b, rel_tol=1e-10)
-        and math.isclose(geom.hbar, spec.hbar, rel_tol=1e-10)
-    ):
-        raise ValueError(
-            "geometry inconsistent with the oscillator frequencies: "
-            f"need a = {expected_a:.6g}, b = {expected_b:.6g} for omega_i = hbar a_i^2 / M"
-        )
     if grid_points < 32:
         raise ValueError(f"grid_points must be >= 32, got {grid_points}")
     if not (math.isfinite(box_sigmas) and box_sigmas > 0.0):
         raise ValueError(f"box_sigmas must be finite and positive, got {box_sigmas}")
     labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
+    geom = OscillatorGeometry(*spec.inverse_lengths(), hbar=spec.hbar)
     state = gaussian_state(2, alpha, geom, labels)
     frame, center = state.gaussian.frame, state.position_center
     s_axis, t_axis = _principal_axis_grid(state, grid_points, box_sigmas)

@@ -117,8 +117,8 @@ def wigner_gaussian(gaussian: QuadraticGaussian, hbar: float = 1.0):
     exponents are sums of squares on principal axes.
     Returns ``(CovarianceMatrix, evaluator)``.
     """
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     dual = QuadraticGaussian(gaussian.inverse.T, [1.0 / c for c in gaussian.curvatures])
     sigma = np.zeros((4, 4))
     sigma[:2, :2] = 0.5 * dual.matrix
@@ -166,9 +166,11 @@ def wigner_numeric(
     measure the residual imaginary part.  ``check=True`` re-evaluates at
     doubled order and raises on disagreement beyond ``rtol``.
     """
-    if not hbar > 0.0:
-        raise ValueError(f"hbar must be positive, got {hbar}")
+    if not 0.0 < hbar < math.inf:
+        raise ValueError(f"hbar must be positive and finite, got {hbar}")
     scale = np.eye(2) if m_matrix is None else np.asarray(m_matrix, dtype=float)
+    if not all(0.0 < d < math.inf for d in np.diag(scale)):
+        raise ValueError(f"m_matrix diagonal must be positive and finite, got {scale.tolist()}")
     value = _refine_by_doubling(
         lambda quad_order: _wigner_quad(f, point, hbar, quad_order, scale), order, check, rtol, "wigner_numeric"
     )
@@ -272,47 +274,48 @@ def symplectic_spectrum(cov: CovarianceMatrix) -> SymplecticSpectrum:
 
 @dataclass(frozen=True)
 class PPTVerdict:
-    """Separability verdict with the minimal symplectic eigenvalue attached.
+    """Separability verdict and log-negativity of one partial-transpose spectrum.
 
+    ``spectrum`` is ``symplectic_spectrum(partial_transpose(cov))``;
     ``margin`` is lambda_min / (hbar/2) - 1; ``indeterminate`` flags values
     inside the boundary tolerance band where the verdict is a coin toss
-    numerically.
+    numerically; ``log_negativity`` is max(ln(hbar / (2 lambda_min)), 0).
     """
 
     separable: bool
-    lambda_min: float
+    spectrum: SymplecticSpectrum
     margin: float
     indeterminate: bool
+    log_negativity: float
+
+    @property
+    def lambda_min(self) -> float:
+        return self.spectrum.minimum
 
     @property
     def verdict(self) -> str:
         return "SEPARABLE" if self.separable else "ENTANGLED"
 
 
-def ppt_separable(cov: CovarianceMatrix, spectrum: SymplecticSpectrum | None = None) -> PPTVerdict:
+def ppt_separable(cov: CovarianceMatrix) -> PPTVerdict:
     """Partial-transpose separability test for the bipartite Gaussian state.
 
     Separable iff the minimal symplectic eigenvalue of the partially
     transposed covariance matrix stays >= hbar/2 (up to the relative
-    boundary tolerance ``SEPARABILITY_RTOL``).  ``spectrum``, when given,
-    is ``symplectic_spectrum(partial_transpose(cov))``, already computed.
+    boundary tolerance ``SEPARABILITY_RTOL``); the logarithmic negativity
+    is read off the same eigenvalue, with the natural logarithm.
     """
-    lam_min = (spectrum or symplectic_spectrum(partial_transpose(cov))).minimum
-    margin = lam_min / (0.5 * cov.hbar) - 1.0
+    spectrum = symplectic_spectrum(partial_transpose(cov))
+    margin = spectrum.minimum / (0.5 * cov.hbar) - 1.0
     return PPTVerdict(
         separable=margin >= -SEPARABILITY_RTOL,
-        lambda_min=lam_min,
+        spectrum=spectrum,
         margin=margin,
         indeterminate=abs(margin) <= SEPARABILITY_RTOL,
+        log_negativity=max(math.log(cov.hbar / (2.0 * spectrum.minimum)), 0.0),
     )
 
 
-def log_negativity(cov: CovarianceMatrix, spectrum: SymplecticSpectrum | None = None) -> float:
-    """Logarithmic negativity max(ln(hbar / (2 lambda_min)), 0).
-
-    ``lambda_min`` is the minimal symplectic eigenvalue of the partially
-    transposed matrix; natural logarithm.  ``spectrum`` is as for
-    :func:`ppt_separable`.
-    """
-    lam_min = (spectrum or symplectic_spectrum(partial_transpose(cov))).minimum
-    return max(math.log(cov.hbar / (2.0 * lam_min)), 0.0)
+def log_negativity(cov: CovarianceMatrix) -> float:
+    """Logarithmic negativity max(ln(hbar / (2 lambda_min)), 0) of :func:`ppt_separable`."""
+    return ppt_separable(cov).log_negativity

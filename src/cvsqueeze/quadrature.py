@@ -33,13 +33,21 @@ def scaled_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarr
     """Nodes and weights for integrals against exp(-coeff * t^2) dt.
 
     Substitutes t = s / sqrt(coeff) into the standard rule; ``coeff`` must be
-    positive.
+    positive and finite.
     """
-    if not coeff > 0.0:
-        raise ValueError(f"Gaussian weight coefficient must be positive, got {coeff}")
+    if not 0.0 < coeff < np.inf:
+        raise ValueError(f"Gaussian weight coefficient coeff must be positive and finite, got {coeff}")
     nodes, weights = gauss_hermite(order)
     scale = 1.0 / np.sqrt(coeff)
     return nodes * scale, weights * scale
+
+
+def _plane_gauss_hermite(order: int, coeff_x: float, coeff_y: float) -> tuple[np.ndarray, np.ndarray]:
+    """Flat nodes z = x + i y and weights of the tensor rule on the complex
+    plane for integrals against exp(-coeff_x x^2 - coeff_y y^2) dx dy."""
+    x, wx = scaled_gauss_hermite(order, coeff_x)
+    y, wy = scaled_gauss_hermite(order, coeff_y)
+    return (x[:, None] + 1j * y[None, :]).ravel(), np.outer(wx, wy).ravel()
 
 
 def open_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray]:
@@ -49,8 +57,8 @@ def open_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray
     (w -> w exp(node^2)), the classic correction for integrands that carry
     their own decay.
     """
-    if not coeff > 0.0:
-        raise ValueError(f"Gaussian decay coefficient must be positive, got {coeff}")
+    if not 0.0 < coeff < np.inf:
+        raise ValueError(f"Gaussian decay coefficient coeff must be positive and finite, got {coeff}")
     nodes, weights = gauss_hermite(order)
     folded = weights * np.exp(nodes**2)
     if not np.isfinite(folded).all():

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import check_alpha, check_index, check_mode, coefficient_table
-from .quadrature import _refine_by_doubling, scaled_gauss_hermite
+from .quadrature import _plane_gauss_hermite, _refine_by_doubling
 
 __all__ = [
     "OscillatorGeometry",
@@ -194,9 +194,12 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     """Orthonormal oscillator eigenfunctions of index 0 .. n_max.
 
     Uses the normalized recurrence (stable for the index ranges handled
-    here); ``inverse_length`` is the ``a`` in exp(-(a x)^2 / 2).
+    here); ``inverse_length`` is the ``a`` in exp(-(a x)^2 / 2), positive and
+    finite.
     """
     check_index(n_max, "n_max")
+    if not 0.0 < inverse_length < math.inf:
+        raise ValueError(f"inverse_length must be positive and finite, got {inverse_length}")
     (x,) = _check_positions(x)
     ax = inverse_length * x
     out = np.empty((n_max + 1,) + x.shape, dtype=float)
@@ -360,10 +363,7 @@ def _inverse_sb_quad(psi_b, x1: np.ndarray, x2: np.ndarray, geom: OscillatorGeom
     # the two planes, and the flat points x1, x2 are contracted through it
     # together.
     a, b = geom.a, geom.b
-    u, wu = scaled_gauss_hermite(order, 1.5)
-    v, wv = scaled_gauss_hermite(order, 0.5)
-    w = (u[:, None] + 1j * v[None, :]).ravel()
-    weight = np.outer(wu, wv).ravel()
+    w, weight = _plane_gauss_hermite(order, 1.5, 0.5)
     grid = np.asarray(psi_b(w[:, None], w[None, :]), dtype=complex)
     r1 = weight * np.exp(_sb_mode_exponent(a * x1[:, None], w))
     r2 = weight * np.exp(_sb_mode_exponent(b * x2[:, None], w))

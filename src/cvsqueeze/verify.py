@@ -411,12 +411,11 @@ def model_suite() -> list[CheckResult]:
             residuals.append(model._kron_operator(terms).interior_gap(expected))
     checks.append(_check("canonical commutators on the interior block", residuals, 1e-12))
 
-    geom = states.OscillatorGeometry(1.0, 1.2)
-    spec_g = model.OscillatorSpec.from_geometry(geom)
+    spec_g = model.OscillatorSpec.from_geometry(states.OscillatorGeometry(1.0, 1.2))
     energy_errs, refinements, defects = [], [], []
     for alpha in (0.05, 0.5):
         coarse, fine = (
-            model.ground_state_energy_check(alpha, spec_g, geom, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=n)
+            model.ground_state_energy_check(alpha, spec_g, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=n)
             for n in (81, 161)
         )
         energy_errs.append(abs(fine.energy - fine.expected))

@@ -91,7 +91,7 @@ def test_criterion_4_orthogonality_constant():
     for alpha in (0.3, 0.5, 0.7):
         for m in range(11):
             for n in range(m, 11):
-                value = hermite.orthogonality_integral(m, n, alpha, order=80, check=False)
+                value = hermite.orthogonality_integral(m, n, alpha, order=80)
                 if m == n:
                     expected = hermite.orthogonality_rhs(n, n, alpha)
                     crit.update(abs(value - expected) / expected)
@@ -202,8 +202,8 @@ def test_criterion_8_hamiltonian_reconstruction():
             path_gap = float(np.abs(ladder.interior() - expanded.interior()).max())
             ratios.append(path_gap / 1e-10)
 
-    coarse = model.ground_state_energy_check(0.5, spec, geom, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=81)
-    fine = model.ground_state_energy_check(0.5, spec, geom, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=161)
+    coarse = model.ground_state_energy_check(0.5, spec, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=81)
+    fine = model.ground_state_energy_check(0.5, spec, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=161)
     ratios.append(abs(fine.energy - fine.expected) / 1e-6)
     ratios.append(0.0 if fine.residual < coarse.residual else 1.0)
 

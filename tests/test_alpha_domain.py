@@ -41,7 +41,7 @@ CLOSED = {
     "transformed_ladder_matrices": lambda a: model.transformed_ladder_matrices(a, 0.1, 0.2j, 4),
     "hamiltonian_fock": lambda a: model.hamiltonian_fock(a, SPEC, 0.1, 0.2j, 8),
     "hamiltonian_quadratic": lambda a: model.hamiltonian_quadratic(a, SPEC, 0.1, 0.2j),
-    "ground_state_energy_check": lambda a: model.ground_state_energy_check(a, SPEC, GEOM, grid_points=32),
+    "ground_state_energy_check": lambda a: model.ground_state_energy_check(a, SPEC, grid_points=32),
 }
 CLI = {
     "wigner --alpha": lambda a: main(["wigner", f"--alpha={a}"]),

@@ -152,6 +152,19 @@ class TestWigner:
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--fix", "x1=0.5"], ["--axes", "x1,x1"], ["--n1", "1"]],
+        ids=["fix-of-varied-axis", "repeated-axis", "one-point-grid"],
+    )
+    def test_usage_errors_print_the_wigner_usage(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["wigner", "--alpha", "0.5", *flags])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: cvsqueeze wigner")
+
+    @pytest.mark.parametrize(
         "fixes",
         [
             ["--fix", "x1=0.5"],

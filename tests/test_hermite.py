@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from cvsqueeze import hermite, verify
-from cvsqueeze.quadrature import ConvergenceError
 
 
 def explicit_sum(n, z):
@@ -247,7 +246,7 @@ class TestOrthogonality:
         for alpha in (0.3, 0.5, 0.7):
             for m in range(11):
                 for n in range(m, 11):
-                    value = hermite.orthogonality_integral(m, n, alpha, order=80, check=False)
+                    value = hermite.orthogonality_integral(m, n, alpha, order=80)
                     if m == n:
                         assert value.real == pytest.approx(
                             hermite.orthogonality_rhs(n, n, alpha), rel=1e-8
@@ -256,9 +255,22 @@ class TestOrthogonality:
                         scale = hermite.orthogonality_rhs(max(m, n), max(m, n), alpha)
                         assert abs(value) / scale < 1e-8
 
-    def test_convergence_check_trips_on_tiny_order(self):
-        with pytest.raises(ConvergenceError):
+    def test_rejects_order_below_exact(self):
+        # exact once 2 * order - 1 >= m + n, from order 7 for (6, 6)
+        with pytest.raises(ValueError, match="not exact"):
             hermite.orthogonality_integral(6, 6, 0.5, order=3)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 0.3, 0.7, 1.0 - 1e-9])
+    def test_minimal_exact_order_matches_order_80(self, alpha):
+        for m in range(11):
+            for n in range(11):
+                exact_order = max(2, (m + n + 2) // 2)
+                scale = hermite.orthogonality_rhs(max(m, n), max(m, n), alpha)
+                value = hermite.orthogonality_integral(m, n, alpha, order=exact_order)
+                assert abs(value - hermite.orthogonality_integral(m, n, alpha)) <= 1e-14 * scale
+                if exact_order > 2:
+                    with pytest.raises(ValueError, match="not exact"):
+                        hermite.orthogonality_integral(m, n, alpha, order=exact_order - 1)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -87,7 +87,7 @@ LABEL_ENTRY_POINTS = {
     "hamiltonian_fock_ladder": lambda z1, z2: model.hamiltonian_fock(0.5, SPEC, z1, z2, 8, "ladder"),
     "hamiltonian_fock_expanded": lambda z1, z2: model.hamiltonian_fock(0.5, SPEC, z1, z2, 8, "expanded"),
     "hamiltonian_quadratic": lambda z1, z2: model.hamiltonian_quadratic(0.5, SPEC, z1, z2),
-    "ground_state_energy_check": lambda z1, z2: model.ground_state_energy_check(0.5, SPEC, GEOM, z1, z2),
+    "ground_state_energy_check": lambda z1, z2: model.ground_state_energy_check(0.5, SPEC, z1, z2),
 }
 
 
@@ -549,7 +549,7 @@ GROUND_ALPHAS = [0.05, 0.1, 0.5]
 class TestGroundStateCheck:
     @pytest.mark.parametrize("alpha", GROUND_ALPHAS)
     def test_energy_and_residual(self, alpha):
-        result = model.ground_state_energy_check(alpha, SPEC, GEOM, grid_points=161)
+        result = model.ground_state_energy_check(alpha, SPEC, grid_points=161)
         assert result.energy == pytest.approx(result.expected, abs=1e-6)
         assert result.expected == pytest.approx(0.5 * (SPEC.omega1 + SPEC.omega2), rel=1e-15)
         assert result.residual < 1e-6
@@ -559,31 +559,27 @@ class TestGroundStateCheck:
     @pytest.mark.parametrize("alpha", GROUND_ALPHAS)
     def test_displaced(self, alpha):
         result = model.ground_state_energy_check(
-            alpha, SPEC, GEOM, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=161
+            alpha, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=161
         )
         assert result.energy == pytest.approx(result.expected, abs=1e-6)
 
     def test_no_squeezing_with_displacement(self):
         result = model.ground_state_energy_check(
-            1.0, SPEC, GEOM, 0.1 + 0.05j, -0.02 + 0.1j, grid_points=161
+            1.0, SPEC, 0.1 + 0.05j, -0.02 + 0.1j, grid_points=161
         )
         assert result.energy == pytest.approx(result.expected, abs=1e-6)
 
     @pytest.mark.parametrize("alpha", GROUND_ALPHAS)
     def test_residual_shrinks_under_refinement(self, alpha):
-        coarse = model.ground_state_energy_check(alpha, SPEC, GEOM, 0.2j, 0.1, grid_points=81)
-        fine = model.ground_state_energy_check(alpha, SPEC, GEOM, 0.2j, 0.1, grid_points=161)
+        coarse = model.ground_state_energy_check(alpha, SPEC, 0.2j, 0.1, grid_points=81)
+        fine = model.ground_state_energy_check(alpha, SPEC, 0.2j, 0.1, grid_points=161)
         assert fine.residual < 0.1 * coarse.residual
-
-    def test_rejects_inconsistent_geometry(self):
-        with pytest.raises(ValueError):
-            model.ground_state_energy_check(0.5, SPEC, states.OscillatorGeometry(2.0, 2.0))
 
     def test_strong_squeezing_on_equal_geometry(self):
         # alpha 0.05 on the raw x1/x2 grid gave E = 3.66 against 1
         geom = states.OscillatorGeometry(1.0, 1.0)
         spec = model.OscillatorSpec.from_geometry(geom)
-        result = model.ground_state_energy_check(0.05, spec, geom, 0.4 + 0.3j, -0.2 + 0.5j)
+        result = model.ground_state_energy_check(0.05, spec, 0.4 + 0.3j, -0.2 + 0.5j)
         assert result.expected == 1.0
         assert abs(result.energy - 1.0) <= 1e-6
 
@@ -592,20 +588,20 @@ class TestGroundStateCheck:
         # Gaussian widths, so the step shrinks by four
         geom = states.OscillatorGeometry(1.0, 1.0)
         spec = model.OscillatorSpec.from_geometry(geom)
-        result = model.ground_state_energy_check(0.5, spec, geom, 4.0, -3j, grid_points=161)
+        result = model.ground_state_energy_check(0.5, spec, 4.0, -3j, grid_points=161)
         assert result.grid_points == 641
         assert abs(result.energy - 1.0) <= 1e-9
-        real = model.ground_state_energy_check(0.5, spec, geom, 4.0, -3.0, grid_points=161)
+        real = model.ground_state_energy_check(0.5, spec, 4.0, -3.0, grid_points=161)
         assert real.grid_points == 161
 
     def test_rejects_labels_beyond_the_point_limit(self):
         with pytest.raises(ValueError, match="limit"):
-            model.ground_state_energy_check(0.5, SPEC, GEOM, 1e4j, 0.0)
+            model.ground_state_energy_check(0.5, SPEC, 1e4j, 0.0)
 
     @pytest.mark.parametrize("box_sigmas", [math.nan, math.inf, 0.0, -8.0], ids=str)
     def test_rejects_bad_box(self, box_sigmas):
         with pytest.raises(ValueError, match="box_sigmas"):
-            model.ground_state_energy_check(0.5, SPEC, GEOM, box_sigmas=box_sigmas)
+            model.ground_state_energy_check(0.5, SPEC, box_sigmas=box_sigmas)
 
     def test_frame_diagonalizes_the_state_matrix(self):
         # the record's frame against M read off the raw covariance transcription
@@ -617,7 +613,7 @@ class TestGroundStateCheck:
     def test_defect_small_at_strong_squeezing(self):
         # at alpha 1e-8 the raw-coordinate closed form lost its digits (a
         # defect of 0.33); read off the principal frame it keeps them
-        result = model.ground_state_energy_check(1e-8, SPEC, GEOM, 0.3 + 0.1j, -0.2 + 0.4j)
+        result = model.ground_state_energy_check(1e-8, SPEC, 0.3 + 0.1j, -0.2 + 0.4j)
         assert result.factorization_defect <= 1e-7
 
     @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["anti-diagonal", "diagonal"])
@@ -638,15 +634,15 @@ class TestGroundStateCheck:
             return exact(k, x1, x2, geom, labels, alpha) * (1 + 1e-6 * u * w * (u - sign * w))
 
         monkeypatch.setattr(model, "wave_function", perturbed)
-        result = model.ground_state_energy_check(alpha, SPEC, GEOM, grid_points=81)
+        result = model.ground_state_energy_check(alpha, SPEC, grid_points=81)
         assert result.factorization_defect > 1e-9
 
     def test_peak_memory_is_linear(self):
         # one (641, 641) complex grid alone would take 6.6 MB
-        model.ground_state_energy_check(0.3, SPEC, GEOM, 0.2 + 0.3j, 0.1, grid_points=641)
+        model.ground_state_energy_check(0.3, SPEC, 0.2 + 0.3j, 0.1, grid_points=641)
         tracemalloc.start()
         try:
-            model.ground_state_energy_check(0.3, SPEC, GEOM, 0.2 + 0.3j, 0.1, grid_points=641)
+            model.ground_state_energy_check(0.3, SPEC, 0.2 + 0.3j, 0.1, grid_points=641)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -715,7 +711,7 @@ class TestFactoredMatchesDense:
         geom = states.OscillatorGeometry(a=0.8, b=1.3, hbar=0.7)
         spec = model.OscillatorSpec.from_geometry(geom, mass=1.4)
         z1, z2 = 0.3 + 0.2j, -0.1 + 0.4j
-        result = model.ground_state_energy_check(alpha, spec, geom, z1, z2, grid_points=grid_points)
+        result = model.ground_state_energy_check(alpha, spec, z1, z2, grid_points=grid_points)
         energy, residual = _dense_ground_check(alpha, spec, geom, z1, z2, grid_points)
         assert abs(result.energy - energy) <= 1e-12 * abs(energy)
         # the reference sums terms of size about E0 node by node, so its

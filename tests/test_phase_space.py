@@ -208,17 +208,19 @@ class TestWignerNumeric:
             require_convergence(math.nan, 1.0, 1e-8, "nan level")
 
     @pytest.mark.parametrize("helper", ["scaled_gauss_hermite", "open_gauss_hermite"])
-    def test_nan_coefficient_raises(self, helper):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_coefficient_raises(self, helper, value):
         from cvsqueeze import quadrature
 
-        with pytest.raises(ValueError, match="must be positive"):
-            getattr(quadrature, helper)(4, math.nan)
+        with pytest.raises(ValueError, match="coeff must be positive and finite"):
+            getattr(quadrature, helper)(4, value)
 
-    def test_nan_m_matrix_raises(self):
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    def test_non_finite_m_matrix_raises(self, value):
         gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
-        with pytest.raises(ValueError, match="must be positive"):
+        with pytest.raises(ValueError, match="m_matrix diagonal must be positive and finite"):
             phase_space.wigner_numeric(
-                gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0, m_matrix=[[math.nan, 0.0], [0.0, 1.0]],
+                gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0, m_matrix=[[value, 0.0], [0.0, 1.0]],
             )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -471,3 +473,18 @@ class TestLogNegativity:
     def test_mode1_zero(self):
         for alpha in (0.2, 0.6):
             assert phase_space.log_negativity(phase_space.covariance(1, alpha, GEOM)) == 0.0
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_verdict_carries_spectrum_and_negativity(self, k):
+        # the verdict's fields are the partial-transpose spectrum and the
+        # negativity formula applied to its minimum, bit for bit
+        geom = states.OscillatorGeometry(a=0.8, b=1.3, hbar=0.7)
+        for alpha in ALPHA_GRID:
+            cov = phase_space.covariance(k, float(alpha), geom)
+            verdict = phase_space.ppt_separable(cov)
+            spectrum = phase_space.symplectic_spectrum(phase_space.partial_transpose(cov))
+            negativity = max(math.log(geom.hbar / (2.0 * spectrum.minimum)), 0.0)
+            assert verdict.spectrum == spectrum
+            assert verdict.lambda_min == spectrum.minimum
+            assert verdict.log_negativity == negativity
+            assert phase_space.log_negativity(cov) == negativity
