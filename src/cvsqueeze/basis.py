@@ -65,6 +65,23 @@ def check_alpha(alpha: float, *, closed: bool) -> float:
     return alpha
 
 
+def _check_positive(value: float, name: str) -> float:
+    # value as a float, checked to lie in (0, inf); NaN fails the test
+    value = float(value)
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def _finite_result(values: np.ndarray, sizes: str, **arguments) -> np.ndarray:
+    # values, unless an entry overflowed to inf or NaN; the error names the
+    # table sizes and the largest magnitude of each argument
+    if np.isfinite(values).all():
+        return values
+    largest = ", ".join(f"max |{name}| {float(np.max(np.abs(arg))):.6g}" for name, arg in arguments.items())
+    raise ValueError(f"result is not finite in float64 at {sizes}, {largest}")
+
+
 @dataclass(frozen=True)
 class SqueezeParam:
     """Squeeze strength bookkeeping: alpha in (0, 1] and xi = -ln(alpha)/2."""
@@ -106,13 +123,16 @@ def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
     sqrt(2 sqrt(alpha)/(1+alpha)) * exp((1-alpha)/(1+alpha) z^2 / 2).
 
     ``z`` may be scalar or ndarray; output shape is ``(n_max+1, *shape(z))``.
+    A value beyond the float64 range raises ``ValueError``.
     """
     alpha = check_alpha(alpha, closed=False)
     check_index(n_max, "n_max")
     z = np.asarray(z, dtype=complex)
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = math.sqrt(2.0 * math.sqrt(alpha) / (1.0 + alpha))
-    return prefactor * np.exp(0.5 * beta * z * z) * _polynomial_sequence(n_max, alpha, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = prefactor * np.exp(0.5 * beta * z * z) * _polynomial_sequence(n_max, alpha, z)
+    return _finite_result(values, f"n_max {n_max}", z=z)
 
 
 def _polynomial_sequence(n_max: int, alpha: float, z: np.ndarray) -> np.ndarray:
@@ -145,7 +165,8 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
     c = 2 sqrt(alpha)/sqrt((1-alpha)(1+alpha)), filled by the two-index
     recurrence, times 2 sqrt(alpha)/(1+alpha) * exp(beta z1 z2).
     ``z1``/``z2`` may be scalars or broadcast-compatible ndarrays; output
-    shape ``(m_max+1, n_max+1, *broadcast_shape)``.
+    shape ``(m_max+1, n_max+1, *broadcast_shape)``.  A value beyond the
+    float64 range raises ``ValueError``.
     """
     alpha = check_alpha(alpha, closed=False)
     check_index(m_max, "m_max")
@@ -153,7 +174,9 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
     z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = 2.0 * math.sqrt(alpha) / (1.0 + alpha)
-    return prefactor * np.exp(beta * z1 * z2) * _polynomial_2v_table(m_max, n_max, alpha, z1, z2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = prefactor * np.exp(beta * z1 * z2) * _polynomial_2v_table(m_max, n_max, alpha, z1, z2)
+    return _finite_result(values, f"m_max {m_max}, n_max {n_max}", z1=z1, z2=z2)
 
 
 def _polynomial_2v_table(m_max: int, n_max: int, alpha: float, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:

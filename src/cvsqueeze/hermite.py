@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .basis import check_alpha, check_index
+from .basis import _finite_result, check_alpha, check_index
 from .quadrature import _plane_gauss_hermite
 
 __all__ = [
@@ -44,7 +44,8 @@ def hermite_holo_sequence(n_max: int, z) -> np.ndarray:
     """Values H_0(z) .. H_{n_max}(z) by the three-term recurrence.
 
     ``z`` may be a scalar or an ndarray; the returned array has shape
-    ``(n_max + 1, *shape(z))`` and complex dtype.
+    ``(n_max + 1, *shape(z))`` and complex dtype.  A value beyond the
+    float64 range raises ``ValueError``.
     """
     check_index(n_max, "n_max")
     z = np.asarray(z, dtype=complex)
@@ -52,9 +53,10 @@ def hermite_holo_sequence(n_max: int, z) -> np.ndarray:
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 2.0 * z
-    for n in range(1, n_max):
-        out[n + 1] = 2.0 * z * out[n] - 2.0 * n * out[n - 1]
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, n_max):
+            out[n + 1] = 2.0 * z * out[n] - 2.0 * n * out[n - 1]
+    return _finite_result(out, f"n_max {n_max}", z=z)
 
 
 def hermite_real(n: int, x):

@@ -37,19 +37,18 @@ labels).  At alpha = 1 they reduce to displaced-oscillator form c_i - z_i.
 Fock-space operators are short Kronecker sums sum_t A_t (x) B_t of
 tridiagonal n_trunc x n_trunc factors.  :class:`TruncatedOperator` keeps
 them as the bands of the product basis that those factors reach and checks
-Hermiticity, path agreement and the diagonal on the bands; the dense
-(n_trunc^2, n_trunc^2) matrix is built only on request.
+Hermiticity, path agreement and the diagonal on the bands; the bands are
+the only form of the operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .basis import check_alpha
+from .basis import _check_positive, check_alpha
 from .states import DisplacementLabels, GaussianState, OscillatorGeometry, gaussian_state, wave_function
 
 __all__ = [
@@ -59,7 +58,6 @@ __all__ = [
     "QuadraticHamiltonian",
     "GroundStateCheck",
     "ladder_coefficients",
-    "lowering_operators",
     "transformed_ladder_matrices",
     "hamiltonian_fock",
     "hamiltonian_quadratic",
@@ -78,9 +76,7 @@ class OscillatorSpec:
 
     def __post_init__(self) -> None:
         for name in ("omega1", "omega2", "mass", "hbar"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _check_positive(getattr(self, name), name)
 
     @classmethod
     def from_geometry(cls, geom: OscillatorGeometry, mass: float = 1.0) -> "OscillatorSpec":
@@ -168,38 +164,14 @@ class TruncatedOperator:
     (n_trunc - |d1|, n_trunc - |d2|) array indexed like ``np.diagonal``:
     r = i for d >= 0 and r = i - d for d < 0.  Diagonals absent from
     ``bands`` are zero.  Every check runs over the bands, so none of them
-    needs the dense matrix; :attr:`matrix` (row/column index m * n_trunc + n)
-    is scattered from the bands on first use.  Ladder truncation corrupts
-    the top levels of each mode; :meth:`interior` restricts to the block
-    where matrix identities hold exactly.
+    needs a dense matrix.  Ladder truncation corrupts the top levels of each
+    mode; :meth:`interior_gap` compares two operators on the interior block,
+    both mode indices below ``n_trunc - pad``, where matrix identities hold
+    exactly.
     """
 
     bands: dict[tuple[int, int], np.ndarray]
     n_trunc: int
-
-    @cached_property
-    def matrix(self) -> np.ndarray:
-        """Dense (n_trunc^2, n_trunc^2) matrix, row/column index m * n_trunc + n."""
-        n = self.n_trunc
-        dense = np.zeros((n, n, n, n), dtype=complex)
-        for (d1, d2), band in self.bands.items():
-            rows1 = np.arange(n - abs(d1)) + max(-d1, 0)
-            rows2 = np.arange(n - abs(d2)) + max(-d2, 0)
-            dense[rows1[:, None], rows2, rows1[:, None] + d1, rows2 + d2] = band
-        return dense.reshape(n * n, n * n)
-
-    def _interior_size(self, pad: int) -> int:
-        keep = self.n_trunc - pad
-        if keep <= 0:
-            raise ValueError(f"pad {pad} leaves no interior block for n_trunc {self.n_trunc}")
-        return keep
-
-    def interior(self, pad: int = 2) -> np.ndarray:
-        """Sub-block of :attr:`matrix` with both mode indices below ``n_trunc - pad``."""
-        keep = self._interior_size(pad)
-        n = self.n_trunc
-        entries = self.matrix.reshape(n, n, n, n)
-        return entries[:keep, :keep, :keep, :keep].reshape(keep * keep, keep * keep)
 
     def diagonal(self) -> np.ndarray:
         """Diagonal entries <m, n| H |m, n> in row order m * n_trunc + n."""
@@ -209,10 +181,12 @@ class TruncatedOperator:
         return band.ravel()
 
     def interior_gap(self, other: TruncatedOperator, pad: int = 2) -> float:
-        """max |self - other| over the :meth:`interior` blocks of both."""
+        """max |self - other| over the entries with both mode indices below ``n_trunc - pad``."""
         if other.n_trunc != self.n_trunc:
             raise ValueError(f"n_trunc {other.n_trunc} does not match {self.n_trunc}")
-        keep = self._interior_size(pad)
+        if not 0 <= pad < self.n_trunc:
+            raise ValueError(f"pad must lie in [0, n_trunc) = [0, {self.n_trunc}), got {pad}")
+        keep = self.n_trunc - pad
         gaps = []
         for d1, d2 in self.bands.keys() | other.bands.keys():
             # band entry [i, j] lies in the interior iff i < keep - |d1|
@@ -247,15 +221,6 @@ def _single_lowering(n_trunc: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, n_trunc)), k=1)
 
 
-def lowering_operators(n_trunc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated lowering matrices of the two modes on the product basis."""
-    if n_trunc < 2:
-        raise ValueError(f"n_trunc must be >= 2, got {n_trunc}")
-    single = _single_lowering(n_trunc)
-    eye = np.eye(n_trunc)
-    return np.kron(single, eye), np.kron(eye, single)
-
-
 # An operator on the product basis as a short Kronecker sum sum_t A_t (x) B_t,
 # kept as the list of (A_t, B_t) pairs of n_trunc x n_trunc factors; mode 1
 # acts through A, mode 2 through B, so c1 = s (x) 1 and c2 = 1 (x) s.
@@ -270,7 +235,7 @@ def _band_offsets(factors: np.ndarray) -> list[int]:
 
 
 def _kron_operator(terms: _Kron) -> TruncatedOperator:
-    """sum_t A_t (x) B_t in band form, without the dense (n^2, n^2) matrix.
+    """sum_t A_t (x) B_t in band form.
 
     The entry <r1, r2| H |r1 + d1, r2 + d2> is sum_t A_t[r1, r1 + d1]
     B_t[r2, r2 + d2], so the band of (d1, d2) is L^T R for the (T, n - |d|)
@@ -403,9 +368,8 @@ def hamiltonian_fock(
     ``method="expanded"`` builds the expanded term list directly.  Both
     paths are lists of n_trunc x n_trunc Kronecker factors, every factor
     nonzero only on diagonals -1, 0 and 1, so the operator is nine bands
-    of at most n_trunc x n_trunc entries; the dense matrix is built only
-    when :attr:`TruncatedOperator.matrix` is read.  The two paths agree
-    entrywise on the interior sub-block.  At alpha = 1 and z = 0 the
+    of at most n_trunc x n_trunc entries.  The two paths agree entrywise
+    on the interior sub-block.  At alpha = 1 and z = 0 the
     operator is diagonal with entries hbar omega_1 m + hbar omega_2 n
     + hbar (omega_1 + omega_2)/2.
     """
@@ -620,8 +584,7 @@ def ground_state_energy_check(
     """
     if grid_points < 32:
         raise ValueError(f"grid_points must be >= 32, got {grid_points}")
-    if not (math.isfinite(box_sigmas) and box_sigmas > 0.0):
-        raise ValueError(f"box_sigmas must be finite and positive, got {box_sigmas}")
+    _check_positive(box_sigmas, "box_sigmas")
     labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
     geom = OscillatorGeometry(*spec.inverse_lengths(), hbar=spec.hbar)
     state = gaussian_state(2, alpha, geom, labels)

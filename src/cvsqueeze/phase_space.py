@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import check_alpha, check_mode
+from .basis import _check_positive, check_alpha, check_mode
 from .quadrature import _refine_by_doubling, open_gauss_hermite
 from .states import OscillatorGeometry, QuadraticGaussian
 
@@ -72,8 +72,7 @@ class CovarianceMatrix:
             raise ValueError(f"covariance matrix must be 4x4, got shape {sigma.shape}")
         if not np.isfinite(sigma).all():
             raise ValueError(f"covariance matrix entries must be finite, got {sigma.tolist()}")
-        if not 0.0 < self.hbar < math.inf:
-            raise ValueError(f"hbar must be positive and finite, got {self.hbar}")
+        _check_positive(self.hbar, "hbar")
         if np.abs(sigma - sigma.T).max() > 1e-12 * max(1.0, np.abs(sigma).max()):
             raise ValueError("covariance matrix must be symmetric")
         object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
@@ -117,8 +116,7 @@ def wigner_gaussian(gaussian: QuadraticGaussian, hbar: float = 1.0):
     exponents are sums of squares on principal axes.
     Returns ``(CovarianceMatrix, evaluator)``.
     """
-    if not 0.0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    _check_positive(hbar, "hbar")
     dual = QuadraticGaussian(gaussian.inverse.T, [1.0 / c for c in gaussian.curvatures])
     sigma = np.zeros((4, 4))
     sigma[:2, :2] = 0.5 * dual.matrix
@@ -166,8 +164,7 @@ def wigner_numeric(
     measure the residual imaginary part.  ``check=True`` re-evaluates at
     doubled order and raises on disagreement beyond ``rtol``.
     """
-    if not 0.0 < hbar < math.inf:
-        raise ValueError(f"hbar must be positive and finite, got {hbar}")
+    _check_positive(hbar, "hbar")
     scale = np.eye(2) if m_matrix is None else np.asarray(m_matrix, dtype=float)
     if not all(0.0 < d < math.inf for d in np.diag(scale)):
         raise ValueError(f"m_matrix diagonal must be positive and finite, got {scale.tolist()}")

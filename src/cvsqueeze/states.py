@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import check_alpha, check_index, check_mode, coefficient_table
+from .basis import _check_positive, check_alpha, check_index, check_mode, coefficient_table
 from .quadrature import _plane_gauss_hermite, _refine_by_doubling
 
 __all__ = [
@@ -59,9 +59,7 @@ class OscillatorGeometry:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "hbar"):
-            value = getattr(self, name)
-            if not (value > 0.0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+            _check_positive(getattr(self, name), name)
 
 
 @dataclass(frozen=True)
@@ -198,8 +196,7 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     finite.
     """
     check_index(n_max, "n_max")
-    if not 0.0 < inverse_length < math.inf:
-        raise ValueError(f"inverse_length must be positive and finite, got {inverse_length}")
+    _check_positive(inverse_length, "inverse_length")
     (x,) = _check_positions(x)
     ax = inverse_length * x
     out = np.empty((n_max + 1,) + x.shape, dtype=float)
@@ -286,6 +283,7 @@ def heisenberg_weyl_shift(params: ShiftParams, f, x1, x2, hbar: float = 1.0):
     unitary and composition obey the Weyl relation (two translations
     compose into their sum times a pure phase).
     """
+    _check_positive(hbar, "hbar")
     x1, x2 = _check_positions(x1, x2)
     phase = np.exp(
         (1j / hbar)

@@ -10,6 +10,7 @@ import math
 import time
 
 import numpy as np
+from fock_dense import dense, interior
 
 from cvsqueeze import hermite, model, phase_space, states, verify
 
@@ -199,7 +200,7 @@ def test_criterion_8_hamiltonian_reconstruction():
         for z in (0.0 + 0.0j, 0.3 + 0.1j):
             ladder = model.hamiltonian_fock(alpha, spec, z, -0.5 * z, 14, method="ladder")
             expanded = model.hamiltonian_fock(alpha, spec, z, -0.5 * z, 14, method="expanded")
-            path_gap = float(np.abs(ladder.interior() - expanded.interior()).max())
+            path_gap = float(np.abs(interior(dense(ladder) - dense(expanded))).max())
             ratios.append(path_gap / 1e-10)
 
     coarse = model.ground_state_energy_check(0.5, spec, 0.3 + 0.1j, -0.2 + 0.4j, grid_points=81)
@@ -207,21 +208,14 @@ def test_criterion_8_hamiltonian_reconstruction():
     ratios.append(abs(fine.energy - fine.expected) / 1e-6)
     ratios.append(0.0 if fine.residual < coarse.residual else 1.0)
 
-    n_trunc = 16
-    c1, c1_dag, c2, c2_dag = model.transformed_ladder_matrices(0.5, 0.3 + 0.1j, -0.2j, n_trunc)
-    keep = n_trunc - 2
-    eye = np.eye(keep**2)
-
-    def interior(matrix):
-        block = matrix.reshape(n_trunc, n_trunc, n_trunc, n_trunc)[:keep, :keep, :keep, :keep]
-        return block.reshape(keep**2, keep**2)
-
+    c1, c1_dag, c2, c2_dag = map(dense, model.transformed_ladder_matrices(0.5, 0.3 + 0.1j, -0.2j, 16))
+    eye = np.eye(14**2)
     commutators = [
-        (c1.matrix @ c1_dag.matrix - c1_dag.matrix @ c1.matrix, eye),
-        (c2.matrix @ c2_dag.matrix - c2_dag.matrix @ c2.matrix, eye),
-        (c1.matrix @ c2.matrix - c2.matrix @ c1.matrix, 0.0 * eye),
-        (c1.matrix @ c2_dag.matrix - c2_dag.matrix @ c1.matrix, 0.0 * eye),
-        (c1_dag.matrix @ c2_dag.matrix - c2_dag.matrix @ c1_dag.matrix, 0.0 * eye),
+        (c1 @ c1_dag - c1_dag @ c1, eye),
+        (c2 @ c2_dag - c2_dag @ c2, eye),
+        (c1 @ c2 - c2 @ c1, 0.0 * eye),
+        (c1 @ c2_dag - c2_dag @ c1, 0.0 * eye),
+        (c1_dag @ c2_dag - c2_dag @ c1_dag, 0.0 * eye),
     ]
     for commutator, expected in commutators:
         ratios.append(float(np.abs(interior(commutator) - expected).max()) / 1e-12)

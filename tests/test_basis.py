@@ -67,6 +67,13 @@ class TestBasisFunction:
             with pytest.raises(ValueError):
                 basis.basis_function(2, bad, 0.5)
 
+    def test_overflow_raises(self):
+        # exp(beta z^2 / 2) at z = 1e3 is beyond float64, also inside a coefficient
+        with pytest.raises(ValueError, match=r"n_max 50, max \|z\| 1000"):
+            basis.basis_function_sequence(50, 1e-8, 1e3)
+        with pytest.raises(ValueError, match=r"n_max 2, max \|z\| 1000"):
+            basis.coefficient(1, 2, 2, 1e-8, 1e3, 0)
+
 
 class TestBasisFunction2v:
     def test_vacuum_at_origin(self):
@@ -94,6 +101,11 @@ class TestBasisFunction2v:
             * hermite.hermite_complex_2v(m, n, scale * z1, scale * z2)
         )
         assert basis.basis_function_2v(m, n, alpha, z1, z2) == pytest.approx(direct, rel=1e-12)
+
+    def test_overflow_raises(self):
+        # exp(beta z1 z2) at z1 = z2 = 1e3 is beyond float64
+        with pytest.raises(ValueError, match=r"m_max 3, n_max 3, max \|z1\| 1000, max \|z2\| 1000"):
+            basis.basis_function_2v_table(3, 3, 1e-8, 1e3, 1e3)
 
 
 def _loop_polynomial_2v_table(m_max, n_max, alpha, z1, z2):

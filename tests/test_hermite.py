@@ -62,6 +62,11 @@ class TestRealAndHolo:
         with pytest.raises(ValueError):
             hermite.hermite_real(-1, 0.0)
 
+    def test_overflow_raises(self):
+        # H_200(50) is about 1e418, beyond float64
+        with pytest.raises(ValueError, match=r"n_max 200, max \|z\| 50"):
+            hermite.hermite_holo_sequence(200, 50.0)
+
 
 class TestTwoIndexFamily:
     def test_trivial(self):

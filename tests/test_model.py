@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from fock_dense import dense, interior, lowering_pair
 from scipy.ndimage import correlate1d
 
 import cvsqueeze
@@ -102,7 +103,7 @@ def test_non_finite_label_raises(entry, label, which):
 
 class TestTransformedLadders:
     def test_bare_matrix_elements(self):
-        low1, low2 = model.lowering_operators(4)
+        low1, low2 = lowering_pair(4)
         # <m-1, n| c1 |m, n> = sqrt(m), <m, n-1| c2 |m, n> = sqrt(n)
         for m in range(1, 4):
             for n in range(4):
@@ -111,26 +112,19 @@ class TestTransformedLadders:
         assert np.count_nonzero(low1) == 12
 
     def test_no_squeezing_no_shift_reduces_to_bare(self):
-        c1, c1_dag, c2, c2_dag = model.transformed_ladder_matrices(1.0, 0, 0, 8)
-        low1, low2 = model.lowering_operators(8)
-        np.testing.assert_array_equal(c1.matrix, low1)
-        np.testing.assert_array_equal(c2.matrix, low2)
-        np.testing.assert_array_equal(c1_dag.matrix, low1.conj().T)
+        c1, c1_dag, c2, c2_dag = map(dense, model.transformed_ladder_matrices(1.0, 0, 0, 8))
+        low1, low2 = lowering_pair(8)
+        np.testing.assert_array_equal(c1, low1)
+        np.testing.assert_array_equal(c2, low2)
+        np.testing.assert_array_equal(c1_dag, low1.conj().T)
 
     def test_canonical_commutators_on_interior(self):
-        n_trunc = 16
-        c1, c1_dag, c2, c2_dag = model.transformed_ladder_matrices(0.5, 0.3 + 0.1j, -0.2j, n_trunc)
-        keep = n_trunc - 2
-        eye = np.eye(keep**2)
-
-        def interior(matrix):
-            block = matrix.reshape(n_trunc, n_trunc, n_trunc, n_trunc)[:keep, :keep, :keep, :keep]
-            return block.reshape(keep**2, keep**2)
-
-        assert np.abs(interior(c1.matrix @ c1_dag.matrix - c1_dag.matrix @ c1.matrix) - eye).max() < 1e-12
-        assert np.abs(interior(c2.matrix @ c2_dag.matrix - c2_dag.matrix @ c2.matrix) - eye).max() < 1e-12
-        assert np.abs(interior(c1.matrix @ c2.matrix - c2.matrix @ c1.matrix)).max() < 1e-12
-        assert np.abs(interior(c1.matrix @ c2_dag.matrix - c2_dag.matrix @ c1.matrix)).max() < 1e-12
+        c1, c1_dag, c2, c2_dag = map(dense, model.transformed_ladder_matrices(0.5, 0.3 + 0.1j, -0.2j, 16))
+        eye = np.eye(14**2)
+        assert np.abs(interior(c1 @ c1_dag - c1_dag @ c1) - eye).max() < 1e-12
+        assert np.abs(interior(c2 @ c2_dag - c2_dag @ c2) - eye).max() < 1e-12
+        assert np.abs(interior(c1 @ c2 - c2 @ c1)).max() < 1e-12
+        assert np.abs(interior(c1 @ c2_dag - c2_dag @ c1)).max() < 1e-12
 
     def test_rejects_tiny_truncation(self):
         with pytest.raises(ValueError):
@@ -140,17 +134,11 @@ class TestTransformedLadders:
 class TestHamiltonianFock:
     def test_no_squeezing_diagonal(self):
         spec = model.OscillatorSpec(omega1=1.0, omega2=1.44)
-        ham = model.hamiltonian_fock(1.0, spec, 0, 0, 8)
-        expected = np.array(
-            [
-                spec.omega1 * m + spec.omega2 * n + 0.5 * (spec.omega1 + spec.omega2)
-                for m in range(8)
-                for n in range(8)
-            ]
-        )
-        np.testing.assert_allclose(np.diag(ham.matrix).real, expected, rtol=1e-14)
-        off_diag = ham.matrix - np.diag(np.diag(ham.matrix))
-        assert np.abs(off_diag).max() == 0.0
+        ham = dense(model.hamiltonian_fock(1.0, spec, 0, 0, 8))
+        levels = np.arange(8.0)
+        expected = spec.omega1 * levels[:, None] + spec.omega2 * levels + 0.5 * (spec.omega1 + spec.omega2)
+        np.testing.assert_allclose(np.diag(ham).real, expected.ravel(), rtol=1e-14)
+        assert np.count_nonzero(ham - np.diag(np.diag(ham))) == 0
 
     def test_no_squeezing_displaced_oscillator(self):
         # at alpha = 1 the Hamiltonian must be the pair of displaced
@@ -158,25 +146,25 @@ class TestHamiltonianFock:
         spec = model.OscillatorSpec(omega1=1.0, omega2=1.44)
         z1, z2 = 0.3 + 0.2j, -0.4 + 0.1j
         ham = model.hamiltonian_fock(1.0, spec, z1, z2, 10)
-        low1, low2 = model.lowering_operators(10)
+        low1, low2 = lowering_pair(10)
         eye = np.eye(100)
         direct = (
             spec.omega1 * (low1.conj().T - np.conj(z1) * eye) @ (low1 - z1 * eye)
             + spec.omega2 * (low2.conj().T - np.conj(z2) * eye) @ (low2 - z2 * eye)
             + 0.5 * (spec.omega1 + spec.omega2) * eye
         )
-        np.testing.assert_allclose(ham.matrix, direct, atol=1e-13)
+        np.testing.assert_allclose(dense(ham), direct, atol=1e-13)
 
     def test_hermitian(self):
-        ham = model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 12)
-        np.testing.assert_array_equal(ham.matrix, ham.matrix.conj().T)
+        ham = dense(model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 12))
+        np.testing.assert_array_equal(ham, ham.conj().T)
 
     @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
     @pytest.mark.parametrize("z", [0.0 + 0.0j, 0.3 + 0.1j])
     def test_paths_agree(self, alpha, z):
         ladder = model.hamiltonian_fock(alpha, SPEC, z, -0.5 * z, 14, method="ladder")
         expanded = model.hamiltonian_fock(alpha, SPEC, z, -0.5 * z, 14, method="expanded")
-        assert np.abs(ladder.interior() - expanded.interior()).max() < 1e-10
+        assert np.abs(interior(dense(ladder) - dense(expanded))).max() < 1e-10
 
     def test_constant_regroupings_agree(self):
         # the zero-point bookkeeping of the two term lists is the identity
@@ -188,7 +176,7 @@ class TestHamiltonianFock:
     def test_ground_eigenpair(self):
         alpha, z1, z2 = 0.5, 0.3 + 0.1j, -0.2 + 0.4j
         ham = model.hamiltonian_fock(alpha, SPEC, z1, z2, 18)
-        eigenvalues, eigenvectors = np.linalg.eigh(ham.matrix)
+        eigenvalues, eigenvectors = np.linalg.eigh(dense(ham))
         expected = 0.5 * (SPEC.omega1 + SPEC.omega2)
         assert eigenvalues[0] == pytest.approx(expected, rel=1e-8)
         from cvsqueeze.basis import coefficient_table
@@ -204,7 +192,7 @@ class TestHamiltonianFock:
 
 def _dense_reference(alpha, spec, z1, z2, n_trunc, method):
     """Both Fock paths as dense (n^2, n^2) products of the product-basis ladders."""
-    low1, low2 = model.lowering_operators(n_trunc)
+    low1, low2 = lowering_pair(n_trunc)
     eye = np.eye(n_trunc * n_trunc)
     hbar, omega1, omega2 = spec.hbar, spec.omega1, spec.omega2
     sigma = (1 + alpha) / (2 * math.sqrt(alpha))
@@ -244,10 +232,9 @@ class TestKroneckerAssembly:
     def test_matches_dense_reference(self, n_trunc, alpha, method):
         spec = model.OscillatorSpec(omega1=0.7, omega2=1.6, hbar=1.3)
         z1, z2 = 0.6 - 0.35j, -0.25 + 0.8j
-        ham = model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, method)
+        ham = dense(model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, method))
         reference = _dense_reference(alpha, spec, z1, z2, n_trunc, method)
-        assert ham.matrix.shape == (n_trunc**2, n_trunc**2)
-        assert np.abs(ham.matrix - reference).max() <= 1e-14 * np.abs(reference).max()
+        assert np.abs(ham - reference).max() <= 1e-14 * np.abs(reference).max()
 
     @pytest.mark.parametrize("method", ["ladder", "expanded"])
     def test_peak_memory(self, method):
@@ -279,12 +266,12 @@ class TestKroneckerAssembly:
         spec = model.OscillatorSpec(omega1=omega1, omega2=omega2, hbar=hbar)
         z1 = radius1 * complex(math.cos(phase1), math.sin(phase1))
         z2 = radius2 * complex(math.cos(phase2), math.sin(phase2))
-        ladder = model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, "ladder")
-        expanded = model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, "expanded")
-        scale = max(1.0, float(np.abs(ladder.matrix).max()))
-        assert np.abs(ladder.interior() - expanded.interior()).max() <= 1e-10 * scale
+        ladder = dense(model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, "ladder"))
+        expanded = dense(model.hamiltonian_fock(alpha, spec, z1, z2, n_trunc, "expanded"))
+        scale = max(1.0, float(np.abs(ladder).max()))
+        assert np.abs(interior(ladder - expanded)).max() <= 1e-10 * scale
         for ham in (ladder, expanded):
-            np.testing.assert_array_equal(ham.matrix, ham.matrix.conj().T)
+            np.testing.assert_array_equal(ham, ham.conj().T)
 
 
 class TestSlabChecks:
@@ -306,16 +293,22 @@ class TestSlabChecks:
 
         first, second = random_operator(), random_operator()
         for pad in (1, 2, 4):
-            whole = np.abs(first.interior(pad) - second.interior(pad)).max()
-            assert first.interior_gap(second, pad) == whole
-        assert first.hermiticity_defect() == np.abs(first.matrix - first.matrix.conj().T).max()
+            hermiticity, gap, _ = _whole_matrix_checks(first, second, pad)
+            assert first.interior_gap(second, pad) == gap
+        assert first.hermiticity_defect() == hermiticity
 
-    def test_interior_selects_low_levels(self):
-        n_trunc, pad = 6, 2
-        rng = np.random.default_rng(6)
-        op = model._kron_operator(_random_terms(rng, 3, n_trunc, np.arange(-2, 3)))
-        keep = [m * n_trunc + n for m in range(n_trunc - pad) for n in range(n_trunc - pad)]
-        np.testing.assert_array_equal(op.interior(pad), op.matrix[np.ix_(keep, keep)])
+    @pytest.mark.parametrize("pad", [-1, 8, 9])
+    def test_interior_gap_rejects_pad_outside_range(self, pad):
+        # unchecked, pad -1 reads the pad-0 gap: 4.4 here, against 3.6e-15 at pad 2
+        ladder = model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 8)
+        expanded = model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 8, "expanded")
+        with pytest.raises(ValueError, match=r"pad must lie in \[0, n_trunc\) = \[0, 8\)"):
+            ladder.interior_gap(expanded, pad)
+
+    def test_interior_gap_rejects_other_truncation(self):
+        ham = model.hamiltonian_fock(0.4, SPEC, 0, 0, 8)
+        with pytest.raises(ValueError, match="n_trunc 9 does not match 8"):
+            ham.interior_gap(model.hamiltonian_fock(0.4, SPEC, 0, 0, 9))
 
     def test_nan_reaches_result(self):
         ham = model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 8)
@@ -343,7 +336,7 @@ class TestSlabChecks:
 
 
 def _parent_dense(terms):
-    """sum_t A_t (x) B_t as the dense assembly computed it: one product, one transpose copy."""
+    """sum_t A_t (x) B_t as one product of the stacked factors and one transpose copy."""
     n = terms[0][0].shape[0]
     left = np.array([a for a, _ in terms], dtype=complex).reshape(len(terms), n * n)
     right = np.array([b for _, b in terms], dtype=complex).reshape(len(terms), n * n)
@@ -369,10 +362,11 @@ def _random_terms(rng, count, n_trunc, offsets):
 
 def _whole_matrix_checks(first, second, pad):
     # the check formulas on whole dense matrices
+    whole = dense(first)
     return (
-        np.abs(first.matrix - first.matrix.conj().T).max(),
-        np.abs(first.interior(pad) - second.interior(pad)).max(),
-        np.diag(first.matrix),
+        np.abs(whole - whole.conj().T).max(),
+        np.abs(interior(whole - dense(second), pad)).max(),
+        np.diag(whole),
     )
 
 
@@ -389,10 +383,10 @@ class TestBandForm:
         for method in ("ladder", "expanded"):
             terms = model._hamiltonian_terms(alpha, self.SPEC, z1, z2, n_trunc, method)
             ham = model.hamiltonian_fock(alpha, self.SPEC, z1, z2, n_trunc, method)
-            np.testing.assert_array_equal(ham.matrix, _parent_dense(terms))
+            np.testing.assert_array_equal(dense(ham), _parent_dense(terms))
         ladders = model.transformed_ladder_matrices(alpha, z1, z2, n_trunc)
         for op, terms in zip(ladders, model._ladder_terms(alpha, z1, z2, n_trunc)):
-            np.testing.assert_array_equal(op.matrix, _parent_dense(terms))
+            np.testing.assert_array_equal(dense(op), _parent_dense(terms))
 
     def test_nine_bands(self):
         for method in ("ladder", "expanded"):
@@ -439,14 +433,10 @@ class TestBandForm:
         assert math.isnan(corrupt.interior_gap(clean))
         assert math.isnan(clean.interior_gap(corrupt))
 
-    def test_cli_large_truncation_without_dense_matrix(self, tmp_path, monkeypatch):
+    def test_cli_large_truncation_without_dense_matrix(self, tmp_path):
         # the dense matrix at trunc 200 would take 25.6 GB
         from cvsqueeze.cli import main
 
-        def no_scatter(self):
-            raise AssertionError("the dense matrix was built")
-
-        monkeypatch.setattr(model.TruncatedOperator, "matrix", property(no_scatter))
         out = tmp_path / "ham.json"
         tracemalloc.start()
         try:
@@ -528,9 +518,7 @@ class TestHamiltonianQuadratic:
             g = states.hermite_function_sequence(n, x2, GEOM.b)[n]
             u, v = _factored_action(ham, f, g, x1, x2, np.eye(2), np.zeros(2), SPEC.hbar)
             expectation = float(np.sum((f @ u) * (g @ v)).real) * cell
-            assert expectation == pytest.approx(
-                fock.matrix[m * 12 + n, m * 12 + n].real, abs=1e-8
-            )
+            assert expectation == pytest.approx(fock.diagonal()[m * 12 + n].real, abs=1e-8)
 
     def test_classical_value(self):
         ham = model.hamiltonian_quadratic(0.5, SPEC, 0, 0)

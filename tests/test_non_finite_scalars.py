@@ -42,6 +42,14 @@ def test_alpha_from_squeeze(value):
 
 
 @pytest.mark.parametrize("value", [*NON_FINITE, -1.0, 0.0], ids=str)
+def test_heisenberg_weyl_shift_hbar(value):
+    # unchecked, a NaN hbar gives nan+nanj
+    params = states.shift_params(2, 0.5, states.OscillatorGeometry(1.0, 1.0), states.DisplacementLabels(0.3j))
+    with pytest.raises(ValueError, match="hbar must be positive and finite"):
+        states.heisenberg_weyl_shift(params, lambda x1, x2: x1 + x2, 0.1, 0.2, hbar=value)
+
+
+@pytest.mark.parametrize("value", [*NON_FINITE, -1.0, 0.0], ids=str)
 def test_hermite_function_sequence(value):
     with pytest.raises(ValueError, match="inverse_length must be positive and finite"):
         states.hermite_function_sequence(2, 0.5, value)
