@@ -65,17 +65,20 @@ def check_alpha(alpha: float, *, closed: bool) -> float:
     return alpha
 
 
-def _check_positive(value: float, name: str) -> float:
-    # value as a float, checked to lie in (0, inf); NaN fails the test
-    value = float(value)
+def _check_positive(value: float, name: str) -> None:
+    # value must lie in (0, inf); NaN fails the test.  It is compared as
+    # given, not converted, so a value that is not a real number (a string,
+    # say) raises TypeError here instead of passing into later arithmetic
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be positive and finite, got {value}")
-    return value
 
 
-def _finite_result(values: np.ndarray, sizes: str, **arguments) -> np.ndarray:
-    # values, unless an entry overflowed to inf or NaN; the error names the
-    # table sizes and the largest magnitude of each argument
+def _finite_result(compute, sizes: str, **arguments) -> np.ndarray:
+    # compute() with float overflow warnings silenced, unless an entry of the
+    # result overflowed to inf or NaN; the error names the table sizes and the
+    # largest magnitude of each argument
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = compute()
     if np.isfinite(values).all():
         return values
     largest = ", ".join(f"max |{name}| {float(np.max(np.abs(arg))):.6g}" for name, arg in arguments.items())
@@ -130,9 +133,11 @@ def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = math.sqrt(2.0 * math.sqrt(alpha) / (1.0 + alpha))
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = prefactor * np.exp(0.5 * beta * z * z) * _polynomial_sequence(n_max, alpha, z)
-    return _finite_result(values, f"n_max {n_max}", z=z)
+    return _finite_result(
+        lambda: prefactor * np.exp(0.5 * beta * z * z) * _polynomial_sequence(n_max, alpha, z),
+        f"n_max {n_max}",
+        z=z,
+    )
 
 
 def _polynomial_sequence(n_max: int, alpha: float, z: np.ndarray) -> np.ndarray:
@@ -174,9 +179,12 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
     z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = 2.0 * math.sqrt(alpha) / (1.0 + alpha)
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = prefactor * np.exp(beta * z1 * z2) * _polynomial_2v_table(m_max, n_max, alpha, z1, z2)
-    return _finite_result(values, f"m_max {m_max}, n_max {n_max}", z1=z1, z2=z2)
+    return _finite_result(
+        lambda: prefactor * np.exp(beta * z1 * z2) * _polynomial_2v_table(m_max, n_max, alpha, z1, z2),
+        f"m_max {m_max}, n_max {n_max}",
+        z1=z1,
+        z2=z2,
+    )
 
 
 def _polynomial_2v_table(m_max: int, n_max: int, alpha: float, z1: np.ndarray, z2: np.ndarray) -> np.ndarray:

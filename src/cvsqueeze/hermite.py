@@ -49,20 +49,24 @@ def hermite_holo_sequence(n_max: int, z) -> np.ndarray:
     """
     check_index(n_max, "n_max")
     z = np.asarray(z, dtype=complex)
+    return _finite_result(lambda: _holo_recurrence(n_max, z), f"n_max {n_max}", z=z)
+
+
+def _holo_recurrence(n_max: int, z: np.ndarray) -> np.ndarray:
     out = np.empty((n_max + 1,) + z.shape, dtype=complex)
     out[0] = 1.0
     if n_max >= 1:
         out[1] = 2.0 * z
-    with np.errstate(over="ignore", invalid="ignore"):
-        for n in range(1, n_max):
-            out[n + 1] = 2.0 * z * out[n] - 2.0 * n * out[n - 1]
-    return _finite_result(out, f"n_max {n_max}", z=z)
+    for n in range(1, n_max):
+        out[n + 1] = 2.0 * z * out[n] - 2.0 * n * out[n - 1]
+    return out
 
 
 def hermite_real(n: int, x):
     """H_n(x) for real ``x`` via H_{n+1} = 2x H_n - 2n H_{n-1}.
 
-    Total function: any finite real argument (scalar or array) is accepted.
+    Any finite real argument (scalar or array) is accepted; a value beyond
+    the float64 range raises ``ValueError``.
     """
     check_index(n)
     x = np.asarray(x, dtype=float)
@@ -71,7 +75,10 @@ def hermite_real(n: int, x):
 
 
 def hermite_holo(n: int, z):
-    """H_n(z) with complex argument, evaluated by the same recurrence."""
+    """H_n(z) with complex argument, evaluated by the same recurrence.
+
+    A value beyond the float64 range raises ``ValueError``.
+    """
     check_index(n)
     value = hermite_holo_sequence(n, z)[n]
     return complex(value) if value.ndim == 0 else value

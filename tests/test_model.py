@@ -47,6 +47,11 @@ class TestOscillatorSpec:
         with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
             model.OscillatorSpec(**fields)
 
+    @pytest.mark.parametrize("field", ["omega1", "omega2", "mass", "hbar"])
+    def test_rejects_string(self, field):
+        with pytest.raises(TypeError):
+            model.OscillatorSpec(**{"omega1": 1.0, "omega2": 1.0, field: "2"})
+
 
 class TestLadderCoefficients:
     def test_no_squeezing_limit(self):

@@ -226,6 +226,13 @@ class TestInputDomain:
         with pytest.raises(ValueError, match=field):
             states.OscillatorGeometry(**{"a": 1.0, "b": 1.0, field: value})
 
+    @pytest.mark.parametrize("field", ["a", "b", "hbar"])
+    def test_geometry_rejects_string(self, field):
+        # a string field must not be stored: later arithmetic such as a * 2
+        # would repeat it instead of doubling it
+        with pytest.raises(TypeError):
+            states.OscillatorGeometry(**{"a": 1.0, "b": 1.0, field: "2"})
+
     @pytest.mark.parametrize(
         "call",
         [
