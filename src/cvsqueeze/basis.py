@@ -195,16 +195,23 @@ def _polynomial_2v_table(m_max: int, n_max: int, alpha: float, z1: np.ndarray, z
     scale = 2.0 * math.sqrt(alpha) / math.sqrt((1.0 - alpha) * (1.0 + alpha))
     w1 = gamma * scale * z1
     w2 = gamma * scale * z2
-    g = np.empty((m_max + 1, n_max + 1) + z1.shape, dtype=complex)
-    g[0, 0] = 1.0
+    return _two_index_recurrence(m_max, n_max, beta, lambda g: w1 * g, lambda g: w2 * g, np.ones(z1.shape, complex))
+
+
+def _two_index_recurrence(m_max: int, n_max: int, beta: float, times_w1, times_w2, start: np.ndarray) -> np.ndarray:
+    # g_{0,0} = start, g_{0,n+1} = w2 g_{0,n} / sqrt(n+1) and
+    # g_{m+1,n} = (w1 g_{m,n} - beta sqrt(n) g_{m,n-1}) / sqrt(m+1), where
+    # times_w1 and times_w2 multiply a stack of values shaped like start
+    g = np.empty((m_max + 1, n_max + 1) + start.shape, dtype=complex)
+    g[0, 0] = start
     for n in range(n_max):
-        g[0, n + 1] = w2 * g[0, n] / math.sqrt(n + 1)
+        g[0, n + 1] = times_w2(g[0, n]) / math.sqrt(n + 1)
     # row m + 1 needs only row m, so each row is one array expression over
     # n >= 1, with the loop's operation order: (beta sqrt(n)) g[m, n - 1]
-    coupling = (beta * np.sqrt(np.arange(1.0, n_max + 1))).reshape((n_max,) + (1,) * z1.ndim)
+    coupling = (beta * np.sqrt(np.arange(1.0, n_max + 1))).reshape((n_max,) + (1,) * start.ndim)
     for m in range(m_max):
-        g[m + 1, 0] = w1 * g[m, 0] / math.sqrt(m + 1)
-        g[m + 1, 1:] = (w1 * g[m, 1:] - coupling * g[m, :-1]) / math.sqrt(m + 1)
+        g[m + 1, 0] = times_w1(g[m, 0]) / math.sqrt(m + 1)
+        g[m + 1, 1:] = (times_w1(g[m, 1:]) - coupling * g[m, :-1]) / math.sqrt(m + 1)
     return g
 
 
@@ -239,9 +246,10 @@ def coefficient_norm_partial(k: int, alpha: float, z1: complex, z2: complex, n_m
     Nondecreasing in ``n_max`` (partial sums of nonnegative terms); the full
     series converges for every (z1, z2), which is what makes the expanded
     states normalizable.  The limit is exp(|z1|^2 + |z2|^2) for both modes.
+    A sum beyond the float64 range raises ``ValueError``.
     """
     table = coefficient_table(k, alpha, z1, z2, n_max)
-    return float(np.sum(np.abs(table) ** 2))
+    return float(_finite_result(lambda: np.sum(np.abs(table) ** 2), f"n_max {n_max}", z1=z1, z2=z2))
 
 
 def gaussian_measure_density(w1: complex, w2: complex) -> float:
@@ -250,7 +258,7 @@ def gaussian_measure_density(w1: complex, w2: complex) -> float:
 
 
 # largest max_index at which basis_gram was measured within 3e-10 of I
-_GRAM_MAX_INDEX = 10
+_GRAM_MAX_INDEX = 15
 
 
 def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
@@ -270,19 +278,24 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
     raises ``ValueError``.
 
     The order^4-node sum is evaluated in factored form.  Each polynomial
-    part is expanded as g(a, b') = sum D[p, q] e_p(a) e_q(b'), where e_p are
+    part is expanded as g(a, b') = sum C[p, q] e_p(a) e_q(b'), where e_p are
     the polynomial parts of :func:`basis_function_sequence`, orthogonal
-    under the weight of one plane.  A discrete Fourier transform of g on the
-    torus |a| = |b'| = r gives its coefficients in the monomials
-    (a/r)^k (b'/r)^l, and the three-term recurrence of the e_p turns them
-    into D.  The rule then reduces to the Gram matrix of the e_p on one
-    plane, M[p, p'] = sum of w e_p(a) conj(e_p'(a)) over its order^2 nodes:
-    G = D (M kron M) D^H * 4 alpha / ((1+alpha)^2 pi^2).
+    under the weight of one plane.  Their three-term recurrence, written as
+    the matrix J with J[p+1, p] = sqrt((p+1)/2) and J[p-1, p] = beta sqrt(p/2),
+    turns multiplication by w1 = gamma c (a - i b') and w2 = gamma c (a + i b')
+    (gamma c = sqrt(2 alpha)/(1+alpha)) into C -> J C -+ i C J^T, so the
+    two-index recurrence of the table runs on the coefficient matrices
+    themselves, from a single 1 at C[0, 0].  No g exceeds degree
+    2 max_index, so (2 max_index + 1)^2 coefficients hold each one exactly.
+    The rule then reduces to the Gram matrix of the e_p on one plane,
+    M[p, p'] = sum of w e_p(a) conj(e_p'(a)) over its order^2 nodes:
+    G = C (M kron M) C^H * 4 alpha / ((1+alpha)^2 pi^2).
 
-    Rounding grows with ``max_index``: on a logarithmic grid of alpha over
-    [1e-8, 1 - 1e-9], max |G - I| stayed below 3e-14 at max_index 4, 1e-11
-    at 8 and 3e-10 at 10, but reached about 1e-7 at 14 and 2e-4 at 18.
-    The torus samples lose it; a max_index above 10 raises ``ValueError``.
+    Rounding grows with ``max_index``: on 33 logarithmically spaced alpha in
+    [1e-8, 1 - 1e-9] at order max(40, 2 max_index + 1), max |G - I| stayed
+    below 7e-15 at max_index 4, 2e-13 at 8, 1.1e-12 at 10 and 1.8e-10 at 15,
+    but reached 5.7e-10 at 16 and 5e-9 at 18; a max_index above 15 raises
+    ``ValueError``.
     """
     alpha = check_alpha(alpha, closed=False)
     if not 0 <= max_index <= _GRAM_MAX_INDEX:
@@ -293,35 +306,16 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
             f"order {order} is below 2 * max_index + 1 = {degree + 1}, where the rule is not exact"
         )
     beta = (1.0 - alpha) / (1.0 + alpha)
-    wide = 2.0 * alpha / (1.0 + alpha)  # 1 - beta
-    narrow = 2.0 / (1.0 + alpha)  # 1 + beta
-    # the weighted mass of a degree-d polynomial reaches out to about
-    # sqrt(d) standard deviations of the wide axis; the factor 1/3 gave the
-    # least rounding over alpha in [1e-8, 1) for max_index 1 to 14
-    radius = math.sqrt((degree + 1) / (3.0 * wide))
-    points = degree + 1
-    dim = max_index + 1
+    up = np.sqrt(np.arange(1.0, degree + 1) / 2.0)
+    jacobi = np.diag(up, -1) + np.diag(beta * up, 1)
+    start = np.zeros((degree + 1, degree + 1), dtype=complex)
+    start[0, 0] = 1.0
+    right = 1j * jacobi.T
+    coeffs = _two_index_recurrence(
+        max_index, max_index, beta, lambda c: jacobi @ c - c @ right, lambda c: jacobi @ c + c @ right, start
+    ).reshape((max_index + 1) ** 2, (degree + 1) ** 2)
 
-    circle = radius * np.exp(2j * np.pi / points * np.arange(points))
-    a, b = circle[:, None], circle[None, :]  # a and b' on the torus
-    z1, z2 = np.broadcast_arrays((a - 1j * b) / math.sqrt(2.0), (a + 1j * b) / math.sqrt(2.0))
-    values = _polynomial_2v_table(max_index, max_index, alpha, z1, z2).reshape(dim * dim, points, points)
-    monomial = np.fft.fft2(values) / points**2
-
-    # with kappa = gamma c r (gamma c = sqrt(2 alpha)/(1+alpha), as in
-    # _polynomial_sequence) the recurrence reads
-    # (a/r) e_p = (sqrt(p+1) e_{p+1} + beta sqrt(p) e_{p-1}) / (sqrt(2) kappa),
-    # so (a/r)^k = sum_p expand[k, p] e_p(a) with nonnegative entries
-    kappa = math.sqrt(2.0 * alpha) / (1.0 + alpha) * radius
-    up = np.sqrt(np.arange(1.0, points)) / (math.sqrt(2.0) * kappa)
-    step = np.diag(up, 1) + np.diag(beta * up, -1)
-    expand = np.zeros((points, points))
-    expand[0, 0] = 1.0
-    for k in range(1, points):
-        expand[k] = expand[k - 1] @ step
-    coeffs = (expand.T @ monomial @ expand).reshape(dim * dim, points * points)
-
-    nodes, weights = _plane_gauss_hermite(order, wide, narrow)
+    nodes, weights = _plane_gauss_hermite(order, 2.0 * alpha / (1.0 + alpha), 2.0 / (1.0 + alpha))
     e = _polynomial_sequence(degree, alpha, nodes)
     plane = (e * weights) @ e.conj().T
     gram = coeffs @ np.kron(plane, plane) @ coeffs.conj().T

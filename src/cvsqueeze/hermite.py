@@ -89,12 +89,19 @@ def hermite_complex_2v_table(m_max: int, n_max: int, z1: complex, z2: complex) -
 
     Built from H_{0,n} = z2^n and the recurrence
     H_{m+1,n} = z1 H_{m,n} - n H_{m,n-1} (the s-derivative of the
-    generating function exp(s z1 + t z2 - s t)).
+    generating function exp(s z1 + t z2 - s t)).  A value beyond the
+    float64 range raises ``ValueError``.
     """
     check_index(m_max, "m_max")
     check_index(n_max, "n_max")
     z1 = complex(z1)
     z2 = complex(z2)
+    return _finite_result(
+        lambda: _complex_2v_recurrence(m_max, n_max, z1, z2), f"m_max {m_max}, n_max {n_max}", z1=z1, z2=z2
+    )
+
+
+def _complex_2v_recurrence(m_max: int, n_max: int, z1: complex, z2: complex) -> np.ndarray:
     table = np.empty((m_max + 1, n_max + 1), dtype=complex)
     table[0, 0] = 1.0
     for n in range(n_max):

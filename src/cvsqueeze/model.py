@@ -394,6 +394,9 @@ class QuadraticHamiltonian:
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=float)
         linear = np.asarray(self.linear, dtype=float)
+        for name, value in (("q", q), ("linear", linear), ("constant", self.constant)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
         if q.shape != (4, 4) or not np.allclose(q, q.T):
             raise ValueError("Q must be a symmetric 4x4 matrix")
         if linear.shape != (4,):

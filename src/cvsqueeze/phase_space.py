@@ -131,13 +131,25 @@ def wigner_gaussian(gaussian: QuadraticGaussian, hbar: float = 1.0):
     return cov, evaluator
 
 
-def _wigner_quad(f, point: PhaseSpacePoint, hbar: float, order: int, m_matrix: np.ndarray) -> complex:
-    # chord Gaussian of f f* is exp(-X^T M X / 4): rescale each chord axis
-    # to its diagonal decay
-    n1, w1 = open_gauss_hermite(order, m_matrix[0, 0] / 4.0)
-    n2, w2 = open_gauss_hermite(order, m_matrix[1, 1] / 4.0)
-    chord1 = n1[:, None]
-    chord2 = n2[None, :]
+def _principal_axes(m_matrix) -> tuple[np.ndarray, np.ndarray]:
+    # eigh of a finite, symmetric, positive definite 2x2 m_matrix; eigh reads
+    # one triangle only, so finiteness and symmetry are checked first
+    m = np.asarray(m_matrix, dtype=float)
+    if m.shape == (2, 2) and np.isfinite(m).all() and abs(m[0, 1] - m[1, 0]) <= 1e-12 * np.abs(m).max():
+        curvatures, axes = np.linalg.eigh(m)
+        if curvatures[0] > 0.0:
+            return curvatures, axes
+    raise ValueError(f"m_matrix must be finite, symmetric and positive definite, got {m.tolist()}")
+
+
+def _wigner_quad(f, point: PhaseSpacePoint, hbar: float, order: int, curvatures, axes: np.ndarray) -> complex:
+    # chord Gaussian of f f* is exp(-X^T M X / 4): one rule along each
+    # principal axis of M, X = axes @ (u1, u2); the axes are orthonormal, so
+    # the Jacobian is one
+    u1, w1 = open_gauss_hermite(order, curvatures[0] / 4.0)
+    u2, w2 = open_gauss_hermite(order, curvatures[1] / 4.0)
+    chord1 = axes[0, 0] * u1[:, None] + axes[0, 1] * u2[None, :]
+    chord2 = axes[1, 0] * u1[:, None] + axes[1, 1] * u2[None, :]
     f_plus = np.asarray(f(point.x1 + chord1 / 2.0, point.x2 + chord2 / 2.0), dtype=complex)
     f_minus = np.asarray(f(point.x1 - chord1 / 2.0, point.x2 - chord2 / 2.0), dtype=complex)
     phase = np.exp(-1j * (point.p1 * chord1 + point.p2 * chord2) / hbar)
@@ -157,19 +169,23 @@ def wigner_numeric(
 ):
     """Wigner value of an arbitrary wave function by chord quadrature.
 
-    ``f(x1, x2)`` must be vectorized over arrays.  ``m_matrix`` supplies the
-    2x2 quadratic-form matrix used only to scale the chord axes (identity
-    when omitted).  Up to quadrature noise the result is real for any state;
-    ``return_complex=True`` exposes the raw complex value so callers can
-    measure the residual imaginary part.  ``check=True`` re-evaluates at
-    doubled order and raises on disagreement beyond ``rtol``.
+    ``f(x1, x2)`` must be vectorized over arrays.  ``m_matrix`` is the 2x2
+    quadratic form M of |f|^2 ~ exp(-x^T M x) (identity when omitted): the
+    rule runs along its principal axes, each scaled to its curvature, and M
+    must be finite, symmetric and positive definite.  Up to quadrature noise
+    the result is real for any state; ``return_complex=True`` exposes the raw
+    complex value so callers can measure the residual imaginary part.
+    ``check=True`` re-evaluates at doubled order and raises on disagreement
+    beyond ``rtol``.
     """
     _check_positive(hbar, "hbar")
-    scale = np.eye(2) if m_matrix is None else np.asarray(m_matrix, dtype=float)
-    if not all(0.0 < d < math.inf for d in np.diag(scale)):
-        raise ValueError(f"m_matrix diagonal must be positive and finite, got {scale.tolist()}")
+    curvatures, axes = _principal_axes(np.eye(2) if m_matrix is None else m_matrix)
     value = _refine_by_doubling(
-        lambda quad_order: _wigner_quad(f, point, hbar, quad_order, scale), order, check, rtol, "wigner_numeric"
+        lambda quad_order: _wigner_quad(f, point, hbar, quad_order, curvatures, axes),
+        order,
+        check,
+        rtol,
+        "wigner_numeric",
     )
     return value if return_complex else value.real
 

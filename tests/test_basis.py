@@ -106,6 +106,9 @@ class TestBasisFunction2v:
         # exp(beta z1 z2) at z1 = z2 = 1e3 is beyond float64
         with pytest.raises(ValueError, match=r"m_max 3, n_max 3, max \|z1\| 1000, max \|z2\| 1000"):
             basis.basis_function_2v_table(3, 3, 1e-8, 1e3, 1e3)
+        # the table is finite (largest entry 1.5e198) but its squares are not
+        with pytest.raises(ValueError, match=r"n_max 40, max \|z1\| 30, max \|z2\| 30"):
+            basis.coefficient_norm_partial(2, 0.5, 30, 30, 40)
 
 
 def _loop_polynomial_2v_table(m_max, n_max, alpha, z1, z2):
@@ -235,7 +238,7 @@ def test_gram_orthonormality(alpha):
 
 @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.3, 0.999])
 def test_gram_orthonormality_higher_index(alpha):
-    # rounding grows with the degree; measured at most 8.4e-12 at max_index 8
+    # rounding grows with the degree; measured at most 1.7e-13 at max_index 8
     gram = basis.basis_gram(alpha, max_index=8, order=40)
     assert np.abs(gram - np.eye(81)).max() < 1e-10
 
@@ -270,12 +273,22 @@ def test_gram_matches_direct_principal_axis_sum(alpha):
             assert np.abs(factored - direct).max() < 1000 * np.finfo(float).eps
 
 
+@pytest.mark.parametrize("max_index", [4, basis._GRAM_MAX_INDEX])
 @pytest.mark.parametrize("alpha", [1e-4, 0.05, 0.3, 0.6, 0.999, 1 - 1e-9])
-def test_gram_exact_at_minimal_order(alpha):
-    # 9 = 2 * max_index + 1 nodes per axis already integrate exactly
-    minimal = basis.basis_gram(alpha, max_index=4, order=9)
-    doubled = basis.basis_gram(alpha, max_index=4, order=18)
+def test_gram_exact_at_minimal_order(alpha, max_index):
+    # 2 * max_index + 1 nodes per axis already integrate exactly
+    minimal = basis.basis_gram(alpha, max_index=max_index, order=2 * max_index + 1)
+    doubled = basis.basis_gram(alpha, max_index=max_index, order=4 * max_index + 2)
     assert np.abs(minimal - doubled).max() < 1e-13
+
+
+def test_gram_orthonormality_at_cap():
+    # the cap is the largest max_index measured within 3e-10 of the identity
+    # (1.8e-10 at alpha 1e-7); the worst alpha of a log grid lies at 1e-7 to 3e-6
+    cap = basis._GRAM_MAX_INDEX
+    for alpha in np.logspace(-8, math.log10(1 - 1e-9), 9):
+        gram = basis.basis_gram(alpha, max_index=cap, order=40)
+        assert np.abs(gram - np.eye((cap + 1) ** 2)).max() <= 3e-10
 
 
 def test_gram_rejects_inexact_order():
@@ -287,11 +300,11 @@ def test_gram_rejects_inexact_order():
 
 
 def test_gram_rejects_index_beyond_measured_accuracy():
-    # rounding reaches about 1e-7 at max_index 14; 10 is the largest
+    # rounding reaches about 5.7e-10 at max_index 16; 15 is the largest
     # index measured within 3e-10 of the identity
-    basis.basis_gram(0.5, max_index=10, order=21)
+    basis.basis_gram(0.5, max_index=15, order=31)
     with pytest.raises(ValueError, match="max_index"):
-        basis.basis_gram(0.5, max_index=11, order=40)
+        basis.basis_gram(0.5, max_index=16, order=40)
 
 
 def test_mode_tag_validation():

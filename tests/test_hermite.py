@@ -66,6 +66,8 @@ class TestRealAndHolo:
         # H_200(50) is about 1e418, beyond float64
         with pytest.raises(ValueError, match=r"n_max 200, max \|z\| 50"):
             hermite.hermite_holo_sequence(200, 50.0)
+        with pytest.raises(ValueError, match=r"m_max 200, n_max 200, max \|z1\| 50, max \|z2\| 50"):
+            hermite.hermite_complex_2v_table(200, 200, 50, 50)
 
 
 class TestTwoIndexFamily:

@@ -456,6 +456,21 @@ class TestBandForm:
 
 
 class TestHamiltonianQuadratic:
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
+    @pytest.mark.parametrize("field", ["q", "linear", "constant"])
+    def test_rejects_non_finite_field(self, field, value):
+        # a NaN in q once failed as an asymmetric Q, and a NaN in linear or an
+        # infinite constant was accepted and reached value()
+        q, linear, constant = np.eye(4), np.zeros(4), 0.0
+        if field == "q":
+            q[1, 1] = value
+        elif field == "linear":
+            linear[1] = value
+        else:
+            constant = value
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            model.QuadraticHamiltonian(q=q, linear=linear, constant=constant)
+
     def test_no_squeezing_block_diagonal(self):
         spec = model.OscillatorSpec(omega1=1.3, omega2=0.7, mass=2.0)
         ham = model.hamiltonian_quadratic(1.0, spec, 0, 0)

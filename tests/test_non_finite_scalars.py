@@ -16,7 +16,7 @@ NON_FINITE = [math.nan, math.inf, -math.inf]
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=str)
 def test_wigner_numeric_hbar(value):
-    # a non-finite m_matrix diagonal and Gauss-Hermite coefficient are
+    # a non-finite m_matrix and Gauss-Hermite coefficient are
     # tested next to the other quadrature guards, in test_phase_space.py
     gaussian = states.unshifted_gaussian(2, 0.5, states.OscillatorGeometry(1.0, 1.0))
     with pytest.raises(ValueError, match="hbar must be positive and finite"):

@@ -173,6 +173,39 @@ class TestWignerNumeric:
             )
             assert numeric == pytest.approx(reference, abs=1e-6)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 0.01])
+    @pytest.mark.parametrize(
+        "geom", [states.OscillatorGeometry(1.0, 1.3), states.OscillatorGeometry(0.8, 1.3, hbar=0.7)], ids=str
+    )
+    def test_squeezed_state_on_principal_axes(self, alpha, geom):
+        # a rule on the raw axes, scaled by the diagonal of M, was off by up
+        # to 1.7e-1 of the peak here at alpha 0.01
+        labels = states.DisplacementLabels(0.4 + 0.2j, -0.3 + 0.5j)
+        gaussian = states.unshifted_gaussian(2, alpha, geom)
+        _, closed = phase_space.wigner_gaussian(gaussian, geom.hbar)
+        shift = states.shift_params(2, alpha, geom, labels)
+        spread = gaussian.frame @ (1.0 / np.sqrt(gaussian.curvatures))
+
+        def shifted(x1, x2):
+            return states.wave_function(2, x1, x2, geom, labels, alpha)
+
+        p1, p2 = shift.q1 + 0.1, shift.q2 - 0.1
+        for t in (0.0, 0.5, 1.0):
+            x1, x2 = shift.y1 + t * spread[0], shift.y2 + t * spread[1]
+            numeric = phase_space.wigner_numeric(
+                shifted, phase_space.PhaseSpacePoint(x1, x2, p1, p2), geom.hbar, m_matrix=gaussian.matrix
+            )
+            reference = float(closed(x1 - shift.y1, x2 - shift.y2, p1 - shift.q1, p2 - shift.q2))
+            assert abs(numeric - reference) <= 1e-13 / (math.pi * geom.hbar) ** 2
+
+    @pytest.mark.parametrize(
+        "m_matrix", [[[1.0, 0.5], [0.4, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0]], ids=str
+    )
+    def test_m_matrix_not_symmetric_positive_definite_raises(self, m_matrix):
+        gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
+        with pytest.raises(ValueError, match="m_matrix must be finite, symmetric and positive definite"):
+            phase_space.wigner_numeric(gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0, m_matrix=m_matrix)
+
     def test_convergence_check(self):
         gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
         value = phase_space.wigner_numeric(
@@ -218,7 +251,7 @@ class TestWignerNumeric:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
     def test_non_finite_m_matrix_raises(self, value):
         gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
-        with pytest.raises(ValueError, match="m_matrix diagonal must be positive and finite"):
+        with pytest.raises(ValueError, match="m_matrix must be finite"):
             phase_space.wigner_numeric(
                 gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0, m_matrix=[[value, 0.0], [0.0, 1.0]],
             )
