@@ -73,6 +73,23 @@ def _check_positive(value: float, name: str) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_finite(**arguments) -> None:
+    # each named argument, a number or an array, must be finite in every
+    # entry; the error names the argument and its first non-finite entry
+    for name, value in arguments.items():
+        bad = ~np.isfinite(value)
+        if bad.any():
+            raise ValueError(f"{name} must be finite, got {np.asarray(value)[bad][0]}")
+
+
+def _symmetrized(matrix: np.ndarray, name: str) -> np.ndarray:
+    # (A + A^T) / 2 of a finite square matrix A, which must be symmetric
+    # within 1e-12 max(1, max |A|) in every entry
+    if np.abs(matrix - matrix.T).max() > 1e-12 * max(1.0, np.abs(matrix).max()):
+        raise ValueError(f"{name} must be symmetric")
+    return 0.5 * (matrix + matrix.T)
+
+
 def _finite_result(compute, sizes: str, **arguments) -> np.ndarray:
     # compute() with float overflow warnings silenced, unless an entry of the
     # result overflowed to inf or NaN; the error names the table sizes and the
@@ -254,6 +271,7 @@ def coefficient_norm_partial(k: int, alpha: float, z1: complex, z2: complex, n_m
 
 def gaussian_measure_density(w1: complex, w2: complex) -> float:
     """Density pi^-2 exp(-|w1|^2 - |w2|^2) of the Gaussian reference measure."""
+    _check_finite(w1=w1, w2=w2)
     return float(np.pi**-2 * np.exp(-abs(w1) ** 2 - abs(w2) ** 2))
 
 

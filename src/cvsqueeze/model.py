@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_positive, check_alpha
+from .basis import _check_finite, _check_positive, _symmetrized, check_alpha
 from .states import DisplacementLabels, GaussianState, OscillatorGeometry, gaussian_state, wave_function
 
 __all__ = [
@@ -166,7 +166,7 @@ class TruncatedOperator:
     ``bands`` are zero.  Every check runs over the bands, so none of them
     needs a dense matrix.  Ladder truncation corrupts the top levels of each
     mode; :meth:`interior_gap` compares two operators on the interior block,
-    both mode indices below ``n_trunc - pad``, where matrix identities hold
+    both mode indices below ``n_trunc - 2``, where matrix identities hold
     exactly.
     """
 
@@ -180,13 +180,13 @@ class TruncatedOperator:
             return np.zeros(self.n_trunc**2, dtype=complex)
         return band.ravel()
 
-    def interior_gap(self, other: TruncatedOperator, pad: int = 2) -> float:
-        """max |self - other| over the entries with both mode indices below ``n_trunc - pad``."""
+    def interior_gap(self, other: TruncatedOperator) -> float:
+        """max |self - other| over the entries with both mode indices below ``n_trunc - 2``."""
         if other.n_trunc != self.n_trunc:
             raise ValueError(f"n_trunc {other.n_trunc} does not match {self.n_trunc}")
-        if not 0 <= pad < self.n_trunc:
-            raise ValueError(f"pad must lie in [0, n_trunc) = [0, {self.n_trunc}), got {pad}")
-        keep = self.n_trunc - pad
+        keep = self.n_trunc - 2
+        if keep <= 0:
+            raise ValueError(f"the interior is empty at n_trunc {self.n_trunc}; it needs n_trunc > 2")
         gaps = []
         for d1, d2 in self.bands.keys() | other.bands.keys():
             # band entry [i, j] lies in the interior iff i < keep - |d1|
@@ -207,7 +207,8 @@ class TruncatedOperator:
         for (d1, d2), band in self.bands.items():
             mirror = self.bands.get((-d1, -d2))
             defects.append(np.abs(band if mirror is None else band - mirror.conj()).max())
-        return float(np.max(defects))
+        # initial: an operator with no bands is zero, and so is its defect
+        return float(np.max(defects, initial=0.0))
 
 
 def _band_prefix(op: TruncatedOperator, offsets: tuple[int, int], rows: int, cols: int):
@@ -394,14 +395,12 @@ class QuadraticHamiltonian:
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=float)
         linear = np.asarray(self.linear, dtype=float)
-        for name, value in (("q", q), ("linear", linear), ("constant", self.constant)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"{name} must be finite, got {np.asarray(value).tolist()}")
-        if q.shape != (4, 4) or not np.allclose(q, q.T):
-            raise ValueError("Q must be a symmetric 4x4 matrix")
+        _check_finite(q=q, linear=linear, constant=self.constant)
+        if q.shape != (4, 4):
+            raise ValueError(f"q must be a 4x4 matrix, got shape {q.shape}")
         if linear.shape != (4,):
             raise ValueError("L must be a 4-vector")
-        object.__setattr__(self, "q", 0.5 * (q + q.T))
+        object.__setattr__(self, "q", _symmetrized(q, "q"))
         object.__setattr__(self, "linear", linear)
 
     def value(self, x1, x2, p1, p2):
@@ -461,9 +460,11 @@ _D2_STENCIL = np.array(
 )
 
 # largest number of samples per principal axis the ground-state check takes,
-# and the samples beyond each end of its axes (one stencil radius)
+# the samples beyond each end of its axes (one stencil radius), and the
+# half-width of its box in position spreads
 _MAX_GRID_POINTS = 1 << 16
 _PAD = 4
+_BOX_SIGMAS = 8.0
 
 
 def _stencil_1d(values: np.ndarray, weights: np.ndarray, spacing: float, order: int) -> np.ndarray:
@@ -519,13 +520,11 @@ def _factored_action(
     return u, v
 
 
-def _principal_axis_grid(
-    state: GaussianState, grid_points: int, box_sigmas: float
-) -> tuple[np.ndarray, np.ndarray]:
+def _principal_axis_grid(state: GaussianState, grid_points: int) -> tuple[np.ndarray, np.ndarray]:
     """(s_axis, t_axis) of the ground-state check's grid x = y + frame (s, t).
 
     On the record's principal axes, of position spreads 1/sqrt(2 kappa),
-    each axis spans ``box_sigmas`` spreads either side of the center in
+    each axis spans :data:`_BOX_SIGMAS` spreads either side of the center in
     ``points`` samples, plus :data:`_PAD` more at each end.  The plane wave
     of wavenumber k shifts an axis' spectrum |k| sqrt(2) spread Gaussian
     widths off zero; the step shrinks by one plus the larger shift, so
@@ -542,7 +541,7 @@ def _principal_axis_grid(
     # the tolerance keeps rounding in ``refine`` from adding a sample
     points = math.ceil(needed - 1e-9)
     offsets = np.arange(-_PAD, points + _PAD) - 0.5 * (points - 1)
-    steps = 2.0 * box_sigmas * spreads / (points - 1)
+    steps = 2.0 * _BOX_SIGMAS * spreads / (points - 1)
     return steps[0] * offsets, steps[1] * offsets
 
 
@@ -569,7 +568,6 @@ def ground_state_energy_check(
     z1: complex = 0.0,
     z2: complex = 0.0,
     grid_points: int = 161,
-    box_sigmas: float = 8.0,
 ) -> GroundStateCheck:
     """Verify the mode-2 state is an eigenstate of the reconstructed Hamiltonian.
 
@@ -582,17 +580,17 @@ def ground_state_energy_check(
     next to hbar (omega_1 + omega_2)/2 and the normalized eigen-residual
     ||(H - E0) psi|| / ||psi||, which must shrink under grid refinement,
     come from 1D inner products and two thin QR factorizations: time and
-    memory are O(grid_points).  The state's geometry is the spec's:
+    memory are O(grid_points).  Each axis spans 8 position spreads either
+    side of the center.  The state's geometry is the spec's:
     a_i = sqrt(M omega_i / hbar) (:meth:`OscillatorSpec.inverse_lengths`).
     """
     if grid_points < 32:
         raise ValueError(f"grid_points must be >= 32, got {grid_points}")
-    _check_positive(box_sigmas, "box_sigmas")
     labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
     geom = OscillatorGeometry(*spec.inverse_lengths(), hbar=spec.hbar)
     state = gaussian_state(2, alpha, geom, labels)
     frame, center = state.gaussian.frame, state.position_center
-    s_axis, t_axis = _principal_axis_grid(state, grid_points, box_sigmas)
+    s_axis, t_axis = _principal_axis_grid(state, grid_points)
     # on these axes the record is exactly f(s) g(t), g carrying the constants
     (kappa_s, kappa_t), (k_s, k_t) = state.gaussian.curvatures, state.wavenumbers
     f = np.exp(s_axis * (1j * k_s - 0.5 * kappa_s * s_axis))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_positive, check_alpha, check_mode
+from .basis import _check_positive, _symmetrized, check_alpha, check_mode
 from .quadrature import _refine_by_doubling, open_gauss_hermite
 from .states import OscillatorGeometry, QuadraticGaussian
 
@@ -73,9 +73,7 @@ class CovarianceMatrix:
         if not np.isfinite(sigma).all():
             raise ValueError(f"covariance matrix entries must be finite, got {sigma.tolist()}")
         _check_positive(self.hbar, "hbar")
-        if np.abs(sigma - sigma.T).max() > 1e-12 * max(1.0, np.abs(sigma).max()):
-            raise ValueError("covariance matrix must be symmetric")
-        object.__setattr__(self, "sigma", 0.5 * (sigma + sigma.T))
+        object.__setattr__(self, "sigma", _symmetrized(sigma, "covariance matrix"))
 
 
 @dataclass(frozen=True)
@@ -157,37 +155,25 @@ def _wigner_quad(f, point: PhaseSpacePoint, hbar: float, order: int, curvatures,
     return complex(total) / (2.0 * math.pi * hbar) ** 2
 
 
-def wigner_numeric(
-    f,
-    point: PhaseSpacePoint,
-    hbar: float = 1.0,
-    order: int = 48,
-    m_matrix=None,
-    return_complex: bool = False,
-    check: bool = False,
-    rtol: float = 1e-8,
-):
+def wigner_numeric(f, point: PhaseSpacePoint, hbar: float = 1.0, order: int = 48, *, m_matrix, check: bool = False):
     """Wigner value of an arbitrary wave function by chord quadrature.
 
     ``f(x1, x2)`` must be vectorized over arrays.  ``m_matrix`` is the 2x2
-    quadratic form M of |f|^2 ~ exp(-x^T M x) (identity when omitted): the
-    rule runs along its principal axes, each scaled to its curvature, and M
-    must be finite, symmetric and positive definite.  Up to quadrature noise
-    the result is real for any state; ``return_complex=True`` exposes the raw
-    complex value so callers can measure the residual imaginary part.
-    ``check=True`` re-evaluates at doubled order and raises on disagreement
-    beyond ``rtol``.
+    quadratic form M of |f|^2 ~ exp(-x^T M x): the rule runs along its
+    principal axes, each scaled to its curvature, and M must be finite,
+    symmetric and positive definite.  The Wigner function of any state is
+    real, so the real part of the quadrature is returned.  ``check=True``
+    re-evaluates at doubled order and raises
+    :class:`~cvsqueeze.quadrature.ConvergenceError` on a disagreement beyond
+    1e-8 relative to max(1, |value|).
     """
     _check_positive(hbar, "hbar")
-    curvatures, axes = _principal_axes(np.eye(2) if m_matrix is None else m_matrix)
+    curvatures, axes = _principal_axes(m_matrix)
     value = _refine_by_doubling(
         lambda quad_order: _wigner_quad(f, point, hbar, quad_order, curvatures, axes),
-        order,
-        check,
-        rtol,
-        "wigner_numeric",
+        order, check, 1e-8, "wigner_numeric",
     )
-    return value if return_complex else value.real
+    return value.real
 
 
 def covariance(k: int, alpha: float, geom: OscillatorGeometry) -> CovarianceMatrix:
@@ -229,18 +215,18 @@ class RSCheck:
     indeterminate: bool
 
 
-def robertson_schrodinger_check(cov: CovarianceMatrix, tol: float = 1e-12) -> RSCheck:
+def robertson_schrodinger_check(cov: CovarianceMatrix) -> RSCheck:
     """Test Sigma + (i hbar / 2) J >= 0 via the Hermitian eigenproblem.
 
     The margin is the minimum eigenvalue; physical covariance matrices pass
-    with margin >= -tol or a margin inside the rounding band, which at
-    strong squeezing (large max |eigenvalue|) exceeds tol.
+    with margin >= -1e-12 or a margin inside the rounding band, which at
+    strong squeezing (large max |eigenvalue|) exceeds 1e-12.
     """
     h = cov.sigma + 0.5j * cov.hbar * symplectic_form()
     eigenvalues = np.linalg.eigvalsh(h)
     margin = float(eigenvalues.min())
     indeterminate = abs(margin) <= UNCERTAINTY_RTOL * float(np.abs(eigenvalues).max())
-    return RSCheck(passed=margin >= -tol or indeterminate, margin=margin, indeterminate=indeterminate)
+    return RSCheck(passed=margin >= -1e-12 or indeterminate, margin=margin, indeterminate=indeterminate)
 
 
 def partial_transpose(cov: CovarianceMatrix) -> CovarianceMatrix:

@@ -67,32 +67,24 @@ def open_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray
     return nodes * scale, folded * scale
 
 
-def require_convergence(coarse, fine, rtol: float, what: str) -> None:
-    """Raise :class:`ConvergenceError` when two quadrature levels disagree.
+def _refine_by_doubling(evaluate, order: int, check: bool, rtol: float, what: str):
+    """``evaluate(order)``, or with ``check`` the value at twice the order.
 
-    Scalars or arrays; every entry must agree within ``rtol`` relative to
-    max(1, |fine|), and a NaN in either level fails.
+    The order-doubling policy of every quadrature routine: each entry of
+    the doubled-order value must agree with the value at ``order`` within
+    ``rtol`` relative to max(1, |refined|), else :class:`ConvergenceError`
+    is raised.  A NaN in either level fails.
     """
-    diff = np.abs(np.subtract(coarse, fine))
-    scale = np.maximum(1.0, np.abs(fine))
+    value = evaluate(order)
+    if not check:
+        return value
+    refined = evaluate(2 * order)
+    diff = np.abs(value - refined)
+    scale = np.maximum(1.0, np.abs(refined))
     # written so that a NaN difference fails the test
     if not np.all(diff <= rtol * scale):
         raise ConvergenceError(
             f"{what}: order doubling changed the result by up to "
             f"{np.max(diff / scale):.3e} relative to max(1, |value|) (tolerance {rtol:.1e})"
         )
-
-
-def _refine_by_doubling(evaluate, order: int, check: bool, rtol: float, what: str):
-    """``evaluate(order)``, or with ``check`` the value at twice the order.
-
-    The order-doubling policy of every quadrature routine: the doubled
-    order must agree with ``order`` per :func:`require_convergence`, else
-    :class:`ConvergenceError` is raised.
-    """
-    value = evaluate(order)
-    if not check:
-        return value
-    refined = evaluate(2 * order)
-    require_convergence(value, refined, rtol, what)
     return refined

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _check_positive, check_alpha, check_index, check_mode, coefficient_table
+from .basis import _check_finite, _check_positive, check_alpha, check_index, check_mode, coefficient_table
 from .quadrature import _plane_gauss_hermite, _refine_by_doubling
 
 __all__ = [
@@ -315,6 +315,7 @@ def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
     x1, x2 = _check_positions(x1, x2)
     w1 = np.asarray(w1, dtype=complex)
     w2 = np.asarray(w2, dtype=complex)
+    _check_finite(w1=w1, w2=w2)
     exponent = (
         _sb_mode_exponent(a * x1, w1)
         + _sb_mode_exponent(b * x2, w2)
@@ -376,7 +377,6 @@ def inverse_segal_bargmann(
     geom: OscillatorGeometry,
     order: int = 24,
     check: bool = False,
-    rtol: float = 1e-7,
 ):
     """Position-space wave function from a coefficient-space representative.
 
@@ -384,13 +384,13 @@ def inverse_segal_bargmann(
     against ``psi_b`` (a callable of two complex array arguments that must
     broadcast), evaluated on ``order^2 x order^2`` nodes once for all points.
     Linear in ``psi_b``.  With ``check=True`` the quadrature order is
-    doubled and disagreement beyond ``rtol`` at any point raises
-    :class:`~cvsqueeze.quadrature.ConvergenceError`.
+    doubled and a disagreement beyond 1e-7 relative to max(1, |value|) at
+    any point raises :class:`~cvsqueeze.quadrature.ConvergenceError`.
     """
     x1b, x2b = np.broadcast_arrays(*_check_positions(x1, x2))
     flat = _refine_by_doubling(
         lambda quad_order: _inverse_sb_quad(psi_b, x1b.ravel(), x2b.ravel(), geom, quad_order),
-        order, check, rtol, "inverse_segal_bargmann",
+        order, check, 1e-7, "inverse_segal_bargmann",
     )
     out = flat.reshape(x1b.shape)
     return complex(out) if out.ndim == 0 else out

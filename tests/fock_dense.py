@@ -17,10 +17,10 @@ def dense(op):
     return entries.reshape(n * n, n * n)
 
 
-def interior(matrix, pad=2):
-    """Sub-block of a whole matrix with both mode indices below n_trunc - pad."""
+def interior(matrix):
+    """Sub-block of a whole matrix with both mode indices below n_trunc - 2."""
     n = math.isqrt(len(matrix))
-    keep = n - pad
+    keep = n - 2
     return matrix.reshape(n, n, n, n)[:keep, :keep, :keep, :keep].reshape(keep * keep, keep * keep)
 
 

@@ -3,7 +3,7 @@
 import inspect
 
 import cvsqueeze
-from cvsqueeze import basis, hermite, model, phase_space, states
+from cvsqueeze import basis, hermite, model, phase_space, quadrature, states
 
 LAYERS = (basis, hermite, model, phase_space, states)
 
@@ -33,3 +33,16 @@ def test_no_derivable_inputs():
     assert _parameters(phase_space.ppt_separable) == ["cov"]
     assert _parameters(phase_space.log_negativity) == ["cov"]
     assert _parameters(hermite.orthogonality_integral) == ["m", "n", "alpha", "order"]
+    # settings that no caller sets are constants: tolerances, the interior's
+    # padding and the ground-state box; the chord rule's quadratic form has
+    # no default, since the identity is the wrong scale for a squeezed state
+    assert _parameters(phase_space.robertson_schrodinger_check) == ["cov"]
+    assert _parameters(model.TruncatedOperator.interior_gap) == ["self", "other"]
+    assert "box_sigmas" not in _parameters(model.ground_state_energy_check)
+    wigner = inspect.signature(phase_space.wigner_numeric).parameters
+    assert wigner["m_matrix"].kind is inspect.Parameter.KEYWORD_ONLY
+    assert wigner["m_matrix"].default is inspect.Parameter.empty
+    assert not {"rtol", "return_complex"} & set(wigner)
+    # perfbench binds order and check by name
+    assert _parameters(states.inverse_segal_bargmann) == ["psi_b", "x1", "x2", "geom", "order", "check"]
+    assert not hasattr(quadrature, "require_convergence")

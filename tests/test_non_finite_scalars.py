@@ -20,7 +20,9 @@ def test_wigner_numeric_hbar(value):
     # tested next to the other quadrature guards, in test_phase_space.py
     gaussian = states.unshifted_gaussian(2, 0.5, states.OscillatorGeometry(1.0, 1.0))
     with pytest.raises(ValueError, match="hbar must be positive and finite"):
-        phase_space.wigner_numeric(gaussian.evaluate, phase_space.PhaseSpacePoint(), hbar=value)
+        phase_space.wigner_numeric(
+            gaussian.evaluate, phase_space.PhaseSpacePoint(), hbar=value, m_matrix=gaussian.matrix
+        )
 
 
 @pytest.mark.parametrize("value", NON_FINITE, ids=str)
@@ -53,3 +55,21 @@ def test_heisenberg_weyl_shift_hbar(value):
 def test_hermite_function_sequence(value):
     with pytest.raises(ValueError, match="inverse_length must be positive and finite"):
         states.hermite_function_sequence(2, 0.5, value)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize("name", ["w1", "w2"])
+def test_gaussian_measure_density(name, value):
+    # unchecked, a NaN argument gives a NaN density
+    arguments = {"w1": 0.0, "w2": 0.0, name: complex(value, 0.0)}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        basis.gaussian_measure_density(**arguments)
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+@pytest.mark.parametrize("name", ["w1", "w2"])
+def test_segal_bargmann_kernel_argument(name, value):
+    # the positions were checked, the arguments not: a NaN gave nan+nanj
+    arguments = {"w1": 0.0, "w2": 0.0, name: [0.1, complex(0.0, value)]}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        states.segal_bargmann_kernel(0.0, 0.0, geom=states.OscillatorGeometry(1.0, 1.0), **arguments)

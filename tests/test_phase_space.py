@@ -136,13 +136,12 @@ class TestWignerNumeric:
             assert numeric == pytest.approx(reference, abs=1e-6)
 
     def test_imaginary_part_negligible(self):
+        # wigner_numeric returns the real part; the raw quadrature's
+        # imaginary part is noise
         gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
-        value = phase_space.wigner_numeric(
-            gaussian.evaluate,
-            phase_space.PhaseSpacePoint(0.3, 0.1, -0.2, 0.4),
-            1.0,
-            m_matrix=gaussian.matrix,
-            return_complex=True,
+        curvatures, axes = phase_space._principal_axes(gaussian.matrix)
+        value = phase_space._wigner_quad(
+            gaussian.evaluate, phase_space.PhaseSpacePoint(0.3, 0.1, -0.2, 0.4), 1.0, 48, curvatures, axes
         )
         assert abs(value.imag) < 1e-10
 
@@ -221,7 +220,7 @@ class TestWignerNumeric:
         with pytest.raises(ConvergenceError):
             phase_space.wigner_numeric(
                 gaussian.evaluate, phase_space.PhaseSpacePoint(0.3, -0.7, 0.9, 0.4), 1.0,
-                m_matrix=gaussian.matrix, order=2, check=True, rtol=1e-12,
+                m_matrix=gaussian.matrix, order=2, check=True,
             )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -233,12 +232,6 @@ class TestWignerNumeric:
                 gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0,
                 m_matrix=gaussian.matrix, order=400,
             )
-
-    def test_nan_difference_fails_convergence(self):
-        from cvsqueeze.quadrature import ConvergenceError, require_convergence
-
-        with pytest.raises(ConvergenceError):
-            require_convergence(math.nan, 1.0, 1e-8, "nan level")
 
     @pytest.mark.parametrize("helper", ["scaled_gauss_hermite", "open_gauss_hermite"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
@@ -367,7 +360,7 @@ class TestRobertsonSchrodinger:
                 transformed = phase_space.CovarianceMatrix(
                     sigma=s @ cov0.sigma @ s.T, hbar=cov0.hbar
                 )
-                assert phase_space.robertson_schrodinger_check(transformed, tol=1e-9).passed == base
+                assert phase_space.robertson_schrodinger_check(transformed).passed == base
 
 
 class TestCovarianceMatrixInput:
