@@ -11,7 +11,10 @@ axes times a plane wave, that every other state formula reads.  The same
 states are reachable three independent ways, which the test suite exploits:
 the closed forms, the truncated Fock-basis series (:func:`series_expansion`),
 and the inverse Segal-Bargmann transform of the coefficient series
-(:func:`inverse_segal_bargmann`).
+(:func:`inverse_segal_bargmann` of a :class:`BargmannSeries`).  The transform's
+kernel and the series both factor by mode, so its 4D quadrature is taken as
+one plane sum per mode (the kernel's moments against the orthonormal
+Bargmann monomials) joined through the amplitude table.
 
 Conventions: positions carry the inverse oscillator lengths ``a``, ``b``;
 the displacement labels are dimensionless and momentum-type shift
@@ -44,6 +47,7 @@ __all__ = [
     "heisenberg_weyl_shift",
     "unshifted_gaussian",
     "segal_bargmann_kernel",
+    "BargmannSeries",
     "bargmann_series",
     "inverse_segal_bargmann",
 ]
@@ -326,47 +330,76 @@ def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
     return complex(value) if value.ndim == 0 else value
 
 
-def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int):
+def _bargmann_monomials(w, n_max: int) -> np.ndarray:
+    # e_j(w) = conj(w)^j / sqrt(j!) for j = 0 .. n_max, on w's own shape, by
+    # e_{j+1} = e_j conj(w) / sqrt(j + 1): no factorial is formed, whose
+    # float range would end n_max at 170
+    w = np.conj(np.asarray(w, dtype=complex))
+    out = np.empty((n_max + 1,) + w.shape, dtype=complex)
+    out[0] = 1.0
+    for j in range(n_max):
+        out[j + 1] = out[j] * (w / math.sqrt(j + 1))
+    return out
+
+
+@dataclass(frozen=True)
+class BargmannSeries:
+    """Coefficient-space representative psi_B of a state, truncated.
+
+    ``amplitudes`` is the normalized Fock amplitude table A[m, n], a
+    non-empty finite 2-D table (``ValueError`` otherwise).  Called on two
+    complex arrays that broadcast, the record evaluates
+    psi_B(w1, w2) = sum_{m,n} A[m, n] e_m(w1) e_n(w2), where
+    e_j(w) = conj(w)^j / sqrt(j!) are the orthonormal monomials of
+    Bargmann space.
+    """
+
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        table = np.array(self.amplitudes, dtype=complex)
+        if table.ndim != 2 or table.size == 0 or not np.isfinite(table).all():
+            raise ValueError(f"amplitudes must be a non-empty finite 2-D table, got shape {table.shape}")
+        table.flags.writeable = False
+        object.__setattr__(self, "amplitudes", table)
+
+    def __call__(self, w1, w2):
+        rows, cols = self.amplitudes.shape
+        e1, e2 = _bargmann_monomials(w1, rows - 1), _bargmann_monomials(w2, cols - 1)
+        # optimize=True orders the two contractions and hands them to BLAS
+        return np.einsum("m...,mn,n...->...", e1, self.amplitudes, e2, optimize=True)
+
+
+def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int) -> BargmannSeries:
     """Coefficient-space representative of the mode-``k`` state, truncated.
 
-    Returns a vectorized callable ``psi_B(w1, w2)`` evaluating
-    sum_{m,n<=n_max} phi_{k,(m,n)} conj(w1)^m conj(w2)^n / sqrt(m! n!)
-    (coherent normalizer included).  Feeding it through
+    The record's amplitudes are phi_{k,(m,n)} for m, n <= n_max times the
+    coherent normalizer, so it evaluates
+    sum_{m,n<=n_max} phi_{k,(m,n)} conj(w1)^m conj(w2)^n / sqrt(m! n!),
+    normalizer included, at any n_max the coefficient table reaches (no
+    factorial is formed).  Feeding the record through
     :func:`inverse_segal_bargmann` reproduces :func:`wave_function` up to
     truncation and quadrature error.
     """
-    phi = coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels)
-    root_fact = np.array([math.sqrt(math.factorial(j)) for j in range(n_max + 1)])
-    coeffs = phi / np.outer(root_fact, root_fact)
-
-    def powers(w):
-        # conj(w)^j for j = 0 .. n_max, on w's own shape
-        w = np.conj(np.asarray(w, dtype=complex))
-        out = np.empty((n_max + 1,) + w.shape, dtype=complex)
-        out[0] = 1.0
-        for j in range(n_max):
-            out[j + 1] = out[j] * w
-        return out
-
-    def psi_b(w1, w2):
-        # optimize=True orders the two contractions and hands them to BLAS
-        return np.einsum("m...,mn,n...->...", powers(w1), coeffs, powers(w2), optimize=True)
-
-    return psi_b
+    return BargmannSeries(coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels))
 
 
-def _inverse_sb_quad(psi_b, x1: np.ndarray, x2: np.ndarray, geom: OscillatorGeometry, order: int) -> np.ndarray:
+def _inverse_sb_quad(
+    psi_b: BargmannSeries, x1: np.ndarray, x2: np.ndarray, geom: OscillatorGeometry, order: int
+) -> np.ndarray:
     # The kernel's Gaussian in w = u + i v, exp(-3u^2/2 - v^2/2) per mode, is
-    # the weight of a Gauss-Hermite rule on each axis.  Each mode's plane is
-    # flattened to order^2 nodes, psi_b is sampled once on the outer grid of
-    # the two planes, and the flat points x1, x2 are contracted through it
-    # together.
+    # the weight of a Gauss-Hermite rule on each plane.  Kernel and series
+    # both factor by mode, so the tensor sum over order^2 x order^2 node
+    # pairs equals, by distributivity, sum_mn M1[p, m] A[m, n] M2[p, n] with
+    # the plane moments M_i[p, j] = sum_w weight kernel_i(x_i[p], w) e_j(w)
+    # of each mode: no node pair is ever formed.
     a, b = geom.a, geom.b
     w, weight = _plane_gauss_hermite(order, 1.5, 0.5)
-    grid = np.asarray(psi_b(w[:, None], w[None, :]), dtype=complex)
-    r1 = weight * np.exp(_sb_mode_exponent(a * x1[:, None], w))
-    r2 = weight * np.exp(_sb_mode_exponent(b * x2[:, None], w))
-    total = ((r1 @ grid) * r2).sum(-1)
+    rows, cols = psi_b.amplitudes.shape
+    monomials = _bargmann_monomials(w, max(rows, cols) - 1).T
+    m1 = (weight * np.exp(_sb_mode_exponent(a * x1[:, None], w))) @ monomials[:, :rows]
+    m2 = (weight * np.exp(_sb_mode_exponent(b * x2[:, None], w))) @ monomials[:, :cols]
+    total = ((m1 @ psi_b.amplitudes) * m2).sum(-1)
     return math.sqrt(a * b / math.pi) * total / np.pi**2
 
 
@@ -380,13 +413,19 @@ def inverse_segal_bargmann(
 ):
     """Position-space wave function from a coefficient-space representative.
 
-    4-real-dimensional tensor Gauss-Hermite quadrature of the kernel
-    against ``psi_b`` (a callable of two complex array arguments that must
-    broadcast), evaluated on ``order^2 x order^2`` nodes once for all points.
-    Linear in ``psi_b``.  With ``check=True`` the quadrature order is
+    The 4-real-dimensional tensor Gauss-Hermite quadrature of the kernel
+    against ``psi_b``, a :class:`BargmannSeries` (``TypeError`` for anything
+    else), at ``order`` nodes per real axis.  Kernel and series factor by
+    mode, so the sum is taken as one plane sum per mode, the kernel's
+    moments against the monomials e_j, contracted through the amplitude
+    table: the work grows like order^2 (n_max + 1) per point, not order^4,
+    and no array of order^2 x order^2 node pairs is built.
+    Linear in the amplitudes.  With ``check=True`` the quadrature order is
     doubled and a disagreement beyond 1e-7 relative to max(1, |value|) at
     any point raises :class:`~cvsqueeze.quadrature.ConvergenceError`.
     """
+    if not isinstance(psi_b, BargmannSeries):
+        raise TypeError(f"psi_b must be a BargmannSeries, got {type(psi_b).__name__}")
     x1b, x2b = np.broadcast_arrays(*_check_positions(x1, x2))
     flat = _refine_by_doubling(
         lambda quad_order: _inverse_sb_quad(psi_b, x1b.ravel(), x2b.ravel(), geom, quad_order),

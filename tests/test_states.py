@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvsqueeze import basis, states, verify
+from cvsqueeze import basis, phase_space, states, verify
 from cvsqueeze.quadrature import ConvergenceError, gauss_hermite
+from isb_grid import grid_transform
 
 GEOM = states.OscillatorGeometry(a=1.0, b=1.3)
+SKEW_GEOM = states.OscillatorGeometry(a=0.8, b=1.3, hbar=0.7)
 LABELS = states.DisplacementLabels(z1=0.4 + 0.3j, z2=-0.2 + 0.5j)
 
 
@@ -500,9 +502,7 @@ class TestSegalBargmannKernel:
 
 class TestInverseSegalBargmann:
     def test_vacuum_reproduces_ground_state(self):
-        def vacuum(w1, w2):
-            return np.ones(np.broadcast(w1, w2).shape, dtype=complex)
-
+        vacuum = states.BargmannSeries(np.ones((1, 1)))
         points = np.array([-1.0, 0.0, 0.7])
         values = states.inverse_segal_bargmann(vacuum, points, points, GEOM, order=24)
         expected = math.sqrt(GEOM.a * GEOM.b / math.pi) * np.exp(
@@ -512,10 +512,7 @@ class TestInverseSegalBargmann:
 
     def test_linearity(self):
         psi_b = states.bargmann_series(2, 0.5, states.DisplacementLabels(), 6)
-
-        def doubled(w1, w2):
-            return 2.0 * psi_b(w1, w2)
-
+        doubled = states.BargmannSeries(2.0 * psi_b.amplitudes)
         single = states.inverse_segal_bargmann(psi_b, 0.4, -0.3, GEOM, order=16)
         double = states.inverse_segal_bargmann(doubled, 0.4, -0.3, GEOM, order=16)
         assert double == pytest.approx(2.0 * single, rel=1e-13)
@@ -560,8 +557,7 @@ class TestInverseSegalBargmann:
     @pytest.mark.parametrize("source", ["bargmann_series", "vacuum"])
     def test_points_at_once_match_point_by_point(self, source):
         if source == "vacuum":
-            def psi_b(w1, w2):
-                return np.ones(np.broadcast(w1, w2).shape, dtype=complex)
+            psi_b = states.BargmannSeries(np.ones((1, 1)))
         else:
             psi_b = states.bargmann_series(2, 0.5, LABELS, 12)
         x1 = np.array([-1.0, -0.3, 0.0, 0.8])[:, None]
@@ -575,24 +571,121 @@ class TestInverseSegalBargmann:
                 assert abs(batched[i, j] - single) <= 1e-15
 
     def test_peak_memory(self):
-        # the order^2 x order^2 node grid (5.3 MB at order 24) is the largest
-        # array; the (n_max + 1) order^4 power tensor is never built
+        # the largest arrays are one mode's kernel on the plane and the
+        # order^2 (n_max + 1) monomial table; no order^2 x order^2 node-pair
+        # grid (5.3 MB at order 24, 85 MB at order 48) is built
         import tracemalloc
 
-        psi_b = states.bargmann_series(2, 0.5, LABELS, 20)
         points = np.array([-1.0, 0.0, 1.0])
-        tracemalloc.start()
-        try:
-            states.inverse_segal_bargmann(psi_b, points[:, None], points[None, :], GEOM, order=24)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32 * 2**20
+        for order, n_max, bound_mib in [(24, 20, 2), (48, 40, 8)]:
+            psi_b = states.bargmann_series(2, 0.5, LABELS, n_max)
+            tracemalloc.start()
+            try:
+                states.inverse_segal_bargmann(psi_b, points[:, None], points[None, :], GEOM, order=order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, (order, n_max)
 
     def test_convergence_report(self):
         psi_b = states.bargmann_series(2, 0.5, states.DisplacementLabels(), 12)
         with pytest.raises(ConvergenceError):
             states.inverse_segal_bargmann(psi_b, 1.0, 1.0, GEOM, order=4, check=True)
+
+    @pytest.mark.parametrize("order", [4, 16, 24])
+    @pytest.mark.parametrize("n_max", [0, 6, 20])
+    @pytest.mark.parametrize("alpha", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_matches_node_pair_grid(self, k, alpha, n_max, order):
+        # the per-mode moments reorder the grid's tensor sum; n_max 0 is a
+        # 1 x 1 table
+        psi_b = states.bargmann_series(k, alpha, LABELS, n_max)
+        x1, x2 = np.meshgrid([-1.1, 0.0, 0.7], [-0.4, 0.9, 1.6], indexing="ij")
+        got = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=order)
+        expected = grid_transform(psi_b, x1.ravel(), x2.ravel(), SKEW_GEOM, order).reshape(x1.shape)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("k, alpha, n_max", [(1, 0.5, 6), (2, 0.5, 6), (2, 0.95, 20)])
+    def test_checked_matches_node_pair_grid(self, k, alpha, n_max):
+        # check=True returns the value at twice the order
+        psi_b = states.bargmann_series(k, alpha, LABELS, n_max)
+        x1, x2 = np.array([-0.8, 0.3]), np.array([0.5, -0.1])
+        got = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=16, check=True)
+        expected = grid_transform(psi_b, x1, x2, SKEW_GEOM, 32)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+    def test_non_square_table_matches_node_pair_grid(self):
+        psi_b = states.BargmannSeries(states.bargmann_series(2, 0.5, LABELS, 9).amplitudes[:4])
+        x1, x2 = np.array([-0.8, 0.3, 1.0]), np.array([0.5, -0.1, 0.0])
+        got = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=16)
+        expected = grid_transform(psi_b, x1, x2, SKEW_GEOM, 16)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("n_max", [200, 422])
+    def test_truncation_past_factorial_range(self, n_max):
+        # 171! overflows a float, so a series built on sqrt(m!) stops at
+        # n_max 170; the recurrence for the monomials has no such end
+        # at alpha 0.05 the table's norm is within 1e-13 of 1 only from about
+        # n_max 200 on
+        x1, x2 = np.array([-0.5, 0.0, 0.4]), np.array([0.3, 0.0, -0.6])
+        psi_b = states.bargmann_series(2, 0.05, LABELS, n_max)
+        assert abs(np.sum(np.abs(psi_b.amplitudes) ** 2) - 1.0) <= 1e-13
+        wide = states.inverse_segal_bargmann(psi_b, x1, x2, GEOM)
+        narrow = states.inverse_segal_bargmann(states.bargmann_series(2, 0.05, LABELS, 170), x1, x2, GEOM)
+        assert np.all(np.isfinite(wide))
+        assert np.abs(wide - narrow).max() <= 1e-14
+
+    def test_reconstructs_strong_squeezing_at_high_order(self):
+        # at alpha 0.05 the table needs n_max ~ 422 and the plane rule order
+        # 96 (measured 1.8e-14 of peak; 6.7e-4 at order 24); the node-pair
+        # grid would take 1.4 GB here
+        x1, x2 = np.array([-0.5, 0.0, 0.4]), np.array([0.3, 0.0, -0.6])
+        psi_b = states.bargmann_series(2, 0.05, LABELS, 422)
+        got = states.inverse_segal_bargmann(psi_b, x1, x2, GEOM, order=96)
+        exact = states.wave_function(2, x1, x2, GEOM, LABELS, 0.05)
+        assert np.abs(got - exact).max() <= 1e-13 * np.abs(exact).max()
+
+    @pytest.mark.parametrize("bad", [lambda w1, w2: np.ones(np.broadcast(w1, w2).shape), np.ones((1, 1)), None])
+    def test_rejects_other_representatives(self, bad):
+        with pytest.raises(TypeError, match="psi_b"):
+            states.inverse_segal_bargmann(bad, 0.0, 0.0, GEOM)
+
+    @pytest.mark.parametrize(
+        "table",
+        [np.ones(3), np.ones((2, 2, 2)), np.ones((0, 3)), [[1.0, math.nan]], [[math.inf]]],
+        ids=["1-D", "3-D", "empty", "nan", "inf"],
+    )
+    def test_series_rejects_bad_amplitudes(self, table):
+        with pytest.raises(ValueError, match="amplitudes"):
+            states.BargmannSeries(table)
+
+    def test_series_amplitudes_read_only(self):
+        psi_b = states.bargmann_series(2, 0.5, LABELS, 3)
+        with pytest.raises(ValueError):
+            psi_b.amplitudes[0, 0] = 0.0
+
+
+class TestSchmidtSpectrum:
+    # For a pure state the singular values of the normalized Fock amplitude
+    # table are its Schmidt coefficients, and 2 ln of their sum is the
+    # logarithmic negativity (Vidal and Werner 2002): the Bargmann-space
+    # table against the covariance's symplectic spectrum.
+    @staticmethod
+    def schmidt_log_negativity(k, alpha, n_max):
+        amplitudes = states.bargmann_series(k, alpha, LABELS, n_max).amplitudes
+        return 2.0 * math.log(np.linalg.svd(amplitudes, compute_uv=False).sum())
+
+    # n_max leaves a tail mass below 1e-15 of the table's norm
+    CASES = [(0.5, 59), (0.3, 80), (0.9, 59)]
+
+    @pytest.mark.parametrize("alpha, n_max", CASES)
+    def test_mode2_matches_phase_space(self, alpha, n_max):
+        expected = phase_space.log_negativity(phase_space.covariance(2, alpha, GEOM))
+        assert self.schmidt_log_negativity(2, alpha, n_max) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alpha, n_max", CASES)
+    def test_mode1_is_a_product(self, alpha, n_max):
+        assert abs(self.schmidt_log_negativity(1, alpha, n_max)) <= 1e-14
 
 
 class TestFactorization:
