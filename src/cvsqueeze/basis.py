@@ -161,15 +161,21 @@ def _polynomial_sequence(n_max: int, alpha: float, z: np.ndarray) -> np.ndarray:
     # the polynomial part e_n of basis_function_sequence, for a checked
     # alpha and complex z
     beta = (1.0 - alpha) / (1.0 + alpha)
-    gamma = math.sqrt(beta)
     cz = math.sqrt(2.0 * alpha / ((1.0 - alpha) * (1.0 + alpha))) * z
-    e = np.empty((n_max + 1,) + z.shape, dtype=complex)
-    e[0] = 1.0
+    return _normalized_hermite(n_max, math.sqrt(2.0) * math.sqrt(beta) * cz, beta, 1.0)
+
+
+def _normalized_hermite(n_max: int, s: np.ndarray, beta: float, first) -> np.ndarray:
+    # p_0 = first, p_1 = s p_0 and p_{n+1} = (s p_n - beta sqrt(n) p_{n-1}) / sqrt(n+1)
+    # for n = 0 .. n_max on the shape of s: the normalized Hermite recurrence, whose
+    # beta = 1, s = sqrt(2) a x and Gaussian first give the oscillator eigenfunctions
+    p = np.empty((n_max + 1,) + s.shape, dtype=np.result_type(s, first))
+    p[0] = first
     if n_max >= 1:
-        e[1] = math.sqrt(2.0) * gamma * cz
+        p[1] = s * p[0]
     for n in range(1, n_max):
-        e[n + 1] = (math.sqrt(2.0) * gamma * cz * e[n] - beta * math.sqrt(n) * e[n - 1]) / math.sqrt(n + 1)
-    return e
+        p[n + 1] = (s * p[n] - beta * math.sqrt(n) * p[n - 1]) / math.sqrt(n + 1)
+    return p
 
 
 def basis_function(n: int, alpha: float, z):

@@ -312,7 +312,7 @@ def _frequency_mix(alpha: float, spec: OscillatorSpec) -> tuple[float, float, fl
     plus, minus = (1.0 + alpha) ** 2, (1.0 - alpha) ** 2
     mix1 = (plus * spec.omega1 + minus * spec.omega2) / (4.0 * alpha)
     mix2 = (minus * spec.omega1 + plus * spec.omega2) / (4.0 * alpha)
-    coupling = (1.0 - alpha * alpha) * (spec.omega1 + spec.omega2) / (2.0 * alpha)
+    coupling = (1.0 - alpha) * (1.0 + alpha) * (spec.omega1 + spec.omega2) / (2.0 * alpha)
     return mix1, mix2, coupling
 
 

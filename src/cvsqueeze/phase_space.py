@@ -191,7 +191,7 @@ def covariance(k: int, alpha: float, geom: OscillatorGeometry) -> CovarianceMatr
         )
     else:
         plus = 1.0 + alpha * alpha
-        minus = 1.0 - alpha * alpha
+        minus = (1.0 - alpha) * (1.0 + alpha)
         sigma = np.zeros((4, 4))
         sigma[:2, :2] = [[plus / a**2, -minus / (a * b)], [-minus / (a * b), plus / b**2]]
         sigma[2:, 2:] = [

@@ -11,10 +11,13 @@ axes times a plane wave, that every other state formula reads.  The same
 states are reachable three independent ways, which the test suite exploits:
 the closed forms, the truncated Fock-basis series (:func:`series_expansion`),
 and the inverse Segal-Bargmann transform of the coefficient series
-(:func:`inverse_segal_bargmann` of a :class:`BargmannSeries`).  The transform's
-kernel and the series both factor by mode, so its 4D quadrature is taken as
-one plane sum per mode (the kernel's moments against the orthonormal
-Bargmann monomials) joined through the amplitude table.
+(:func:`inverse_segal_bargmann` of a :class:`BargmannSeries`).  The series and
+the transform share one amplitude table A[m, n] (:func:`bargmann_series`) and
+one contraction sum A[m, n] r1[m] r2[n]; what each supplies is its per-mode
+row map, the Hermite functions phi_j(x) or the kernel's plane moments
+M_j(x) against the orthonormal Bargmann monomials.  That row map is the
+independent part of the transform as an oracle, and its whole quadrature
+error is the row error sqrt(a / sqrt(pi)) M_j(a x) / pi - phi_j(x).
 
 Conventions: positions carry the inverse oscillator lengths ``a``, ``b``;
 the displacement labels are dimensionless and momentum-type shift
@@ -29,7 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _check_finite, _check_positive, check_alpha, check_index, check_mode, coefficient_table
+from .basis import (
+    _check_finite, _check_positive, _normalized_hermite, check_alpha, check_index, check_mode, coefficient_table,
+)
 from .quadrature import _plane_gauss_hermite, _refine_by_doubling
 
 __all__ = [
@@ -185,8 +190,12 @@ def gaussian_state(
 
 
 def _check_positions(*positions) -> tuple[np.ndarray, ...]:
-    # positions as float arrays, each on its own shape; inf or NaN raises
+    # float arrays, each on its own shape; shapes that do not broadcast, inf or NaN raise
     arrays = tuple(np.asarray(x, dtype=float) for x in positions)
+    try:
+        np.broadcast_shapes(*(x.shape for x in arrays))
+    except ValueError:
+        raise ValueError("x1 and x2 must broadcast, got shapes " + " and ".join(str(x.shape) for x in arrays)) from None
     if not all(np.isfinite(x).all() for x in arrays):
         raise ValueError("positions must be finite")
     return arrays
@@ -195,21 +204,16 @@ def _check_positions(*positions) -> tuple[np.ndarray, ...]:
 def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarray:
     """Orthonormal oscillator eigenfunctions of index 0 .. n_max.
 
-    Uses the normalized recurrence (stable for the index ranges handled
-    here); ``inverse_length`` is the ``a`` in exp(-(a x)^2 / 2), positive and
-    finite.
+    Uses the normalized recurrence of :mod:`cvsqueeze.basis` (stable for the
+    index ranges handled here); ``inverse_length`` is the ``a`` in
+    exp(-(a x)^2 / 2), positive and finite.
     """
     check_index(n_max, "n_max")
     _check_positive(inverse_length, "inverse_length")
     (x,) = _check_positions(x)
     ax = inverse_length * x
-    out = np.empty((n_max + 1,) + x.shape, dtype=float)
-    out[0] = math.sqrt(inverse_length) * np.pi**-0.25 * np.exp(-0.5 * ax * ax)
-    if n_max >= 1:
-        out[1] = math.sqrt(2.0) * ax * out[0]
-    for n in range(1, n_max):
-        out[n + 1] = math.sqrt(2.0 / (n + 1)) * ax * out[n] - math.sqrt(n / (n + 1)) * out[n - 1]
-    return out
+    gaussian = math.sqrt(inverse_length) * np.pi**-0.25 * np.exp(-0.5 * ax * ax)
+    return _normalized_hermite(n_max, math.sqrt(2.0) * ax, 1.0, gaussian)
 
 
 def fock_position_basis(m: int, n: int, x1, x2, geom: OscillatorGeometry):
@@ -238,13 +242,6 @@ def wave_function(k: int, x1, x2, geom: OscillatorGeometry, labels: Displacement
     return complex(value) if value.ndim == 0 else value
 
 
-def _coherent_normalizer(labels: DisplacementLabels) -> float:
-    # The raw coefficient families sum to exp(|z1|^2 + |z2|^2) in square
-    # modulus (the reproducing-kernel diagonal), so the normalized state
-    # carries this factor.
-    return math.exp(-0.5 * (abs(labels.z1) ** 2 + abs(labels.z2) ** 2))
-
-
 def series_expansion(
     k: int,
     n_max: int,
@@ -256,15 +253,16 @@ def series_expansion(
 ):
     """Truncated Fock-basis expansion of the mode-``k`` wave function.
 
-    Partial sum over m, n <= n_max of the expansion coefficients times the
-    position-space number states, times the coherent normalizer; converges
-    pointwise to :func:`wave_function` as ``n_max`` grows.
+    The amplitude table A of :func:`bargmann_series` contracted with the
+    position-space number states, sum_{m,n<=n_max} A[m, n] phi_m(x1) phi_n(x2);
+    converges pointwise to :func:`wave_function` as ``n_max`` grows.
+    ``x1``/``x2`` are finite positions that broadcast (``ValueError``).
     """
-    phi = coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels)
-    f1 = hermite_function_sequence(n_max, x1, geom.a)
-    f2 = hermite_function_sequence(n_max, x2, geom.b)
-    value = np.einsum("mn,m...,n...->...", phi, f1, f2, optimize=True)
-    return complex(value) if value.ndim == 0 else value
+    x1, x2 = _check_positions(x1, x2)
+    psi_b = bargmann_series(k, alpha, labels, n_max)
+    f1, f2 = hermite_function_sequence(n_max, x1, geom.a), hermite_function_sequence(n_max, x2, geom.b)
+    value = psi_b._contract(f1, f2)
+    return complex(value) if np.ndim(value) == 0 else value
 
 
 def shift_params(k: int, alpha: float, geom: OscillatorGeometry, labels: DisplacementLabels) -> ShiftParams:
@@ -338,7 +336,8 @@ def _bargmann_monomials(w, n_max: int) -> np.ndarray:
     out = np.empty((n_max + 1,) + w.shape, dtype=complex)
     out[0] = 1.0
     for j in range(n_max):
-        out[j + 1] = out[j] * (w / math.sqrt(j + 1))
+        # written in place; out[j + 1, ...] is a view even for a scalar w
+        np.multiply(out[j], w * (1.0 / math.sqrt(j + 1)), out=out[j + 1, ...])
     return out
 
 
@@ -365,9 +364,13 @@ class BargmannSeries:
 
     def __call__(self, w1, w2):
         rows, cols = self.amplitudes.shape
-        e1, e2 = _bargmann_monomials(w1, rows - 1), _bargmann_monomials(w2, cols - 1)
-        # optimize=True orders the two contractions and hands them to BLAS
-        return np.einsum("m...,mn,n...->...", e1, self.amplitudes, e2, optimize=True)
+        return self._contract(_bargmann_monomials(w1, rows - 1), _bargmann_monomials(w2, cols - 1))
+
+    def _contract(self, rows1: np.ndarray, rows2: np.ndarray):
+        # sum_{m,n} A[m, n] rows1[m] rows2[n], each mode's rows on its own shape:
+        # one matrix product over n, then a sum over m that broadcasts the shapes
+        inner = self.amplitudes @ rows2.reshape(len(rows2), -1)
+        return np.einsum("m...,m...->...", rows1, inner.reshape((len(inner),) + rows2.shape[1:]))
 
 
 def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int) -> BargmannSeries:
@@ -377,30 +380,23 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
     coherent normalizer, so it evaluates
     sum_{m,n<=n_max} phi_{k,(m,n)} conj(w1)^m conj(w2)^n / sqrt(m! n!),
     normalizer included, at any n_max the coefficient table reaches (no
-    factorial is formed).  Feeding the record through
-    :func:`inverse_segal_bargmann` reproduces :func:`wave_function` up to
-    truncation and quadrature error.
+    factorial is formed).  :func:`series_expansion` contracts the same table,
+    and :func:`inverse_segal_bargmann` of the record reproduces
+    :func:`wave_function` up to truncation and quadrature error.
     """
-    return BargmannSeries(coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * _coherent_normalizer(labels))
+    # the raw coefficients sum to exp(|z1|^2 + |z2|^2) in square modulus (the
+    # reproducing-kernel diagonal), which the normalized state divides out
+    normalizer = math.exp(-0.5 * (abs(labels.z1) ** 2 + abs(labels.z2) ** 2))
+    return BargmannSeries(coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * normalizer)
 
 
-def _inverse_sb_quad(
-    psi_b: BargmannSeries, x1: np.ndarray, x2: np.ndarray, geom: OscillatorGeometry, order: int
-) -> np.ndarray:
-    # The kernel's Gaussian in w = u + i v, exp(-3u^2/2 - v^2/2) per mode, is
-    # the weight of a Gauss-Hermite rule on each plane.  Kernel and series
-    # both factor by mode, so the tensor sum over order^2 x order^2 node
-    # pairs equals, by distributivity, sum_mn M1[p, m] A[m, n] M2[p, n] with
-    # the plane moments M_i[p, j] = sum_w weight kernel_i(x_i[p], w) e_j(w)
-    # of each mode: no node pair is ever formed.
-    a, b = geom.a, geom.b
+def _kernel_moments(s: np.ndarray, order: int, count: int) -> np.ndarray:
+    # M_j(s) = sum_w weight kernel(s, w) e_j(w) for j < count on the shape of
+    # s = a x, on the plane rule whose weight is the kernel's Gaussian in
+    # w = u + i v, exp(-3u^2/2 - v^2/2)
     w, weight = _plane_gauss_hermite(order, 1.5, 0.5)
-    rows, cols = psi_b.amplitudes.shape
-    monomials = _bargmann_monomials(w, max(rows, cols) - 1).T
-    m1 = (weight * np.exp(_sb_mode_exponent(a * x1[:, None], w))) @ monomials[:, :rows]
-    m2 = (weight * np.exp(_sb_mode_exponent(b * x2[:, None], w))) @ monomials[:, :cols]
-    total = ((m1 @ psi_b.amplitudes) * m2).sum(-1)
-    return math.sqrt(a * b / math.pi) * total / np.pi**2
+    kernel = weight[:, None] * np.exp(_sb_mode_exponent(s.reshape(1, -1), w[:, None]))
+    return (_bargmann_monomials(w, count - 1) @ kernel).reshape((count,) + s.shape)
 
 
 def inverse_segal_bargmann(
@@ -415,21 +411,26 @@ def inverse_segal_bargmann(
 
     The 4-real-dimensional tensor Gauss-Hermite quadrature of the kernel
     against ``psi_b``, a :class:`BargmannSeries` (``TypeError`` for anything
-    else), at ``order`` nodes per real axis.  Kernel and series factor by
-    mode, so the sum is taken as one plane sum per mode, the kernel's
-    moments against the monomials e_j, contracted through the amplitude
-    table: the work grows like order^2 (n_max + 1) per point, not order^4,
-    and no array of order^2 x order^2 node pairs is built.
+    else), at ``order`` nodes per real axis; ``x1``/``x2`` are finite
+    positions that broadcast (``ValueError``).  Kernel and series factor by
+    mode, so the sum is the amplitude table contracted, as
+    :func:`series_expansion` contracts it with phi_j, with each mode's kernel
+    moments M_j against the monomials e_j on that mode's own positions: the
+    work grows like order^2 (n_max + 1) per point, an n1 x n2 mesh costs
+    n1 + n2 moment rows, and no array of order^2 x order^2 node pairs is built.
     Linear in the amplitudes.  With ``check=True`` the quadrature order is
     doubled and a disagreement beyond 1e-7 relative to max(1, |value|) at
     any point raises :class:`~cvsqueeze.quadrature.ConvergenceError`.
     """
     if not isinstance(psi_b, BargmannSeries):
         raise TypeError(f"psi_b must be a BargmannSeries, got {type(psi_b).__name__}")
-    x1b, x2b = np.broadcast_arrays(*_check_positions(x1, x2))
-    flat = _refine_by_doubling(
-        lambda quad_order: _inverse_sb_quad(psi_b, x1b.ravel(), x2b.ravel(), geom, quad_order),
-        order, check, 1e-7, "inverse_segal_bargmann",
-    )
-    out = flat.reshape(x1b.shape)
-    return complex(out) if out.ndim == 0 else out
+    x1, x2 = _check_positions(x1, x2)
+    a, b = geom.a, geom.b
+    rows, cols = psi_b.amplitudes.shape
+
+    def quadrature(quad_order):
+        m1, m2 = _kernel_moments(a * x1, quad_order, rows), _kernel_moments(b * x2, quad_order, cols)
+        return math.sqrt(a * b / math.pi) * psi_b._contract(m1, m2) / np.pi**2
+
+    value = _refine_by_doubling(quadrature, order, check, 1e-7, "inverse_segal_bargmann")
+    return complex(value) if np.ndim(value) == 0 else value

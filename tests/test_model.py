@@ -518,6 +518,21 @@ class TestHamiltonianQuadratic:
             (1 + alpha**2) / (2 * alpha) * spec.mass * omega**2, rel=1e-14
         )
 
+    @pytest.mark.parametrize("alpha", [1 - 1e-9, 1 - 1e-7, 1 - 1e-5, 0.05])
+    def test_coupling_to_rounding(self, alpha):
+        # Q_01 = (1 - alpha^2)(omega_1 + omega_2) M sqrt(omega_1 omega_2) / (4 alpha)
+        # against 40 digits; 1 - alpha alpha cancels as alpha nears 1 (5.0e-10
+        # relative off at 1 - 1e-9), the product (1 - alpha)(1 + alpha) does not
+        import mpmath as mp
+
+        omega1, omega2, mass = 0.75, 1.25, 1.5
+        spec = model.OscillatorSpec(omega1=omega1, omega2=omega2, mass=mass)
+        got = model.hamiltonian_quadratic(alpha, spec, 0, 0).q[0, 1]
+        with mp.workdps(40):
+            al, w1, w2 = mp.mpf(alpha), mp.mpf(omega1), mp.mpf(omega2)
+            expected = (1 - al * al) * (w1 + w2) * mass * mp.sqrt(w1 * w2) / (4 * al)
+            assert abs(mp.mpf(got) - expected) <= 1e-15 * abs(expected)
+
     def test_couplings_present_iff_squeezed(self):
         for alpha in (0.25, 0.5, 0.99):
             ham = model.hamiltonian_quadratic(alpha, SPEC, 0, 0)

@@ -45,6 +45,20 @@ class TestWignerGaussian:
         assert cov.sigma[0, 0] == pytest.approx(0.5 * 1.25)
         assert cov.sigma[0, 1] == pytest.approx(-0.5 * 0.75)
 
+    @pytest.mark.parametrize("alpha", [1 - 1e-9, 1 - 1e-7, 1 - 1e-5, 0.05])
+    def test_mode2_covariance_off_diagonal_to_rounding(self, alpha):
+        # sigma_01 = -(1 - alpha^2) / (4 alpha a b) against 40 digits; 1 - alpha alpha
+        # cancels as alpha nears 1 (5.0e-10 relative off at 1 - 1e-9), the
+        # product (1 - alpha)(1 + alpha) does not
+        import mpmath as mp
+
+        a, b = 0.8, 1.3
+        got = phase_space.covariance(2, alpha, states.OscillatorGeometry(a=a, b=b)).sigma[0, 1]
+        with mp.workdps(40):
+            al = mp.mpf(alpha)
+            expected = -(1 - al * al) / (4 * al * mp.mpf(a) * mp.mpf(b))
+            assert abs(mp.mpf(got) - expected) <= 1e-15 * abs(expected)
+
     def test_dual_path(self):
         for k in (1, 2):
             for alpha in ALPHA_GRID:
