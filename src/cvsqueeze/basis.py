@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -165,16 +166,23 @@ def _polynomial_sequence(n_max: int, alpha: float, z: np.ndarray) -> np.ndarray:
     return _normalized_hermite(n_max, math.sqrt(2.0) * math.sqrt(beta) * cz, beta, 1.0)
 
 
-def _normalized_hermite(n_max: int, s: np.ndarray, beta: float, first) -> np.ndarray:
-    # p_0 = first, p_1 = s p_0 and p_{n+1} = (s p_n - beta sqrt(n) p_{n-1}) / sqrt(n+1)
-    # for n = 0 .. n_max on the shape of s: the normalized Hermite recurrence, whose
-    # beta = 1, s = sqrt(2) a x and Gaussian first give the oscillator eigenfunctions
+def _normalized_hermite(n_max: int, s: np.ndarray, beta: float, first, scale_squared: float = 1.0) -> np.ndarray:
+    # p_0 = first, p_1 = c s p_0 and p_{n+1} = (c s p_n - beta sqrt(n) p_{n-1}) / sqrt(n+1)
+    # with c = sqrt(scale_squared), for n = 0 .. n_max on the shape of s: the
+    # normalized Hermite recurrence, whose beta = 1, scale_squared = 2, s = a x
+    # and Gaussian first give the oscillator eigenfunctions.  A c other than 1
+    # is folded into each step's coefficient,
+    # sqrt(scale_squared / (n+1)) s p_n - beta sqrt(n / (n+1)) p_{n-1},
+    # so that c s is not rounded once and reused in every step
     p = np.empty((n_max + 1,) + s.shape, dtype=np.result_type(s, first))
     p[0] = first
     if n_max >= 1:
-        p[1] = s * p[0]
+        p[1] = math.sqrt(scale_squared) * s * p[0]
     for n in range(1, n_max):
-        p[n + 1] = (s * p[n] - beta * math.sqrt(n) * p[n - 1]) / math.sqrt(n + 1)
+        if scale_squared == 1.0:
+            p[n + 1] = (s * p[n] - beta * math.sqrt(n) * p[n - 1]) / math.sqrt(n + 1)
+        else:
+            p[n + 1] = math.sqrt(scale_squared / (n + 1)) * s * p[n] - beta * math.sqrt(n / (n + 1)) * p[n - 1]
     return p
 
 
@@ -281,8 +289,50 @@ def gaussian_measure_density(w1: complex, w2: complex) -> float:
     return float(np.pi**-2 * np.exp(-abs(w1) ** 2 - abs(w2) ** 2))
 
 
-# largest max_index at which basis_gram was measured within 3e-10 of I
-_GRAM_MAX_INDEX = 15
+# largest max_index at which basis_gram was measured within 3e-14 of I
+_GRAM_MAX_INDEX = 20
+
+
+def _coefficient_matrices(max_index: int, beta: float) -> np.ndarray:
+    # C[m, n, p, q] for m, n <= max_index and p, q <= 2 max_index: the
+    # polynomial part g_{m,n} of basis_function_2v_table as
+    # sum C[m, n, p, q] e_p(a) e_q(b') in the polynomial parts e_p of
+    # basis_function_sequence on the principal axes a = (z1 + z2)/sqrt(2),
+    # b' = i (z1 - z2)/sqrt(2).  With J[p+1, p] = sqrt((p+1)/2) and
+    # J[p-1, p] = beta sqrt(p/2), the three-term recurrence of the e_p,
+    # multiplication by w1 = gamma c (a - i b') and w2 = gamma c (a + i b')
+    # (gamma c = sqrt(2 alpha)/(1+alpha)) is C -> J C -+ i C J^T, so the
+    # table's two-index recurrence runs on the matrices from a 1 at C[0, 0].
+    # No g exceeds degree 2 max_index, so the matrices hold each one exactly
+    degree = 2 * max_index
+    up = np.sqrt(np.arange(1.0, degree + 1) / 2.0)
+    jacobi = np.diag(up, -1) + np.diag(beta * up, 1)
+    start = np.zeros((degree + 1, degree + 1), dtype=complex)
+    start[0, 0] = 1.0
+    right = 1j * jacobi.T
+    return _two_index_recurrence(
+        max_index, max_index, beta, lambda c: jacobi @ c - c @ right, lambda c: jacobi @ c + c @ right, start
+    )
+
+
+@lru_cache(maxsize=4)
+def _gram_coefficients(max_index: int) -> np.ndarray:
+    """The coefficient matrices of :func:`basis_gram`, read-only, one per (m, n).
+
+    The matrices do not depend on alpha: on the principal axes the
+    two-variable basis is a fixed 50:50 rotation of products of the
+    one-variable one, and C[m, n, p, q] are the beam splitter's amplitudes
+    (C. K. Campos, B. E. A. Saleh and M. C. Teich, PRA 40, 1371, 1989),
+    supported on p + q = m + n.  So they are built once, at beta = 0, where
+    the recurrence's coupling term vanishes and nothing cancels; over alpha
+    in [1e-8, 1 - 1e-9] the route at beta(alpha) rounds up to 2.5e-15 away
+    at max_index 4, 5.7e-13 at 10 and 1.4e-10 at 15.  The array has shape ((max_index + 1)^2, 2 max_index + 1,
+    2 max_index + 1) and holds 16 (max_index + 1)^2 (2 max_index + 1)^2
+    bytes: 32 kB at max_index 4, 12 MB at 20.
+    """
+    coeffs = _coefficient_matrices(max_index, 0.0).reshape((max_index + 1) ** 2, 2 * max_index + 1, -1)
+    coeffs.flags.writeable = False
+    return coeffs
 
 
 def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
@@ -304,22 +354,20 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
     The order^4-node sum is evaluated in factored form.  Each polynomial
     part is expanded as g(a, b') = sum C[p, q] e_p(a) e_q(b'), where e_p are
     the polynomial parts of :func:`basis_function_sequence`, orthogonal
-    under the weight of one plane.  Their three-term recurrence, written as
-    the matrix J with J[p+1, p] = sqrt((p+1)/2) and J[p-1, p] = beta sqrt(p/2),
-    turns multiplication by w1 = gamma c (a - i b') and w2 = gamma c (a + i b')
-    (gamma c = sqrt(2 alpha)/(1+alpha)) into C -> J C -+ i C J^T, so the
-    two-index recurrence of the table runs on the coefficient matrices
-    themselves, from a single 1 at C[0, 0].  No g exceeds degree
-    2 max_index, so (2 max_index + 1)^2 coefficients hold each one exactly.
-    The rule then reduces to the Gram matrix of the e_p on one plane,
-    M[p, p'] = sum of w e_p(a) conj(e_p'(a)) over its order^2 nodes:
-    G = C (M kron M) C^H * 4 alpha / ((1+alpha)^2 pi^2).
+    under the weight of one plane.  The coefficient matrices C do not depend
+    on alpha and are built once per max_index (the beam splitter's
+    amplitudes, see ``_gram_coefficients``).  The rule then reduces to the
+    Gram matrix of the e_p on one plane, M[p, p'] = sum of
+    w e_p(a) conj(e_p'(a)) over its order^2 nodes, the only place alpha
+    enters besides the constant:
+    G[i, k] = sum (M^T C_i M)[p, q] conj(C_k[p, q]) * 4 alpha / ((1+alpha)^2 pi^2).
 
     Rounding grows with ``max_index``: on 33 logarithmically spaced alpha in
     [1e-8, 1 - 1e-9] at order max(40, 2 max_index + 1), max |G - I| stayed
-    below 7e-15 at max_index 4, 2e-13 at 8, 1.1e-12 at 10 and 1.8e-10 at 15,
-    but reached 5.7e-10 at 16 and 5e-9 at 18; a max_index above 15 raises
-    ``ValueError``.
+    below 7e-15 at max_index 4, 1.4e-14 at 10, 2e-14 at 15 and 2.5e-14 at
+    20, but reached 1.5e-13 at 25; a max_index above 20 raises
+    ``ValueError``.  (Matrices built by the recurrence at beta(alpha) instead
+    carry its cancellation: 1.1e-12 at 10 and 1.8e-10 at 15.)
     """
     alpha = check_alpha(alpha, closed=False)
     if not 0 <= max_index <= _GRAM_MAX_INDEX:
@@ -329,18 +377,10 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
         raise ValueError(
             f"order {order} is below 2 * max_index + 1 = {degree + 1}, where the rule is not exact"
         )
-    beta = (1.0 - alpha) / (1.0 + alpha)
-    up = np.sqrt(np.arange(1.0, degree + 1) / 2.0)
-    jacobi = np.diag(up, -1) + np.diag(beta * up, 1)
-    start = np.zeros((degree + 1, degree + 1), dtype=complex)
-    start[0, 0] = 1.0
-    right = 1j * jacobi.T
-    coeffs = _two_index_recurrence(
-        max_index, max_index, beta, lambda c: jacobi @ c - c @ right, lambda c: jacobi @ c + c @ right, start
-    ).reshape((max_index + 1) ** 2, (degree + 1) ** 2)
-
+    coeffs = _gram_coefficients(max_index)
     nodes, weights = _plane_gauss_hermite(order, 2.0 * alpha / (1.0 + alpha), 2.0 / (1.0 + alpha))
     e = _polynomial_sequence(degree, alpha, nodes)
     plane = (e * weights) @ e.conj().T
-    gram = coeffs @ np.kron(plane, plane) @ coeffs.conj().T
+    rotated = (plane.T @ coeffs @ plane).reshape(len(coeffs), -1)
+    gram = rotated @ coeffs.reshape(len(coeffs), -1).conj().T
     return gram * (4.0 * alpha / ((1.0 + alpha) ** 2 * np.pi**2))

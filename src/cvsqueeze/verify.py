@@ -132,10 +132,25 @@ def hermite_suite() -> list[CheckResult]:
 
 def basis_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
-    # strong (1e-4, 0.05) to weak (0.999) squeezing; the worst, 1.2e-14, is at 1e-4
+    # strong (1e-4, 0.05) to weak (0.999) squeezing; the worst, 5.1e-15, is at 1e-4
     grams = [basis.basis_gram(alpha, max_index=4, order=40) for alpha in (1e-4, 0.05, 0.3, 0.6, 0.999)]
     residuals = [np.abs(gram - np.eye(gram.shape[0])) for gram in grams]
     checks.append(_check("Gaussian-measure orthonormality, indices <= 4", residuals, 1e-13))
+
+    # the k=2 basis at (z1, z2) is sum C[m, n, p, q] f_p(a) f_q(b') over the
+    # k=1 functions f at the principal axes a = (z1 + z2)/sqrt(2),
+    # b' = i (z1 - z2)/sqrt(2), with basis_gram's alpha-free matrices C; each
+    # error is scaled by the sum of the terms' moduli (worst 1.2e-15, at 0.5)
+    z1 = np.array([0.3 + 0.2j, -0.7 + 0.1j, 1.1 - 0.4j, -0.2 - 0.9j, 0.5 + 0.6j])
+    z2 = np.array([-0.4 + 0.8j, 0.6 - 0.3j, 0.2 + 0.1j, -1.0 + 0.5j, 0.9 - 0.7j])
+    rotation = basis._gram_coefficients(4).reshape(25, 81)
+    residuals = []
+    for alpha in (0.5, 0.05, 1e-4):
+        axes = basis.basis_function_sequence(8, alpha, np.concatenate([z1 + z2, 1j * (z1 - z2)]) / math.sqrt(2.0))
+        products = (axes[:, None, :5] * axes[None, :, 5:]).reshape(81, 5)
+        error = np.abs(basis.basis_function_2v_table(4, 4, alpha, z1, z2).reshape(25, 5) - rotation @ products)
+        residuals.append(error / (np.abs(rotation) @ np.abs(products)))
+    checks.append(_check("k=2 basis is the 50:50 rotation of k=1 products, indices <= 4", residuals, 1e-14))
 
     residuals = []
     for alpha in np.logspace(-3, 0, 25):

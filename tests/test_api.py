@@ -45,4 +45,6 @@ def test_no_derivable_inputs():
     assert not {"rtol", "return_complex"} & set(wigner)
     # perfbench binds order and check by name
     assert _parameters(states.inverse_segal_bargmann) == ["psi_b", "x1", "x2", "geom", "order", "check"]
+    # perfbench passes basis_gram its order by position
+    assert _parameters(basis.basis_gram) == ["alpha", "max_index", "order"]
     assert not hasattr(quadrature, "require_convergence")

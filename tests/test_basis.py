@@ -283,12 +283,12 @@ def test_gram_exact_at_minimal_order(alpha, max_index):
 
 
 def test_gram_orthonormality_at_cap():
-    # the cap is the largest max_index measured within 3e-10 of the identity
-    # (1.8e-10 at alpha 1e-7); the worst alpha of a log grid lies at 1e-7 to 3e-6
+    # with the alpha-free coefficient matrices, max |G - I| over 33 log-spaced
+    # alpha in [1e-8, 1 - 1e-9] was measured at 2.5e-14 at the cap, 20
     cap = basis._GRAM_MAX_INDEX
     for alpha in np.logspace(-8, math.log10(1 - 1e-9), 9):
-        gram = basis.basis_gram(alpha, max_index=cap, order=40)
-        assert np.abs(gram - np.eye((cap + 1) ** 2)).max() <= 3e-10
+        gram = basis.basis_gram(alpha, max_index=cap, order=max(40, 2 * cap + 1))
+        assert np.abs(gram - np.eye((cap + 1) ** 2)).max() <= 1e-13
 
 
 def test_gram_rejects_inexact_order():
@@ -300,11 +300,66 @@ def test_gram_rejects_inexact_order():
 
 
 def test_gram_rejects_index_beyond_measured_accuracy():
-    # rounding reaches about 5.7e-10 at max_index 16; 15 is the largest
-    # index measured within 3e-10 of the identity
-    basis.basis_gram(0.5, max_index=15, order=31)
+    # rounding reaches about 1.5e-13 at max_index 25; 20 is the largest
+    # index measured within 3e-14 of the identity
+    basis.basis_gram(0.5, max_index=20, order=41)
     with pytest.raises(ValueError, match="max_index"):
-        basis.basis_gram(0.5, max_index=16, order=40)
+        basis.basis_gram(0.5, max_index=21, order=43)
+
+
+class TestGramCoefficients:
+    def test_cache_is_bounded_and_read_only(self):
+        assert basis._gram_coefficients.cache_info().maxsize is not None
+        coeffs = basis._gram_coefficients(3)
+        assert coeffs.shape == (16, 7, 7)
+        assert not coeffs.flags.writeable
+        with pytest.raises(ValueError):
+            coeffs[0, 0, 0] = 2.0
+
+    def test_cold_and_warm_cache_agree_bitwise(self):
+        basis._gram_coefficients.cache_clear()
+        cold = basis.basis_gram(0.3, 6, 40)
+        warm = basis.basis_gram(0.3, 6, 40)
+        assert basis._gram_coefficients.cache_info().hits >= 1
+        np.testing.assert_array_equal(cold, warm)
+
+    # the beta route's own rounding, measured at 2.5e-15, 5.7e-13 and 1.4e-10
+    @pytest.mark.parametrize("max_index, bound", [(4, 5e-15), (10, 1e-12), (15, 3e-10)])
+    def test_alpha_free(self, max_index, bound):
+        # the two-index recurrence at beta(alpha) gives the matrices cached at
+        # beta = 0, over 33 log-spaced alpha in [1e-8, 1 - 1e-9]
+        cached = basis._gram_coefficients(max_index)
+        for alpha in np.logspace(-8, math.log10(1 - 1e-9), 33):
+            beta = (1.0 - alpha) / (1.0 + alpha)
+            coeffs = basis._coefficient_matrices(max_index, beta).reshape(cached.shape)
+            assert np.abs(coeffs - cached).max() <= bound, alpha
+
+    @pytest.mark.parametrize("max_index, bound", [(4, 1e-14), (10, 1e-13)])
+    @pytest.mark.parametrize("alpha", [0.5, 0.05, 1e-4])
+    def test_rotation_identity(self, alpha, max_index, bound):
+        # basis_function_2v_table(m, n, alpha; z1, z2) is
+        # sum C[m, n, p, q] basis_function(p, alpha, a) basis_function(q, alpha, b')
+        # at a = (z1 + z2)/sqrt(2), b' = i (z1 - z2)/sqrt(2): the two-variable
+        # recurrence at beta(alpha) against the cached beta = 0 matrices, the
+        # error scaled by the sum of the terms' moduli
+        rng = np.random.default_rng(max_index)
+        z1, z2 = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        size = 2 * max_index + 1
+        coeffs = basis._gram_coefficients(max_index).reshape(-1, size * size)
+        first = basis.basis_function_sequence(size - 1, alpha, (z1 + z2) / math.sqrt(2.0))
+        second = basis.basis_function_sequence(size - 1, alpha, 1j * (z1 - z2) / math.sqrt(2.0))
+        products = (first[:, None] * second[None, :]).reshape(size * size, -1)
+        table = basis.basis_function_2v_table(max_index, max_index, alpha, z1, z2).reshape(len(coeffs), -1)
+        error = np.abs(table - coeffs @ products) / (np.abs(coeffs) @ np.abs(products))
+        assert error.max() <= bound
+
+    def test_beam_splitter_statistics(self):
+        # |C[m, n, p, q]|^2 is the 50:50 beam splitter's output distribution of
+        # (m, n) photons, on p + q = m + n: row (2, 1) is 3/8, 1/8, 1/8, 3/8
+        coeffs = basis._gram_coefficients(2).reshape(3, 3, 5, 5)
+        row = np.abs(coeffs[2, 1]) ** 2
+        np.testing.assert_allclose([row[3 - q, q] for q in range(4)], [3 / 8, 1 / 8, 1 / 8, 3 / 8], atol=1e-15)
+        assert row.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_mode_tag_validation():

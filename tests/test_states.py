@@ -344,6 +344,25 @@ class TestFockPositionBasis:
         np.testing.assert_allclose(gram1, np.eye(6), atol=1e-9)
         np.testing.assert_allclose(gram2, np.eye(6), atol=1e-9)
 
+    @pytest.mark.parametrize("a, half_width, bound", [(1.3, 3.0, 1e-15), (2.0, 4.0, 3e-15)])
+    def test_hermite_functions_against_40_digits(self, a, half_width, bound):
+        # sqrt(2) is folded into each step's coefficient instead of rounding
+        # s = sqrt(2) a x once for every step: measured 8.7e-16 and 2.6e-15
+        # (1.9e-15 and 8.3e-15 with s rounded once)
+        import mpmath as mp
+
+        x = np.linspace(-half_width, half_width, 61)
+        expected = np.empty((61, 61))
+        with mp.workdps(40):
+            for i, xi in enumerate(x.tolist()):
+                ax = mp.mpf(a) * mp.mpf(xi)
+                gaussian = mp.sqrt(mp.mpf(a)) * mp.pi ** mp.mpf(-0.25) * mp.exp(-ax * ax / 2)
+                previous, hermite = mp.mpf(0), mp.mpf(1)
+                for n in range(61):
+                    expected[n, i] = float(gaussian * hermite / mp.sqrt(2**n * mp.factorial(n)))
+                    previous, hermite = hermite, 2 * ax * hermite - 2 * n * previous
+        assert np.abs(states.hermite_function_sequence(60, x, a) - expected).max() <= bound
+
 
 class TestSeriesExpansion:
     def test_lowest_term(self):
@@ -609,6 +628,43 @@ class TestInverseSegalBargmann:
             finally:
                 tracemalloc.stop()
             assert peak < bound_mib * 2**20, (order, n_max, side)
+
+    def test_peak_memory_cold_cache(self):
+        # test_peak_memory's sizes and bounds with the moment table built
+        # inside the traced call: 16 (n_max + 1) order^2 bytes, 0.19 MB at
+        # (24, 20) and 1.5 MB at (48, 40)
+        import tracemalloc
+
+        for order, n_max, side, bound_mib in [(24, 20, 3, 1), (48, 40, 3, 4), (24, 20, 41, 2)]:
+            points = np.linspace(-1.0, 1.0, side)
+            psi_b = states.bargmann_series(2, 0.5, LABELS, n_max)
+            states._moment_table.cache_clear()
+            tracemalloc.start()
+            try:
+                states.inverse_segal_bargmann(psi_b, points[:, None], points[None, :], GEOM, order=order)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < bound_mib * 2**20, (order, n_max, side)
+
+    def test_moment_table_cache_is_bounded_and_read_only(self):
+        assert states._moment_table.cache_info().maxsize is not None
+        tables = states._moment_table(8, 5)
+        assert [t.shape for t in tables] == [(8,), (8,), (8,), (40, 8)]
+        assert not any(t.flags.writeable for t in tables)
+        with pytest.raises(ValueError):
+            tables[3][0, 0] = 0.0
+
+    @pytest.mark.parametrize("check", [False, True])
+    def test_cold_and_warm_cache_agree_bitwise(self, check):
+        # a non-square table needs one entry per mode and order
+        psi_b = states.BargmannSeries(states.bargmann_series(2, 0.5, LABELS, 9).amplitudes[:4])
+        x1, x2 = np.array([-0.8, 0.3, 1.0]), np.array([0.5, -0.1, 0.0])
+        states._moment_table.cache_clear()
+        cold = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=16, check=check)
+        warm = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=16, check=check)
+        assert states._moment_table.cache_info().hits >= 2
+        np.testing.assert_array_equal(cold, warm)
 
     @pytest.mark.parametrize("order, j_max, bound", [(96, 60, 1e-13), (48, 40, 1e-9)])
     @pytest.mark.parametrize("a", [1.0, 1.3])

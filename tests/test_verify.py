@@ -21,6 +21,7 @@ PINNED_CHECKS = {
     ],
     "basis": [
         ("Gaussian-measure orthonormality, indices <= 4", 1e-13),
+        ("k=2 basis is the 50:50 rotation of k=1 products, indices <= 4", 1e-14),
         ("squeeze parameter round trip and dual expression", 1e-13),
         ("coefficient norm partial sums nondecreasing", 1e-12),
     ],
@@ -176,6 +177,21 @@ def test_nan_from_a_layer_fails_its_checks(suite, owner, routine, poison, names,
     for name in names:
         assert not results[name].passed, name
         assert math.isnan(results[name].residual), name
+
+
+@pytest.mark.parametrize("mutation", ["conjugated", "axes swapped"])
+def test_rotation_check_sees_matrices_the_gram_accepts(mutation, monkeypatch):
+    # conjugating the coefficient matrices, or swapping the two principal
+    # axes, keeps C C^H = I, so basis_gram stays the identity; the pointwise
+    # rotation identity is off by O(1)
+    exact = basis._gram_coefficients(4)
+    wrong = exact.conj() if mutation == "conjugated" else exact.transpose(0, 2, 1)
+    monkeypatch.setattr(basis, "_gram_coefficients", lambda max_index: wrong)
+    results = {r.name: r for r in verify.run_suite("basis")}
+    assert results["Gaussian-measure orthonormality, indices <= 4"].passed
+    rotation = results["k=2 basis is the 50:50 rotation of k=1 products, indices <= 4"]
+    assert not rotation.passed
+    assert rotation.residual > 1.0
 
 
 def test_uncertainty_check_sees_a_shrunk_covariance(monkeypatch):
