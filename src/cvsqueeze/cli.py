@@ -16,8 +16,12 @@ over the environment; environment values are checked like flag values).
 Output files embed the full parameter set that produced them and use a
 fixed field order.  Floats round-trip exactly: csv writes them with 17
 significant digits, json with the shortest ``repr`` that reads back to the
-same float.  Identical inputs produce byte-identical files.  Exit codes:
-0 success, 1 check failure, 2 usage error.
+same float.  Tables are written column by column through ``_emit_table``;
+their float text comes from a vectorized converter whose bytes equal
+Python's ``format(v, ".17g")`` and ``json.dumps(v)``, Python formatting the
+values the converter cannot decide.  Identical inputs produce
+byte-identical files.  Exit codes: 0 success, 1 check failure, 2 usage
+error.
 """
 
 from __future__ import annotations
@@ -108,7 +112,8 @@ def _range_arg(text: str) -> tuple[float, float]:
         lo, hi = float(parts[0]), float(parts[1])
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"range bounds must be numbers: {text!r}") from exc
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+    # the grid's step is (hi - lo) / (n - 1), so the width must be finite too
+    if not (math.isfinite(hi - lo) and lo < hi):
         raise argparse.ArgumentTypeError(f"range must be finite and ordered, got {text!r}")
     return lo, hi
 
@@ -140,21 +145,176 @@ def _fmt(value) -> str:
 
 
 def _cell(value, fmt: str) -> str:
-    """A fixed cell's text as the per-cell ``_fmt`` (csv) or ``json.dumps``
-    (json) writes it, with ``%`` escaped for a row template."""
-    return (_fmt(value) if fmt == "csv" else json.dumps(value)).replace("%", "%%")
+    """A cell's text as the per-cell ``_fmt`` (csv) or ``json.dumps`` (json)
+    writes it."""
+    return _fmt(value) if fmt == "csv" else json.dumps(value)
 
 
-# a table row's opening, cell separator and closing, the separator between
-# rows and the slot one value fills: csv lines, or the indent-2 arrays of
-# json.dumps, whose float text is the repr that ``%s`` gives
+# a table row's opening, cell separator and closing, and the separator
+# between rows: csv lines, or the indent-2 arrays of json.dumps
 _LAYOUT = {
-    "csv": ("", ",", "", "\n", "%.17g"),
-    "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n", "%s"),
+    "csv": ("", ",", "", "\n"),
+    "json": ("    [\n      ", ",\n      ", "\n    ]", ",\n"),
 }
 
-# json.dumps spells the non-finite floats as JavaScript does
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+# Float text.  Finite values of magnitude inside _FAST_WINDOW take a
+# vectorized route: k = floor(log10 |v|) and s = |v| 10**(16 - k) as a
+# double-double, by Dekker's two-product with a double-double power of ten
+# from _digit_tables.  Its error is below 1e-14 of a unit in the 17th
+# significant digit, so round(s) gives the 17 correctly rounded digits
+# unless s lies within _MARGIN of a rounding tie.  For json the 16- and
+# 15-digit roundings follow from those digits and s's remainder; the
+# shortest of them within half an ulp of v is repr's: at 15 digits or
+# fewer at most one decimal lies in that interval, at 16 and 17 the nearest
+# one is taken.  Values within _MARGIN of a tie or of the interval's edge,
+# zeros, subnormal and non-finite values, values outside the window, values
+# whose log10 misses k, and (json) powers of two, whose interval is
+# asymmetric, are formatted by Python one at a time.
+_FAST_WINDOW = (1e-280, 1e280)
+# the exponents 16 - k for k in the window, with one more for a log10 that
+# puts 1e-280 below -280
+_POW10_MIN, _POW10_MAX = -264, 297
+_MARGIN = 2.0**-32
+# the longest text, "-2.2250738585072014e-308"
+_TEXT_WIDTH = 24
+# byte offsets in a value's source row, b"0", its 17 digits, b".-e", the
+# exponent's sign and three digits, and a NUL; a text takes its bytes from it
+_ZERO, _DIGITS, _DOT, _MINUS, _E, _EXP_SIGN, _EXP, _NUL = 0, 1, 18, 19, 20, 21, 22, 25
+_SOURCE = 26
+# text shapes: fixed notation with exponent -4..16, scientific with a two-
+# and with a three-digit exponent
+_SHAPES = 23
+
+
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """10**e for e in [_POW10_MIN, _POW10_MAX] as double-doubles (hi, lo),
+    each part correctly rounded from exact integer arithmetic, and the two
+    ASCII digits of 0..99 as one little-endian uint16 each."""
+    his, los = [], []
+    for e in range(_POW10_MIN, _POW10_MAX + 1):
+        power = 10 ** abs(e)
+        if e >= 0:
+            hi = float(power)
+            lo = float(power - int(hi))
+        else:
+            num, den = (hi := 1 / power).as_integer_ratio()
+            lo = (den - num * power) / (den * power)
+        his.append(hi)
+        los.append(lo)
+    pairs = np.frombuffer("".join(f"{i:02d}" for i in range(100)).encode(), dtype="<u2")
+    return np.array(his), np.array(los), pairs
+
+
+@functools.cache
+def _text_layouts(fmt: str) -> np.ndarray:
+    """The source offset of each text byte, by shape key: row
+    ``(negative * _SHAPES + shape) * 17 + digits - 1`` of a
+    ``(2 * _SHAPES * 17, _TEXT_WIDTH)`` table, ``digits`` being the count of
+    significant digits."""
+    key = np.arange(2 * _SHAPES * 17)
+    digits, shape, negative = key % 17 + 1, key // 17 % _SHAPES, key // (17 * _SHAPES)
+    fixed = shape < 21
+    x = shape - 4
+    # the text is the sign, a run of digits with a dot after the first
+    # `point` of them, and for scientific shapes the exponent; a fixed text
+    # below 1 runs `lead` zeros ahead of v's digits
+    point = np.where(fixed & (x >= 0), x + 1, 1)[:, None]
+    lead = np.where(fixed & (x < 0), -x, 0)[:, None]
+    run = lead + digits[:, None]
+    # without a fractional digit, csv drops the dot and json writes ".0"
+    body = np.where(run > point, run + 1, point + (2 if fmt == "json" else 0) * fixed[:, None])
+    exp_digits = np.where(shape == 22, 3, 2)[:, None]
+    pos = np.arange(_TEXT_WIDTH) - negative[:, None]
+    digit = pos - (pos > point)
+    offset = np.where(pos == point, _DOT, np.where(digit < lead, _ZERO, _DIGITS + digit - lead))
+    tail = pos - body
+    suffix = np.where(tail == 0, _E, np.where(tail == 1, _EXP_SIGN, _EXP + 1 - exp_digits + tail))
+    offset = np.where(pos < body, offset, np.where(~fixed[:, None] & (tail < 2 + exp_digits), suffix, _NUL))
+    return np.where(pos < 0, _MINUS, offset).astype(np.intp)
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Veltkamp's split of a double into two 26-bit halves
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _float_texts(values, fmt: str) -> np.ndarray:
+    """The csv (``format(v, ".17g")``) or json (``json.dumps(v)``) text of
+    each value, as a NUL-padded bytes array of the values' shape."""
+    values = np.asarray(values, dtype=float)
+    v = values.ravel()
+    a = np.abs(v)
+    fast = (a >= _FAST_WINDOW[0]) & (a <= _FAST_WINDOW[1])
+    a = np.where(fast, a, 1.0)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    his, los, pairs = _digit_tables()
+    p_hi, p_lo = his[16 - k - _POW10_MIN], los[16 - k - _POW10_MIN]
+    # s = a (p_hi + p_lo) as h + l: Dekker's two-product a p_hi = p + err
+    p = a * p_hi
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _split(p_hi)
+    q = (((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + a * p_lo
+    h = p + q
+    whole = np.rint(h)
+    rem = (h - whole) + (q - (h - p))
+    step = np.rint(rem)
+    rem -= step
+    digits = whole.astype(np.int64) + step.astype(np.int64)
+    # 10**16 <= s and round(s) <= 10**17 hold when log10 gave k
+    fast &= (np.abs(np.abs(rem) - 0.5) >= _MARGIN) & (digits <= 10**17)
+    fast &= (digits > 10**16) | ((digits == 10**16) & (rem >= 0))
+    if fmt == "json":
+        mantissa, exponent = np.frexp(a)
+        # a power of two's rounding interval is asymmetric
+        fast &= mantissa != 0.5
+        # half an ulp of v, in units of the 17th digit
+        half = np.ldexp(p_hi, exponent - 54)
+        shortest = digits
+        # the 16- and then the 15-digit rounding, which wins when it lies
+        # within half an ulp of v
+        for unit in (10, 100):
+            kept, dropped = np.divmod(digits, unit)
+            frac = (dropped + rem) / unit
+            carry = np.rint(frac)
+            off = np.abs(frac - carry)
+            fast &= (np.abs(off - half / unit) >= _MARGIN) & (np.abs(off - 0.5) >= _MARGIN)
+            shortest = np.where(off < half / unit, (kept + carry.astype(np.int64)) * unit, shortest)
+        digits = shortest
+    # a rounding up to 10**17 is 10**16 at the next decimal exponent x
+    carried = digits == 10**17
+    digits = np.where(fast & ~carried, digits, 10**16)
+    x = k + carried
+    # each value's source row, two bytes at a time: b"0" and the digits,
+    # b".-", b"e" and the exponent's sign, its three digits and a NUL
+    source = np.empty((v.size, _SOURCE // 2), "<u2")
+    upper = (digits // 10**8).astype(np.uint32)
+    lower = (digits - upper.astype(np.int64) * 10**8).astype(np.uint32)
+    source[:, 0] = pairs[upper // 10**8]
+    upper %= 10**8
+    for col, part in ((1, upper), (5, lower)):
+        top, bottom = np.divmod(part, 10**4)
+        source[:, col] = pairs[top // 100]
+        source[:, col + 1] = pairs[top % 100]
+        source[:, col + 2] = pairs[bottom // 100]
+        source[:, col + 3] = pairs[bottom % 100]
+    x_abs = np.abs(x)
+    source[:, 9] = ord(".") | ord("-") << 8
+    source[:, 10] = ord("e") | np.where(x < 0, ord("-"), ord("+")) << 8
+    source[:, 11] = pairs[x_abs // 10]
+    source[:, 12] = ord("0") + x_abs % 10
+    chars = source.view(np.uint8)
+    significant = 17 - np.argmax(chars[:, 17:0:-1] != ord("0"), axis=1)
+    shape = np.where((x >= -4) & (x < (17 if fmt == "csv" else 16)), x + 4, np.where(x_abs >= 100, 22, 21))
+    offsets = _text_layouts(fmt)[((v < 0) * _SHAPES + shape) * 17 + significant - 1]
+    offsets += np.arange(0, chars.size, _SOURCE)[:, None]
+    texts = chars.ravel().take(offsets).view(f"S{_TEXT_WIDTH}").ravel()
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts[slow] = [_cell(value, fmt) for value in v[slow].tolist()]
+    return texts.reshape(values.shape)
 
 
 def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
@@ -173,24 +333,61 @@ def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("
     )
 
 
-def _emit_table(params: dict, names: list[str], templates: list[str], values, fmt: str) -> str:
-    """The table from one template per row of ``values``: ``templates[i]``
-    is the text of one or more table rows with a slot for each value of
-    ``values[i]``, and one ``%`` fills it."""
-    values = np.asarray(values, dtype=float)
-    rows = values.tolist()
-    if fmt == "json" and not np.isfinite(values).all():
-        rows = [[_JSON_NONFINITE.get(cell, cell) for cell in map(repr, row)] for row in rows]
-    body = _LAYOUT[fmt][3].join(map(str.__mod__, templates, map(tuple, rows)))
+# table rows per block of the body, which bounds the temporaries of its
+# byte matrix and of the float texts in it
+_BLOCK_ROWS = 8192
+
+
+def _column_texts(column: np.ndarray, fmt: str) -> np.ndarray:
+    """The texts of a column's cells as a NUL-padded uint8 array, the last
+    axis holding each cell's bytes."""
+    if column.dtype.kind == "f":
+        texts = _float_texts(column, fmt)
+    else:
+        texts = np.array([_cell(cell, fmt).encode() for cell in column.ravel().tolist()], dtype=bytes)
+    return texts.reshape(column.shape + (1,)).view(np.uint8)
+
+
+def _emit_table(params: dict, names: list[str], columns: list, fmt: str) -> str:
+    """The table with one row per element of ``columns`` broadcast together,
+    in C order.  Each column is formatted at its own shape, so a ``wigner``
+    coordinate is formatted once, not once per row.  The body is built a
+    block of leading-axis slices at a time: a NUL-padded byte matrix, one
+    row per table row, from which one mask drops the padding."""
+    opening, sep, closing, newline = _LAYOUT[fmt]
+    columns = [np.asarray(column) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns))
+    # each column at the table's rank, so that its leading axis is the table's
+    columns = [column.reshape((1,) * (len(shape) - column.ndim) + column.shape) for column in columns]
+    fixed = [_column_texts(column, fmt) if column.shape[0] == 1 else None for column in columns]
+    seps = [np.frombuffer(text.encode(), np.uint8) for text in [opening] + [sep] * (len(columns) - 1)]
+    end = np.frombuffer((closing + newline).encode(), np.uint8)
     if fmt == "csv":
         lines = [f"# {key} = {_fmt(value)}" for key, value in params.items()]
-        return "\n".join(lines + [",".join(names), body]) + "\n"
-    payload = {"params": {k: (str(v) if isinstance(v, complex) else v) for k, v in params.items()},
-               "columns": names,
-               "rows": []}
-    head = json.dumps(payload, indent=2)
-    # head ends in the empty '"rows": []' and the closing brace
-    return "\n".join([head[:-len("]\n}")], body, "  ]\n}\n"])
+        out = bytearray(("\n".join(lines + [",".join(names)]) + "\n").encode())
+        tail = "\n"
+    else:
+        payload = {"params": {k: (str(v) if isinstance(v, complex) else v) for k, v in params.items()},
+                   "columns": names,
+                   "rows": []}
+        # json.dumps ends in the empty '"rows": []' and the closing brace
+        out = bytearray((json.dumps(payload, indent=2)[:-len("]\n}")] + "\n").encode())
+        tail = "\n  ]\n}\n"
+    step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        parts = []
+        for column, texts, gap in zip(columns, fixed, seps):
+            parts += [gap, _column_texts(column[start:start + step], fmt) if texts is None else texts]
+        parts.append(end)
+        widths = np.cumsum([0] + [part.shape[-1] for part in parts]).tolist()
+        block = np.empty((min(step, shape[0] - start), *shape[1:], widths[-1]), np.uint8)
+        for part, lo, hi in zip(parts, widths, widths[1:]):
+            block[..., lo:hi] = part
+        out += block[block != 0].data
+    # the last row's separator gives way to the tail
+    del out[-len(newline):]
+    out += tail.encode()
+    return out.decode()
 
 
 def _write(text: str, out: str | None) -> int:
@@ -208,28 +405,24 @@ def _write(text: str, out: str | None) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     geom = states.OscillatorGeometry(a=args.a, b=args.b, hbar=args.hbar)
-    opening, sep, closing, _, slot = _LAYOUT[args.fmt]
-    templates: list[str] = []
-    values: list[list[float]] = []
+    rows = []
     for k in (1, 2):
         for alpha in args.alphas:
             # one verdict gives the row's eigenvalues, verdict and negativity
             verdict = phase_space.ppt_separable(phase_space.covariance(k, alpha, geom))
             negativity = verdict.log_negativity
             closed = max(-math.log(alpha), 0.0) if k == 2 else 0.0
-            cells = [_cell(k, args.fmt), *[slot] * 4, _cell(verdict.verdict, args.fmt), *[slot] * 3]
-            templates.append(opening + sep.join(cells) + closing)
-            values.append([alpha, -0.5 * math.log(alpha), *verdict.spectrum.values, negativity, closed,
-                           abs(negativity - closed)])
+            rows.append((k, alpha, -0.5 * math.log(alpha), *verdict.spectrum.values, verdict.verdict,
+                         negativity, closed, abs(negativity - closed)))
     params = {
         "command": "sweep", "a": args.a, "b": args.b, "hbar": args.hbar,
         "alphas": ",".join(format(a, ".17g") for a in args.alphas),
     }
-    columns = [
+    names = [
         "mode", "alpha", "squeeze_xi", "lambda_min_pt", "lambda_max_pt",
         "verdict", "log_negativity", "log_negativity_closed", "residual",
     ]
-    return _write(_emit_table(params, columns, templates, values, args.fmt), args.out)
+    return _write(_emit_table(params, names, list(zip(*rows)), args.fmt), args.out)
 
 
 def cmd_wigner(args: argparse.Namespace) -> int:
@@ -257,12 +450,6 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     shifted[axis1] = grid1[:, None] - offsets[axis1]
     shifted[axis2] = grid2[None, :] - offsets[axis2]
     values = evaluator(shifted["x1"], shifted["x2"], shifted["p1"], shifted["p2"])
-    # each coordinate is formatted once; grid row i is one template holding
-    # its n2 table rows, filled with values[i]
-    opening, sep, closing, newline, slot = _LAYOUT[args.fmt]
-    tails = [sep + _cell(v, args.fmt) + sep + slot + closing for v in grid2.tolist()]
-    heads = [opening + _cell(v, args.fmt) for v in grid1.tolist()]
-    templates = [head + (newline + head).join(tails) for head in heads]
     params = {
         "command": "wigner", "mode": args.k, "alpha": args.alpha,
         "a": args.a, "b": args.b, "hbar": args.hbar,
@@ -275,7 +462,9 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     for name in _AXES:
         if name not in (axis1, axis2):
             params[f"fixed_{name}"] = coords[name]
-    return _write(_emit_table(params, [axis1, axis2, "wigner"], templates, values, args.fmt), args.out)
+    # each coordinate is formatted once and broadcast along the other axis
+    columns = [grid1[:, None], grid2[None, :], values]
+    return _write(_emit_table(params, [axis1, axis2, "wigner"], columns, args.fmt), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

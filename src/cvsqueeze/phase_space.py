@@ -120,9 +120,13 @@ def wigner_gaussian(gaussian: QuadraticGaussian, hbar: float = 1.0):
     sigma[:2, :2] = 0.5 * dual.matrix
     sigma[2:, 2:] = 0.5 * hbar * hbar * gaussian.matrix
     cov = CovarianceMatrix(sigma=sigma, hbar=hbar)
+    try:
+        peak = float(np.pi * hbar) ** -2
+    except OverflowError:
+        raise ValueError(f"hbar = {hbar!r} is too small: the Wigner peak (pi hbar)^-2 overflows") from None
 
     def evaluator(x1, x2, p1, p2):
-        return (np.pi * hbar) ** -2 * np.exp(
+        return peak * np.exp(
             -2.0 * (gaussian.exponent(x1, x2) + dual.exponent(p1, p2) / hbar**2)
         )
 

@@ -2,9 +2,12 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvsqueeze import cli, model, phase_space, states
 from cvsqueeze.cli import main
@@ -153,8 +156,8 @@ class TestWigner:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--fix", "x1=0.5"], ["--axes", "x1,x1"], ["--n1", "1"]],
-        ids=["fix-of-varied-axis", "repeated-axis", "one-point-grid"],
+        [["--fix", "x1=0.5"], ["--axes", "x1,x1"], ["--n1", "1"], ["--n1=3", "--range1=-1e308:1e308"]],
+        ids=["fix-of-varied-axis", "repeated-axis", "one-point-grid", "range-width-overflows"],
     )
     def test_usage_errors_print_the_wigner_usage(self, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -163,6 +166,13 @@ class TestWigner:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("usage: cvsqueeze wigner")
+
+    def test_peak_overflow_exits_2(self, capsys):
+        # (pi hbar)^-2 overflows: a usage-level error naming hbar, no traceback
+        code, out, err = run(["wigner", "--alpha=0.5", "--hbar=1e-155"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: hbar = 1e-155")
 
     @pytest.mark.parametrize(
         "fixes",
@@ -430,6 +440,107 @@ class TestNumericFlags:
         assert excinfo.value.code == 2
 
 
+def _python_texts(values, fmt: str) -> list:
+    """Each value's text from Python's formatter, one value at a time."""
+    write = (lambda v: format(v, ".17g")) if fmt == "csv" else json.dumps
+    return [write(v).encode() for v in np.asarray(values, dtype=float).ravel().tolist()]
+
+
+def _crafted_values() -> np.ndarray:
+    """Doubles on and around every decision of the vectorized float-text
+    route, with random ones over the whole range."""
+    rng = np.random.default_rng(20261019)
+    parts = [
+        np.array([0.0, -0.0, 5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308,
+                  math.inf, -math.inf, math.nan, 1.7976931348623157e308, 1e-280, 1e280]),
+        2.0 ** np.arange(-1074, 1024),
+        # powers of ten, correctly rounded, and the switch points of both formats
+        np.array([float(f"1e{e}") for e in range(-323, 309)]),
+        np.array([1e-4, 1e-5, 1e15, 1e16, 1e17, 1e22, 1e23, 123456.0, 0.1, 0.3]),
+        # large integers, about 2**53 and up to 2**63
+        2.0**53 + np.arange(-8, 9),
+        rng.integers(10**15, 10**17, 300).astype(float),
+        rng.integers(0, 2**63, 300, dtype=np.int64).astype(float),
+        # the shortest decimals of random 15- and 16-digit strings
+        np.array([float(f"{d}e{e}") for d, e in zip(rng.integers(10**14, 10**16, 400), rng.integers(-300, 290, 400))]),
+    ]
+    # exact ties at 17 digits: v = odd / 2**(17 - k) in [10**k, 10**(k + 1)),
+    # so that v 10**(16 - k) = odd 5**(16 - k) / 2; such a double exists for
+    # -8 <= k <= 15, and below k = -6 10**(16 - k) is no double
+    for k in range(-8, 16):
+        lo, hi = math.ceil(10.0**k * 2 ** (16 - k)), min(math.ceil(10.0 ** (k + 1) * 2 ** (16 - k)), 2**52)
+        halves = np.unique(rng.integers(lo, hi, 20)) if hi - lo > 20 else np.arange(lo, hi)
+        parts.append(np.ldexp(2.0 * halves + 1, k - 17))
+    # near-ties: doubles M 2**f with M 5**(16 - k) within 3 of 2**(t - 1)
+    # modulo 2**t, t = -(f + 16 - k), so that v 10**(16 - k) lies within
+    # 3 2**-t of a tie; as t nears 53 that is within the double-double's error
+    near = []
+    for k in range(-7, 16):
+        for f in range(math.floor(k * math.log2(10)) - 54, math.floor(k * math.log2(10)) - 49):
+            t = k - 16 - f
+            if 1 < t <= 53:
+                inverse = pow(5 ** (16 - k), -1, 2**t)
+                for d in range(-3, 4):
+                    r = (2 ** (t - 1) + d) * inverse % 2**t
+                    first = max(0, -(-(2**52 - r) // 2**t))
+                    near += [math.ldexp(r + j * 2**t, f) for j in range(first, first + 4) if r + j * 2**t < 2**53]
+    parts.append(np.array(near))
+    # 15- and 16-digit integers D 10**j exactly half an ulp from the doubles
+    # on both sides of them: the edge of the rounding interval
+    edges = []
+    for digits, power in zip(rng.integers(10**14, 10**16, 2000), rng.integers(1, 5, 2000)):
+        c = int(digits) * 10 ** int(power)
+        spacing = 2 ** max(c.bit_length() - 53, 0)
+        if spacing > 1 and c % spacing == spacing // 2:
+            edges += [float(c - spacing // 2), float(c + spacing // 2)]
+    parts.append(np.array(edges))
+    values = np.concatenate(parts)
+    # each finite value's neighbours, which reach the powers of ten from below
+    finite = values[np.abs(values) < np.finfo(float).max]
+    values = np.concatenate([
+        values, np.nextafter(finite, 0.0), np.nextafter(finite, np.inf),
+        # random bit patterns: every exponent, subnormals, inf and nan
+        rng.integers(0, 2**64, 5000, dtype=np.uint64, endpoint=False).view(np.float64),
+        rng.integers(1, 2**52, 100, dtype=np.int64).view(np.float64),
+    ])
+    return np.concatenate([values, -values])
+
+
+class TestFloatTexts:
+    """The vectorized float text against Python's formatter."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_crafted_values_match_python(self, fmt):
+        values = _crafted_values()
+        texts = cli._float_texts(values, fmt)
+        assert texts.dtype.kind == "S" and texts.shape == values.shape
+        mismatches = [(v, t) for v, t, ref in zip(values.tolist(), texts.tolist(), _python_texts(values, fmt))
+                      if t != ref]
+        assert mismatches == []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40), st.sampled_from(["csv", "json"]))
+    def test_hypothesis_floats_match_python(self, values, fmt):
+        # a 2D input keeps its shape
+        grid = np.array(values * 2).reshape(2, -1)
+        texts = cli._float_texts(grid, fmt)
+        assert texts.shape == grid.shape
+        assert texts.ravel().tolist() == _python_texts(grid, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_route_decides_ordinary_values(self, fmt, monkeypatch):
+        # Python's formatter is the exception, not the rule. Above about
+        # 1e8 a double's binary fraction puts v 10**(16 - k) on an exact
+        # tie for a share of values that grows to 1/8 near 1e15, so the
+        # range stops at 1e6
+        calls = []
+        monkeypatch.setattr(cli, "_cell", lambda value, fmt: calls.append(value) or "")
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(10000) * 10.0 ** rng.uniform(-270, 6, 10000)
+        cli._float_texts(values, fmt)
+        assert calls == []
+
+
 def _reference_fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
@@ -447,15 +558,8 @@ def _reference_table(params: dict, columns: list, rows: list, fmt: str) -> str:
 
 
 def _direct_table(params: dict, columns: list, rows: list, fmt: str) -> str:
-    """The table writer fed directly: one template per row, each float cell
-    a value slot."""
-    opening, sep, closing, _, slot = cli._LAYOUT[fmt]
-    templates = [
-        opening + sep.join(slot if isinstance(cell, float) else cli._cell(cell, fmt) for cell in row) + closing
-        for row in rows
-    ]
-    values = [[cell for cell in row if isinstance(cell, float)] for row in rows]
-    return cli._emit_table(params, columns, templates, values, fmt)
+    """The table writer fed directly, one column per table column."""
+    return cli._emit_table(params, columns, [list(column) for column in zip(*rows)], fmt)
 
 
 def _reference_wigner_rows(params: dict) -> list:
@@ -507,6 +611,49 @@ class TestByteIdentity:
         )
         assert all(row[2] == 0.0 for row in rows)
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # x1 = -2 is a power of two and 1e23 the double below 10**23,
+            # where log10 gives 23; along x2 = 0 (a zero) to 40 the values
+            # fall through normal values below the 1e-280 window, subnormal
+            # values and zero
+            ["--n1=2", "--range1=-2:1e23", "--n2=1001", "--range2=0:40"],
+            # an exact 17-digit tie (..56.75) and a double half an ulp from
+            # 18014398509481990, the edge of its rounding interval; 1e-300
+            # lies below the window
+            ["--n1=2", "--range1=1234567890123456.75:18014398509481988", "--n2=2", "--range2=1e-300:1"],
+        ],
+        ids=["tails", "ties"],
+    )
+    def test_wigner_fallback_values_match_reference(self, argv, capsys):
+        # every kind of value Python formats instead of the vectorized route,
+        # as cmd_wigner meets it; no non-finite value comes out of cmd_wigner
+        # (test_non_finite_and_numpy_cells has those)
+        rows = self._check_wigner(["wigner", "--alpha=0.35"] + argv, capsys)
+        cells = np.abs(np.array(rows))
+        tiny = np.finfo(float).tiny
+        assert (cells == 0.0).any()
+        assert ((cells > 0.0) & (cells < 1e-280)).any()
+        if "--range2=0:40" in argv:
+            assert ((cells > 0.0) & (cells < tiny)).any() and ((cells >= tiny) & (cells < 1e-280)).any()
+
+    @pytest.mark.parametrize("fmt, bound_mib", [("csv", 24), ("json", 32)])
+    def test_peak_memory_of_a_401_grid(self, fmt, bound_mib, tmp_path, capsys):
+        # the text is held twice at the end, as bytes and as str (8.8 MiB
+        # csv, 12.4 MiB json); the byte matrix and the float texts of a
+        # block of 8192 rows stay small. Measured 19.1 and 27.0 MiB; the
+        # per-row templates took 39.1 and 40.7 MiB
+        argv = ["wigner", "--alpha=0.35", "--n1=401", "--n2=401", f"--format={fmt}", f"--out={tmp_path / 'w'}"]
+        assert main(argv) == 0
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mib * 2**20
+
     def test_sweep_matches_reference(self, capsys):
         argv = ["sweep", "--alphas=0.05,0.3,0.6,0.97", "--a=0.7", "--b=1.9", "--hbar=1.1"]
         code, out, _ = run(argv + ["--format=json"], capsys)
@@ -529,21 +676,18 @@ class TestByteIdentity:
 
     @pytest.mark.parametrize("finite", [True, False])
     def test_grid_templates_with_extreme_values(self, finite):
-        # the templates cmd_wigner builds, several table rows each, filled
-        # with values the evaluator never yields; np.float64 cells among
-        # Python floats, as coordinate and as value
+        # values the evaluator never yields; np.float64 cells among Python
+        # floats, as coordinate and as value
         cells = [[-0.0, 1e-300, 5e-324], [np.float64(0.1), -2.5e300, 1.0]]
         if not finite:
             cells = [[-0.0, float("nan"), 5e-324], [np.float64(0.1), float("inf"), -float("inf")]]
         grid1, grid2 = [np.float64(0.1), -0.0], [1e-300, 5e-324, -7.25]
         rows = [[v1, v2, cells[i][j]] for i, v1 in enumerate(grid1) for j, v2 in enumerate(grid2)]
         params = {"command": "test", "n": 2}
+        # the columns cmd_wigner passes: each grid along its own axis
+        columns = [np.array(grid1)[:, None], np.array(grid2)[None, :], cells]
         for fmt in ("csv", "json"):
-            opening, sep, closing, newline, slot = cli._LAYOUT[fmt]
-            tails = [sep + cli._cell(v, fmt) + sep + slot + closing for v in grid2]
-            heads = [opening + cli._cell(v, fmt) for v in grid1]
-            templates = [head + (newline + head).join(tails) for head in heads]
-            text = cli._emit_table(params, ["x1", "x2", "wigner"], templates, cells, fmt)
+            text = cli._emit_table(params, ["x1", "x2", "wigner"], columns, fmt)
             assert text == _reference_table(params, ["x1", "x2", "wigner"], rows, fmt)
 
     def test_one_spectrum_per_sweep_row(self, capsys, monkeypatch):

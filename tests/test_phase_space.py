@@ -45,6 +45,14 @@ class TestWignerGaussian:
         assert cov.sigma[0, 0] == pytest.approx(0.5 * 1.25)
         assert cov.sigma[0, 1] == pytest.approx(-0.5 * 0.75)
 
+    @pytest.mark.parametrize("hbar", [1e-155, 1e-200, 5e-324])
+    def test_peak_overflow_raises(self, hbar):
+        # (pi hbar)^-2 overflows below hbar ~ 7.5e-155; the error names hbar
+        # instead of an OverflowError escaping from the evaluator
+        gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
+        with pytest.raises(ValueError, match="hbar"):
+            phase_space.wigner_gaussian(gaussian, hbar)
+
     @pytest.mark.parametrize("alpha", [1 - 1e-9, 1 - 1e-7, 1 - 1e-5, 0.05])
     def test_mode2_covariance_off_diagonal_to_rounding(self, alpha):
         # sigma_01 = -(1 - alpha^2) / (4 alpha a b) against 40 digits; 1 - alpha alpha
