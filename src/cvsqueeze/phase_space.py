@@ -126,9 +126,13 @@ def wigner_gaussian(gaussian: QuadraticGaussian, hbar: float = 1.0):
         raise ValueError(f"hbar = {hbar!r} is too small: the Wigner peak (pi hbar)^-2 overflows") from None
 
     def evaluator(x1, x2, p1, p2):
-        return peak * np.exp(
-            -2.0 * (gaussian.exponent(x1, x2) + dual.exponent(p1, p2) / hbar**2)
-        )
+        # the momentum exponent is divided by hbar twice: near the smallest
+        # hbar, hbar**2 is subnormal, and p / hbar could meet +inf with -inf
+        # inside the exponent's sums; an exponent beyond float64 is +inf, the
+        # exact limit, for a value of 0
+        with np.errstate(over="ignore"):
+            momentum = dual.exponent(p1, p2) / hbar / hbar
+        return peak * np.exp(-2.0 * (gaussian.exponent(x1, x2) + momentum))
 
     return cov, evaluator
 

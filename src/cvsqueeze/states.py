@@ -130,12 +130,17 @@ class QuadraticGaussian:
         return self.inverse.T @ np.diag(self.curvatures) @ self.inverse
 
     def exponent(self, x1, x2) -> np.ndarray:
-        """r^T M r / 2 at r = (x1, x2): two squares on the principal axes, summed in place."""
+        """r^T M r / 2 at r = (x1, x2): two squares on the principal axes, summed in place.
+
+        A square beyond the float64 range gives +inf, the exact limit of the
+        exponent, without an overflow warning.
+        """
         rows = np.sqrt(np.multiply(0.5, self.curvatures))[:, None] * self.inverse
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        total, term = (np.add(r1 * x1, r2 * x2, out=np.empty(shape)) for r1, r2 in rows.tolist())
-        np.square(total, out=total)
-        total += np.square(term, out=term)
+        with np.errstate(over="ignore"):
+            total, term = (np.add(r1 * x1, r2 * x2, out=np.empty(shape)) for r1, r2 in rows.tolist())
+            np.square(total, out=total)
+            total += np.square(term, out=term)
         return total
 
     def evaluate(self, x1, x2) -> np.ndarray:

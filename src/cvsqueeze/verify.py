@@ -50,34 +50,81 @@ def _explicit_hermite_sum(n: int, z: complex) -> complex:
     return math.factorial(n) * total
 
 
+# fixed-point numbers of _finite_difference_table: a pair (re, im) of
+# integers, or of object arrays of them, stands for (re + i im) 2^-320, about
+# 96 digits, of which the 12th difference cancels 48
+_FIXED_BITS = 320
+_FIXED_ONE = 1 << _FIXED_BITS
+
+
+def _fixed_mul(a, b):
+    # rounded to nearest, so a product with |b| < 1/2 shrinks a unit to zero
+    (ar, ai), (br, bi) = a, b
+    half = _FIXED_ONE >> 1
+    return (ar * br - ai * bi + half) >> _FIXED_BITS, (ar * bi + ai * br + half) >> _FIXED_BITS
+
+
+def _fixed_exp(w: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
+    # (exp(w), exp(-w)) for |w| << 1 from the even and odd parts of one
+    # Taylor series, each to the last few units
+    even, odd = [_FIXED_ONE, 0], [0, 0]
+    term = (_FIXED_ONE, 0)
+    k = 0
+    while term != (0, 0):
+        k += 1
+        term = tuple(part // k for part in _fixed_mul(term, w))
+        parts = odd if k % 2 else even
+        parts[0] += term[0]
+        parts[1] += term[1]
+    return (even[0] + odd[0], even[1] + odd[1]), (even[0] - odd[0], even[1] - odd[1])
+
+
+def _fixed_powers(w: tuple[int, int], n: int) -> tuple[np.ndarray, np.ndarray]:
+    # exp(i w) at index i + n for -n <= i <= n
+    powers = {0: (_FIXED_ONE, 0)}
+    for sign, base in zip((1, -1), _fixed_exp(w)):
+        for i in range(1, n + 1):
+            powers[sign * i] = _fixed_mul(powers[sign * (i - 1)], base)
+    return tuple(np.array([powers[i][part] for i in range(-n, n + 1)], dtype=object) for part in (0, 1))
+
+
 def _finite_difference_table(m_max: int, n_max: int, z1: complex, z2: complex) -> np.ndarray:
     # [m, n]: the m-th and n-th central differences of exp(s z1 + t z2 - s t)
-    # at the origin; the difference quotient loses ~(m+n) digits to
-    # cancellation, so it is evaluated in 60-digit arithmetic with a small
-    # step.  Every stencil node is a half-integer multiple of the step, so
-    # the function is sampled once on that lattice and shared by all (m, n).
-    import mpmath as mp
+    # at the origin with step h = 1e-4, divided by h^(m+n); the quotient loses
+    # ~(m+n) digits to cancellation.  Every stencil node is a half-integer
+    # multiple of the step, so the function is sampled once on that lattice,
+    # as A^i B^j C^(ij) with A = exp(h z1/2), B = exp(h z2/2), C = exp(-h^2/4)
+    # in fixed point, and the differences are exact integer sums.  Each part
+    # of the quotient is one correctly rounded int / int.
+    def fixed(z: complex) -> tuple[int, int]:
+        # z h/2 = z / 20000, z a float and so an exact dyadic rational
+        parts = (z.real.as_integer_ratio(), z.imag.as_integer_ratio())
+        return tuple((num << _FIXED_BITS) // (den * 20000) for num, den in parts)
 
-    with mp.workdps(60):
-        step = mp.mpf("1e-4")
-        w1 = mp.mpc(z1.real, z1.imag)
-        w2 = mp.mpc(z2.real, z2.imag)
-        samples = {}
-        for i in range(-m_max, m_max + 1):
-            s = mp.mpf(i) / 2 * step
-            for j in range(-n_max, n_max + 1):
-                t = mp.mpf(j) / 2 * step
-                samples[i, j] = mp.exp(s * w1 + t * w2 - s * t)
-        table = np.empty((m_max + 1, n_max + 1), dtype=complex)
+    a_re, a_im = _fixed_powers(fixed(z1), m_max)
+    b_re, b_im = _fixed_powers(fixed(z2), n_max)
+    c_re, _ = _fixed_powers((-(_FIXED_ONE // 400_000_000), 0), m_max * n_max)
+    i, j = np.arange(-m_max, m_max + 1), np.arange(-n_max, n_max + 1)
+    c = c_re[np.multiply.outer(i, j) + m_max * n_max]
+    samples = _fixed_mul((a_re[:, None], a_im[:, None]), (b_re[None, :], b_im[None, :]))
+    # 1 / h^(m+n)
+    scale = 10 ** (4 * np.add.outer(np.arange(m_max + 1), np.arange(n_max + 1)).astype(object))
+    parts = []
+    for sample in samples:
+        # the n-th difference along t of every lattice row sits at column
+        # n_max - n after n passes of f(j + 1) - f(j - 1)
+        rows = (sample * c + (_FIXED_ONE >> 1)) >> _FIXED_BITS
+        columns = []
+        for n in range(n_max + 1):
+            columns.append(rows[:, n_max - n])
+            rows = rows[:, 2:] - rows[:, :-2]
+        rows = np.stack(columns, axis=1)
+        table = []
         for m in range(m_max + 1):
-            for n in range(n_max + 1):
-                total = mp.mpc(0)
-                for k in range(m + 1):
-                    for l in range(n + 1):
-                        weight = (-1) ** (k + l) * math.comb(m, k) * math.comb(n, l)
-                        total += weight * samples[m - 2 * k, n - 2 * l]
-                table[m, n] = complex(total / step ** (m + n))
-        return table
+            table.append(rows[m_max - m])
+            rows = rows[2:] - rows[:-2]
+        parts.append((np.stack(table) * scale / _FIXED_ONE).astype(float))
+    return parts[0] + 1j * parts[1]
 
 
 def hermite_suite() -> list[CheckResult]:
@@ -100,8 +147,7 @@ def hermite_suite() -> list[CheckResult]:
     checks.append(_check("two-index symmetry under (m,n,z1,z2)->(n,m,z2,z1)", relative(rhs, lhs), 1e-14))
 
     za, zb = 0.6 + 0.4j, -0.3 + 0.8j
-    exact = [[hermite.hermite_complex_2v(m, n, za, zb) for n in range(7)] for m in range(7)]
-    residuals = relative(_finite_difference_table(6, 6, za, zb), exact)
+    residuals = relative(_finite_difference_table(6, 6, za, zb), hermite.hermite_complex_2v_table(6, 6, za, zb))
     checks.append(_check("generating-function coefficients, m,n <= 6", residuals, 1e-7))
 
     points = [(1.0 + 0.0j, 1.0 + 0.0j), (0.4 + 0.7j, -0.9 + 0.2j)]
@@ -169,6 +215,14 @@ def basis_suite() -> list[CheckResult]:
     return checks
 
 
+# trapezoid weights in units of the step on 201 points: the full rule, and
+# the rule of step 2 on the every-other-point subgrid
+_TRAPEZOID_WEIGHTS = np.zeros((2, 201))
+_TRAPEZOID_WEIGHTS[0] = 1.0
+_TRAPEZOID_WEIGHTS[1, ::2] = 2.0
+_TRAPEZOID_WEIGHTS[:, [0, -1]] *= 0.5
+
+
 def _norm_integral(k: int, alpha: float, geom: states.OscillatorGeometry, labels) -> tuple[float, float]:
     # trapezoid-rule L2 norm over 10 spreads on a 201^2 grid, spectrally
     # accurate for the decaying Gaussians, and the same rule on its
@@ -180,36 +234,46 @@ def _norm_integral(k: int, alpha: float, geom: states.OscillatorGeometry, labels
     spread = math.sqrt(max(alpha, (1.0 + alpha**2) / (4.0 * alpha)))
     spread1, spread2 = spread / geom.a, spread / geom.b
     offsets, step = np.linspace(-10.0, 10.0, 201, retstep=True)
-    step1, step2 = spread1 * step, spread2 * step
     values = states.wave_function(
         k, shifts.y1 + spread1 * offsets[:, None], shifts.y2 + spread2 * offsets[None, :],
         geom, labels, alpha,
     )
-    density = np.abs(values) ** 2
-    norm = np.trapezoid(np.trapezoid(density, dx=step2, axis=1), dx=step1)
-    half = np.trapezoid(np.trapezoid(density[::2, ::2], dx=2.0 * step2, axis=1), dx=2.0 * step1)
+    density = values.real**2 + values.imag**2
+    norm, half = np.diagonal(_TRAPEZOID_WEIGHTS @ density @ _TRAPEZOID_WEIGHTS.T) * (spread1 * step * spread2 * step)
     return float(norm), float(half)
 
 
-def _mp_wave_function(x1: float, x2: float, geom, labels, alpha: float) -> complex:
-    # the raw mode-2 closed form at one point of float inputs, in 50 digits,
-    # where its 1/alpha terms cancel without loss
-    import mpmath as mp
+# 2 pi to 60 digits, for _mp_wave_function's phase reduction
+_TWO_PI = "6.28318530717958647692528676655900576839433879875021164194989"
 
-    with mp.workdps(50):
-        a, b, al, x1, x2 = (mp.mpf(float(v)) for v in (geom.a, geom.b, alpha, x1, x2))
-        (z1r, z1i), (z2r, z2i) = ((mp.mpf(z.real), mp.mpf(z.imag)) for z in (labels.z1, labels.z2))
-        root = mp.sqrt(2 * al)
+
+def _mp_wave_function(x1: float, x2: float, geom, labels, alpha: float) -> complex:
+    # the raw mode-2 closed form at one point of float inputs, in 50-digit
+    # decimal arithmetic, where its 1/alpha terms cancel without loss; the
+    # phase is reduced mod 2 pi before a float cos and sin
+    # imported here, by the one check that uses it, so that importing the
+    # CLI does not load it
+    from decimal import Context, Decimal, localcontext
+
+    with localcontext(Context(prec=50)):
+        a, b, al, x1, x2, z1r, z1i, z2r, z2i = (
+            Decimal(float(v))
+            for v in (geom.a, geom.b, alpha, x1, x2, labels.z1.real, labels.z1.imag, labels.z2.real, labels.z2.imag)
+        )
+        two_pi = Decimal(_TWO_PI)
+        root = (2 * al).sqrt()
         xi1 = x1 - ((al + 1) * z1r + (al - 1) * z2r) / (a * root)
         xi2 = x2 - ((al - 1) * z1r + (al + 1) * z2r) / (b * root)
-        exponent = (
+        modulus = (2 * a * b / two_pi).sqrt() * (
             -(1 + al * al) / (4 * al) * (a * a * xi1**2 + b * b * xi2**2)
             - (1 - al * al) / (2 * al) * a * b * xi1 * xi2
-            + 1j * a * x1 * ((1 + al) * z1i + (1 - al) * z2i) / root
-            + 1j * b * x2 * ((1 + al) * z2i + (1 - al) * z1i) / root
-            - 1j * (z1r * z1i + z2r * z2i)
-        )
-        return complex(mp.sqrt(a * b / mp.pi) * mp.exp(exponent))
+        ).exp()
+        phase = (
+            a * x1 * ((1 + al) * z1i + (1 - al) * z2i) / root
+            + b * x2 * ((1 + al) * z2i + (1 - al) * z1i) / root
+            - (z1r * z1i + z2r * z2i)
+        ).remainder_near(two_pi)
+    return float(modulus) * complex(math.cos(float(phase)), math.sin(float(phase)))
 
 
 def states_suite() -> list[CheckResult]:
@@ -298,52 +362,54 @@ def states_suite() -> list[CheckResult]:
 
 def phase_space_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
-    geoms = [states.OscillatorGeometry(1.0, 1.0), states.OscillatorGeometry(1.0, 2.0)]
+    geoms = [
+        states.OscillatorGeometry(1.0, 1.0),
+        states.OscillatorGeometry(1.0, 2.0),
+        states.OscillatorGeometry(0.8, 1.7, hbar=0.5),
+    ]
     alphas = np.arange(0.05, 1.0, 0.05)
 
-    def dual_path_gaps(geometries, alpha_values) -> list[float]:
-        gaps = []
-        for geometry in geometries:
-            for alpha in alpha_values:
-                for k in (1, 2):
-                    direct = phase_space.covariance(k, float(alpha), geometry)
-                    built, _ = phase_space.wigner_gaussian(
-                        states.unshifted_gaussian(k, float(alpha), geometry), geometry.hbar
-                    )
-                    gaps.append(np.abs(direct.sigma - built.sigma).max() / abs(direct.sigma).max())
-        return gaps
-
-    gaps = dual_path_gaps(geoms, [a for a in alphas if a >= 0.2])
-    checks.append(_check("covariance matrix dual-path agreement", gaps, 1e-14))
-    gaps = dual_path_gaps(geoms + [states.OscillatorGeometry(0.8, 1.7, hbar=0.5)], alphas)
+    # [geometry][alpha][k - 1]: the direct covariances, which every check
+    # below reads
+    covs = [[[phase_space.covariance(k, float(alpha), g) for k in (1, 2)] for alpha in alphas] for g in geoms]
+    # [geometry, alpha, k - 1]: relative gap of the direct and the Wigner-built Sigma
+    gaps = np.empty((len(geoms), len(alphas), 2))
+    for g, geometry in enumerate(geoms):
+        for a, alpha in enumerate(alphas):
+            for k in (1, 2):
+                direct = covs[g][a][k - 1]
+                built, _ = phase_space.wigner_gaussian(
+                    states.unshifted_gaussian(k, float(alpha), geometry), geometry.hbar
+                )
+                gaps[g, a, k - 1] = np.abs(direct.sigma - built.sigma).max() / abs(direct.sigma).max()
+    # the two hbar = 1 geometries away from strong squeezing
+    checks.append(_check("covariance matrix dual-path agreement", gaps[:2, alphas >= 0.2], 1e-14))
     checks.append(_check("covariance dual-path agreement, strong squeezing", gaps, 1e-13))
 
-    geom = geoms[0]
+    geom, unit = geoms[0], covs[0]
+    # the k = 2 partial-transpose verdicts serve the spectrum and the separability checks
+    entangled = [phase_space.ppt_separable(cov2) for _, cov2 in unit]
     residuals = []
-    for alpha in alphas:
-        cov = phase_space.covariance(2, float(alpha), geom)
-        spectrum = phase_space.symplectic_spectrum(phase_space.partial_transpose(cov))
+    for alpha, verdict in zip(alphas, entangled):
         expected = sorted((0.5 * geom.hbar * alpha, 0.5 * geom.hbar / alpha))
-        residuals += [abs(v - e) / e for v, e in zip(spectrum.values, expected)]
+        residuals += [abs(v - e) / e for v, e in zip(verdict.spectrum.values, expected)]
     checks.append(_check("partial-transpose symplectic spectrum closed form", residuals, 1e-12))
 
     half = 0.5 * geom.hbar
     residuals = [
-        abs(v - half) / half
-        for alpha in alphas
-        for k in (1, 2)
-        for v in phase_space.symplectic_spectrum(phase_space.covariance(k, float(alpha), geom)).values
+        abs(v - half) / half for pair in unit for cov in pair for v in phase_space.symplectic_spectrum(cov).values
     ]
     checks.append(_check("pure-state symplectic spectrum is hbar/2 twice", residuals, 1e-12))
 
-    # (mode, alpha, separable): mode 1 is a product state, mode 2 entangled
-    # below alpha 1 and within the boundary band at 1 - 1e-12
-    cases = [(k, float(alpha), k == 1) for alpha in [*alphas, 1.0 - 1e-6] for k in (1, 2)]
-    cases.append((2, 1.0 - 1e-12, True))
+    # mode 1 is a product state, mode 2 entangled below alpha 1 and within
+    # the boundary band at 1 - 1e-12; (mode, alpha, separable) near alpha 1
+    cases = [(k, 1.0 - 1e-6, k == 1) for k in (1, 2)] + [(2, 1.0 - 1e-12, True)]
     wrong = [
         phase_space.ppt_separable(phase_space.covariance(k, alpha, geom)).separable != separable
         for k, alpha, separable in cases
     ]
+    wrong += [not phase_space.ppt_separable(cov1).separable for cov1, _ in unit]
+    wrong += [verdict.separable for verdict in entangled]
     checks.append(_check("separability verdicts across the parameter range", wrong, 0.0))
 
     # both Sigma routes; at strong squeezing eigvalsh's rounding band is wider

@@ -1,6 +1,14 @@
 """The package's exported names and the inputs its functions take."""
 
+import ast
 import inspect
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import cvsqueeze
 from cvsqueeze import basis, hermite, model, phase_space, quadrature, states
@@ -48,3 +56,40 @@ def test_no_derivable_inputs():
     # perfbench passes basis_gram its order by position
     assert _parameters(basis.basis_gram) == ["alpha", "max_index", "order"]
     assert not hasattr(quadrature, "require_convergence")
+
+
+def _imported_top_level_modules(package: Path) -> set[str]:
+    # every absolute import in the package, function-level ones included
+    names = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(cvsqueeze.__file__).parent
+    project = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())["project"]
+    names = (re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in project["dependencies"])
+    declared = {name.lower().replace("-", "_") for name in names}
+    third_party = _imported_top_level_modules(package) - set(sys.stdlib_module_names) - {"__future__", "cvsqueeze"}
+    assert third_party == declared == {"numpy"}
+
+
+def test_verify_all_never_loads_mpmath():
+    src = str(Path(cvsqueeze.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\n"
+        "from cvsqueeze import cli\n"
+        "code = cli.main(['verify', 'all'])\n"
+        "print('mpmath loaded:', 'mpmath' in sys.modules, file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "mpmath loaded: False"

@@ -149,6 +149,27 @@ class TestWigner:
         assert values[0.0, 0.0] == pytest.approx(math.pi**-2, rel=1e-15)
         assert all(0.0 <= value <= math.pi**-2 for value in values.values())
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flags, zero_rows",
+        [
+            (["--n1=2", "--n2=2", "--hbar=1e-154", "--axes=p1,p2", "--range1=1e-100:1"], [0, 1, 2, 3]),
+            (["--n1=3", "--n2=2", "--range1=-1e200:1e200"], [0, 1, 4, 5]),
+            (["--n1=3", "--n2=3", "--hbar=1e-154", "--axes=p1,p2", "--range1=-1e200:1e200",
+              "--range2=-1e200:1e200"], [0, 1, 2, 3, 5, 6, 7, 8]),
+        ],
+        ids=["momentum-over-tiny-hbar", "position-beyond-float-squares", "momentum-quotients-beyond-float"],
+    )
+    def test_exponent_beyond_float64_is_an_exact_zero(self, flags, zero_rows, capsys):
+        # the exponent overflows float64: +inf is its exact limit and the
+        # Wigner value is 0, with no overflow warning
+        code, out, err = run(["wigner", "--alpha=0.5", *flags], capsys)
+        assert code == 0, err
+        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+        values = [float(r[2]) for r in rows]
+        assert all(math.isfinite(v) for v in values)
+        assert [i for i, v in enumerate(values) if v == 0.0] == zero_rows
+
     def test_rejects_bad_axes(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["wigner", "--alpha", "0.5", "--axes", "x1,q9"])

@@ -96,7 +96,7 @@ class TestTwoIndexFamily:
         # extract H_{m,n} from exp(s z1 + t z2 - s t) by central differencing;
         # float64 difference quotients balance truncation against roundoff
         # near 1e-4 relative, so this is a 3-digit confirmation (verify runs
-        # the same oracle in extended precision at 1e-7)
+        # the same oracle in exact fixed-point integers at 1e-7)
         z1, z2 = 0.5 - 0.2j, 1.1 + 0.3j
         step = 0.02
         for (m, n) in [(1, 1), (2, 1), (3, 2), (2, 3)]:
@@ -114,11 +114,13 @@ class TestTwoIndexFamily:
     @pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 3), (2, 5), (4, 4), (6, 1), (6, 6)])
     def test_lattice_table_is_the_per_entry_stencil(self, m, n):
         # the suite samples the generating function once on the half-step
-        # lattice; each entry must equal its own stencil evaluated afresh
+        # lattice in exact integer sums; each entry must equal its own
+        # stencil evaluated afresh in 100 digits, of which the 12th
+        # difference cancels 48 (60 digits miss (6, 6) by 1.65e-14)
         import mpmath as mp
 
         z1, z2 = 0.6 + 0.4j, -0.3 + 0.8j
-        with mp.workdps(60):
+        with mp.workdps(100):
             step = mp.mpf("1e-4")
             w1, w2 = mp.mpc(z1.real, z1.imag), mp.mpc(z2.real, z2.imag)
             total = mp.mpc(0)

@@ -193,6 +193,18 @@ class TestFactoredWaveFunction:
         error = np.abs(states.wave_function(k, x1, x2, geom, labels, alpha) - reference).max()
         assert error <= bound * np.abs(reference).max()
 
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.3])
+    def test_verify_decimal_reference_is_the_50_digit_closed_form(self, alpha):
+        # verify's reference runs in 50-digit decimals with a float cos and
+        # sin of the phase reduced mod 2 pi: within rounding of the peak of
+        # the mpmath transcription, on the points of its check
+        geom = states.OscillatorGeometry(0.8, 1.3)
+        labels = states.DisplacementLabels(0.3 + 0.2j, -0.1 + 0.4j)
+        x1, x2 = principal_bulk(2, alpha, geom, labels, np.linspace(-1.0, 1.0, 3))
+        reference = np.vectorize(lambda p, q: mp_wave_function(2, p, q, geom, labels, alpha))(x1, x2)
+        decimal = np.vectorize(lambda p, q: verify._mp_wave_function(p, q, geom, labels, alpha))(x1, x2)
+        assert np.abs(decimal - reference).max() <= 1e-15 * np.abs(reference).max()
+
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
         k=st.sampled_from([1, 2]),

@@ -210,6 +210,27 @@ def test_uncertainty_check_sees_a_shrunk_covariance(monkeypatch):
     assert check.residual > 1e-7
 
 
+@pytest.mark.parametrize("alpha, failing", [
+    (0.1, {"covariance dual-path agreement, strong squeezing"}),
+    (0.5, {"covariance matrix dual-path agreement", "covariance dual-path agreement, strong squeezing"}),
+])
+def test_dual_path_checks_read_their_alpha_ranges(alpha, failing, monkeypatch):
+    # Sigma from the Wigner route, scaled by 1 + 1e-12 at one alpha: below
+    # 0.2 only the strong-squeezing check covers it; every unshifted state
+    # has largest curvature 1/alpha
+    exact = phase_space.wigner_gaussian
+
+    def scaled(gaussian, hbar):
+        cov, evaluator = exact(gaussian, hbar)
+        if math.isclose(max(gaussian.curvatures), 1.0 / alpha, rel_tol=1e-9):
+            cov = phase_space.CovarianceMatrix(sigma=cov.sigma * (1.0 + 1e-12), hbar=cov.hbar)
+        return cov, evaluator
+
+    monkeypatch.setattr(phase_space, "wigner_gaussian", scaled)
+    results = verify.run_suite("phase_space")
+    assert {r.name for r in results if not r.passed} == failing
+
+
 def test_monotone_approach_sees_one_step_away_from_the_limit(monkeypatch):
     # evaluating alpha = 1 - 1e-5 at 1 - 1.26e-3 makes the deviations from
     # the alpha = 1 form read 2.39e-3, 3.01e-3, 2.39e-7: the second step
