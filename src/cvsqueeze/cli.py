@@ -500,6 +500,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
             "z1": str(args.z1),
             "z2": str(args.z2),
             "n_trunc": args.trunc,
+            "order": args.order,
             "tolerance": args.tol,
         },
         "geometry": {"a": a, "b": b},
@@ -530,7 +531,9 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
     status = _write(text, args.out)
     if status != 0:
         return status
-    return 0 if payload["ground_state"]["within_tolerance"] and path_gap <= args.tol else 1
+    # every check the document reports decides the status; a NaN fails
+    passed = payload["ground_state"]["within_tolerance"] and path_gap <= args.tol and hermiticity <= args.tol
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -34,22 +34,28 @@ with sigma = (1+alpha)/(2 sqrt(alpha)), tau = (1-alpha)/(2 sqrt(alpha)),
 sigma^2 - tau^2 = 1 (the whole shift structure telescopes onto the bare
 labels).  At alpha = 1 they reduce to displaced-oscillator form c_i - z_i.
 
-Fock-space operators are short Kronecker sums sum_t A_t (x) B_t of
-tridiagonal n_trunc x n_trunc factors.  :class:`TruncatedOperator` keeps
-them as the bands of the product basis that those factors reach and checks
-Hermiticity, path agreement and the diagonal on the bands; the bands are
-the only form of the operator.
+Fock-space operators are short Kronecker sums sum_t A_t (x) B_t whose
+single-mode factors are kept as rows of coefficients over the monomials
+1, s, s+, s+s, s s+, s^2, s+^2 of the truncated lowering matrix s, never
+as n_trunc x n_trunc matrices.  Such a sum is one 7 x 7 coefficient
+matrix K, and every band of the product basis is a block of the one
+product V^T K V, V holding each monomial's diagonal (:func:`_operator`).
+:class:`TruncatedOperator` keeps the bands and checks Hermiticity, path
+agreement and the diagonal on them; the bands are the only form of the
+operator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .basis import _check_finite, _check_positive, _symmetrized, check_alpha
-from .states import DisplacementLabels, GaussianState, OscillatorGeometry, gaussian_state, wave_function
+from .states import DisplacementLabels, GaussianState, OscillatorGeometry, QuadraticGaussian
+from .states import gaussian_state, wave_function
 
 __all__ = [
     "OscillatorSpec",
@@ -202,11 +208,14 @@ class TruncatedOperator:
 
     def hermiticity_defect(self) -> float:
         """max |H - H^dagger| over all entries."""
-        # the mirror of band entry [i, j] of (d1, d2) is entry [i, j] of (-d1, -d2)
+        # the mirror of band entry [i, j] of (d1, d2) is entry [i, j] of
+        # (-d1, -d2); |A - B^*| holds the entries of |B - A^*|, so a band
+        # with a mirror is read once per pair
         defects = []
         for (d1, d2), band in self.bands.items():
             mirror = self.bands.get((-d1, -d2))
-            defects.append(np.abs(band if mirror is None else band - mirror.conj()).max())
+            if mirror is None or (d1, d2) >= (-d1, -d2):
+                defects.append(np.abs(band if mirror is None else band - mirror.conj()).max())
         # initial: an operator with no bands is zero, and so is its defect
         return float(np.max(defects, initial=0.0))
 
@@ -217,85 +226,95 @@ def _band_prefix(op: TruncatedOperator, offsets: tuple[int, int], rows: int, col
     return 0.0 if band is None else band[:rows, :cols]
 
 
-def _single_lowering(n_trunc: int) -> np.ndarray:
-    # one mode's truncated lowering matrix s, <k-1| s |k> = sqrt(k)
-    return np.diag(np.sqrt(np.arange(1.0, n_trunc)), k=1)
+# One mode's operators are rows of coefficients over the monomials of its
+# truncated lowering matrix s, <k-1| s |k> = sqrt(k): 1, s, s+, s+s, s s+,
+# s^2 and s+^2.  The truncated s s+ is diag(1 .. n-1, 0), not s+s + 1, so it
+# is a monomial of its own, and the product of two rows of degree at most
+# one is exact in the truncated matrices.  Monomial m lies on the single
+# diagonal d = _OFFSETS[m] (entries <r| M_m |r + d>) and its adjoint is
+# monomial _ADJOINTS[m]; row 3 i + j of _PRODUCTS marks the monomial of
+# M_i M_j for i, j among 1, s, s+.  An operator on the product basis is the
+# coefficient matrix K of sum K[m1, m2] M_m1 (x) M_m2, mode 1 acting
+# through m1.
+_MONOMIALS = 7
+_OFFSETS = np.array([0, 1, -1, 0, 0, 2, -2])
+_ADJOINTS = np.array([0, 2, 1, 3, 4, 6, 5])
+_PRODUCTS = np.eye(_MONOMIALS, dtype=complex)[[0, 1, 2, 1, 5, 4, 2, 3, 6]]
+_SLOTS = np.eye(5, dtype=bool)[_OFFSETS + 2]
+_ONE, _S, _S_DAG, _NUMBER = np.eye(_MONOMIALS)[:4]
 
 
-# An operator on the product basis as a short Kronecker sum sum_t A_t (x) B_t,
-# kept as the list of (A_t, B_t) pairs of n_trunc x n_trunc factors; mode 1
-# acts through A, mode 2 through B, so c1 = s (x) 1 and c2 = 1 (x) s.
-_Kron = list[tuple[np.ndarray, np.ndarray]]
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row of the product a b of two rows of degree at most one."""
+    return (a[:3, None] * b[:3]).ravel() @ _PRODUCTS
 
 
-def _band_offsets(factors: np.ndarray) -> list[int]:
-    # diagonals on which any of the stacked (T, n, n) factors holds a
-    # nonzero or NaN entry
-    rows, cols = np.nonzero((factors != 0).any(axis=0))
-    return sorted(set((cols - rows).tolist()))
+def _hermitian_part(row: np.ndarray) -> np.ndarray:
+    # (A + A+) / 2, the coefficient of M_m in A+ being conj(row[_ADJOINTS[m]])
+    return 0.5 * (row + row[_ADJOINTS].conj())
 
 
-def _kron_operator(terms: _Kron) -> TruncatedOperator:
-    """sum_t A_t (x) B_t in band form.
+def _kron_terms(terms: list) -> np.ndarray:
+    """Coefficient matrix of sum_t A_t (x) B_t from the row pairs (A_t, B_t).
 
-    The entry <r1, r2| H |r1 + d1, r2 + d2> is sum_t A_t[r1, r1 + d1]
-    B_t[r2, r2 + d2], so the band of (d1, d2) is L^T R for the (T, n - |d|)
-    stacks L and R of the factors' d1-th and d2-th diagonals.
+    Summed term by term in list order, so that mirror-image terms round alike.
     """
-    left = np.array([a for a, _ in terms], dtype=complex)
-    right = np.array([b for _, b in terms], dtype=complex)
-    lefts = {d: np.ascontiguousarray(np.diagonal(left, d, 1, 2)) for d in _band_offsets(left)}
-    rights = {d: np.ascontiguousarray(np.diagonal(right, d, 1, 2)) for d in _band_offsets(right)}
-    bands = {(d1, d2): a.T @ b for d1, a in lefts.items() for d2, b in rights.items()}
-    return TruncatedOperator(bands, left.shape[1])
+    left, right = np.array(terms, dtype=complex).transpose(1, 0, 2)
+    return (left[:, :, None] * right[:, None, :]).sum(axis=0)
 
 
-def _sym(op: np.ndarray) -> np.ndarray:
-    # operator real part: (A + A+) / 2
-    return 0.5 * (op + op.conj().T)
+@lru_cache(maxsize=8)
+def _monomial_diagonals(n_trunc: int) -> np.ndarray:
+    """(7, 5, n_trunc) table V: V[m, d + 2] is the d-th diagonal of monomial m.
 
-
-def _adjoint_product(dag: _Kron, op: _Kron) -> _Kron:
-    """C+ C for C = X (x) 1 + 1 (x) Y and C+ = X' (x) 1 + 1 (x) Y'.
-
-    Term by term with the mixed-product rule (A (x) B)(C (x) D) = AC (x) BD:
-    X'X (x) 1 + X' (x) Y + X (x) Y' + 1 (x) Y'Y.  X'X and Y'Y are Hermitian;
-    their Hermitian part is kept, because a complex product conj(w) w may
-    round to a nonzero imaginary part.
+    Diagonals run in ``np.diagonal`` order and are zero-padded to n_trunc;
+    every slot off a monomial's own diagonal is zero.
     """
-    (x_dag, eye), (_, y_dag) = dag
-    (x, _), (_, y) = op
-    return [
-        (_sym(x_dag @ x), eye),
-        (x_dag, y),
-        (x, y_dag),
-        (eye, _sym(y_dag @ y)),
-    ]
+    root = np.sqrt(np.arange(1.0, n_trunc))
+    table = np.zeros((_MONOMIALS, 5, n_trunc))
+    table[0, 2], table[3, 2] = 1.0, np.arange(n_trunc)
+    table[1, 3, :-1] = table[2, 1, :-1] = root
+    table[4, 2, :-1] = np.arange(1.0, n_trunc)
+    table[5, 4, :-2] = table[6, 0, :-2] = root[:-1] * root[1:]
+    table.flags.writeable = False
+    return table
 
 
-def _ladder_terms(
-    alpha: float, z1: complex, z2: complex, n_trunc: int
-) -> tuple[_Kron, _Kron, _Kron, _Kron]:
-    """(C1, C1+, C2, C2+) as Kronecker sums X (x) 1 + 1 (x) Y."""
+def _operator(coeffs: np.ndarray, n_trunc: int) -> TruncatedOperator:
+    """sum K[m1, m2] M_m1 (x) M_m2 in band form.
+
+    The band of (d1, d2) is sum K[m1, m2] v_m1 v_m2^T over the monomials m1
+    of diagonal d1 and m2 of diagonal d2, v_m the diagonal of M_m, so every
+    band is a block of the one product V^T K V over the diagonals in use.
+    A band whose block of K is all zero is dropped; a NaN keeps its band.
+    """
+    # blocks[d1 + 2, d2 + 2]: whether the band (d1, d2) has a nonzero or NaN coefficient
+    blocks = _SLOTS.T @ (coeffs != 0) @ _SLOTS
+    rows, cols = (np.flatnonzero(blocks.any(axis=axis)).tolist() for axis in (1, 0))
+    table = _monomial_diagonals(n_trunc)
+    left, right = table[:, rows].reshape(_MONOMIALS, -1), table[:, cols].reshape(_MONOMIALS, -1)
+    # real and imaginary parts side by side, so that V^T K V is one real product
+    mixed = np.stack([coeffs.real @ right, coeffs.imag @ right], axis=-1).reshape(_MONOMIALS, -1)
+    product = (left.T @ mixed).view(complex).reshape(len(rows), n_trunc, len(cols), n_trunc)
+    bands = {}
+    for a, b in np.argwhere(blocks).tolist():
+        bands[a - 2, b - 2] = product[rows.index(a), : n_trunc - abs(a - 2), cols.index(b), : n_trunc - abs(b - 2)]
+    return TruncatedOperator(bands, n_trunc)
+
+
+def _ladder_rows(alpha: float, z1: complex, z2: complex) -> np.ndarray:
+    """(C1, C1+, C2, C2+) as row pairs (X, Y) of C = X (x) 1 + 1 (x) Y, shape (4, 2, 7).
+
+    C = sum_j (raising[j] c_j+ + lowering[j] c_j) + shift, the shift riding
+    on the mode-1 row X: (nu, nu_tilde, zeta_shift) for C_i and
+    (mu, mu_tilde, xi_shift) for C_i+.
+    """
     coeffs = ladder_coefficients(alpha, z1, z2)
-    if n_trunc < 4:
-        raise ValueError(f"n_trunc must be >= 4, got {n_trunc}")
-    single = _single_lowering(n_trunc)
-    eye = np.eye(n_trunc)
-
-    def combine(raising, lowering, shift: complex) -> _Kron:
-        # sum_j (raising[j] c_j+ + lowering[j] c_j) + shift, c_j+ being the
-        # transpose of the real c_j; the shift rides on the mode-1 factor
-        mode1 = raising[0] * single.T + lowering[0] * single + shift * eye
-        mode2 = raising[1] * single.T + lowering[1] * single
-        return [(mode1, eye), (eye, mode2)]
-
-    return (
-        combine(coeffs.nu[0], coeffs.nu_tilde[0], coeffs.zeta_shift[0]),
-        combine(coeffs.mu[0], coeffs.mu_tilde[0], coeffs.xi_shift[0]),
-        combine(coeffs.nu[1], coeffs.nu_tilde[1], coeffs.zeta_shift[1]),
-        combine(coeffs.mu[1], coeffs.mu_tilde[1], coeffs.xi_shift[1]),
-    )
+    rows = np.zeros((4, 2, _MONOMIALS), dtype=complex)
+    rows[:, 0, 0] = [coeffs.zeta_shift[0], coeffs.xi_shift[0], coeffs.zeta_shift[1], coeffs.xi_shift[1]]
+    rows[:, :, 1] = [coeffs.nu_tilde[0], coeffs.mu_tilde[0], coeffs.nu_tilde[1], coeffs.mu_tilde[1]]
+    rows[:, :, 2] = [coeffs.nu[0], coeffs.mu[0], coeffs.nu[1], coeffs.mu[1]]
+    return rows
 
 
 def transformed_ladder_matrices(alpha: float, z1: complex, z2: complex, n_trunc: int = 20):
@@ -304,7 +323,10 @@ def transformed_ladder_matrices(alpha: float, z1: complex, z2: complex, n_trunc:
     Commutators [Ci, Cj+] = delta_ij and [Ci, Cj] = 0 hold exactly on the
     interior sub-block (both mode indices below ``n_trunc - 2``).
     """
-    return tuple(_kron_operator(terms) for terms in _ladder_terms(alpha, z1, z2, n_trunc))
+    rows = _ladder_rows(alpha, z1, z2)
+    if n_trunc < 4:
+        raise ValueError(f"n_trunc must be >= 4, got {n_trunc}")
+    return tuple(_operator(_kron_terms([(x, _ONE), (_ONE, y)]), n_trunc) for x, y in rows)
 
 
 def _frequency_mix(alpha: float, spec: OscillatorSpec) -> tuple[float, float, float]:
@@ -316,17 +338,20 @@ def _frequency_mix(alpha: float, spec: OscillatorSpec) -> tuple[float, float, fl
     return mix1, mix2, coupling
 
 
-def _hamiltonian_terms(
-    alpha: float, spec: OscillatorSpec, z1: complex, z2: complex, n_trunc: int, method: str
-) -> _Kron:
-    """Kronecker factor list of the mode-2 Hamiltonian on one of the two paths."""
+def _hamiltonian_terms(alpha: float, spec: OscillatorSpec, z1: complex, z2: complex, method: str) -> list:
+    """Row pairs (A_t, B_t) of the mode-2 Hamiltonian on one of the two paths."""
     hbar = spec.hbar
-    eye = np.eye(n_trunc)
     if method == "ladder":
-        c1, c1_dag, c2, c2_dag = _ladder_terms(alpha, z1, z2, n_trunc)
-        terms = [(hbar * spec.omega1 * a, b) for a, b in _adjoint_product(c1_dag, c1)]
-        terms += [(hbar * spec.omega2 * a, b) for a, b in _adjoint_product(c2_dag, c2)]
-        terms.append((0.5 * hbar * (spec.omega1 + spec.omega2) * eye, eye))
+        c1, c1_dag, c2, c2_dag = _ladder_rows(alpha, z1, z2)
+        terms = [(0.5 * hbar * (spec.omega1 + spec.omega2) * _ONE, _ONE)]
+        for omega, (x_dag, y_dag), (x, y) in ((spec.omega1, c1_dag, c1), (spec.omega2, c2_dag, c2)):
+            # C+ C = X'X (x) 1 + X' (x) Y + X (x) Y' + 1 (x) Y'Y by the
+            # mixed-product rule; of the Hermitian X'X and Y'Y the Hermitian
+            # part is kept, because a complex product conj(w) w may round to
+            # a nonzero imaginary part
+            scale = hbar * omega
+            terms += [(scale * _hermitian_part(_times(x_dag, x)), _ONE), (scale * x_dag, y), (scale * x, y_dag)]
+            terms.append((_ONE, scale * _hermitian_part(_times(y_dag, y))))
         return terms
     if method != "expanded":
         raise ValueError(f"method must be 'ladder' or 'expanded', got {method!r}")
@@ -334,23 +359,18 @@ def _hamiltonian_terms(
     mix1, mix2, coupling = _frequency_mix(alpha, spec)
     sigma, tau = _sigma_tau(alpha)
     omega1, omega2 = spec.omega1, spec.omega2
-    single = _single_lowering(n_trunc)
-    number = np.diag(np.arange(float(n_trunc)))
+    constant = hbar * (omega1 * abs(z1) ** 2 + omega2 * abs(z2) ** 2)
     return [
-        (hbar * mix1 * number, eye),
-        (eye, hbar * mix2 * number),
+        (hbar * mix1 * _NUMBER, _ONE),
+        (_ONE, hbar * mix2 * _NUMBER),
         # sym(c1 c2) = (s (x) s + s+ (x) s+) / 2
-        (0.5 * hbar * coupling * single, single),
-        (0.5 * hbar * coupling * single.T, single.T),
-        (-2.0 * hbar * omega1 * sigma * _sym(z1.conjugate() * single), eye),
-        (-2.0 * hbar * omega2 * tau * _sym(z2 * single), eye),
-        (eye, -2.0 * hbar * omega2 * sigma * _sym(z2.conjugate() * single)),
-        (eye, -2.0 * hbar * omega1 * tau * _sym(z1 * single)),
-        (
-            hbar * (omega1 * abs(z1) ** 2 + omega2 * abs(z2) ** 2) * eye
-            + hbar * (1.0 + alpha * alpha) * (omega1 + omega2) / (4.0 * alpha) * eye,
-            eye,
-        ),
+        (0.5 * hbar * coupling * _S, _S),
+        (0.5 * hbar * coupling * _S_DAG, _S_DAG),
+        (-2.0 * hbar * omega1 * sigma * _hermitian_part(z1.conjugate() * _S), _ONE),
+        (-2.0 * hbar * omega2 * tau * _hermitian_part(z2 * _S), _ONE),
+        (_ONE, -2.0 * hbar * omega2 * sigma * _hermitian_part(z2.conjugate() * _S)),
+        (_ONE, -2.0 * hbar * omega1 * tau * _hermitian_part(z1 * _S)),
+        ((constant + hbar * (1.0 + alpha * alpha) * (omega1 + omega2) / (4.0 * alpha)) * _ONE, _ONE),
     ]
 
 
@@ -365,20 +385,22 @@ def hamiltonian_fock(
     """Truncated Fock-space operator of the mode-2 Hamiltonian, in band form.
 
     ``method="ladder"`` assembles hbar omega_1 C1+ C1 + hbar omega_2 C2+ C2
-    + hbar (omega_1 + omega_2)/2 from the transformed ladder operators;
-    ``method="expanded"`` builds the expanded term list directly.  Both
-    paths are lists of n_trunc x n_trunc Kronecker factors, every factor
-    nonzero only on diagonals -1, 0 and 1, so the operator is nine bands
-    of at most n_trunc x n_trunc entries.  The two paths agree entrywise
-    on the interior sub-block.  At alpha = 1 and z = 0 the
-    operator is diagonal with entries hbar omega_1 m + hbar omega_2 n
-    + hbar (omega_1 + omega_2)/2.
+    + hbar (omega_1 + omega_2)/2 by multiplying the coefficient rows of the
+    transformed ladder operators; ``method="expanded"`` writes the expanded
+    term list directly.  Both paths are Kronecker sums of single-mode
+    coefficient rows over the monomials 1, s, s+, s+s, s s+ of the truncated
+    lowering matrix, so no n_trunc x n_trunc factor is formed.  The
+    operator is seven bands of at most n_trunc x n_trunc entries: the nine
+    of tridiagonal factors less the pair of s (x) s+ and s+ (x) s, which
+    no term carries.  The two paths agree entrywise on the interior
+    sub-block.  At alpha = 1 and z = 0 the operator is diagonal with
+    entries hbar omega_1 m + hbar omega_2 n + hbar (omega_1 + omega_2)/2.
     """
     alpha = check_alpha(alpha, closed=True)
     if n_trunc < 8:
         raise ValueError(f"n_trunc must be >= 8, got {n_trunc}")
     z1, z2 = _finite_labels(z1, z2)
-    return _kron_operator(_hamiltonian_terms(alpha, spec, z1, z2, n_trunc, method))
+    return _operator(_kron_terms(_hamiltonian_terms(alpha, spec, z1, z2, method)), n_trunc)
 
 
 @dataclass(frozen=True)
@@ -467,11 +489,14 @@ _PAD = 4
 _BOX_SIGMAS = 8.0
 
 
-def _stencil_1d(values: np.ndarray, weights: np.ndarray, spacing: float, order: int) -> np.ndarray:
-    # zero-padded correlation out[i] = sum_k weights[k] values[i + k - radius]
-    radius = len(weights) // 2
-    padded = np.pad(np.asarray(values, dtype=complex), radius)
-    return np.correlate(padded, weights / spacing**order, mode="valid")
+def _derivatives(values: np.ndarray, spacing: float) -> tuple[np.ndarray, np.ndarray]:
+    # first and second derivatives by the stencils, from one zero-padded copy:
+    # out[i] = sum_k weights[k] values[i + k - _PAD]
+    padded = np.concatenate((np.zeros(_PAD), values, np.zeros(_PAD)))
+    return (
+        np.correlate(padded, _D1_STENCIL / spacing, mode="valid"),
+        np.correlate(padded, _D2_STENCIL / spacing**2, mode="valid"),
+    )
 
 
 def _factored_action(
@@ -480,38 +505,37 @@ def _factored_action(
     g: np.ndarray,
     s_axis: np.ndarray,
     t_axis: np.ndarray,
-    frame: np.ndarray,
+    gaussian: QuadraticGaussian,
     center: np.ndarray,
     hbar: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(U, V) with (Q, L, c) applied to the product samples f (x) g equal to U V^T.
 
     The grid is x = center + frame (s, t) over the uniform axes ``s_axis``
-    and ``t_axis``, so momenta act as -i hbar frame^-T grad_(s,t).  Every
-    term of the operator is then a product of one 1D operator on f and one
-    on g: column 0 collects the s-only terms (times g), column 1 the t-only
-    terms (times f), columns 2 and 3 the mixed derivative d_s d_t and the
-    mixed potential s t.  Derivatives are 8th-order central differences
-    with zero fill outside the axes, so outputs within 4 samples of an end
-    see that fill.
+    and ``t_axis``, the frame and its inverse read from ``gaussian``, so
+    momenta act as -i hbar frame^-T grad_(s,t).  Every term of the operator
+    is then a product of one 1D operator on f and one on g: column 0
+    collects the s-only terms (times g), column 1 the t-only terms (times
+    f), columns 2 and 3 the mixed derivative d_s d_t and the mixed
+    potential s t.  Derivatives are 8th-order central differences with zero
+    fill outside the axes, so outputs within 4 samples of an end see that
+    fill.
     """
-    inverse = np.linalg.inv(frame)
+    frame, inverse = gaussian.frame, gaussian.inverse
     kinetic = -0.5 * hbar**2 * (inverse @ ham.q[2:, 2:] @ inverse.T)
     drift = -1j * hbar * (inverse @ ham.linear[2:])
     potential = frame.T @ ham.q[:2, :2] @ frame
     slope = frame.T @ (ham.q[:2, :2] @ center + ham.linear[:2])
     offset = 0.5 * center @ ham.q[:2, :2] @ center + ham.linear[:2] @ center + ham.constant
-    h_s = float(s_axis[1] - s_axis[0])
-    h_t = float(t_axis[1] - t_axis[0])
-    df = _stencil_1d(f, _D1_STENCIL, h_s, 1)
-    dg = _stencil_1d(g, _D1_STENCIL, h_t, 1)
+    df, d2f = _derivatives(f, float(s_axis[1] - s_axis[0]))
+    dg, d2g = _derivatives(g, float(t_axis[1] - t_axis[0]))
     s_part = (
-        kinetic[0, 0] * _stencil_1d(f, _D2_STENCIL, h_s, 2)
+        kinetic[0, 0] * d2f
         + drift[0] * df
         + (0.5 * potential[0, 0] * s_axis**2 + slope[0] * s_axis + offset) * f
     )
     t_part = (
-        kinetic[1, 1] * _stencil_1d(g, _D2_STENCIL, h_t, 2)
+        kinetic[1, 1] * d2g
         + drift[1] * dg
         + (0.5 * potential[1, 1] * t_axis**2 + slope[1] * t_axis) * g
     )
@@ -597,7 +621,7 @@ def ground_state_energy_check(
     constant = 1j * (np.dot(state.wavenumbers, state.center) + state.phase)
     g = state.gaussian.norm_prefactor * np.exp(constant + t_axis * (1j * k_t - 0.5 * kappa_t * t_axis))
     ham = hamiltonian_quadratic(alpha, spec, z1, z2)
-    u, v = _factored_action(ham, f, g, s_axis, t_axis, frame, center, spec.hbar)
+    u, v = _factored_action(ham, f, g, s_axis, t_axis, state.gaussian, center, spec.hbar)
     expected = 0.5 * spec.hbar * (spec.omega1 + spec.omega2)
     u[:, 0] -= expected * f
     core = slice(_PAD, -_PAD)

@@ -133,15 +133,28 @@ class QuadraticGaussian:
         """r^T M r / 2 at r = (x1, x2): two squares on the principal axes, summed in place.
 
         A square beyond the float64 range gives +inf, the exact limit of the
-        exponent, without an overflow warning.
+        exponent, without an overflow warning; so does a row sum of two
+        overflowed products of opposite sign (inf - inf), since M is
+        positive definite.  A NaN coordinate gives NaN.
         """
         rows = np.sqrt(np.multiply(0.5, self.curvatures))[:, None] * self.inverse
         shape = np.broadcast_shapes(np.shape(x1), np.shape(x2))
-        with np.errstate(over="ignore"):
+
+        def squares():
             total, term = (np.add(r1 * x1, r2 * x2, out=np.empty(shape)) for r1, r2 in rows.tolist())
             np.square(total, out=total)
             total += np.square(term, out=term)
-        return total
+            return total
+
+        try:
+            # only inf - inf or 0 * inf raises; a NaN coordinate propagates quietly
+            with np.errstate(over="ignore", invalid="raise"):
+                return squares()
+        except FloatingPointError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = squares()
+            total[np.isnan(total) & ~(np.isnan(x1) | np.isnan(x2))] = np.inf
+            return total
 
     def evaluate(self, x1, x2) -> np.ndarray:
         value = self.exponent(x1, x2)

@@ -480,16 +480,21 @@ def model_suite() -> list[CheckResult]:
     growth = np.maximum(np.diff(deviations), 0.0)
     checks.append(_check("no-squeezing limit monotone approach", growth, 0.0))
 
-    # [X (x) 1 + 1 (x) Y, X' (x) 1 + 1 (x) Y'] = [X, X'] (x) 1 + 1 (x) [Y, Y'] in band form
-    identity, zero = model._kron_operator([(np.eye(14), np.eye(14))]), model.TruncatedOperator({}, 14)
+    # [X (x) 1 + 1 (x) Y, X' (x) 1 + 1 (x) Y'] = [X, X'] (x) 1 + 1 (x) [Y, Y'],
+    # the commutators of coefficient rows, in band form
+    one = model._ONE
+    identity, zero = model._operator(model._kron_terms([(one, one)]), 14), model.TruncatedOperator({}, 14)
     residuals = []
     for alpha in (0.25, 0.6):
-        c1, c1_dag, c2, c2_dag = model._ladder_terms(alpha, 0.3 + 0.1j, -0.2j, 14)
-        for ((x, eye), (_, y)), ((x_other, _), (_, y_other)), expected in [
+        c1, c1_dag, c2, c2_dag = model._ladder_rows(alpha, 0.3 + 0.1j, -0.2j)
+        for (x, y), (x_other, y_other), expected in [
             (c1, c1_dag, identity), (c2, c2_dag, identity), (c1, c2, zero), (c1, c2_dag, zero)
         ]:
-            terms = [(x @ x_other - x_other @ x, eye), (eye, y @ y_other - y_other @ y)]
-            residuals.append(model._kron_operator(terms).interior_gap(expected))
+            terms = [
+                (model._times(x, x_other) - model._times(x_other, x), one),
+                (one, model._times(y, y_other) - model._times(y_other, y)),
+            ]
+            residuals.append(model._operator(model._kron_terms(terms), 14).interior_gap(expected))
     checks.append(_check("canonical commutators on the interior block", residuals, 1e-12))
 
     spec_g = model.OscillatorSpec.from_geometry(states.OscillatorGeometry(1.0, 1.2))

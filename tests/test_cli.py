@@ -170,6 +170,19 @@ class TestWigner:
         assert all(math.isfinite(v) for v in values)
         assert [i for i, v in enumerate(values) if v == 0.0] == zero_rows
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_opposite_overflows_are_an_exact_zero(self, capsys):
+        # at alpha 1e-8 a principal-axis row of the corners (1e305, -1e305)
+        # and (-1e305, 1e305) sums two products that overflow with opposite
+        # signs; the exponent is +inf there all the same, not inf - inf = NaN
+        code, out, err = run(
+            ["wigner", "--alpha=1e-8", "--n1=3", "--n2=3", "--range1=-1e305:1e305", "--range2=-1e305:1e305"], capsys
+        )
+        assert code == 0, err
+        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+        values = [float(r[2]) for r in rows]
+        assert values == [0.0] * 4 + [pytest.approx(math.pi**-2, rel=1e-15)] + [0.0] * 4
+
     def test_rejects_bad_axes(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["wigner", "--alpha", "0.5", "--axes", "x1,q9"])
@@ -363,6 +376,34 @@ class TestHamiltonianCommand:
         code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=12"], capsys)
         assert code == 1
         assert not json.loads(out)["ground_state"]["within_tolerance"]
+
+    def test_hermiticity_defect_gates_the_exit(self, capsys, monkeypatch):
+        # a Fock operator that is not Hermitian fails the run although the
+        # paths agree and the ground state passes: both paths get the same
+        # band (2, 0), whose mirror (-2, 0) is absent
+        fock = model.hamiltonian_fock
+
+        def skewed(*args, **kwargs):
+            op = fock(*args, **kwargs)
+            unmirrored = np.full((op.n_trunc - 2, op.n_trunc), 1e-3)
+            return model.TruncatedOperator({**op.bands, (2, 0): unmirrored}, op.n_trunc)
+
+        monkeypatch.setattr(model, "hamiltonian_fock", skewed)
+        code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=12"], capsys)
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["fock"]["hermiticity_defect"] == 1e-3
+        assert payload["fock"]["path_agreement_interior"] <= 1e-12
+        assert payload["ground_state"]["within_tolerance"]
+
+    @pytest.mark.parametrize("argv, order", [([], 80), (["--order=120"], 120)], ids=["default", "flag"])
+    def test_params_record_order(self, argv, order, capsys):
+        # the header holds every parameter of the run, the check's grid order too
+        code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=8", *argv], capsys)
+        payload = json.loads(out)
+        assert code == 0
+        assert payload["params"]["order"] == order
+        assert payload["ground_state"]["grid_points"] == 2 * order + 1
 
     def test_imaginary_label_resolved(self, capsys):
         code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=12", "--z1=4", "--z2=-3j"], capsys)

@@ -511,6 +511,22 @@ class TestUnshiftedGaussian:
         assert g.curvatures == (1e8, 1e-8)
         assert np.isfinite(g.evaluate(0.0, 0.0))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_exponent_opposite_overflows_and_nan_coordinates(self):
+        # at (1e305, -1e305) both row products overflow, with opposite signs
+        # in one row: inf - inf once gave NaN, but the exponent of a positive
+        # definite form is +inf; a NaN coordinate stays NaN on either route
+        g = states.unshifted_gaussian(2, 1e-8, states.OscillatorGeometry(1.0, 1.0))
+        x1 = np.array([1e305, -1e305, math.nan, -1e305, 0.5])
+        x2 = np.array([-1e305, 1e305, 0.0, math.nan, 0.2])
+        exponent = g.exponent(x1, x2)
+        assert exponent[:2].tolist() == [math.inf, math.inf]
+        assert np.isnan(exponent[2:4]).all()
+        assert exponent[4] == g.exponent(0.5, 0.2)
+        assert g.evaluate(x1[:2], x2[:2]).tolist() == [0.0, 0.0]
+        # without an overflow the NaN passes through the common route
+        assert math.isnan(g.exponent(math.nan, 0.2)) and math.isnan(g.exponent(0.5, math.nan))
+
     @pytest.mark.parametrize("sides", [(1.0, 1.0), (0.8, 1.3)])
     def test_mode2_norm_prefactor_exact(self, sides):
         # det M = a^2 b^2 at every alpha; np.linalg.det of the raw matrix
