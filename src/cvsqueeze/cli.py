@@ -16,12 +16,16 @@ over the environment; environment values are checked like flag values).
 Output files embed the full parameter set that produced them and use a
 fixed field order.  Floats round-trip exactly: csv writes them with 17
 significant digits, json with the shortest ``repr`` that reads back to the
-same float.  Tables are written column by column through ``_emit_table``;
-their float text comes from a vectorized converter whose bytes equal
-Python's ``format(v, ".17g")`` and ``json.dumps(v)``, Python formatting the
-values the converter cannot decide.  Identical inputs produce
-byte-identical files.  Exit codes: 0 success, 1 check failure, 2 usage
-error.
+same float.  A table is evaluated, formatted and written one block of
+whole rows at a time: ``_emit_table`` yields the header, each block and the
+tail as bytes, and ``_write`` writes each to ``--out`` or stdout as it
+comes, so a table's traced peak stays near 4-5 MiB at any size (a 1201 x
+1201 ``wigner`` table: 3.9 MiB csv, 4.8 MiB json).  Every check that can
+fail runs before the destination is opened.  The float text comes from a
+vectorized converter whose bytes equal Python's ``format(v, ".17g")`` and
+``json.dumps(v)``, Python formatting the values the converter cannot
+decide.  Identical inputs produce byte-identical files.  Exit codes: 0
+success, 1 check failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -334,7 +338,7 @@ def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("
 
 
 # table rows per block of the body, which bounds the temporaries of its
-# byte matrix and of the float texts in it
+# byte matrix, of the float texts in it and of a computed column
 _BLOCK_ROWS = 8192
 
 
@@ -348,55 +352,79 @@ def _column_texts(column: np.ndarray, fmt: str) -> np.ndarray:
     return texts.reshape(column.shape + (1,)).view(np.uint8)
 
 
-def _emit_table(params: dict, names: list[str], columns: list, fmt: str) -> str:
-    """The table with one row per element of ``columns`` broadcast together,
-    in C order.  Each column is formatted at its own shape, so a ``wigner``
-    coordinate is formatted once, not once per row.  The body is built a
-    block of leading-axis slices at a time: a NUL-padded byte matrix, one
-    row per table row, from which one mask drops the padding."""
+def _emit_table(params: dict, names: list[str], columns: list, fmt: str):
+    """Yield the table's bytes: the header, each block of whole leading-axis
+    rows, then the tail.
+
+    The table has one row per element of ``columns`` broadcast together, in
+    C order.  A column is an array-like, formatted at its own shape, so a
+    ``wigner`` coordinate is formatted once, not once per row; or a function
+    of a slice of leading-axis rows that returns that block of the column,
+    called once per block.  The array-likes fix the table's shape.  A block
+    is a NUL-padded byte matrix, one row per table row, from which one mask
+    drops the padding."""
     opening, sep, closing, newline = _LAYOUT[fmt]
-    columns = [np.asarray(column) for column in columns]
-    shape = np.broadcast_shapes(*(column.shape for column in columns))
-    # each column at the table's rank, so that its leading axis is the table's
-    columns = [column.reshape((1,) * (len(shape) - column.ndim) + column.shape) for column in columns]
-    fixed = [_column_texts(column, fmt) if column.shape[0] == 1 else None for column in columns]
+    columns = [column if callable(column) else np.asarray(column) for column in columns]
+    shape = np.broadcast_shapes(*(column.shape for column in columns if not callable(column)))
+
+    def at_rank(column: np.ndarray) -> np.ndarray:
+        # a column at the table's rank, so that its leading axis is the table's
+        return column.reshape((1,) * (len(shape) - column.ndim) + column.shape)
+
+    columns = [column if callable(column) else at_rank(column) for column in columns]
+    fixed = [_column_texts(column, fmt) if not callable(column) and column.shape[0] == 1 else None
+             for column in columns]
     seps = [np.frombuffer(text.encode(), np.uint8) for text in [opening] + [sep] * (len(columns) - 1)]
     end = np.frombuffer((closing + newline).encode(), np.uint8)
     if fmt == "csv":
         lines = [f"# {key} = {_fmt(value)}" for key, value in params.items()]
-        out = bytearray(("\n".join(lines + [",".join(names)]) + "\n").encode())
+        yield ("\n".join(lines + [",".join(names)]) + "\n").encode()
         tail = "\n"
     else:
         payload = {"params": {k: (str(v) if isinstance(v, complex) else v) for k, v in params.items()},
                    "columns": names,
                    "rows": []}
         # json.dumps ends in the empty '"rows": []' and the closing brace
-        out = bytearray((json.dumps(payload, indent=2)[:-len("]\n}")] + "\n").encode())
+        yield (json.dumps(payload, indent=2)[:-len("]\n}")] + "\n").encode()
         tail = "\n  ]\n}\n"
     step = max(1, _BLOCK_ROWS // math.prod(shape[1:]))
     for start in range(0, shape[0], step):
+        rows = slice(start, start + step)
         parts = []
         for column, texts, gap in zip(columns, fixed, seps):
-            parts += [gap, _column_texts(column[start:start + step], fmt) if texts is None else texts]
+            if texts is None:
+                texts = _column_texts(at_rank(np.asarray(column(rows))) if callable(column) else column[rows], fmt)
+            parts += [gap, texts]
         parts.append(end)
         widths = np.cumsum([0] + [part.shape[-1] for part in parts]).tolist()
-        block = np.empty((min(step, shape[0] - start), *shape[1:], widths[-1]), np.uint8)
+        matrix = np.empty((min(step, shape[0] - start), *shape[1:], widths[-1]), np.uint8)
         for part, lo, hi in zip(parts, widths, widths[1:]):
-            block[..., lo:hi] = part
-        out += block[block != 0].data
-    # the last row's separator gives way to the tail
-    del out[-len(newline):]
-    out += tail.encode()
-    return out.decode()
+            matrix[..., lo:hi] = part
+        block = matrix[matrix != 0].data
+        # the last row's separator gives way to the tail
+        yield block if rows.stop < shape[0] else block[:-len(newline)]
+    yield tail.encode()
 
 
-def _write(text: str, out: str | None) -> int:
+def _write(blocks, out: str | None) -> int:
+    """Write each block of bytes as it comes, to ``out`` or, decoded, to
+    ``sys.stdout``; no copy of the whole document is made."""
     if out is None:
-        sys.stdout.write(text)
+        try:
+            for block in blocks:
+                sys.stdout.write(str(block, "utf-8"))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has gone (``| head``): stop quietly, with stdout on
+            # devnull so that the flush at exit does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 0
     try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        with open(out, "wb") as handle:
+            for block in blocks:
+                handle.write(block)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 1
@@ -444,12 +472,16 @@ def cmd_wigner(args: argparse.Namespace) -> int:
 
     grid1 = np.linspace(args.range1[0], args.range1[1], args.n1)
     grid2 = np.linspace(args.range2[0], args.range2[1], args.n2)
-    # one evaluator call on the (n1, n2) mesh; the fixed axes stay the
-    # scalars a per-point call would get, so every value is the same
+    # one evaluator call per block of rows of the (n1, n2) mesh; the fixed
+    # axes stay the scalars a per-point call would get, so every value is
+    # the same
     shifted = {name: coords[name] - offsets[name] for name in _AXES}
-    shifted[axis1] = grid1[:, None] - offsets[axis1]
     shifted[axis2] = grid2[None, :] - offsets[axis2]
-    values = evaluator(shifted["x1"], shifted["x2"], shifted["p1"], shifted["p2"])
+
+    def values(rows: slice) -> np.ndarray:
+        block = dict(shifted, **{axis1: grid1[rows, None] - offsets[axis1]})
+        return evaluator(block["x1"], block["x2"], block["p1"], block["p2"])
+
     params = {
         "command": "wigner", "mode": args.k, "alpha": args.alpha,
         "a": args.a, "b": args.b, "hbar": args.hbar,
@@ -527,8 +559,7 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
             ),
         },
     }
-    text = json.dumps(payload, indent=2) + "\n"
-    status = _write(text, args.out)
+    status = _write([(json.dumps(payload, indent=2) + "\n").encode()], args.out)
     if status != 0:
         return status
     # every check the document reports decides the status; a NaN fails

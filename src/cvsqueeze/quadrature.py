@@ -16,14 +16,17 @@ class ConvergenceError(RuntimeError):
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for integrals against exp(-t^2) dt.
 
-    numpy's rule overflows to NaN weights from order 372 on, which is
-    reported as a ``ValueError`` rather than returned.
+    numpy's rule fails from order 371 on: the sum it normalizes the weights
+    by overflows, leaving all-zero weights at 371 and NaN ones from 372.
+    Any weight that is not finite and positive is reported as a
+    ``ValueError`` rather than returned.
     """
     if order < 2:
         raise ValueError(f"quadrature order must be >= 2, got {order}")
-    nodes, weights = hermgauss(order)
-    if not np.isfinite(weights).all():
-        raise ValueError(f"Gauss-Hermite weights are not finite at order {order}")
+    with np.errstate(all="ignore"):
+        nodes, weights = hermgauss(order)
+    if not (np.isfinite(weights) & (weights > 0.0)).all():
+        raise ValueError(f"Gauss-Hermite weights are not finite and positive at order {order}")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -502,6 +506,64 @@ class TestNumericFlags:
         assert excinfo.value.code == 2
 
 
+class TestWriter:
+    """One sink for every document: the --out file holds the bytes stdout
+    gets, and nothing is written when the command fails before its output."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # 300 rows of 64 points: three blocks of whole rows
+            ["wigner", "--alpha=0.35", "--n1=300", "--n2=64", "--z1=0.3+0.2j", "--format=csv"],
+            ["wigner", "--alpha=0.35", "--n1=300", "--n2=64", "--z1=0.3+0.2j", "--format=json"],
+            ["sweep", "--alphas=0.05,0.3,0.6", "--format=csv"],
+            ["sweep", "--alphas=0.05,0.3,0.6", "--format=json"],
+            ["hamiltonian", "--alpha=0.5", "--trunc=8"],
+        ],
+        ids=["wigner-csv", "wigner-json", "sweep-csv", "sweep-json", "hamiltonian"],
+    )
+    def test_file_bytes_equal_stdout(self, argv, tmp_path, capsys):
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        target = tmp_path / "doc"
+        assert run(argv + [f"--out={target}"], capsys) == (0, "", "")
+        assert target.read_bytes() == out.encode()
+
+    def test_usage_error_leaves_no_file(self, tmp_path, capsys):
+        target = tmp_path / "doc"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["wigner", "--alpha=0.5", "--fix=x1=0.5", f"--out={target}"])
+        assert excinfo.value.code == 2
+        assert not target.exists()
+
+    def test_failing_sweep_leaves_no_file(self, tmp_path, capsys):
+        # the pairing error of a tiny alpha is raised before the file opens
+        target = tmp_path / "doc"
+        code, out, err = run(["sweep", "--alphas=0.5,1e-8", f"--out={target}"], capsys)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert not target.exists()
+
+    def test_closed_pipe_ends_quietly(self):
+        # a reader that stops early (``| head``) leaves no traceback
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = [sys.executable, "-m", "cvsqueeze.cli", "wigner", "--alpha=0.5", "--n1=401", "--n2=401"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            assert proc.stdout.read(18) == b"# command = wigner"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert (code, stderr) == (0, b"")
+
+    def test_unwritable_out_exits_1(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "doc"
+        code, out, err = run(["wigner", "--alpha=0.5", f"--out={target}"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+
+
 def _python_texts(values, fmt: str) -> list:
     """Each value's text from Python's formatter, one value at a time."""
     write = (lambda v: format(v, ".17g")) if fmt == "csv" else json.dumps
@@ -619,9 +681,14 @@ def _reference_table(params: dict, columns: list, rows: list, fmt: str) -> str:
     return json.dumps({"params": params, "columns": columns, "rows": rows}, indent=2) + "\n"
 
 
+def _emitted(params: dict, names: list, columns: list, fmt: str) -> str:
+    """The text of the blocks the table writer yields."""
+    return b"".join(cli._emit_table(params, names, columns, fmt)).decode()
+
+
 def _direct_table(params: dict, columns: list, rows: list, fmt: str) -> str:
     """The table writer fed directly, one column per table column."""
-    return cli._emit_table(params, columns, [list(column) for column in zip(*rows)], fmt)
+    return _emitted(params, columns, [list(column) for column in zip(*rows)], fmt)
 
 
 def _reference_wigner_rows(params: dict) -> list:
@@ -700,21 +767,35 @@ class TestByteIdentity:
         if "--range2=0:40" in argv:
             assert ((cells > 0.0) & (cells < tiny)).any() and ((cells >= tiny) & (cells < 1e-280)).any()
 
-    @pytest.mark.parametrize("fmt, bound_mib", [("csv", 24), ("json", 32)])
-    def test_peak_memory_of_a_401_grid(self, fmt, bound_mib, tmp_path, capsys):
-        # the text is held twice at the end, as bytes and as str (8.8 MiB
-        # csv, 12.4 MiB json); the byte matrix and the float texts of a
-        # block of 8192 rows stay small. Measured 19.1 and 27.0 MiB; the
-        # per-row templates took 39.1 and 40.7 MiB
-        argv = ["wigner", "--alpha=0.35", "--n1=401", "--n2=401", f"--format={fmt}", f"--out={tmp_path / 'w'}"]
+    @staticmethod
+    def _traced_peak(argv) -> int:
+        # the second run, so that the first one's caches are not counted
         assert main(argv) == 0
         tracemalloc.start()
         try:
             assert main(argv) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound_mib * 2**20
+
+    @pytest.mark.parametrize("fmt, bound_mib", [("csv", 8), ("json", 10)])
+    def test_peak_memory_of_a_401_grid(self, fmt, bound_mib, tmp_path, capsys):
+        # a table is evaluated, formatted and written a block of 8192 rows
+        # at a time, and no copy of the whole text is held: the values,
+        # float texts and byte matrix of one block. Measured 4.3 and
+        # 5.3 MiB; the whole-document writer took 19.1 and 27.0 MiB, the
+        # per-row templates 39.1 and 40.7 MiB
+        argv = ["wigner", "--alpha=0.35", "--n1=401", "--n2=401", f"--format={fmt}", f"--out={tmp_path / 'w'}"]
+        assert self._traced_peak(argv) <= bound_mib * 2**20
+
+    def test_peak_memory_does_not_grow_with_the_rows(self, tmp_path, capsys):
+        # 1001 rows against 401 of the same length: the same blocks, more
+        # of them (measured 4.31 against 4.30 MiB; the whole-document
+        # writer took 49.5 against 19.1 MiB)
+        argv = ["wigner", "--alpha=0.35", "--n2=401", f"--out={tmp_path / 'w'}"]
+        square = self._traced_peak(argv + ["--n1=401"])
+        tall = self._traced_peak(argv + ["--n1=1001"])
+        assert tall <= square + 2**20
 
     def test_sweep_matches_reference(self, capsys):
         argv = ["sweep", "--alphas=0.05,0.3,0.6,0.97", "--a=0.7", "--b=1.9", "--hbar=1.1"]
@@ -749,7 +830,7 @@ class TestByteIdentity:
         # the columns cmd_wigner passes: each grid along its own axis
         columns = [np.array(grid1)[:, None], np.array(grid2)[None, :], cells]
         for fmt in ("csv", "json"):
-            text = cli._emit_table(params, ["x1", "x2", "wigner"], columns, fmt)
+            text = _emitted(params, ["x1", "x2", "wigner"], columns, fmt)
             assert text == _reference_table(params, ["x1", "x2", "wigner"], rows, fmt)
 
     def test_one_spectrum_per_sweep_row(self, capsys, monkeypatch):
@@ -766,23 +847,30 @@ class TestByteIdentity:
         assert code == 0
         assert len(calls) == 2 * len(alphas)
 
-    def test_one_evaluator_call_per_table(self, capsys, monkeypatch):
-        shapes = []
+    @pytest.mark.parametrize("n1, n2", [(7, 4), (300, 64), (3, 9000)])
+    def test_one_evaluator_call_per_block(self, n1, n2, capsys, monkeypatch):
+        # per block of whole rows, never per point: with axes p2, x1 the
+        # p2 coordinates of the calls, in order, are the grid's rows once
+        calls = []
         wigner_gaussian = phase_space.wigner_gaussian
 
         def counting(*args, **kwargs):
             cov, evaluator = wigner_gaussian(*args, **kwargs)
 
             def counted(*coords):
-                shapes.append(np.broadcast(*coords).shape)
+                calls.append((np.broadcast(*coords).shape, coords[3]))
                 return evaluator(*coords)
 
             return cov, counted
 
         monkeypatch.setattr(phase_space, "wigner_gaussian", counting)
-        code, _, _ = run(["wigner", "--alpha=0.5", "--n1=7", "--n2=4", "--axes=p2,x1"], capsys)
+        argv = ["wigner", "--alpha=0.5", f"--n1={n1}", f"--n2={n2}", "--axes=p2,x1", "--range1=-2:2"]
+        code, _, _ = run(argv, capsys)
         assert code == 0
-        assert shapes == [(7, 4)]
+        step = max(1, cli._BLOCK_ROWS // n2)
+        assert [shape for shape, _ in calls] == [(min(step, n1 - start), n2) for start in range(0, n1, step)]
+        rows = np.concatenate([p2.ravel() for _, p2 in calls])
+        np.testing.assert_array_equal(rows, np.linspace(-2, 2, n1))
 
     @staticmethod
     def _check_wigner(argv, capsys) -> list:

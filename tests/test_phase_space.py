@@ -282,6 +282,43 @@ class TestWignerNumeric:
             quadrature.open_gauss_hermite(2, 1.0)
 
 
+class TestGaussHermiteLimit:
+    """numpy's rule fails from order 371 on: its weight sum overflows, which
+    leaves all-zero weights at 371 and NaN ones from 372."""
+
+    def test_last_good_order(self):
+        from cvsqueeze.quadrature import gauss_hermite
+
+        _, weights = gauss_hermite(370)
+        assert (weights > 0.0).all()
+        assert weights.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
+
+    def test_all_zero_rule_raises(self):
+        # no RuntimeWarning either: tier-1 turns those into errors
+        from cvsqueeze.quadrature import gauss_hermite
+
+        with pytest.raises(ValueError, match="not finite and positive at order 371"):
+            gauss_hermite(371)
+
+    @pytest.mark.parametrize("routine", ["basis_gram", "inverse_segal_bargmann", "wigner_numeric"])
+    def test_routines_raise_at_order_371(self, routine):
+        from cvsqueeze import basis
+
+        gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
+        calls = {
+            "basis_gram": lambda: basis.basis_gram(0.5, 2, 371),
+            "inverse_segal_bargmann": lambda: states.inverse_segal_bargmann(
+                states.bargmann_series(2, 0.5, states.DisplacementLabels(0.4 + 0.3j, -0.2 + 0.5j), 20),
+                0.1, 0.2, GEOM, order=371,
+            ),
+            "wigner_numeric": lambda: phase_space.wigner_numeric(
+                gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0, m_matrix=gaussian.matrix, order=371,
+            ),
+        }
+        with pytest.raises(ValueError, match="not finite and positive"):
+            calls[routine]()
+
+
 class TestOrderDoubling:
     """The one order-doubling rule every quadrature routine goes through."""
 
