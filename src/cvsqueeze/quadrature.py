@@ -1,32 +1,129 @@
-"""Shared Gauss-Hermite quadrature helpers."""
+"""Shared Gauss-Hermite quadrature helpers.
+
+:func:`gauss_hermite` computes its rules in O(order^2) vectorized
+arithmetic, with no eigensolver and so no LAPACK or BLAS call: first
+guesses from the WKB phase condition with Airy-zero corrections, Halley
+steps on the monic Hermite recurrence at the nonnegative nodes, and the
+Christoffel weights with the last step's residual folded in (after
+A. Glaser, X. Liu and V. Rokhlin, SIAM J. Sci. Comput. 29, 1420, 2007,
+and A. Townsend, T. Trogdon and S. Olver, IMA J. Numer. Anal. 36, 337,
+2016; the eigenvalue route they replace is G. H. Golub and J. H. Welsch,
+Math. Comp. 23, 221, 1969).  Rules exist up to order 370: from 371 on
+the outermost weights fall below the normal double range.
+"""
 
 from __future__ import annotations
 
+import math
+import operator
+import sys
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 
 
 class ConvergenceError(RuntimeError):
     """Doubling the quadrature order moved the result beyond tolerance."""
 
 
-@lru_cache(maxsize=64)
-def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for integrals against exp(-t^2) dt.
+def _first_guesses(order: int) -> np.ndarray:
+    """Approximate nonnegative zeros of H_order, largest first.
 
-    numpy's rule fails from order 371 on: the sum it normalizes the weights
-    by overflows, leaving all-zero weights at 371 and NaN ones from 372.
-    Any weight that is not finite and positive is reported as a
-    ``ValueError`` rather than returned.
+    The k-th largest zero x = sqrt(2 order + 1) cos(theta) solves the WKB
+    condition (2 order + 1)(2 theta - sin 2 theta) / 4 = phase_k, with
+    phase_k = (2/3)|a_k|^(3/2) for the k-th Airy zero a_k; its expansion
+    in t = 3 pi (4k - 1) / 8 is t (2/3) + 5 / (48 t) - 1255 / (9216 t^3).
     """
-    if order < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {order}")
+    t = np.arange(3.0, 2.0 * order + 2.0, 4.0) * (3.0 * math.pi / 8.0)
+    phase = (2.0 / 3.0) * t + 5.0 / 48.0 / t - (1255.0 / 9216.0) / t**3
+    c = phase * (4.0 / (2.0 * order + 1.0))
+    # 2 theta - sin 2 theta is increasing and convex on [0, pi / 2], and this
+    # start lies above the root, so Newton's steps fall to it monotonically
+    theta = np.cbrt(c * (math.pi**2 / 8.0))
+    for _ in range(3):
+        sin = np.sin(theta)
+        theta -= (2.0 * theta - np.sin(2.0 * theta) - c) / (4.0 * sin * sin)
+    x = math.sqrt(2.0 * order + 1.0) * np.cos(theta)
+    if order % 2:
+        x[-1] = 0.0
+    return x
+
+
+def _scaled_monic_hermite(x: np.ndarray, order: int, shift: int) -> tuple[np.ndarray, np.ndarray]:
+    """(v_{order-1}(x), v_order(x)) with v_j = 2^(-shift j) H_j(x) / 2^j.
+
+    v_{j+1} = (x / 2^shift) v_j - (j / 2) 4^(-shift) v_{j-1}: every
+    coefficient is exact in binary, and the power-of-two scaling keeps the
+    values inside the double range.
+    """
+    xs = x * math.ldexp(1.0, -shift)
+    step = math.ldexp(0.5, -2 * shift)
+    prev = np.zeros_like(x)
+    cur = np.ones_like(x)
+    nxt = np.empty_like(x)
+    term = np.empty_like(x)
+    for j in range(order):
+        np.multiply(xs, cur, out=nxt)
+        np.multiply(prev, j * step, out=term)
+        nxt -= term
+        prev, cur, nxt = cur, nxt, prev
+    return prev, cur
+
+
+def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    # 2^(shift order) is about sqrt(order! / 2^order), the factor between the
+    # monic and the orthonormal Hermite polynomials at j = order
+    shift = max(0, round(0.5 * math.log2(order / (2.0 * math.e))))
+    x = _first_guesses(order)
+    # Two Halley steps.  The first guesses are within 4.7e-3 of the zeros
+    # (2.5e-4 from order 24 on), the first step leaves Newton corrections r
+    # below 6e-8 at orders 2-370, and the second lands within an ulp.
+    for _ in range(2):
+        below, top = _scaled_monic_hermite(x, order, shift)
+        # Newton correction r = p/p' of the monic H_order, p' = order p_{order-1};
+        # with p'' = 2 x p' - 2 order p the Halley step is r / (1 - r (x - order r))
+        r = top / below * (math.ldexp(1.0, shift) / order)
+        at, x = x, x - r / (1.0 - r * (x - order * r))
+    # Christoffel weights are proportional to 1 / p_{order-1}^2 at the exact
+    # zero x*; from the last evaluation point, p'(x*) / p'(at) = 1 - 2 at r +
+    # (1 + order) r^2 to second order in r.  Scaled by the central value,
+    # then normalized to the rule's exact zeroth moment sqrt(pi).
+    ratio = below[-1] / below
+    half = ratio * ratio / (1.0 - 2.0 * at * r + (1.0 + order) * r * r) ** 2
+    odd = order % 2
+    nodes = np.concatenate((-x, x[::-1][odd:]))
+    weights = np.concatenate((half, half[::-1][odd:]))
+    weights *= math.sqrt(math.pi) / weights.sum()
+    return nodes, weights
+
+
+@lru_cache(maxsize=64, typed=True)
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes (ascending) and weights for integrals against exp(-t^2) dt.
+
+    ``order`` is an integer of at least 2 (``operator.index`` decides, so
+    ``np.int64`` is accepted and ``24.0`` or ``True`` are not).  The rule
+    is computed without an eigensolver, as the module docstring says: its
+    nodes are within about one ulp of the exact zeros and its weights
+    within a few 1e-14 relative at the outermost nodes.  A rule any of
+    whose weights is not a positive normal double raises ``ValueError``;
+    that is every order from 371 on.  Arrays are read-only and shared
+    between calls.
+    """
+    try:
+        index = operator.index(order)
+    except TypeError:
+        raise TypeError(f"quadrature order must be an integer, got {order!r}") from None
+    if index < 2:
+        raise ValueError(f"quadrature order must be >= 2, got {order!r}")
+    if type(order) is not int:
+        # np.int64(24) gets a cache key of its own (typed, so that 24.0 can
+        # never hit it), holding the very arrays cached for 24
+        return gauss_hermite(index)
     with np.errstate(all="ignore"):
-        nodes, weights = hermgauss(order)
-    if not (np.isfinite(weights) & (weights > 0.0)).all():
-        raise ValueError(f"Gauss-Hermite weights are not finite and positive at order {order}")
+        nodes, weights = _hermite_rule(order)
+    if not (np.isfinite(weights) & (weights >= sys.float_info.min)).all():
+        raise ValueError(f"Gauss-Hermite weights are not all positive normal doubles at order {order}")
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights

@@ -93,3 +93,29 @@ def test_verify_all_never_loads_mpmath():
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines()[-1] == "mpmath loaded: False"
+
+
+def test_nothing_loads_numpy_polynomial():
+    # Gauss-Hermite rules are computed in quadrature.py itself
+    package = Path(cvsqueeze.__file__).parent
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                assert not any(alias.name.startswith("numpy.polynomial") for alias in node.names), path
+            elif isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("numpy.polynomial"), path
+    src = str(package.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\n"
+        "def loaded():\n"
+        "    return sorted(name for name in sys.modules if name.startswith('numpy.polynomial'))\n"
+        "from cvsqueeze import cli\n"
+        "print('after import:', loaded(), file=sys.stderr)\n"
+        "code = cli.main(['verify', 'all'])\n"
+        "print('after verify:', loaded(), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-2:] == ["after import: []", "after verify: []"]

@@ -284,7 +284,7 @@ def test_gram_exact_at_minimal_order(alpha, max_index):
 
 def test_gram_orthonormality_at_cap():
     # with the alpha-free coefficient matrices, max |G - I| over 33 log-spaced
-    # alpha in [1e-8, 1 - 1e-9] was measured at 2.5e-14 at the cap, 20
+    # alpha in [1e-8, 1 - 1e-9] was measured at 2.6e-14 at the cap, 20
     cap = basis._GRAM_MAX_INDEX
     for alpha in np.logspace(-8, math.log10(1 - 1e-9), 9):
         gram = basis.basis_gram(alpha, max_index=cap, order=max(40, 2 * cap + 1))

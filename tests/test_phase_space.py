@@ -245,11 +245,10 @@ class TestWignerNumeric:
                 m_matrix=gaussian.matrix, order=2, check=True,
             )
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_order_with_non_finite_rule_raises(self):
-        # numpy's Gauss-Hermite weights turn NaN from order 372 on
+        # past order 370 the outermost Gauss-Hermite weights underflow
         gaussian = states.unshifted_gaussian(2, 0.5, GEOM)
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="not all positive normal doubles at order 400"):
             phase_space.wigner_numeric(
                 gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0,
                 m_matrix=gaussian.matrix, order=400,
@@ -283,8 +282,8 @@ class TestWignerNumeric:
 
 
 class TestGaussHermiteLimit:
-    """numpy's rule fails from order 371 on: its weight sum overflows, which
-    leaves all-zero weights at 371 and NaN ones from 372."""
+    """Rules stop at order 370: from 371 on the outermost weights fall below
+    the normal double range (order 371's two smallest are 3.3e-309)."""
 
     def test_last_good_order(self):
         from cvsqueeze.quadrature import gauss_hermite
@@ -297,7 +296,7 @@ class TestGaussHermiteLimit:
         # no RuntimeWarning either: tier-1 turns those into errors
         from cvsqueeze.quadrature import gauss_hermite
 
-        with pytest.raises(ValueError, match="not finite and positive at order 371"):
+        with pytest.raises(ValueError, match="not all positive normal doubles at order 371"):
             gauss_hermite(371)
 
     @pytest.mark.parametrize("routine", ["basis_gram", "inverse_segal_bargmann", "wigner_numeric"])
@@ -315,7 +314,7 @@ class TestGaussHermiteLimit:
                 gaussian.evaluate, phase_space.PhaseSpacePoint(), 1.0, m_matrix=gaussian.matrix, order=371,
             ),
         }
-        with pytest.raises(ValueError, match="not finite and positive"):
+        with pytest.raises(ValueError, match="not all positive normal doubles at order 371"):
             calls[routine]()
 
 
