@@ -39,18 +39,22 @@ __all__ = [
     "basis_gram",
 ]
 
-MODE_TAGS = (1, 2)
 
+def check_index(n: int, name: str = "n", *, minimum: int = 0, maximum: int | None = None) -> int:
+    """``n``, a Python or NumPy integer in [minimum, maximum] (None: unbounded), as an int.
 
-def check_mode(k: int) -> int:
-    if k not in MODE_TAGS:
-        raise ValueError(f"mode tag k must be 1 or 2, got {k!r}")
-    return int(k)
-
-
-def check_index(n: int, name: str = "n") -> None:
-    if not isinstance(n, (int, np.integer)) or n < 0:
-        raise ValueError(f"{name} must be a nonnegative integer, got {n!r}")
+    ``bool``, ``np.bool_``, floats (2.0 too) and values out of range raise
+    ``ValueError`` naming the argument and its range.  Callers index with
+    the returned int, so ``True`` can never select entry 1 of a table.
+    """
+    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not (integer and minimum <= n and (maximum is None or n <= maximum)):
+        if maximum is not None:
+            expected = f"an integer in [{minimum}, {maximum}]"
+        else:
+            expected = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{name} must be {expected}, got {n!r}")
+    return int(n)
 
 
 def check_alpha(alpha: float, *, closed: bool) -> float:
@@ -147,7 +151,7 @@ def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
     A value beyond the float64 range raises ``ValueError``.
     """
     alpha = check_alpha(alpha, closed=False)
-    check_index(n_max, "n_max")
+    n_max = check_index(n_max, "n_max")
     z = np.asarray(z, dtype=complex)
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = math.sqrt(2.0 * math.sqrt(alpha) / (1.0 + alpha))
@@ -188,7 +192,7 @@ def _normalized_hermite(n_max: int, s: np.ndarray, beta: float, first, scale_squ
 
 def basis_function(n: int, alpha: float, z):
     """One-variable alpha-parameterized basis function of complex argument."""
-    check_index(n)
+    n = check_index(n)
     value = basis_function_sequence(n, alpha, z)[n]
     return complex(value) if value.ndim == 0 else value
 
@@ -205,8 +209,7 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
     float64 range raises ``ValueError``.
     """
     alpha = check_alpha(alpha, closed=False)
-    check_index(m_max, "m_max")
-    check_index(n_max, "n_max")
+    m_max, n_max = check_index(m_max, "m_max"), check_index(n_max, "n_max")
     z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = 2.0 * math.sqrt(alpha) / (1.0 + alpha)
@@ -248,16 +251,15 @@ def _two_index_recurrence(m_max: int, n_max: int, beta: float, times_w1, times_w
 
 def basis_function_2v(m: int, n: int, alpha: float, z1, z2):
     """Two-variable alpha-parameterized basis function."""
-    check_index(m, "m")
-    check_index(n, "n")
+    m, n = check_index(m, "m"), check_index(n, "n")
     value = basis_function_2v_table(m, n, alpha, z1, z2)[m, n]
     return complex(value) if value.ndim == 0 else value
 
 
 def coefficient_table(k: int, alpha: float, z1: complex, z2: complex, n_max: int) -> np.ndarray:
     """Expansion coefficients phi_{k,(m,n)}(z1, z2) for m, n <= n_max."""
-    check_mode(k)
-    if k == 1:
+    n_max = check_index(n_max, "n_max")
+    if check_index(k, "k", minimum=1, maximum=2) == 1:
         seq1 = basis_function_sequence(n_max, alpha, complex(z1))
         seq2 = basis_function_sequence(n_max, alpha, complex(z2))
         return np.outer(seq1, seq2)
@@ -266,8 +268,7 @@ def coefficient_table(k: int, alpha: float, z1: complex, z2: complex, n_max: int
 
 def coefficient(k: int, m: int, n: int, alpha: float, z1: complex, z2: complex) -> complex:
     """Single expansion coefficient phi_{k,(m,n)}(z1, z2)."""
-    check_index(m, "m")
-    check_index(n, "n")
+    m, n = check_index(m, "m"), check_index(n, "n")
     return complex(coefficient_table(k, alpha, z1, z2, max(m, n))[m, n])
 
 
@@ -370,8 +371,7 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
     carry its cancellation: 1.1e-12 at 10 and 1.8e-10 at 15.)
     """
     alpha = check_alpha(alpha, closed=False)
-    if not 0 <= max_index <= _GRAM_MAX_INDEX:
-        raise ValueError(f"max_index must be in [0, {_GRAM_MAX_INDEX}], got {max_index}")
+    max_index = check_index(max_index, "max_index", maximum=_GRAM_MAX_INDEX)
     degree = 2 * max_index
     if order < degree + 1:
         raise ValueError(

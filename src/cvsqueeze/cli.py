@@ -40,6 +40,7 @@ import sys
 import numpy as np
 
 from . import basis, model, phase_space, states, verify
+from .quadrature import _split
 
 _AXES = ("x1", "x2", "p1", "p2")
 
@@ -236,13 +237,6 @@ def _text_layouts(fmt: str) -> np.ndarray:
     suffix = np.where(tail == 0, _E, np.where(tail == 1, _EXP_SIGN, _EXP + 1 - exp_digits + tail))
     offset = np.where(pos < body, offset, np.where(~fixed[:, None] & (tail < 2 + exp_digits), suffix, _NUL))
     return np.where(pos < 0, _MINUS, offset).astype(np.intp)
-
-
-def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Veltkamp's split of a double into two 26-bit halves
-    c = 134217729.0 * a
-    hi = c - (c - a)
-    return hi, a - hi
 
 
 def _float_texts(values, fmt: str) -> np.ndarray:

@@ -47,7 +47,7 @@ def hermite_holo_sequence(n_max: int, z) -> np.ndarray:
     ``(n_max + 1, *shape(z))`` and complex dtype.  A value beyond the
     float64 range raises ``ValueError``.
     """
-    check_index(n_max, "n_max")
+    n_max = check_index(n_max, "n_max")
     z = np.asarray(z, dtype=complex)
     return _finite_result(lambda: _holo_recurrence(n_max, z), f"n_max {n_max}", z=z)
 
@@ -68,7 +68,7 @@ def hermite_real(n: int, x):
     Any finite real argument (scalar or array) is accepted; a value beyond
     the float64 range raises ``ValueError``.
     """
-    check_index(n)
+    n = check_index(n)
     x = np.asarray(x, dtype=float)
     value = hermite_holo_sequence(n, x)[n].real
     return float(value) if value.ndim == 0 else value
@@ -79,7 +79,7 @@ def hermite_holo(n: int, z):
 
     A value beyond the float64 range raises ``ValueError``.
     """
-    check_index(n)
+    n = check_index(n)
     value = hermite_holo_sequence(n, z)[n]
     return complex(value) if value.ndim == 0 else value
 
@@ -92,8 +92,7 @@ def hermite_complex_2v_table(m_max: int, n_max: int, z1: complex, z2: complex) -
     generating function exp(s z1 + t z2 - s t)).  A value beyond the
     float64 range raises ``ValueError``.
     """
-    check_index(m_max, "m_max")
-    check_index(n_max, "n_max")
+    m_max, n_max = check_index(m_max, "m_max"), check_index(n_max, "n_max")
     z1 = complex(z1)
     z2 = complex(z2)
     return _finite_result(
@@ -116,8 +115,7 @@ def _complex_2v_recurrence(m_max: int, n_max: int, z1: complex, z2: complex) -> 
 
 def hermite_complex_2v(m: int, n: int, z1: complex, z2: complex) -> complex:
     """Two-variable complex Hermite polynomial H_{m,n}(z1, z2)."""
-    check_index(m, "m")
-    check_index(n, "n")
+    m, n = check_index(m, "m"), check_index(n, "n")
     return complex(hermite_complex_2v_table(m, n, z1, z2)[m, n])
 
 
@@ -136,7 +134,7 @@ def mehler_product(t: float, z1: complex, z2: complex, n_terms: int = 60) -> tup
     t = float(t)
     if not abs(t) < 1.0:
         raise ValueError(f"|t| must be < 1, got {t}")
-    check_index(n_terms, "n_terms")
+    n_terms = check_index(n_terms, "n_terms")
     h1 = hermite_holo_sequence(n_terms, complex(z1))
     h2 = hermite_holo_sequence(n_terms, complex(z2))
     series = 0.0 + 0.0j
@@ -175,7 +173,7 @@ def mehler_two_variable(
     t = float(t)
     if not abs(s * t) < 1.0:
         raise ValueError(f"|s*t| must be < 1, got {s * t}")
-    check_index(n_terms, "n_terms")
+    n_terms = check_index(n_terms, "n_terms")
     z1 = complex(z1)
     z2 = complex(z2)
     table = hermite_complex_2v_table(n_terms, n_terms, z1, z2)
@@ -210,8 +208,7 @@ def orthogonality_rhs(m: int, n: int, alpha: float) -> float:
     Diagonal value pi sqrt(alpha)/(1-alpha) * (2(1+alpha)/(1-alpha))^n n!;
     zero off the diagonal.
     """
-    check_index(m, "m")
-    check_index(n, "n")
+    m, n = check_index(m, "m"), check_index(n, "n")
     alpha = check_alpha(alpha, closed=False)
     if m != n:
         return 0.0
@@ -240,8 +237,7 @@ def orthogonality_integral(m: int, n: int, alpha: float, order: int = 80) -> com
     per-axis to the two weights, which makes the rule exact once
     ``2*order - 1 >= m + n``; a smaller order raises ``ValueError``.
     """
-    check_index(m, "m")
-    check_index(n, "n")
+    m, n = check_index(m, "m"), check_index(n, "n")
     alpha = check_alpha(alpha, closed=False)
     if 2 * order - 1 < m + n:
         raise ValueError(f"order {order} is below (m + n + 1) / 2 = {(m + n + 1) / 2:g}, where the rule is not exact")

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _check_finite, _check_positive, _symmetrized, check_alpha
+from .basis import _check_finite, _check_positive, _symmetrized, check_alpha, check_index
 from .states import DisplacementLabels, GaussianState, OscillatorGeometry, QuadraticGaussian
 from .states import gaussian_state, wave_function
 
@@ -324,8 +324,7 @@ def transformed_ladder_matrices(alpha: float, z1: complex, z2: complex, n_trunc:
     interior sub-block (both mode indices below ``n_trunc - 2``).
     """
     rows = _ladder_rows(alpha, z1, z2)
-    if n_trunc < 4:
-        raise ValueError(f"n_trunc must be >= 4, got {n_trunc}")
+    n_trunc = check_index(n_trunc, "n_trunc", minimum=4)
     return tuple(_operator(_kron_terms([(x, _ONE), (_ONE, y)]), n_trunc) for x, y in rows)
 
 
@@ -397,8 +396,7 @@ def hamiltonian_fock(
     entries hbar omega_1 m + hbar omega_2 n + hbar (omega_1 + omega_2)/2.
     """
     alpha = check_alpha(alpha, closed=True)
-    if n_trunc < 8:
-        raise ValueError(f"n_trunc must be >= 8, got {n_trunc}")
+    n_trunc = check_index(n_trunc, "n_trunc", minimum=8)
     z1, z2 = _finite_labels(z1, z2)
     return _operator(_kron_terms(_hamiltonian_terms(alpha, spec, z1, z2, method)), n_trunc)
 
@@ -608,8 +606,7 @@ def ground_state_energy_check(
     side of the center.  The state's geometry is the spec's:
     a_i = sqrt(M omega_i / hbar) (:meth:`OscillatorSpec.inverse_lengths`).
     """
-    if grid_points < 32:
-        raise ValueError(f"grid_points must be >= 32, got {grid_points}")
+    grid_points = check_index(grid_points, "grid_points", minimum=32)
     labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
     geom = OscillatorGeometry(*spec.inverse_lengths(), hbar=spec.hbar)
     state = gaussian_state(2, alpha, geom, labels)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_positive, _symmetrized, check_alpha, check_mode
+from .basis import _check_positive, _symmetrized, check_alpha, check_index
 from .quadrature import _refine_by_doubling, open_gauss_hermite
 from .states import OscillatorGeometry, QuadraticGaussian
 
@@ -190,7 +190,7 @@ def covariance(k: int, alpha: float, geom: OscillatorGeometry) -> CovarianceMatr
     Transcribed directly (not routed through :func:`wigner_gaussian`) so the
     two construction paths can be compared entrywise.
     """
-    check_mode(k)
+    k = check_index(k, "k", minimum=1, maximum=2)
     alpha = check_alpha(alpha, closed=True)
     a, b, hbar = geom.a, geom.b, geom.hbar
     if k == 1:

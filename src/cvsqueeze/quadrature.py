@@ -150,17 +150,28 @@ def _plane_gauss_hermite(order: int, coeff_x: float, coeff_y: float) -> tuple[np
     return (x[:, None] + 1j * y[None, :]).ravel(), np.outer(wx, wy).ravel()
 
 
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Veltkamp's split of a double into two 26-bit halves
+    c = 134217729.0 * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
 def open_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for plain integrals of functions decaying like exp(-coeff t^2).
 
     The Gaussian weight is folded back into the quadrature weights
     (w -> w exp(node^2)), the classic correction for integrands that carry
-    their own decay.
+    their own decay.  node^2 is carried exactly as s + e (Dekker's product)
+    and the fold is w exp(s) (1 + e), so the rounding of node^2, which
+    exp would magnify to node^2 eps relative, never enters.
     """
     if not 0.0 < coeff < np.inf:
         raise ValueError(f"Gaussian decay coefficient coeff must be positive and finite, got {coeff}")
     nodes, weights = gauss_hermite(order)
-    folded = weights * np.exp(nodes**2)
+    hi, lo = _split(nodes)
+    square = nodes * nodes
+    folded = weights * np.exp(square) * (1.0 + (((hi * hi - square) + 2.0 * hi * lo) + lo * lo))
     if not np.isfinite(folded).all():
         raise ValueError(f"folded Gauss-Hermite weights are not finite at order {order}")
     scale = 1.0 / np.sqrt(coeff)

@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .basis import (
-    _check_finite, _check_positive, _normalized_hermite, check_alpha, check_index, check_mode, coefficient_table,
+    _check_finite, _check_positive, _normalized_hermite, check_alpha, check_index, coefficient_table,
 )
 from .quadrature import _refine_by_doubling, scaled_gauss_hermite
 
@@ -191,7 +191,7 @@ def gaussian_state(
     (a x1 +- b x2)/sqrt(2), curvatures (1/alpha, alpha), and each center and
     wavenumber one product, free of cancellation at any alpha in (0, 1].
     """
-    check_mode(k)
+    k = check_index(k, "k", minimum=1, maximum=2)
     alpha = check_alpha(alpha, closed=True)
     a, b = geom.a, geom.b
     (z1r, z1i), (z2r, z2i) = (labels.z1.real, labels.z1.imag), (labels.z2.real, labels.z2.imag)
@@ -227,7 +227,7 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     index ranges handled here); ``inverse_length`` is the ``a`` in
     exp(-(a x)^2 / 2), positive and finite.
     """
-    check_index(n_max, "n_max")
+    n_max = check_index(n_max, "n_max")
     _check_positive(inverse_length, "inverse_length")
     (x,) = _check_positions(x)
     ax = inverse_length * x
@@ -237,8 +237,7 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
 
 def fock_position_basis(m: int, n: int, x1, x2, geom: OscillatorGeometry):
     """Position representation of the product number state (m, n)."""
-    check_index(m, "m")
-    check_index(n, "n")
+    m, n = check_index(m, "m"), check_index(n, "n")
     f1 = hermite_function_sequence(m, x1, geom.a)[m]
     f2 = hermite_function_sequence(n, x2, geom.b)[n]
     value = f1 * f2

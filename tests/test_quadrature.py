@@ -6,7 +6,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from cvsqueeze.quadrature import gauss_hermite
+from cvsqueeze.quadrature import gauss_hermite, open_gauss_hermite
 
 
 def reference_node(order, guess, digits=50):
@@ -60,6 +60,21 @@ def test_even_moments(order):
     for j in range(min(order, 10)):
         moment = np.sum(weights * nodes ** (2 * j))
         assert moment == pytest.approx(math.gamma(j + 0.5), rel=1e-14)
+
+
+@pytest.mark.parametrize("order", [96, 320])
+def test_open_rule_folds_without_rounding_the_square(order):
+    # the folded weight against w exp(x^2) of the rule's own doubles at 50
+    # digits: exp's ulp and three half-ulp roundings bound it by 3 eps
+    # (1.9e-16 and 9.6e-17 measured); w exp(fl(x^2)) was 1.3e-14 and 5.5e-14
+    # off on the six outermost nodes of orders 96 and 320
+    nodes, weights = gauss_hermite(order)
+    open_nodes, folded = open_gauss_hermite(order, 1.0)
+    np.testing.assert_array_equal(open_nodes, nodes)
+    with mp.workdps(50):
+        for i in [0, 1, 2, order - 3, order - 2, order - 1]:
+            exact = mp.mpf(float(weights[i])) * mp.exp(mp.mpf(float(nodes[i])) ** 2)
+            assert abs(folded[i] - exact) <= 3 * np.finfo(float).eps * exact, i
 
 
 def test_no_eigensolver(monkeypatch):
