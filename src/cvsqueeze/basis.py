@@ -22,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import _plane_gauss_hermite
+from .quadrature import _plane_gauss_hermite, check_order
 
 __all__ = [
     "SqueezeParam",
@@ -350,7 +350,8 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
     :func:`basis_function_2v_table`, of degree <= 4 max_index along each
     real axis.  A Gauss-Hermite rule of ``order`` nodes on each of the four
     axes is therefore exact when order >= 2 max_index + 1; a smaller order
-    raises ``ValueError``.
+    raises ``ValueError``.  ``order`` is checked first, as by
+    ``gauss_hermite``: a non-integer order raises ``TypeError``.
 
     The order^4-node sum is evaluated in factored form.  Each polynomial
     part is expanded as g(a, b') = sum C[p, q] e_p(a) e_q(b'), where e_p are
@@ -372,6 +373,7 @@ def basis_gram(alpha: float, max_index: int = 4, order: int = 40) -> np.ndarray:
     """
     alpha = check_alpha(alpha, closed=False)
     max_index = check_index(max_index, "max_index", maximum=_GRAM_MAX_INDEX)
+    order = check_order(order)
     degree = 2 * max_index
     if order < degree + 1:
         raise ValueError(

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .basis import _finite_result, check_alpha, check_index
-from .quadrature import _plane_gauss_hermite
+from .quadrature import _plane_gauss_hermite, check_order
 
 __all__ = [
     "hermite_real",
@@ -236,9 +236,12 @@ def orthogonality_integral(m: int, n: int, alpha: float, order: int = 80) -> com
     for 0 < alpha < 1.  Tensor-product Gauss-Hermite nodes are rescaled
     per-axis to the two weights, which makes the rule exact once
     ``2*order - 1 >= m + n``; a smaller order raises ``ValueError``.
+    ``order`` is checked first, as by ``gauss_hermite``: a non-integer
+    order raises ``TypeError``.
     """
     m, n = check_index(m, "m"), check_index(n, "n")
     alpha = check_alpha(alpha, closed=False)
+    order = check_order(order)
     if 2 * order - 1 < m + n:
         raise ValueError(f"order {order} is below (m + n + 1) / 2 = {(m + n + 1) / 2:g}, where the rule is not exact")
     return complex(_orthogonality_quad(max(m, n), alpha, order)[m, n])

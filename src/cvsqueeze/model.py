@@ -179,6 +179,9 @@ class TruncatedOperator:
     bands: dict[tuple[int, int], np.ndarray]
     n_trunc: int
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "n_trunc", check_index(self.n_trunc, "n_trunc", minimum=1))
+
     def diagonal(self) -> np.ndarray:
         """Diagonal entries <m, n| H |m, n> in row order m * n_trunc + n."""
         band = self.bands.get((0, 0))

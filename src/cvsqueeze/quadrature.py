@@ -97,6 +97,23 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def check_order(order: int) -> int:
+    """``order`` as an int: a quadrature order of at least 2.
+
+    ``operator.index`` decides what is an integer, so ``np.int64`` is
+    accepted and ``24.0`` or ``"24"`` raise ``TypeError``; an order below 2
+    raises ``ValueError``.  Callers that compare an order with an exactness
+    bound validate it here first.
+    """
+    try:
+        index = operator.index(order)
+    except TypeError:
+        raise TypeError(f"quadrature order must be an integer, got {order!r}") from None
+    if index < 2:
+        raise ValueError(f"quadrature order must be >= 2, got {order!r}")
+    return index
+
+
 @lru_cache(maxsize=64, typed=True)
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights for integrals against exp(-t^2) dt.
@@ -110,12 +127,7 @@ def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     that is every order from 371 on.  Arrays are read-only and shared
     between calls.
     """
-    try:
-        index = operator.index(order)
-    except TypeError:
-        raise TypeError(f"quadrature order must be an integer, got {order!r}") from None
-    if index < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {order!r}")
+    index = check_order(order)
     if type(order) is not int:
         # np.int64(24) gets a cache key of its own (typed, so that 24.0 can
         # never hit it), holding the very arrays cached for 24

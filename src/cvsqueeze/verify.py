@@ -50,81 +50,30 @@ def _explicit_hermite_sum(n: int, z: complex) -> complex:
     return math.factorial(n) * total
 
 
-# fixed-point numbers of _finite_difference_table: a pair (re, im) of
-# integers, or of object arrays of them, stands for (re + i im) 2^-320, about
-# 96 digits, of which the 12th difference cancels 48
-_FIXED_BITS = 320
-_FIXED_ONE = 1 << _FIXED_BITS
+# the trapezoid rule on the circle |s| = r of N nodes reads the Taylor
+# coefficients of an entire function with no cancellation and geometric
+# convergence (Lyness & Moler 1967; Trefethen & Weideman 2014).  At r = 1.5,
+# N = 32 the table for m, n <= 6 is within 1.9e-14 of a 50-digit reference
+# (relative, floored at 1) at the suite's point and 1.5e-14 at two points with
+# |z| <= 1.8, but 1.4e-13 at (0, 0) and 1.0e-12 at (1.8, 0), where exact zeros
+# see the samples' rounding times m! n! / r^(m+n); N = 24 or r >= 2.5 alias
+_CONTOUR_RADIUS = 1.5
+_CONTOUR_NODES = 32
 
 
-def _fixed_mul(a, b):
-    # rounded to nearest, so a product with |b| < 1/2 shrinks a unit to zero
-    (ar, ai), (br, bi) = a, b
-    half = _FIXED_ONE >> 1
-    return (ar * br - ai * bi + half) >> _FIXED_BITS, (ar * bi + ai * br + half) >> _FIXED_BITS
-
-
-def _fixed_exp(w: tuple[int, int]) -> tuple[tuple[int, int], tuple[int, int]]:
-    # (exp(w), exp(-w)) for |w| << 1 from the even and odd parts of one
-    # Taylor series, each to the last few units
-    even, odd = [_FIXED_ONE, 0], [0, 0]
-    term = (_FIXED_ONE, 0)
-    k = 0
-    while term != (0, 0):
-        k += 1
-        term = tuple(part // k for part in _fixed_mul(term, w))
-        parts = odd if k % 2 else even
-        parts[0] += term[0]
-        parts[1] += term[1]
-    return (even[0] + odd[0], even[1] + odd[1]), (even[0] - odd[0], even[1] - odd[1])
-
-
-def _fixed_powers(w: tuple[int, int], n: int) -> tuple[np.ndarray, np.ndarray]:
-    # exp(i w) at index i + n for -n <= i <= n
-    powers = {0: (_FIXED_ONE, 0)}
-    for sign, base in zip((1, -1), _fixed_exp(w)):
-        for i in range(1, n + 1):
-            powers[sign * i] = _fixed_mul(powers[sign * (i - 1)], base)
-    return tuple(np.array([powers[i][part] for i in range(-n, n + 1)], dtype=object) for part in (0, 1))
-
-
-def _finite_difference_table(m_max: int, n_max: int, z1: complex, z2: complex) -> np.ndarray:
-    # [m, n]: the m-th and n-th central differences of exp(s z1 + t z2 - s t)
-    # at the origin with step h = 1e-4, divided by h^(m+n); the quotient loses
-    # ~(m+n) digits to cancellation.  Every stencil node is a half-integer
-    # multiple of the step, so the function is sampled once on that lattice,
-    # as A^i B^j C^(ij) with A = exp(h z1/2), B = exp(h z2/2), C = exp(-h^2/4)
-    # in fixed point, and the differences are exact integer sums.  Each part
-    # of the quotient is one correctly rounded int / int.
-    def fixed(z: complex) -> tuple[int, int]:
-        # z h/2 = z / 20000, z a float and so an exact dyadic rational
-        parts = (z.real.as_integer_ratio(), z.imag.as_integer_ratio())
-        return tuple((num << _FIXED_BITS) // (den * 20000) for num, den in parts)
-
-    a_re, a_im = _fixed_powers(fixed(z1), m_max)
-    b_re, b_im = _fixed_powers(fixed(z2), n_max)
-    c_re, _ = _fixed_powers((-(_FIXED_ONE // 400_000_000), 0), m_max * n_max)
-    i, j = np.arange(-m_max, m_max + 1), np.arange(-n_max, n_max + 1)
-    c = c_re[np.multiply.outer(i, j) + m_max * n_max]
-    samples = _fixed_mul((a_re[:, None], a_im[:, None]), (b_re[None, :], b_im[None, :]))
-    # 1 / h^(m+n)
-    scale = 10 ** (4 * np.add.outer(np.arange(m_max + 1), np.arange(n_max + 1)).astype(object))
-    parts = []
-    for sample in samples:
-        # the n-th difference along t of every lattice row sits at column
-        # n_max - n after n passes of f(j + 1) - f(j - 1)
-        rows = (sample * c + (_FIXED_ONE >> 1)) >> _FIXED_BITS
-        columns = []
-        for n in range(n_max + 1):
-            columns.append(rows[:, n_max - n])
-            rows = rows[:, 2:] - rows[:, :-2]
-        rows = np.stack(columns, axis=1)
-        table = []
-        for m in range(m_max + 1):
-            table.append(rows[m_max - m])
-            rows = rows[2:] - rows[:-2]
-        parts.append((np.stack(table) * scale / _FIXED_ONE).astype(float))
-    return parts[0] + 1j * parts[1]
+def _contour_table(m_max: int, n_max: int, z1: complex, z2: complex) -> np.ndarray:
+    # [m, n]: H_{m,n} = m! n! [s^m t^n] exp(s z1 + t z2 - s t) = E_m F E_n^T,
+    # F the function on the torus s, t = r w^k with w = e^(2 pi i / N) and
+    # E[m, k] = m! w^(-m k) / (N r^m), m k reduced mod N; a matrix product,
+    # so that the first verify job pays no numpy.fft import
+    nodes = np.arange(_CONTOUR_NODES)
+    roots = np.exp(2j * math.pi / _CONTOUR_NODES * nodes)
+    degree = np.arange(max(m_max, n_max) + 1)
+    scale = np.array([math.factorial(m) for m in degree]) / (_CONTOUR_NODES * _CONTOUR_RADIUS**degree)
+    weights = roots.conj()[np.outer(degree, nodes) % _CONTOUR_NODES] * scale[:, None]
+    s = _CONTOUR_RADIUS * roots
+    samples = np.exp(np.add.outer(s * z1, s * z2) - np.multiply.outer(s, s))
+    return weights[: m_max + 1] @ samples @ weights[: n_max + 1].T
 
 
 def hermite_suite() -> list[CheckResult]:
@@ -147,8 +96,8 @@ def hermite_suite() -> list[CheckResult]:
     checks.append(_check("two-index symmetry under (m,n,z1,z2)->(n,m,z2,z1)", relative(rhs, lhs), 1e-14))
 
     za, zb = 0.6 + 0.4j, -0.3 + 0.8j
-    residuals = relative(_finite_difference_table(6, 6, za, zb), hermite.hermite_complex_2v_table(6, 6, za, zb))
-    checks.append(_check("generating-function coefficients, m,n <= 6", residuals, 1e-7))
+    residuals = relative(_contour_table(6, 6, za, zb), hermite.hermite_complex_2v_table(6, 6, za, zb))
+    checks.append(_check("generating-function coefficients, m,n <= 6", residuals, 1e-12))
 
     points = [(1.0 + 0.0j, 1.0 + 0.0j), (0.4 + 0.7j, -0.9 + 0.2j)]
     pairs = [hermite.mehler_product(t, za, zb, 60) for t in (-0.6, -0.3, 0.3, 0.6) for za, zb in points]

@@ -95,8 +95,8 @@ class TestTwoIndexFamily:
     def test_generating_function_coefficients(self):
         # extract H_{m,n} from exp(s z1 + t z2 - s t) by central differencing;
         # float64 difference quotients balance truncation against roundoff
-        # near 1e-4 relative, so this is a 3-digit confirmation (verify runs
-        # the same oracle in exact fixed-point integers at 1e-7)
+        # near 1e-4 relative, so this is a 3-digit confirmation (verify reads
+        # the coefficients off a float64 contour rule instead, at 1e-12)
         z1, z2 = 0.5 - 0.2j, 1.1 + 0.3j
         step = 0.02
         for (m, n) in [(1, 1), (2, 1), (3, 2), (2, 3)]:
@@ -111,27 +111,19 @@ class TestTwoIndexFamily:
             assert approx == pytest.approx(hermite.hermite_complex_2v(m, n, z1, z2), rel=1e-3)
 
 
-    @pytest.mark.parametrize("m, n", [(0, 0), (1, 0), (0, 3), (2, 5), (4, 4), (6, 1), (6, 6)])
-    def test_lattice_table_is_the_per_entry_stencil(self, m, n):
-        # the suite samples the generating function once on the half-step
-        # lattice in exact integer sums; each entry must equal its own
-        # stencil evaluated afresh in 100 digits, of which the 12th
-        # difference cancels 48 (60 digits miss (6, 6) by 1.65e-14)
+    def test_contour_table_is_the_explicit_sum(self):
+        # the suite reads H_{m,n} off the trapezoid rule on a torus in
+        # float64; every entry must match the binomial sum, taken in 50
+        # digits, to 1e-13 relative to max(1, |H|) (worst measured 1.9e-14)
         import mpmath as mp
 
         z1, z2 = 0.6 + 0.4j, -0.3 + 0.8j
-        with mp.workdps(100):
-            step = mp.mpf("1e-4")
+        table = verify._contour_table(6, 6, z1, z2)
+        with mp.workdps(50):
             w1, w2 = mp.mpc(z1.real, z1.imag), mp.mpc(z2.real, z2.imag)
-            total = mp.mpc(0)
-            for k in range(m + 1):
-                for l in range(n + 1):
-                    weight = (-1) ** (k + l) * math.comb(m, k) * math.comb(n, l)
-                    s = (mp.mpf(m) / 2 - k) * step
-                    t = (mp.mpf(n) / 2 - l) * step
-                    total += weight * mp.exp(s * w1 + t * w2 - s * t)
-            stencil = complex(total / step ** (m + n))
-        assert verify._finite_difference_table(6, 6, z1, z2)[m, n] == stencil
+            reference = np.array([[complex(two_index_sum(m, n, w1, w2)) for n in range(7)] for m in range(7)])
+        assert table.shape == (7, 7)
+        assert np.all(np.abs(table - reference) <= 1e-13 * np.maximum(1.0, np.abs(reference)))
 
 
 def loop_two_index_table(m_max, n_max, z1, z2):

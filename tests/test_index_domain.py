@@ -90,6 +90,7 @@ ENTRIES = {
     "hamiltonian_fock": {
         "n_trunc": Index(lambda n: model.hamiltonian_fock(0.5, SPEC, 0.1, 0.2j, n), 9, minimum=8),
     },
+    "TruncatedOperator": {"n_trunc": Index(lambda n: model.TruncatedOperator({}, n), 3, minimum=1)},
     "ground_state_energy_check": {
         "grid_points": Index(lambda n: model.ground_state_energy_check(0.5, SPEC, grid_points=n), 33, minimum=32),
     },
@@ -113,7 +114,7 @@ ENTRIES = {
     },
 }
 # records whose integer field the library fills from a checked argument
-RECORDS = {"TruncatedOperator", "GroundStateCheck"}
+RECORDS = {"GroundStateCheck"}
 
 CASES = [(name, parameter) for name, parameters in ENTRIES.items() for parameter in parameters]
 

@@ -1,11 +1,13 @@
 """Gauss-Hermite rules computed without an eigensolver."""
 
 import math
+import re
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from cvsqueeze import basis, hermite
 from cvsqueeze.quadrature import gauss_hermite, open_gauss_hermite
 
 
@@ -99,6 +101,24 @@ def test_order_must_be_an_integer(order):
 def test_order_below_two_raises(order):
     with pytest.raises(ValueError, match=f">= 2, got {order!r}"):
         gauss_hermite(order)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        # each compared the order with its exactness bound before anything
+        # checked it, so a string failed with a TypeError naming no argument
+        (lambda: basis.basis_gram(0.5, 4, "40"), TypeError, "must be an integer, got '40'"),
+        (lambda: hermite.orthogonality_integral(1, 1, 0.5, order="8"), TypeError, "must be an integer, got '8'"),
+        (lambda: basis.basis_gram(0.5, 4, 40.0), TypeError, "must be an integer, got 40.0"),
+        (lambda: hermite.orthogonality_integral(1, 1, 0.5, order=40.0), TypeError, "must be an integer, got 40.0"),
+        (lambda: basis.basis_gram(0.5, 4, True), ValueError, "must be >= 2, got True"),
+        (lambda: hermite.orthogonality_integral(6, 6, 0.5, order=1), ValueError, "must be >= 2, got 1"),
+    ],
+)
+def test_exactness_checks_take_the_rule_order_contract(call, error, message):
+    with pytest.raises(error, match=f"^quadrature order {re.escape(message)}$"):
+        call()
 
 
 def test_numpy_integer_order_shares_the_rule():

@@ -13,7 +13,7 @@ PINNED_CHECKS = {
     "hermite": [
         ("recurrence vs explicit sum, n <= 25", 1e-11),
         ("two-index symmetry under (m,n,z1,z2)->(n,m,z2,z1)", 1e-14),
-        ("generating-function coefficients, m,n <= 6", 1e-07),
+        ("generating-function coefficients, m,n <= 6", 1e-12),
         ("product generating identity, |t| <= 0.6, 60 terms", 1e-09),
         ("two-variable generating identity, |s t| <= 0.36, 60 terms", 1e-09),
         ("weighted orthogonality, diagonal, m,n <= 10", 1e-08),
@@ -177,6 +177,24 @@ def test_nan_from_a_layer_fails_its_checks(suite, owner, routine, poison, names,
     for name in names:
         assert not results[name].passed, name
         assert math.isnan(results[name].residual), name
+
+
+def test_generating_function_check_sees_one_entry_off_by_1e_10(monkeypatch):
+    # H_{6,6}, about 5.2e3 at the suite's point, scaled by 1 + 1e-10: the
+    # oracle must be good to well below 1e-10 relative to see it
+    exact = hermite.hermite_complex_2v_table
+
+    def scaled(*args, **kwargs):
+        table = exact(*args, **kwargs)
+        if table.shape == (7, 7):
+            table[6, 6] *= 1.0 + 1e-10
+        return table
+
+    monkeypatch.setattr(hermite, "hermite_complex_2v_table", scaled)
+    results = {r.name: r for r in verify.run_suite("hermite")}
+    check = results["generating-function coefficients, m,n <= 6"]
+    assert not check.passed
+    assert check.residual == pytest.approx(1e-10, rel=1e-2)
 
 
 @pytest.mark.parametrize("mutation", ["conjugated", "axes swapped"])
