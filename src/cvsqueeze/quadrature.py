@@ -154,6 +154,20 @@ def scaled_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarr
     return nodes * scale, weights * scale
 
 
+def _half_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes >= 0 (ascending) of :func:`scaled_gauss_hermite` and their folded weights.
+
+    The rule is symmetric about 0, so its sum of an even function is the
+    sum over these nodes, each weight with its mirror's added in; the zero
+    node of an odd order is its own mirror and counted once.
+    """
+    nodes, weights = scaled_gauss_hermite(order, coeff)
+    half = order // 2
+    folded = weights[half:].copy()
+    folded[order % 2:] += weights[half - 1::-1]
+    return nodes[half:], folded
+
+
 def _plane_gauss_hermite(order: int, coeff_x: float, coeff_y: float) -> tuple[np.ndarray, np.ndarray]:
     """Flat nodes z = x + i y and weights of the tensor rule on the complex
     plane for integrals against exp(-coeff_x x^2 - coeff_y y^2) dx dy."""

@@ -36,7 +36,7 @@ import numpy as np
 from .basis import (
     _check_finite, _check_positive, _normalized_hermite, check_alpha, check_index, coefficient_table,
 )
-from .quadrature import _refine_by_doubling, scaled_gauss_hermite
+from .quadrature import _half_gauss_hermite, _refine_by_doubling, scaled_gauss_hermite
 
 __all__ = [
     "OscillatorGeometry",
@@ -212,7 +212,7 @@ def _check_positions(*positions) -> tuple[np.ndarray, ...]:
     # float arrays, each on its own shape; shapes that do not broadcast, inf or NaN raise
     arrays = tuple(np.asarray(x, dtype=float) for x in positions)
     try:
-        np.broadcast_shapes(*(x.shape for x in arrays))
+        np.broadcast(*arrays)
     except ValueError:
         raise ValueError("x1 and x2 must broadcast, got shapes " + " and ".join(str(x.shape) for x in arrays)) from None
     if not all(np.isfinite(x).all() for x in arrays):
@@ -231,7 +231,10 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     _check_positive(inverse_length, "inverse_length")
     (x,) = _check_positions(x)
     ax = inverse_length * x
-    gaussian = math.sqrt(inverse_length) * np.pi**-0.25 * np.exp(-0.5 * ax * ax)
+    # beyond |ax| of about 1.9e154 the square overflows and the Gaussian is 0,
+    # its exact limit, without a warning
+    with np.errstate(over="ignore"):
+        gaussian = math.sqrt(inverse_length) * np.pi**-0.25 * np.exp(-0.5 * ax * ax)
     return _normalized_hermite(n_max, ax, 1.0, gaussian, 2.0)
 
 
@@ -321,8 +324,10 @@ def unshifted_gaussian(k: int, alpha: float, geom: OscillatorGeometry) -> Quadra
 def _sb_mode_exponent(s, w):
     # one mode's term of the kernel exponent at s = a x and w = u + i v:
     # -w^2/2 - |w|^2 = -3u^2/2 - v^2/2 - i u v, less the Gaussian in (u, v),
-    # which the inverse transform's quadrature weights carry
-    return -0.5 * s * s + math.sqrt(2.0) * s * w - 1j * w.real * w.imag
+    # which the inverse transform's quadrature weights carry.  Beyond |s| of
+    # about 1.9e154 the square overflows to -inf, the exact limit, quietly
+    with np.errstate(over="ignore"):
+        return -0.5 * s * s + math.sqrt(2.0) * s * w - 1j * w.real * w.imag
 
 
 def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
@@ -408,23 +413,34 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
     return BargmannSeries(coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * normalizer)
 
 
+# |s| beyond which exp(-s^2/2 + sqrt(2) s u) underflows at every node u of
+# every rule (|u| < 22 up to order 370)
+_MOMENT_CLIP = 2.0**511
+
+
 @lru_cache(maxsize=4)
 def _moment_table(order: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The position-free part of the kernel moments at ``count`` rows.
 
     On the tensor rule w = u + i v, whose weight is the kernel's Gaussian
-    exp(-3u^2/2 - v^2/2): the u and v axes, the u weights and the table
-    T[(j, u), v] = w_v exp(-i u v) e_j(u + i v) for j < count, row-major in
-    (j, u), all read-only.  An entry holds 16 count order^2 bytes for T:
-    0.19 MB at (order, n_max) = (24, 20) and 62 MB at (96, 422).  maxsize 4
-    holds both modes of a non-square table at order and 2 order
-    (``check=True``) and keeps at most four such tables alive.
+    exp(-3u^2/2 - v^2/2): the u axis, the nodes v >= 0 of the v axis, the u
+    weights, and T[(j, u), v] = w_v exp(-i u v) e_j(u + i v) for j < count,
+    row-major in (j, u), its v weights folded over +-v.  T at -v is the
+    conjugate of T at v, so only v >= 0 is kept: the table is conj(T),
+    built in place as a complex array and returned as its real view, whose
+    columns are the pairs (Re T, -Im T) of each v.  All read-only.  An
+    entry holds 8 count order^2 bytes for the table (8 count order
+    (order + 1) at an odd order): 0.097 MB at (order, n_max) = (24, 20)
+    and 31 MB at (96, 422).  A transform reads one table per order, its
+    larger mode's, so maxsize 4 holds the tables at order and 2 order
+    (``check=True``) of two table sizes and keeps at most four alive.
     """
     u, wu = scaled_gauss_hermite(order, 1.5)
-    v, wv = scaled_gauss_hermite(order, 0.5)
-    table = _bargmann_monomials((u[:, None] + 1j * v[None, :]).ravel(), count - 1)
-    table *= (wv * np.exp(-1j * u[:, None] * v[None, :])).ravel()
-    tables = u, v, wu, table.reshape(count * order, order)
+    v, wv = _half_gauss_hermite(order, 0.5)
+    # conj(T) = w_v exp(i u v) conj(e_j(u + i v)), and conj(e_j(w)) = e_j(conj(w))
+    table = _bargmann_monomials((u[:, None] - 1j * v[None, :]).ravel(), count - 1)
+    table *= (wv * np.exp(1j * u[:, None] * v[None, :])).ravel()
+    tables = u, v, wu, table.reshape(count * order, len(v)).view(float)
     for array in tables:
         array.flags.writeable = False
     return tables
@@ -434,11 +450,17 @@ def _kernel_moments(s: np.ndarray, order: int, count: int) -> np.ndarray:
     # M_j(s) = sum_w weight kernel(s, w) e_j(w) for j < count on the shape of
     # s = a x, on the plane rule w = u + i v of _moment_table.  Per node the
     # kernel factors as exp(-s^2/2 + sqrt(2) s u) exp(i sqrt(2) s v) exp(-i u v),
-    # and only the first two factors depend on s: 2 order exp calls per point,
-    # one product of the table with exp(i sqrt(2) s v), one u-weighted sum
+    # and only the first two factors depend on s.  For real s the nodes +-v
+    # give conjugate terms, so M_j is real, the sum over v >= 0 of the folded
+    # Re(T exp(i sqrt(2) s v)): per point order real and order / 2 complex
+    # exp calls, one real product of the table with the pairs
+    # (cos(sqrt(2) v s), sin(sqrt(2) v s)), one u-weighted sum.  s is clipped
+    # to |s| <= 2^511, where the first factor is already 0 at every node, as
+    # at any larger |s|: no moment changes, and s^2 stays finite
     u, v, wu, table = _moment_table(order, count)
-    flat = s.reshape(1, -1)
-    along_v = table @ np.exp(1j * math.sqrt(2.0) * v[:, None] * flat)
+    flat = np.minimum(np.maximum(s, -_MOMENT_CLIP), _MOMENT_CLIP).reshape(1, -1)
+    # exp(i sqrt(2) v s) on (point, v), viewed as the [cos, sin] pairs of the table's columns
+    along_v = table @ np.exp(1j * math.sqrt(2.0) * v * flat.T).view(float).T
     along_u = wu[:, None] * np.exp(-0.5 * flat * flat + math.sqrt(2.0) * u[:, None] * flat)
     moments = np.einsum("jup,up->jp", along_v.reshape(count, order, -1), along_u)
     return moments.reshape((count,) + s.shape)
@@ -462,10 +484,14 @@ def inverse_segal_bargmann(
     :func:`series_expansion` contracts it with phi_j, with each mode's kernel
     moments M_j against the monomials e_j on that mode's own positions: an
     n1 x n2 mesh costs n1 + n2 moment rows, and no array of order^2 x order^2
-    node pairs is built.  The kernel's position-free factors, weights and
-    monomials form one table per (order, n_max), built on first use and
-    cached; each position then costs 2 order ``exp`` calls and
-    (n_max + 1) order^2 products.
+    node pairs is built.  For real positions the moments are real, a sum
+    over the v >= 0 half of each mode's plane rule.  The kernel's
+    position-free factors, weights and monomials form one real table per
+    (order, n_max), 8 (n_max + 1) order^2 bytes, built on first use and
+    cached; both modes' positions go through the larger mode's table in one
+    pass, and each position costs order real and order / 2 complex
+    ``exp`` calls and (n_max + 1) order^2 real products.  A position whose
+    Gaussian factor underflows, such as 1e160, gives 0 without a warning.
     Linear in the amplitudes.  With ``check=True`` the quadrature order is
     doubled and a disagreement beyond 1e-7 relative to max(1, |value|) at
     any point raises :class:`~cvsqueeze.quadrature.ConvergenceError`.
@@ -477,7 +503,12 @@ def inverse_segal_bargmann(
     rows, cols = psi_b.amplitudes.shape
 
     def quadrature(quad_order):
-        m1, m2 = _kernel_moments(a * x1, quad_order, rows), _kernel_moments(b * x2, quad_order, cols)
+        # both modes' positions in one pass over the larger mode's table, whose
+        # first rows are the smaller mode's
+        s1, s2 = (a * x1).ravel(), (b * x2).ravel()
+        moments = _kernel_moments(np.concatenate((s1, s2)), quad_order, max(rows, cols))
+        m1 = moments[:rows, :s1.size].reshape((rows,) + x1.shape)
+        m2 = moments[:cols, s1.size:].reshape((cols,) + x2.shape)
         return math.sqrt(a * b / math.pi) * psi_b._contract(m1, m2) / np.pi**2
 
     value = _refine_by_doubling(quadrature, order, check, 1e-7, "inverse_segal_bargmann")

@@ -127,7 +127,7 @@ def hermite_suite() -> list[CheckResult]:
 
 def basis_suite() -> list[CheckResult]:
     checks: list[CheckResult] = []
-    # strong (1e-4, 0.05) to weak (0.999) squeezing; the worst, 4.0e-15, is at 1e-4
+    # strong (1e-4, 0.05) to weak (0.999) squeezing; the worst, 4.2e-15, is at 1e-4
     grams = [basis.basis_gram(alpha, max_index=4, order=40) for alpha in (1e-4, 0.05, 0.3, 0.6, 0.999)]
     residuals = [np.abs(gram - np.eye(gram.shape[0])) for gram in grams]
     checks.append(_check("Gaussian-measure orthonormality, indices <= 4", residuals, 1e-13))

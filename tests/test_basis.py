@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cvsqueeze import basis, hermite
-from cvsqueeze.quadrature import gauss_hermite, scaled_gauss_hermite
+from cvsqueeze.quadrature import _plane_gauss_hermite, gauss_hermite, scaled_gauss_hermite
 
 
 class TestSqueezeParam:
@@ -271,6 +271,30 @@ def test_gram_matches_direct_principal_axis_sum(alpha):
             direct = _direct_principal_axis_gram(alpha, max_index, order)
             factored = basis.basis_gram(alpha, max_index, order)
             assert np.abs(factored - direct).max() < 1000 * np.finfo(float).eps
+
+
+def _full_plane_gram(alpha, max_index, order):
+    # basis_gram's factored form with the one-plane Gram M summed over every
+    # node of the tensor rule, in complex arithmetic
+    coeffs = basis._gram_coefficients(max_index)
+    nodes, weights = _plane_gauss_hermite(order, 2 * alpha / (1 + alpha), 2 / (1 + alpha))
+    e = basis._polynomial_sequence(2 * max_index, alpha, nodes)
+    plane = (e * weights) @ e.conj().T
+    rotated = (plane.T @ coeffs @ plane).reshape(len(coeffs), -1)
+    gram = rotated @ coeffs.reshape(len(coeffs), -1).conj().T
+    return gram * (4 * alpha / ((1 + alpha) ** 2 * math.pi**2))
+
+
+@pytest.mark.parametrize(
+    "max_index, order",
+    [(m, o) for m in (0, 1, 4, 10, 20) for o in sorted({2 * m + 1, 2 * m + 2, 40, 41}) if o >= max(2, 2 * m + 1)],
+)
+@pytest.mark.parametrize("alpha", [1e-8, 0.05, 0.5, 1 - 1e-9])
+def test_gram_folded_rule_matches_full_plane_rule(alpha, max_index, order):
+    # basis_gram sums one quadrant of the plane rule in real arithmetic, odd
+    # p + q set to 0; measured within 2.5e-15 of the full rule on these cases
+    folded = basis.basis_gram(alpha, max_index, order)
+    assert np.abs(folded - _full_plane_gram(alpha, max_index, order)).max() <= 4e-15
 
 
 @pytest.mark.parametrize("max_index", [4, basis._GRAM_MAX_INDEX])

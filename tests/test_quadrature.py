@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cvsqueeze import basis, hermite
-from cvsqueeze.quadrature import gauss_hermite, open_gauss_hermite
+from cvsqueeze.quadrature import _half_gauss_hermite, gauss_hermite, open_gauss_hermite, scaled_gauss_hermite
 
 
 def reference_node(order, guess, digits=50):
@@ -62,6 +62,22 @@ def test_even_moments(order):
     for j in range(min(order, 10)):
         moment = np.sum(weights * nodes ** (2 * j))
         assert moment == pytest.approx(math.gamma(j + 0.5), rel=1e-14)
+
+
+@pytest.mark.parametrize("order", [2, 3, 8, 9, 24, 25, 96, 97, 370])
+def test_half_rule_folds_the_mirror_weights(order):
+    # the nodes >= 0 of the scaled rule; a positive node's weight is its own
+    # plus its mirror's, exactly twice its own because the rule is mirrored
+    # exactly, and an odd order's zero node keeps its weight
+    nodes, weights = scaled_gauss_hermite(order, 0.5)
+    half, folded = _half_gauss_hermite(order, 0.5)
+    np.testing.assert_array_equal(half, nodes[order // 2:])
+    assert half[0] == 0.0 if order % 2 else half[0] > 0.0
+    np.testing.assert_array_equal(folded[half > 0], 2.0 * weights[nodes > 0])
+    np.testing.assert_array_equal(folded[half == 0], weights[nodes == 0])
+    # so a sum of an even function over the half rule is its sum over the rule
+    total = np.sum(weights * (np.cos(nodes) + nodes**2))
+    assert np.sum(folded * (np.cos(half) + half**2)) == pytest.approx(total, rel=1e-14)
 
 
 @pytest.mark.parametrize("order", [96, 320])

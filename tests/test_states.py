@@ -310,6 +310,31 @@ class TestInputDomain:
     @pytest.mark.parametrize(
         "call",
         [
+            lambda x: states.inverse_segal_bargmann(states.bargmann_series(2, 0.5, LABELS, 6), x, 0.2, GEOM),
+            lambda x: states.inverse_segal_bargmann(
+                states.bargmann_series(1, 0.3, LABELS, 6), 0.2, x, SKEW_GEOM, order=25, check=True
+            ),
+            lambda x: states.segal_bargmann_kernel(x, 0.0, 0.1, 0.1, GEOM),
+            lambda x: states.hermite_function_sequence(3, x, 1.0),
+            lambda x: states.fock_position_basis(3, 2, x, 0.2, GEOM),
+            lambda x: states.series_expansion(2, 10, 0.3, x, GEOM, LABELS, 0.5),
+        ],
+        ids=["inverse_segal_bargmann", "inverse_segal_bargmann-odd-checked", "segal_bargmann_kernel",
+             "hermite_function_sequence", "fock_position_basis", "series_expansion"],
+    )
+    @pytest.mark.parametrize("huge", [1e160, -1e160, 1e300, -1e300])
+    def test_huge_finite_position_is_an_exact_zero(self, call, huge):
+        # the Gaussian in the position underflows to 0, the exact limit; its
+        # square used to overflow with a RuntimeWarning, an error here
+        assert np.all(call(huge) == 0.0)
+        mixed = call(np.array([0.3, huge]))
+        np.testing.assert_allclose(mixed[..., 0], call(0.3), rtol=1e-15)
+        assert np.all(mixed[..., 1] == 0.0)
+        assert np.any(mixed[..., 0] != 0.0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
             lambda n: basis.coefficient_table(2, 0.5, 0.1, 0.2j, n),
             lambda n: basis.coefficient_table(1, 0.5, 0.1, 0.2j, n),
             lambda n: basis.basis_function_sequence(n, 0.5, 0.1),
@@ -659,11 +684,13 @@ class TestInverseSegalBargmann:
 
     def test_peak_memory_cold_cache(self):
         # test_peak_memory's sizes and bounds with the moment table built
-        # inside the traced call: 16 (n_max + 1) order^2 bytes, 0.19 MB at
-        # (24, 20) and 1.5 MB at (48, 40)
+        # inside the traced call: 8 (n_max + 1) order^2 bytes, 0.097 MB at
+        # (24, 20), 0.74 MB at (48, 40) and 31 MB at (96, 422), where the
+        # complex full-plane table held 62 MB at a traced peak of 61.4 MiB
+        # (31.6 MiB measured)
         import tracemalloc
 
-        for order, n_max, side, bound_mib in [(24, 20, 3, 1), (48, 40, 3, 4), (24, 20, 41, 2)]:
+        for order, n_max, side, bound_mib in [(24, 20, 3, 1), (48, 40, 3, 4), (24, 20, 41, 2), (96, 422, 3, 33)]:
             points = np.linspace(-1.0, 1.0, side)
             psi_b = states.bargmann_series(2, 0.5, LABELS, n_max)
             states._moment_table.cache_clear()
@@ -677,21 +704,28 @@ class TestInverseSegalBargmann:
 
     def test_moment_table_cache_is_bounded_and_read_only(self):
         assert states._moment_table.cache_info().maxsize is not None
+        # u, the v >= 0 half of the v axis, the u weights, and one real table
+        # [Re T | -Im T] of 8 count order^2 bytes (order + 1 columns at an odd order)
         tables = states._moment_table(8, 5)
-        assert [t.shape for t in tables] == [(8,), (8,), (8,), (40, 8)]
+        assert [t.shape for t in tables] == [(8,), (4,), (8,), (40, 8)]
+        assert [t.dtype for t in tables] == [np.float64] * 4
+        assert tables[3].nbytes == 8 * 5 * 8**2
+        assert states._moment_table(9, 5)[3].shape == (45, 10)
         assert not any(t.flags.writeable for t in tables)
         with pytest.raises(ValueError):
             tables[3][0, 0] = 0.0
 
     @pytest.mark.parametrize("check", [False, True])
     def test_cold_and_warm_cache_agree_bitwise(self, check):
-        # a non-square table needs one entry per mode and order
+        # the two modes of a non-square table share the larger mode's entry,
+        # one per order: the cold call misses each, the warm call hits each
         psi_b = states.BargmannSeries(states.bargmann_series(2, 0.5, LABELS, 9).amplitudes[:4])
         x1, x2 = np.array([-0.8, 0.3, 1.0]), np.array([0.5, -0.1, 0.0])
         states._moment_table.cache_clear()
         cold = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=16, check=check)
         warm = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=16, check=check)
-        assert states._moment_table.cache_info().hits >= 2
+        info = states._moment_table.cache_info()
+        assert info.hits == info.misses == (2 if check else 1)
         np.testing.assert_array_equal(cold, warm)
 
     @pytest.mark.parametrize("order, j_max, bound", [(96, 60, 1e-13), (48, 40, 1e-9)])
@@ -734,6 +768,27 @@ class TestInverseSegalBargmann:
         x1, x2 = np.array([-0.8, 0.3]), np.array([0.5, -0.1])
         got = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=16, check=True)
         expected = grid_transform(psi_b, x1, x2, SKEW_GEOM, 32)
+        assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
+
+    @pytest.mark.parametrize("check", [False, True])
+    @pytest.mark.parametrize("order", [9, 16, 25])
+    def test_folded_rule_matches_node_pair_grid(self, order, check):
+        # each mode's moments sum the v >= 0 half of its plane rule in real
+        # arithmetic, with folded weights (an odd order's v = 0 node counted
+        # once); the grid sums every node pair in complex arithmetic.  With
+        # check=True the value is the grid's at twice the order; at order 9
+        # the doubling moves it by about 4e-6, and the gap the check reports
+        # is the grid's own
+        psi_b = states.BargmannSeries(states.bargmann_series(2, 0.5, LABELS, 4).amplitudes[:, :3])
+        x1, x2 = np.array([-0.7, 0.0, 0.45]), np.array([0.6, -0.3, 0.0])
+        expected = grid_transform(psi_b, x1, x2, SKEW_GEOM, 2 * order if check else order)
+        if check and order == 9:
+            base = grid_transform(psi_b, x1, x2, SKEW_GEOM, order)
+            gap = np.max(np.abs(base - expected) / np.maximum(1.0, np.abs(expected)))
+            with pytest.raises(ConvergenceError, match=f"by up to {gap:.3e} relative"):
+                states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=order, check=check)
+            return
+        got = states.inverse_segal_bargmann(psi_b, x1, x2, SKEW_GEOM, order=order, check=check)
         assert np.all(np.abs(got - expected) <= 1e-14 * np.maximum(1.0, np.abs(expected)))
 
     def test_non_square_table_matches_node_pair_grid(self):
