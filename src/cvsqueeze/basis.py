@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .quadrature import _half_gauss_hermite, check_order
+from ._checks import _finite_result, check_alpha, check_complex, check_index, check_order, check_real
+from .quadrature import _half_gauss_hermite
 
 __all__ = [
     "SqueezeParam",
@@ -38,73 +39,6 @@ __all__ = [
     "gaussian_measure_density",
     "basis_gram",
 ]
-
-
-def check_index(n: int, name: str = "n", *, minimum: int = 0, maximum: int | None = None) -> int:
-    """``n``, a Python or NumPy integer in [minimum, maximum] (None: unbounded), as an int.
-
-    ``bool``, ``np.bool_``, floats (2.0 too) and values out of range raise
-    ``ValueError`` naming the argument and its range.  Callers index with
-    the returned int, so ``True`` can never select entry 1 of a table.
-    """
-    integer = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
-    if not (integer and minimum <= n and (maximum is None or n <= maximum)):
-        if maximum is not None:
-            expected = f"an integer in [{minimum}, {maximum}]"
-        else:
-            expected = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
-        raise ValueError(f"{name} must be {expected}, got {n!r}")
-    return int(n)
-
-
-def check_alpha(alpha: float, *, closed: bool) -> float:
-    """``alpha`` as a float, checked to lie in (0, 1), or in (0, 1] if ``closed``.
-
-    Callers whose formulas stay regular without squeezing (alpha = 1) pass
-    ``closed=True``.  NaN and inf are rejected either way.
-    """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0 or (closed and alpha == 1.0)):
-        interval = "(0, 1]" if closed else "(0, 1)"
-        raise ValueError(f"alpha must lie in {interval}, got {alpha}")
-    return alpha
-
-
-def _check_positive(value: float, name: str) -> None:
-    # value must lie in (0, inf); NaN fails the test.  It is compared as
-    # given, not converted, so a value that is not a real number (a string,
-    # say) raises TypeError here instead of passing into later arithmetic
-    if not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_finite(**arguments) -> None:
-    # each named argument, a number or an array, must be finite in every
-    # entry; the error names the argument and its first non-finite entry
-    for name, value in arguments.items():
-        bad = ~np.isfinite(value)
-        if bad.any():
-            raise ValueError(f"{name} must be finite, got {np.asarray(value)[bad][0]}")
-
-
-def _symmetrized(matrix: np.ndarray, name: str) -> np.ndarray:
-    # (A + A^T) / 2 of a finite square matrix A, which must be symmetric
-    # within 1e-12 max(1, max |A|) in every entry
-    if np.abs(matrix - matrix.T).max() > 1e-12 * max(1.0, np.abs(matrix).max()):
-        raise ValueError(f"{name} must be symmetric")
-    return 0.5 * (matrix + matrix.T)
-
-
-def _finite_result(compute, sizes: str, **arguments) -> np.ndarray:
-    # compute() with float overflow warnings silenced, unless an entry of the
-    # result overflowed to inf or NaN; the error names the table sizes and the
-    # largest magnitude of each argument
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = compute()
-    if np.isfinite(values).all():
-        return values
-    largest = ", ".join(f"max |{name}| {float(np.max(np.abs(arg))):.6g}" for name, arg in arguments.items())
-    raise ValueError(f"result is not finite in float64 at {sizes}, {largest}")
 
 
 @dataclass(frozen=True)
@@ -129,8 +63,8 @@ def squeeze_from_alpha(alpha: float) -> SqueezeParam:
 
 def alpha_from_squeeze(xi: float) -> float:
     """Inverse of :func:`squeeze_from_alpha`: alpha = exp(-2 xi), finite xi >= 0."""
-    xi = float(xi)
-    if not 0.0 <= xi < math.inf:
+    xi = check_real(xi, "xi")
+    if xi < 0.0:
         raise ValueError(f"xi must be finite and nonnegative, got {xi}")
     return math.exp(-2.0 * xi)
 
@@ -259,11 +193,12 @@ def basis_function_2v(m: int, n: int, alpha: float, z1, z2):
 def coefficient_table(k: int, alpha: float, z1: complex, z2: complex, n_max: int) -> np.ndarray:
     """Expansion coefficients phi_{k,(m,n)}(z1, z2) for m, n <= n_max."""
     n_max = check_index(n_max, "n_max")
+    z1, z2 = check_complex(z1, "z1"), check_complex(z2, "z2")
     if check_index(k, "k", minimum=1, maximum=2) == 1:
-        seq1 = basis_function_sequence(n_max, alpha, complex(z1))
-        seq2 = basis_function_sequence(n_max, alpha, complex(z2))
+        seq1 = basis_function_sequence(n_max, alpha, z1)
+        seq2 = basis_function_sequence(n_max, alpha, z2)
         return np.outer(seq1, seq2)
-    return basis_function_2v_table(n_max, n_max, alpha, complex(z1), complex(z2))
+    return basis_function_2v_table(n_max, n_max, alpha, z1, z2)
 
 
 def coefficient(k: int, m: int, n: int, alpha: float, z1: complex, z2: complex) -> complex:
@@ -286,8 +221,10 @@ def coefficient_norm_partial(k: int, alpha: float, z1: complex, z2: complex, n_m
 
 def gaussian_measure_density(w1: complex, w2: complex) -> float:
     """Density pi^-2 exp(-|w1|^2 - |w2|^2) of the Gaussian reference measure."""
-    _check_finite(w1=w1, w2=w2)
-    return float(np.pi**-2 * np.exp(-abs(w1) ** 2 - abs(w2) ** 2))
+    w1, w2 = check_complex(w1, "w1"), check_complex(w2, "w2")
+    # |w|^2 beyond the float64 range is +inf, for the exact density 0.0
+    with np.errstate(over="ignore"):
+        return float(np.pi**-2 * np.exp(-np.square(abs(w1)) - np.square(abs(w2))))
 
 
 # largest max_index at which basis_gram was measured within 3e-14 of I

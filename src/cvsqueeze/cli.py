@@ -39,7 +39,8 @@ import sys
 
 import numpy as np
 
-from . import basis, model, phase_space, states, verify
+from . import model, phase_space, states, verify
+from ._checks import check_alpha, check_complex, check_index, check_real
 from .quadrature import _split
 
 _AXES = ("x1", "x2", "p1", "p2")
@@ -49,31 +50,24 @@ def _env(name: str, fallback: str) -> str:
     return os.environ.get(f"CVSQUEEZE_{name}", fallback)
 
 
-def _positive_float(text: str) -> float:
+def _checked(check, convert, text: str, *args, **kwargs):
+    # text converted and checked by a library check; a ValueError of either is a usage error
     try:
-        value = float(text)
+        return check(convert(text), *args, **kwargs)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _int_at_least(minimum: int, what: str):
-    def parse(text: str) -> int:
-        try:
-            value = int(text)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
-        return value
-
-    return parse
+def _positive_float(text: str) -> float:
+    return _checked(check_real, float, text, "value", positive=True)
 
 
-_positive_int = _int_at_least(1, "a positive integer")
-_grid_count = _int_at_least(2, "an integer >= 2")
+def _int_at_least(minimum: int):
+    return lambda text: _checked(check_index, int, text, "value", minimum=minimum)
+
+
+_positive_int = _int_at_least(1)
+_grid_count = _int_at_least(2)
 
 
 def _format_arg(formats: tuple[str, ...]):
@@ -86,10 +80,7 @@ def _format_arg(formats: tuple[str, ...]):
 
 
 def _unit_alpha(text: str) -> float:
-    try:
-        return basis.check_alpha(text, closed=False)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return _checked(check_alpha, float, text, closed=False)
 
 
 def _alpha_list(text: str) -> list[float]:
@@ -100,13 +91,7 @@ def _alpha_list(text: str) -> list[float]:
 
 
 def _complex_arg(text: str) -> complex:
-    try:
-        value = complex(text.replace(" ", ""))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a complex number: {text!r}") from exc
-    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-    return value
+    return _checked(check_complex, lambda raw: complex(raw.replace(" ", "")), text, "value")
 
 
 def _range_arg(text: str) -> tuple[float, float]:
@@ -134,13 +119,7 @@ def _fix_arg(text: str) -> tuple[str, float]:
     name, _, raw = text.partition("=")
     if name not in _AXES or not raw:
         raise argparse.ArgumentTypeError(f"expected AXIS=VALUE with axis in {_AXES}, got {text!r}")
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"fixed value must be a number: {text!r}") from exc
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"fixed value must be finite: {text!r}")
-    return name, value
+    return name, _checked(check_real, float, raw, name)
 
 
 def _fmt(value) -> str:
@@ -460,7 +439,7 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     shift = states.shift_params(args.k, args.alpha, geom, labels)
     offsets = {"x1": shift.y1, "x2": shift.y2, "p1": shift.q1, "p2": shift.q2}
 
-    coords = {name: float(value) for name, value in args.fix or ()}
+    coords = dict(args.fix or ())
     for name in _AXES:
         coords.setdefault(name, 0.0)
 

@@ -53,7 +53,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import _check_finite, _check_positive, _symmetrized, check_alpha, check_index
+from ._checks import _check_finite, _symmetrized, check_alpha, check_complex, check_index, check_real
 from .states import DisplacementLabels, GaussianState, OscillatorGeometry, QuadraticGaussian
 from .states import gaussian_state, wave_function
 
@@ -82,7 +82,7 @@ class OscillatorSpec:
 
     def __post_init__(self) -> None:
         for name in ("omega1", "omega2", "mass", "hbar"):
-            _check_positive(getattr(self, name), name)
+            object.__setattr__(self, name, check_real(getattr(self, name), name, positive=True))
 
     @classmethod
     def from_geometry(cls, geom: OscillatorGeometry, mass: float = 1.0) -> "OscillatorSpec":
@@ -106,12 +106,6 @@ class OscillatorSpec:
             math.sqrt(self.mass * self.omega1 / self.hbar),
             math.sqrt(self.mass * self.omega2 / self.hbar),
         )
-
-
-def _finite_labels(z1: complex, z2: complex) -> tuple[complex, complex]:
-    # DisplacementLabels raises ValueError on a non-finite label
-    labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
-    return labels.z1, labels.z2
 
 
 def _sigma_tau(alpha: float) -> tuple[float, float]:
@@ -148,7 +142,7 @@ def ladder_coefficients(alpha: float, z1: complex, z2: complex) -> LadderCoeffic
     relations canonical for every alpha.
     """
     alpha = check_alpha(alpha, closed=True)
-    z1, z2 = _finite_labels(z1, z2)
+    z1, z2 = check_complex(z1, "z1"), check_complex(z2, "z2")
     sigma, tau = _sigma_tau(alpha)
     diag = np.diag([sigma, sigma])
     anti = np.array([[0.0, tau], [tau, 0.0]])
@@ -400,7 +394,7 @@ def hamiltonian_fock(
     """
     alpha = check_alpha(alpha, closed=True)
     n_trunc = check_index(n_trunc, "n_trunc", minimum=8)
-    z1, z2 = _finite_labels(z1, z2)
+    z1, z2 = check_complex(z1, "z1"), check_complex(z2, "z2")
     return _operator(_kron_terms(_hamiltonian_terms(alpha, spec, z1, z2, method)), n_trunc)
 
 
@@ -418,7 +412,8 @@ class QuadraticHamiltonian:
     def __post_init__(self) -> None:
         q = np.asarray(self.q, dtype=float)
         linear = np.asarray(self.linear, dtype=float)
-        _check_finite(q=q, linear=linear, constant=self.constant)
+        _check_finite(q=q, linear=linear)
+        object.__setattr__(self, "constant", check_real(self.constant, "constant"))
         if q.shape != (4, 4):
             raise ValueError(f"q must be a 4x4 matrix, got shape {q.shape}")
         if linear.shape != (4,):
@@ -448,7 +443,7 @@ def hamiltonian_quadratic(
     hbar (omega_1 |z1|^2 + omega_2 |z2|^2), zero at z = 0.
     """
     alpha = check_alpha(alpha, closed=True)
-    z1, z2 = _finite_labels(z1, z2)
+    z1, z2 = check_complex(z1, "z1"), check_complex(z2, "z2")
     mix1, mix2, coupling = _frequency_mix(alpha, spec)
     sigma, tau = _sigma_tau(alpha)
     mass, hbar = spec.mass, spec.hbar
@@ -610,7 +605,7 @@ def ground_state_energy_check(
     a_i = sqrt(M omega_i / hbar) (:meth:`OscillatorSpec.inverse_lengths`).
     """
     grid_points = check_index(grid_points, "grid_points", minimum=32)
-    labels = DisplacementLabels(z1=complex(z1), z2=complex(z2))
+    labels = DisplacementLabels(z1, z2)
     geom = OscillatorGeometry(*spec.inverse_lengths(), hbar=spec.hbar)
     state = gaussian_state(2, alpha, geom, labels)
     frame, center = state.gaussian.frame, state.position_center
@@ -620,7 +615,7 @@ def ground_state_energy_check(
     f = np.exp(s_axis * (1j * k_s - 0.5 * kappa_s * s_axis))
     constant = 1j * (np.dot(state.wavenumbers, state.center) + state.phase)
     g = state.gaussian.norm_prefactor * np.exp(constant + t_axis * (1j * k_t - 0.5 * kappa_t * t_axis))
-    ham = hamiltonian_quadratic(alpha, spec, z1, z2)
+    ham = hamiltonian_quadratic(alpha, spec, labels.z1, labels.z2)
     u, v = _factored_action(ham, f, g, s_axis, t_axis, state.gaussian, center, spec.hbar)
     expected = 0.5 * spec.hbar * (spec.omega1 + spec.omega2)
     u[:, 0] -= expected * f

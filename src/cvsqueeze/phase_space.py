@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import _check_positive, _symmetrized, check_alpha, check_index
+from ._checks import _symmetrized, check_alpha, check_index, check_real
 from .quadrature import _refine_by_doubling, open_gauss_hermite
 from .states import OscillatorGeometry, QuadraticGaussian
 
@@ -72,16 +72,22 @@ class CovarianceMatrix:
             raise ValueError(f"covariance matrix must be 4x4, got shape {sigma.shape}")
         if not np.isfinite(sigma).all():
             raise ValueError(f"covariance matrix entries must be finite, got {sigma.tolist()}")
-        _check_positive(self.hbar, "hbar")
+        object.__setattr__(self, "hbar", check_real(self.hbar, "hbar", positive=True))
         object.__setattr__(self, "sigma", _symmetrized(sigma, "covariance matrix"))
 
 
 @dataclass(frozen=True)
 class PhaseSpacePoint:
+    """A point (x1, x2, p1, p2) of phase space, each coordinate a finite real."""
+
     x1: float = 0.0
     x2: float = 0.0
     p1: float = 0.0
     p2: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("x1", "x2", "p1", "p2"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -114,7 +120,7 @@ def wigner_gaussian(gaussian: QuadraticGaussian, hbar: float = 1.0):
     exponents are sums of squares on principal axes.
     Returns ``(CovarianceMatrix, evaluator)``.
     """
-    _check_positive(hbar, "hbar")
+    hbar = check_real(hbar, "hbar", positive=True)
     dual = QuadraticGaussian(gaussian.inverse.T, [1.0 / c for c in gaussian.curvatures])
     sigma = np.zeros((4, 4))
     sigma[:2, :2] = 0.5 * dual.matrix
@@ -175,7 +181,7 @@ def wigner_numeric(f, point: PhaseSpacePoint, hbar: float = 1.0, order: int = 48
     :class:`~cvsqueeze.quadrature.ConvergenceError` on a disagreement beyond
     1e-8 relative to max(1, |value|).
     """
-    _check_positive(hbar, "hbar")
+    hbar = check_real(hbar, "hbar", positive=True)
     curvatures, axes = _principal_axes(m_matrix)
     value = _refine_by_doubling(
         lambda quad_order: _wigner_quad(f, point, hbar, quad_order, curvatures, axes),

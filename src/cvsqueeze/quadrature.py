@@ -15,11 +15,12 @@ the outermost weights fall below the normal double range.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from functools import lru_cache
 
 import numpy as np
+
+from ._checks import check_order, check_real
 
 
 class ConvergenceError(RuntimeError):
@@ -97,23 +98,6 @@ def _hermite_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def check_order(order: int) -> int:
-    """``order`` as an int: a quadrature order of at least 2.
-
-    ``operator.index`` decides what is an integer, so ``np.int64`` is
-    accepted and ``24.0`` or ``"24"`` raise ``TypeError``; an order below 2
-    raises ``ValueError``.  Callers that compare an order with an exactness
-    bound validate it here first.
-    """
-    try:
-        index = operator.index(order)
-    except TypeError:
-        raise TypeError(f"quadrature order must be an integer, got {order!r}") from None
-    if index < 2:
-        raise ValueError(f"quadrature order must be >= 2, got {order!r}")
-    return index
-
-
 @lru_cache(maxsize=64, typed=True)
 def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending) and weights for integrals against exp(-t^2) dt.
@@ -147,8 +131,7 @@ def scaled_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarr
     Substitutes t = s / sqrt(coeff) into the standard rule; ``coeff`` must be
     positive and finite.
     """
-    if not 0.0 < coeff < np.inf:
-        raise ValueError(f"Gaussian weight coefficient coeff must be positive and finite, got {coeff}")
+    coeff = check_real(coeff, "coeff", positive=True)
     nodes, weights = gauss_hermite(order)
     scale = 1.0 / np.sqrt(coeff)
     return nodes * scale, weights * scale
@@ -192,8 +175,7 @@ def open_gauss_hermite(order: int, coeff: float) -> tuple[np.ndarray, np.ndarray
     and the fold is w exp(s) (1 + e), so the rounding of node^2, which
     exp would magnify to node^2 eps relative, never enters.
     """
-    if not 0.0 < coeff < np.inf:
-        raise ValueError(f"Gaussian decay coefficient coeff must be positive and finite, got {coeff}")
+    coeff = check_real(coeff, "coeff", positive=True)
     nodes, weights = gauss_hermite(order)
     hi, lo = _split(nodes)
     square = nodes * nodes

@@ -33,9 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .basis import (
-    _check_finite, _check_positive, _normalized_hermite, check_alpha, check_index, coefficient_table,
-)
+from ._checks import _check_finite, _check_positions, check_alpha, check_complex, check_index, check_real
+from .basis import _normalized_hermite, coefficient_table
 from .quadrature import _half_gauss_hermite, _refine_by_doubling, scaled_gauss_hermite
 
 __all__ = [
@@ -69,7 +68,7 @@ class OscillatorGeometry:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "hbar"):
-            _check_positive(getattr(self, name), name)
+            object.__setattr__(self, name, check_real(getattr(self, name), name, positive=True))
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,8 @@ class DisplacementLabels:
     z2: complex = 0.0 + 0.0j
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.z1) and np.isfinite(self.z2)):
-            raise ValueError("displacement labels must be finite")
+        for name in ("z1", "z2"):
+            object.__setattr__(self, name, check_complex(getattr(self, name), name))
 
 
 @dataclass(frozen=True)
@@ -110,13 +109,13 @@ class QuadraticGaussian:
 
     def __post_init__(self) -> None:
         frame = np.array(self.frame, dtype=float)
-        kappa = tuple(float(c) for c in self.curvatures)
+        kappa = tuple(check_real(c, "curvatures", positive=True) for c in self.curvatures)
         # a frame of the wrong shape counts as singular; an inf or NaN entry
         # makes the determinant inf or NaN
         (f00, f01), (f10, f11) = frame.tolist() if frame.shape == (2, 2) else 2 * [(0.0, 0.0)]
         det = f00 * f11 - f01 * f10
-        if not (len(kappa) == 2 and all(0.0 < c < math.inf for c in kappa) and 0.0 < abs(det) < math.inf):
-            raise ValueError(f"need positive finite curvatures and a finite nonsingular 2x2 frame, not {kappa}")
+        if not (len(kappa) == 2 and 0.0 < abs(det) < math.inf):
+            raise ValueError(f"need two curvatures and a finite nonsingular 2x2 frame, not {kappa}")
         frame.flags.writeable = False
         object.__setattr__(self, "frame", frame)
         object.__setattr__(self, "curvatures", kappa)
@@ -208,16 +207,18 @@ def gaussian_state(
     return GaussianState(QuadraticGaussian(frame, curvatures), center, wavenumbers, -(z1r * z1i + z2r * z2i))
 
 
-def _check_positions(*positions) -> tuple[np.ndarray, ...]:
-    # float arrays, each on its own shape; shapes that do not broadcast, inf or NaN raise
-    arrays = tuple(np.asarray(x, dtype=float) for x in positions)
-    try:
-        np.broadcast(*arrays)
-    except ValueError:
-        raise ValueError("x1 and x2 must broadcast, got shapes " + " and ".join(str(x.shape) for x in arrays)) from None
-    if not all(np.isfinite(x).all() for x in arrays):
-        raise ValueError("positions must be finite")
-    return arrays
+# |s| beyond which exp(-s^2/2 + sqrt(2) s u) underflows at every node u of
+# every rule (|u| < 22 up to order 370), as exp(-s^2/2) does from |s| = 38.6
+_MOMENT_CLIP = 2.0**511
+
+
+def _scaled_position(inverse_length: float, x: np.ndarray) -> np.ndarray:
+    # s = inverse_length x, with x clipped so that |s| <= 2^511 up to rounding.
+    # Every Gaussian factor in s has underflowed to 0 long before the clip, as
+    # at any larger |s|, so no value changes; but neither the product nor s^2
+    # nor s times a recurrence coefficient overflows, so 0 s is 0, not NaN
+    bound = _MOMENT_CLIP / inverse_length
+    return inverse_length * np.minimum(np.maximum(x, -bound), bound)
 
 
 def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarray:
@@ -228,13 +229,10 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     exp(-(a x)^2 / 2), positive and finite.
     """
     n_max = check_index(n_max, "n_max")
-    _check_positive(inverse_length, "inverse_length")
+    inverse_length = check_real(inverse_length, "inverse_length", positive=True)
     (x,) = _check_positions(x)
-    ax = inverse_length * x
-    # beyond |ax| of about 1.9e154 the square overflows and the Gaussian is 0,
-    # its exact limit, without a warning
-    with np.errstate(over="ignore"):
-        gaussian = math.sqrt(inverse_length) * np.pi**-0.25 * np.exp(-0.5 * ax * ax)
+    ax = _scaled_position(inverse_length, x)
+    gaussian = math.sqrt(inverse_length) * np.pi**-0.25 * np.exp(-0.5 * ax * ax)
     return _normalized_hermite(n_max, ax, 1.0, gaussian, 2.0)
 
 
@@ -306,7 +304,7 @@ def heisenberg_weyl_shift(params: ShiftParams, f, x1, x2, hbar: float = 1.0):
     unitary and composition obey the Weyl relation (two translations
     compose into their sum times a pure phase).
     """
-    _check_positive(hbar, "hbar")
+    hbar = check_real(hbar, "hbar", positive=True)
     x1, x2 = _check_positions(x1, x2)
     phase = np.exp(
         (1j / hbar)
@@ -322,12 +320,10 @@ def unshifted_gaussian(k: int, alpha: float, geom: OscillatorGeometry) -> Quadra
 
 
 def _sb_mode_exponent(s, w):
-    # one mode's term of the kernel exponent at s = a x and w = u + i v:
-    # -w^2/2 - |w|^2 = -3u^2/2 - v^2/2 - i u v, less the Gaussian in (u, v),
-    # which the inverse transform's quadrature weights carry.  Beyond |s| of
-    # about 1.9e154 the square overflows to -inf, the exact limit, quietly
-    with np.errstate(over="ignore"):
-        return -0.5 * s * s + math.sqrt(2.0) * s * w - 1j * w.real * w.imag
+    # one mode's term of the kernel exponent at s = a x (from _scaled_position)
+    # and w = u + i v: -w^2/2 - |w|^2 = -3u^2/2 - v^2/2 - i u v, less the
+    # Gaussian in (u, v), which the inverse transform's quadrature weights carry
+    return -0.5 * s * s + math.sqrt(2.0) * s * w - 1j * w.real * w.imag
 
 
 def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
@@ -342,8 +338,8 @@ def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
     w2 = np.asarray(w2, dtype=complex)
     _check_finite(w1=w1, w2=w2)
     exponent = (
-        _sb_mode_exponent(a * x1, w1)
-        + _sb_mode_exponent(b * x2, w2)
+        _sb_mode_exponent(_scaled_position(a, x1), w1)
+        + _sb_mode_exponent(_scaled_position(b, x2), w2)
         - 1.5 * (w1.real**2 + w2.real**2)
         - 0.5 * (w1.imag**2 + w2.imag**2)
     )
@@ -413,11 +409,6 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
     return BargmannSeries(coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * normalizer)
 
 
-# |s| beyond which exp(-s^2/2 + sqrt(2) s u) underflows at every node u of
-# every rule (|u| < 22 up to order 370)
-_MOMENT_CLIP = 2.0**511
-
-
 @lru_cache(maxsize=4)
 def _moment_table(order: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The position-free part of the kernel moments at ``count`` rows.
@@ -454,11 +445,10 @@ def _kernel_moments(s: np.ndarray, order: int, count: int) -> np.ndarray:
     # give conjugate terms, so M_j is real, the sum over v >= 0 of the folded
     # Re(T exp(i sqrt(2) s v)): per point order real and order / 2 complex
     # exp calls, one real product of the table with the pairs
-    # (cos(sqrt(2) v s), sin(sqrt(2) v s)), one u-weighted sum.  s is clipped
-    # to |s| <= 2^511, where the first factor is already 0 at every node, as
-    # at any larger |s|: no moment changes, and s^2 stays finite
+    # (cos(sqrt(2) v s), sin(sqrt(2) v s)), one u-weighted sum.  s comes
+    # clipped from _scaled_position, so s^2 stays finite
     u, v, wu, table = _moment_table(order, count)
-    flat = np.minimum(np.maximum(s, -_MOMENT_CLIP), _MOMENT_CLIP).reshape(1, -1)
+    flat = s.reshape(1, -1)
     # exp(i sqrt(2) v s) on (point, v), viewed as the [cos, sin] pairs of the table's columns
     along_v = table @ np.exp(1j * math.sqrt(2.0) * v * flat.T).view(float).T
     along_u = wu[:, None] * np.exp(-0.5 * flat * flat + math.sqrt(2.0) * u[:, None] * flat)
@@ -500,12 +490,12 @@ def inverse_segal_bargmann(
         raise TypeError(f"psi_b must be a BargmannSeries, got {type(psi_b).__name__}")
     x1, x2 = _check_positions(x1, x2)
     a, b = geom.a, geom.b
+    s1, s2 = _scaled_position(a, x1).ravel(), _scaled_position(b, x2).ravel()
     rows, cols = psi_b.amplitudes.shape
 
     def quadrature(quad_order):
         # both modes' positions in one pass over the larger mode's table, whose
         # first rows are the smaller mode's
-        s1, s2 = (a * x1).ravel(), (b * x2).ravel()
         moments = _kernel_moments(np.concatenate((s1, s2)), quad_order, max(rows, cols))
         m1 = moments[:rows, :s1.size].reshape((rows,) + x1.shape)
         m2 = moments[:cols, s1.size:].reshape((cols,) + x2.shape)

@@ -92,7 +92,7 @@ def test_criterion_4_orthogonality_constant():
     for alpha in (0.3, 0.5, 0.7):
         for m in range(11):
             for n in range(m, 11):
-                value = hermite.orthogonality_integral(m, n, alpha, order=80)
+                value = hermite.orthogonality_integral(m, n, alpha)
                 if m == n:
                     expected = hermite.orthogonality_rhs(n, n, alpha)
                     crit.update(abs(value - expected) / expected)

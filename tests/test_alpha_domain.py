@@ -1,13 +1,15 @@
 """One alpha domain for every public entry point that takes alpha.
 
 Each accepts (0, 1) or, where its formulas stay regular at no squeezing,
-(0, 1]; NaN and inf are rejected everywhere.  The CLI's ``--alpha`` and
+(0, 1]; NaN, inf and what is not a real number are rejected everywhere.  The CLI's ``--alpha`` and
 ``--alphas`` take the open interval and report anything else as a usage
 error.
 """
 
 import math
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from cvsqueeze import basis, hermite, model, phase_space, states
@@ -26,7 +28,7 @@ OPEN = {
     "coefficient_table": lambda a: basis.coefficient_table(1, a, 0.3j, 0.1, 2),
     "coefficient_norm_partial": lambda a: basis.coefficient_norm_partial(2, a, 0.3j, 0.1, 2),
     "basis_gram": lambda a: basis.basis_gram(a, max_index=1, order=4),
-    "orthogonality_integral": lambda a: hermite.orthogonality_integral(1, 2, a, order=4),
+    "orthogonality_integral": lambda a: hermite.orthogonality_integral(1, 2, a),
     "orthogonality_rhs": lambda a: hermite.orthogonality_rhs(2, 2, a),
     "series_expansion": lambda a: states.series_expansion(2, 4, 0.1, 0.2, GEOM, LABELS, a),
     "bargmann_series": lambda a: states.bargmann_series(2, a, LABELS, 4),
@@ -64,3 +66,11 @@ def test_alpha_domain(name, value, capsys):
     else:
         with pytest.raises(ValueError, match="alpha must lie"):
             call(value)
+
+
+@pytest.mark.parametrize("value", [True, np.True_, "0.5", None, Decimal("0.5"), 0.5j, np.array([0.5, 0.5])], ids=repr)
+@pytest.mark.parametrize("name", {**OPEN, **CLOSED})
+def test_alpha_must_be_a_real_number(name, value):
+    # True once passed as 1.0 where alpha = 1 is allowed, "0.5" as 0.5 everywhere
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1[)\]], got "):
+        ENTRY_POINTS[name](value)

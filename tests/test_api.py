@@ -36,11 +36,11 @@ def _parameters(fn) -> list[str]:
 
 def test_no_derivable_inputs():
     # the geometry follows from the spec, the spectrum and the negativity
-    # from the covariance, the orthogonality rule's exactness from its order
+    # from the covariance, the orthogonality rule's order from m and n
     assert "geom" not in _parameters(model.ground_state_energy_check)
     assert _parameters(phase_space.ppt_separable) == ["cov"]
     assert _parameters(phase_space.log_negativity) == ["cov"]
-    assert _parameters(hermite.orthogonality_integral) == ["m", "n", "alpha", "order"]
+    assert _parameters(hermite.orthogonality_integral) == ["m", "n", "alpha"]
     # settings that no caller sets are constants: tolerances, the interior's
     # padding and the ground-state box; the chord rule's quadratic form has
     # no default, since the identity is the wrong scale for a squeezed state

@@ -32,7 +32,7 @@ class TestSqueezeParam:
         for bad in (0.0, -0.1, 1.0001):
             with pytest.raises(ValueError):
                 basis.squeeze_from_alpha(bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^xi must be finite and nonnegative, got -0.5$"):
             basis.alpha_from_squeeze(-0.5)
 
 
@@ -212,6 +212,12 @@ class TestCoefficientNorm:
 class TestGaussianMeasure:
     def test_origin_value(self):
         assert basis.gaussian_measure_density(0, 0) == pytest.approx(math.pi**-2, rel=1e-15)
+
+    @pytest.mark.parametrize("w", [1e200, -1e200j, 1e155 + 1e155j])
+    def test_far_argument_is_an_exact_zero(self, w):
+        # |w|^2 overflows; Python's abs(w) ** 2 raised OverflowError
+        assert basis.gaussian_measure_density(w, 0) == 0.0
+        assert basis.gaussian_measure_density(0.5, w) == 0.0
 
     def test_positive(self):
         rng = np.random.default_rng(7)

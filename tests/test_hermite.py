@@ -247,7 +247,7 @@ class TestOrthogonality:
         for alpha in (0.3, 0.5, 0.7):
             for m in range(11):
                 for n in range(m, 11):
-                    value = hermite.orthogonality_integral(m, n, alpha, order=80)
+                    value = hermite.orthogonality_integral(m, n, alpha)
                     if m == n:
                         assert value.real == pytest.approx(
                             hermite.orthogonality_rhs(n, n, alpha), rel=1e-8
@@ -256,22 +256,24 @@ class TestOrthogonality:
                         scale = hermite.orthogonality_rhs(max(m, n), max(m, n), alpha)
                         assert abs(value) / scale < 1e-8
 
-    def test_rejects_order_below_exact(self):
-        # exact once 2 * order - 1 >= m + n, from order 7 for (6, 6)
-        with pytest.raises(ValueError, match="not exact"):
-            hermite.orthogonality_integral(6, 6, 0.5, order=3)
-
     @pytest.mark.parametrize("alpha", [1e-3, 0.3, 0.7, 1.0 - 1e-9])
     def test_minimal_exact_order_matches_order_80(self, alpha):
+        # the rule at order (m + n) // 2 + 1 against the order-80 one of verify
+        reference = hermite._orthogonality_quad(10, alpha, 80)
         for m in range(11):
             for n in range(11):
-                exact_order = max(2, (m + n + 2) // 2)
                 scale = hermite.orthogonality_rhs(max(m, n), max(m, n), alpha)
-                value = hermite.orthogonality_integral(m, n, alpha, order=exact_order)
-                assert abs(value - hermite.orthogonality_integral(m, n, alpha)) <= 1e-14 * scale
-                if exact_order > 2:
-                    with pytest.raises(ValueError, match="not exact"):
-                        hermite.orthogonality_integral(m, n, alpha, order=exact_order - 1)
+                assert abs(hermite.orthogonality_integral(m, n, alpha) - reference[m, n]) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.05, 0.5, 0.9, 1.0 - 1e-9])
+    def test_closed_form_up_to_index_20(self, alpha):
+        # 9.3e-15 at worst over these alphas, relative to sqrt(R_mm R_nn)
+        norms = [hermite.orthogonality_rhs(n, n, alpha) for n in range(21)]
+        for m in range(21):
+            for n in range(21):
+                expected = norms[m] if m == n else 0.0
+                scale = math.sqrt(norms[m]) * math.sqrt(norms[n])
+                assert abs(hermite.orthogonality_integral(m, n, alpha) - expected) <= 2e-14 * scale
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -77,8 +77,8 @@ ENTRIES = {
         "n_terms": Index(lambda n: hermite.mehler_two_variable(0.3, 0.2, 0.1j, 0.2, 0.4, -0.1, n), 5),
     },
     "orthogonality_integral": {
-        "m": Index(lambda m: hermite.orthogonality_integral(m, 1, 0.5, order=4), 2),
-        "n": Index(lambda n: hermite.orthogonality_integral(1, n, 0.5, order=4), 2),
+        "m": Index(lambda m: hermite.orthogonality_integral(m, 1, 0.5), 2),
+        "n": Index(lambda n: hermite.orthogonality_integral(1, n, 0.5), 2),
     },
     "orthogonality_rhs": {
         "m": Index(lambda m: hermite.orthogonality_rhs(m, 2, 0.5), 2),

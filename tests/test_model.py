@@ -50,7 +50,7 @@ class TestOscillatorSpec:
 
     @pytest.mark.parametrize("field", ["omega1", "omega2", "mass", "hbar"])
     def test_rejects_string(self, field):
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got '2'$"):
             model.OscillatorSpec(**{"omega1": 1.0, "omega2": 1.0, field: "2"})
 
 

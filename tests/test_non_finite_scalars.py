@@ -1,72 +1,224 @@
-"""Non-finite scalar inputs raise a ValueError that names the input.
+"""One scalar contract for every public function that takes a real or complex scalar.
 
-Each guard is written so that NaN fails it, rather than flowing on into a
-silently wrong number (0.0, all-zero quadrature rules, NaN, or alpha outside
-(0, 1]).
+The parameters named in ``SCALAR_PARAMETERS`` take a Python or NumPy number
+of their kind and nothing else: ``bool``, ``np.bool_``, strings, ``None``,
+``Decimal``, arrays, NaN and +-inf raise a ``ValueError`` that names the
+parameter, and so do complex values where a real is expected and, where it
+must be positive, -1 and 0.  An ``int``, ``np.float32``, ``np.float64`` or
+``Fraction`` gives exactly the result of the equal ``float``.  ``alpha``
+has a domain of its own, tested in test_alpha_domain.py; arguments that
+may be arrays are exempted by name in ``ARRAYS``.
 """
 
+import inspect
 import math
+from decimal import Decimal
+from fractions import Fraction
+from typing import Callable, NamedTuple
 
+import numpy as np
 import pytest
+from test_index_domain import _same
 
-from cvsqueeze import basis, hermite, phase_space, states
+import cvsqueeze
+from cvsqueeze import basis, hermite, model, phase_space, states
 
-NON_FINITE = [math.nan, math.inf, -math.inf]
+GEOM = states.OscillatorGeometry(a=1.0, b=1.3)
+LABELS = states.DisplacementLabels(0.1 + 0.2j, -0.3j)
+SPEC = model.OscillatorSpec.from_geometry(GEOM)
+GAUSSIAN = states.unshifted_gaussian(2, 0.5, GEOM)
+SHIFT = states.shift_params(2, 0.5, GEOM, LABELS)
 
-
-@pytest.mark.parametrize("value", NON_FINITE, ids=str)
-def test_wigner_numeric_hbar(value):
-    # a non-finite m_matrix and Gauss-Hermite coefficient are
-    # tested next to the other quadrature guards, in test_phase_space.py
-    gaussian = states.unshifted_gaussian(2, 0.5, states.OscillatorGeometry(1.0, 1.0))
-    with pytest.raises(ValueError, match="hbar must be positive and finite"):
-        phase_space.wigner_numeric(
-            gaussian.evaluate, phase_space.PhaseSpacePoint(), hbar=value, m_matrix=gaussian.matrix
-        )
-
-
-@pytest.mark.parametrize("value", NON_FINITE, ids=str)
-def test_mehler_product(value):
-    with pytest.raises(ValueError, match=r"\|t\| must be < 1"):
-        hermite.mehler_product(value, 1.0, 1.0)
-
-
-@pytest.mark.parametrize("value", NON_FINITE, ids=str)
-def test_mehler_two_variable(value):
-    with pytest.raises(ValueError, match=r"\|s\*t\| must be < 1"):
-        hermite.mehler_two_variable(value, 0.5, 0.1, 0.1, 0.0, 0.0)
-
-
-@pytest.mark.parametrize("value", NON_FINITE, ids=str)
-def test_alpha_from_squeeze(value):
-    with pytest.raises(ValueError, match="xi must be finite and nonnegative"):
-        basis.alpha_from_squeeze(value)
-
-
-@pytest.mark.parametrize("value", [*NON_FINITE, -1.0, 0.0], ids=str)
-def test_heisenberg_weyl_shift_hbar(value):
-    # unchecked, a NaN hbar gives nan+nanj
-    params = states.shift_params(2, 0.5, states.OscillatorGeometry(1.0, 1.0), states.DisplacementLabels(0.3j))
-    with pytest.raises(ValueError, match="hbar must be positive and finite"):
-        states.heisenberg_weyl_shift(params, lambda x1, x2: x1 + x2, 0.1, 0.2, hbar=value)
+SCALAR_PARAMETERS = {
+    "xi", "s", "t", "u", "v", "z", "z1", "z2", "w1", "w2", "x", "x1", "x2", "p1", "p2",
+    "a", "b", "hbar", "inverse_length", "omega1", "omega2", "mass", "constant", "curvatures",
+}
+# positions and evaluator arguments, which broadcast as arrays
+ARRAYS = {
+    "basis_function": {"z"},
+    "basis_function_sequence": {"z"},
+    "basis_function_2v": {"z1", "z2"},
+    "basis_function_2v_table": {"z1", "z2"},
+    "hermite_real": {"x"},
+    "hermite_holo": {"z"},
+    "hermite_holo_sequence": {"z"},
+    "hermite_function_sequence": {"x"},
+    "fock_position_basis": {"x1", "x2"},
+    "wave_function": {"x1", "x2"},
+    "series_expansion": {"x1", "x2"},
+    "heisenberg_weyl_shift": {"x1", "x2"},
+    "segal_bargmann_kernel": {"x1", "x2", "w1", "w2"},
+    "inverse_segal_bargmann": {"x1", "x2"},
+}
+# records whose fields the library fills from checked arguments
+RECORDS = {"SqueezeParam"}
 
 
-@pytest.mark.parametrize("value", [*NON_FINITE, -1.0, 0.0], ids=str)
-def test_hermite_function_sequence(value):
-    with pytest.raises(ValueError, match="inverse_length must be positive and finite"):
-        states.hermite_function_sequence(2, 0.5, value)
+class Scalar(NamedTuple):
+    call: Callable
+    valid: float = 1.0
+    kind: str = "real"
 
 
-@pytest.mark.parametrize("value", NON_FINITE, ids=str)
-@pytest.mark.parametrize("name", ["w1", "w2"])
-def test_gaussian_measure_density(name, value):
-    # unchecked, a NaN argument gives a NaN density
-    arguments = {"w1": 0.0, "w2": 0.0, name: complex(value, 0.0)}
-    with pytest.raises(ValueError, match=f"{name} must be finite"):
-        basis.gaussian_measure_density(**arguments)
+def real(call, valid=1.0):
+    return Scalar(call, valid, "real")
 
 
-@pytest.mark.parametrize("value", NON_FINITE, ids=str)
+def positive(call):
+    return Scalar(call, 2.0, "positive")
+
+
+def complex_(call):
+    return Scalar(call, 1.0, "complex")
+
+
+def _wigner_gaussian(hbar):
+    # the covariance and one value of the evaluator, which _same can compare
+    cov, evaluator = phase_space.wigner_gaussian(GAUSSIAN, hbar)
+    return cov, evaluator(0.1, 0.2, 0.3, 0.4)
+
+
+def _labels(call):
+    # z1 and z2 entries of a call taking the two labels
+    return {
+        "z1": complex_(lambda z: call(z, -0.3j)),
+        "z2": complex_(lambda z: call(0.1 + 0.2j, z)),
+    }
+
+
+ENTRIES = {
+    "alpha_from_squeeze": {"xi": real(basis.alpha_from_squeeze)},
+    "coefficient": _labels(lambda z1, z2: basis.coefficient(2, 1, 1, 0.5, z1, z2)),
+    "coefficient_table": _labels(lambda z1, z2: basis.coefficient_table(1, 0.5, z1, z2, 2)),
+    "coefficient_norm_partial": _labels(lambda z1, z2: basis.coefficient_norm_partial(2, 0.5, z1, z2, 2)),
+    "gaussian_measure_density": {
+        "w1": complex_(lambda w: basis.gaussian_measure_density(w, 0.3j)),
+        "w2": complex_(lambda w: basis.gaussian_measure_density(0.3j, w)),
+    },
+    "hermite_complex_2v": _labels(lambda z1, z2: hermite.hermite_complex_2v(2, 1, z1, z2)),
+    "hermite_complex_2v_table": _labels(lambda z1, z2: hermite.hermite_complex_2v_table(2, 1, z1, z2)),
+    "mehler_product": {
+        "t": real(lambda t: hermite.mehler_product(t, 0.2, 0.1j, 8), 0.5),
+        **_labels(lambda z1, z2: hermite.mehler_product(0.3, z1, z2, 8)),
+    },
+    "mehler_two_variable": {
+        "s": real(lambda s: hermite.mehler_two_variable(s, 0.25, 0.1j, 0.2, 0.4, -0.1, 8), 0.5),
+        "t": real(lambda t: hermite.mehler_two_variable(0.5, t, 0.1j, 0.2, 0.4, -0.1, 8), 0.25),
+        "u": real(lambda u: hermite.mehler_two_variable(0.5, 0.25, 0.1j, 0.2, u, -0.1, 8)),
+        "v": real(lambda v: hermite.mehler_two_variable(0.5, 0.25, 0.1j, 0.2, 0.4, v, 8), -1.0),
+        **_labels(lambda z1, z2: hermite.mehler_two_variable(0.5, 0.25, z1, z2, 0.4, -0.1, 8)),
+    },
+    "OscillatorSpec": {
+        "omega1": positive(lambda w: model.OscillatorSpec(w, 1.5)),
+        "omega2": positive(lambda w: model.OscillatorSpec(1.5, w)),
+        "mass": positive(lambda m: model.OscillatorSpec(1.5, 0.5, mass=m)),
+        "hbar": positive(lambda h: model.OscillatorSpec(1.5, 0.5, hbar=h)),
+    },
+    "QuadraticHamiltonian": {"constant": real(lambda c: model.QuadraticHamiltonian(np.eye(4), np.ones(4), c))},
+    "ladder_coefficients": _labels(lambda z1, z2: model.ladder_coefficients(0.5, z1, z2)),
+    "transformed_ladder_matrices": _labels(lambda z1, z2: model.transformed_ladder_matrices(0.5, z1, z2, 4)),
+    "hamiltonian_fock": _labels(lambda z1, z2: model.hamiltonian_fock(0.5, SPEC, z1, z2, 8)),
+    "hamiltonian_quadratic": _labels(lambda z1, z2: model.hamiltonian_quadratic(0.5, SPEC, z1, z2)),
+    "ground_state_energy_check": _labels(
+        lambda z1, z2: model.ground_state_energy_check(0.5, SPEC, z1, z2, grid_points=32)
+    ),
+    "CovarianceMatrix": {"hbar": positive(lambda h: phase_space.CovarianceMatrix(np.eye(4), h))},
+    "PhaseSpacePoint": {
+        name: real(lambda x, name=name: phase_space.PhaseSpacePoint(**{name: x})) for name in ("x1", "x2", "p1", "p2")
+    },
+    "wigner_gaussian": {"hbar": positive(_wigner_gaussian)},
+    "wigner_numeric": {
+        "hbar": positive(
+            lambda h: phase_space.wigner_numeric(
+                GAUSSIAN.evaluate, phase_space.PhaseSpacePoint(0.1, 0.2, 0.3, 0.4), h, m_matrix=GAUSSIAN.matrix
+            )
+        ),
+    },
+    "OscillatorGeometry": {
+        "a": positive(lambda a: states.OscillatorGeometry(a, 1.5)),
+        "b": positive(lambda b: states.OscillatorGeometry(1.5, b)),
+        "hbar": positive(lambda h: states.OscillatorGeometry(1.5, 0.5, h)),
+    },
+    "DisplacementLabels": _labels(states.DisplacementLabels),
+    "QuadraticGaussian": {"curvatures": positive(lambda c: states.QuadraticGaussian(GAUSSIAN.frame, (c, 1.5)))},
+    "hermite_function_sequence": {"inverse_length": positive(lambda a: states.hermite_function_sequence(3, 0.4, a))},
+    "heisenberg_weyl_shift": {
+        "hbar": positive(lambda h: states.heisenberg_weyl_shift(SHIFT, GAUSSIAN.evaluate, 0.1, 0.2, h)),
+    },
+}
+
+CASES = [(name, parameter) for name, parameters in ENTRIES.items() for parameter in parameters]
+
+REJECTED = [True, np.True_, "0.5", None, Decimal("0.5"), np.array([0.5, 0.5]), math.nan, math.inf, -math.inf]
+REJECTED_BY_KIND = {
+    "real": [1j],
+    "positive": [1j, -1.0, 0.0],
+    "complex": [complex(0.5, math.nan), complex(0.0, -math.inf)],
+}
+REJECTIONS = [
+    pytest.param(name, parameter, value, id=f"{name}-{parameter}-{value!r}")
+    for name, parameter in CASES
+    for value in REJECTED + REJECTED_BY_KIND[ENTRIES[name][parameter].kind]
+]
+
+
+def test_every_scalar_parameter_has_an_entry():
+    for name in cvsqueeze.__all__:
+        export = getattr(cvsqueeze, name)
+        if isinstance(export, type) and issubclass(export, Exception):
+            continue
+        parameters = SCALAR_PARAMETERS.intersection(inspect.signature(export).parameters) - ARRAYS.get(name, set())
+        if parameters and name not in RECORDS:
+            assert set(ENTRIES.get(name, {})) == parameters, name
+    assert set(ENTRIES) | set(ARRAYS) | RECORDS <= set(cvsqueeze.__all__)
+
+
+@pytest.mark.parametrize("name, parameter, value", REJECTIONS)
+def test_non_number_raises_naming_the_parameter(name, parameter, value):
+    with pytest.raises(ValueError, match=rf"^{parameter} must be "):
+        ENTRIES[name][parameter].call(value)
+
+
+@pytest.mark.parametrize("name, parameter", CASES)
+def test_numbers_give_the_float_result(name, parameter):
+    entry = ENTRIES[name][parameter]
+    expected = entry.call(entry.valid)
+    kinds = [np.float64, np.float32, Fraction] + ([int] if entry.valid.is_integer() else [])
+    if entry.kind == "complex":
+        kinds += [complex, np.complex128, np.complex64]
+    for kind in kinds:
+        assert _same(entry.call(kind(entry.valid)), expected), kind
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        # each returned a number or stored the argument unchecked before the
+        # scalar contract
+        (lambda: basis.squeeze_from_alpha(True), "alpha must lie in"),
+        (lambda: states.OscillatorGeometry(True, 1.0), "a must be"),
+        (lambda: model.OscillatorSpec(True, 1.0), "omega1 must be"),
+        (lambda: phase_space.CovarianceMatrix(np.eye(4), True), "hbar must be"),
+        (lambda: basis.alpha_from_squeeze("1"), "xi must be"),
+        (lambda: hermite.mehler_product("0.5", 1, 1), "t must be"),
+        (
+            lambda: phase_space.wigner_numeric(
+                GAUSSIAN.evaluate, phase_space.PhaseSpacePoint(math.nan, 0, 0, 0), m_matrix=GAUSSIAN.matrix
+            ),
+            "x1 must be",
+        ),
+        # and these failed without naming the argument
+        (lambda: states.OscillatorGeometry("1", 1.0), "a must be"),
+        (lambda: states.OscillatorGeometry(np.array([1.0, 2.0]), 1.0), "a must be"),
+        (lambda: states.OscillatorGeometry(Decimal(1), 1.0), "a must be"),
+    ],
+)
+def test_formerly_accepted_values_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        call()
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
 @pytest.mark.parametrize("name", ["w1", "w2"])
 def test_segal_bargmann_kernel_argument(name, value):
     # the positions were checked, the arguments not: a NaN gave nan+nanj

@@ -244,7 +244,7 @@ class TestInputDomain:
     def test_geometry_rejects_string(self, field):
         # a string field must not be stored: later arithmetic such as a * 2
         # would repeat it instead of doubling it
-        with pytest.raises(TypeError):
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got '2'$"):
             states.OscillatorGeometry(**{"a": 1.0, "b": 1.0, field: "2"})
 
     @pytest.mark.parametrize(
@@ -322,10 +322,13 @@ class TestInputDomain:
         ids=["inverse_segal_bargmann", "inverse_segal_bargmann-odd-checked", "segal_bargmann_kernel",
              "hermite_function_sequence", "fock_position_basis", "series_expansion"],
     )
-    @pytest.mark.parametrize("huge", [1e160, -1e160, 1e300, -1e300])
+    @pytest.mark.parametrize("huge", [1e160, -1e160, 1e300, -1e300, 1.5e308, -1.5e308, 1.7e308, -1.7e308])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_position_is_an_exact_zero(self, call, huge):
         # the Gaussian in the position underflows to 0, the exact limit; its
-        # square used to overflow with a RuntimeWarning, an error here
+        # square used to overflow with a RuntimeWarning, an error here.  Near
+        # the float64 maximum, b x or sqrt(2) a x overflowed to inf, and inf
+        # times that 0 gave NaN
         assert np.all(call(huge) == 0.0)
         mixed = call(np.array([0.3, huge]))
         np.testing.assert_allclose(mixed[..., 0], call(0.3), rtol=1e-15)
