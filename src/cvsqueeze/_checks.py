@@ -120,13 +120,34 @@ def _finite_result(compute, sizes: str, **arguments) -> np.ndarray:
     raise ValueError(f"result is not finite in float64 at {sizes}, {largest}")
 
 
-def _check_positions(*positions) -> tuple[np.ndarray, ...]:
-    # float arrays, each on its own shape; shapes that do not broadcast, inf or NaN raise
-    arrays = tuple(np.asarray(x, dtype=float) for x in positions)
+def check_real_array(value, name: str) -> np.ndarray:
+    """``value``, a real number or an array-like of them, as a float array.
+
+    Complex, ``bool`` and string entries raise ``ValueError`` naming the
+    argument, where a conversion to float would drop an imaginary part,
+    read ``True`` as 1.0 or parse ``"0.3"``.  An object array passes when
+    each entry passes :func:`check_real`'s type rule.  Entries need not be
+    finite.
+    """
+    array = np.asarray(value)
+    if array.dtype.kind == "O":
+        real = all(isinstance(entry, numbers.Real) and not isinstance(entry, bool) for entry in array.flat)
+    else:
+        real = array.dtype.kind in "iuf"
+    if not real:
+        raise ValueError(f"{name} must be real, got {array.dtype} values")
+    return array.astype(float, copy=False)
+
+
+def _check_positions(**positions) -> tuple[np.ndarray, ...]:
+    # each named position as a float array on its own shape; shapes that do
+    # not broadcast, entries that are not real, inf or NaN raise
+    arrays = tuple(check_real_array(x, name) for name, x in positions.items())
     try:
         np.broadcast(*arrays)
     except ValueError:
-        raise ValueError("x1 and x2 must broadcast, got shapes " + " and ".join(str(x.shape) for x in arrays)) from None
+        shapes = " and ".join(str(x.shape) for x in arrays)
+        raise ValueError(f"{' and '.join(positions)} must broadcast, got shapes {shapes}") from None
     if not all(np.isfinite(x).all() for x in arrays):
         raise ValueError("positions must be finite")
     return arrays

@@ -10,9 +10,8 @@ Subcommands:
 ``sweep``, ``wigner`` and ``hamiltonian`` take ``--hbar``, ``--format`` and
 ``--out`` (``sweep`` and ``wigner`` write csv or json, ``hamiltonian`` json
 only); ``hamiltonian`` also takes the model flags ``--mass``,
-``--order``, ``--trunc`` and ``--tol``.  Each of these flags can also be set
-through an environment variable with the ``CVSQUEEZE_`` prefix (flags win
-over the environment; environment values are checked like flag values).
+``--order``, ``--trunc`` and ``--tol``.  Settings come from the command
+line alone, so the same arguments print the same bytes in any environment.
 Output files embed the full parameter set that produced them and use a
 fixed field order.  Floats round-trip exactly: csv writes them with 17
 significant digits, json with the shortest ``repr`` that reads back to the
@@ -46,10 +45,6 @@ from .quadrature import _split
 _AXES = ("x1", "x2", "p1", "p2")
 
 
-def _env(name: str, fallback: str) -> str:
-    return os.environ.get(f"CVSQUEEZE_{name}", fallback)
-
-
 def _checked(check, convert, text: str, *args, **kwargs):
     # text converted and checked by a library check; a ValueError of either is a usage error
     try:
@@ -68,15 +63,6 @@ def _int_at_least(minimum: int):
 
 _positive_int = _int_at_least(1)
 _grid_count = _int_at_least(2)
-
-
-def _format_arg(formats: tuple[str, ...]):
-    def parse(text: str) -> str:
-        if text not in formats:
-            raise argparse.ArgumentTypeError(f"invalid choice: {text!r} (choose from {', '.join(formats)})")
-        return text
-
-    return parse
 
 
 def _unit_alpha(text: str) -> float:
@@ -295,19 +281,10 @@ def _float_texts(values, fmt: str) -> np.ndarray:
 
 
 def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
-    # string defaults, here and for the model flags of hamiltonian, so that
-    # argparse checks environment values with the flag's type and reports a
-    # bad one as a usage error; the first format is the default
-    parser.add_argument(
-        "--hbar", type=_positive_float, default=_env("HBAR", "1.0"), help="reduced Planck constant (default 1)"
-    )
-    parser.add_argument(
-        "--format", dest="fmt", type=_format_arg(formats), metavar="{" + ",".join(formats) + "}",
-        default=_env("FORMAT", formats[0]), help="output format",
-    )
-    parser.add_argument(
-        "--out", default=_env("OUT", "") or None, help="output path (stdout when omitted)"
-    )
+    # the first format is the default
+    parser.add_argument("--hbar", type=_positive_float, default=1.0, help="reduced Planck constant (default 1)")
+    parser.add_argument("--format", dest="fmt", choices=formats, default=formats[0], help="output format")
+    parser.add_argument("--out", help="output path (stdout when omitted)")
 
 
 # table rows per block of the body, which bounds the temporaries of its
@@ -586,13 +563,12 @@ def build_parser() -> argparse.ArgumentParser:
     # its document is json only, so --format csv is a usage error
     _common_flags(ham, formats=("json",))
     # the model flags: only hamiltonian reads them
-    ham.add_argument("--mass", type=_positive_float, default=_env("MASS", "1.0"), help="oscillator mass (default 1)")
-    ham.add_argument("--order", type=_positive_int, default=_env("ORDER", "80"),
+    ham.add_argument("--mass", type=_positive_float, default=1.0, help="oscillator mass (default 1)")
+    ham.add_argument("--order", type=_positive_int, default=80,
                      help="ground-state check grid: at least max(81, 2*ORDER+1) points "
                      "per principal axis (default 80)")
-    ham.add_argument("--trunc", type=_positive_int, default=_env("TRUNC", "20"), help="Fock-space truncation")
-    ham.add_argument("--tol", type=_positive_float, default=_env("TOL", "1e-6"),
-                     help="acceptance tolerance for reported checks")
+    ham.add_argument("--trunc", type=_positive_int, default=20, help="Fock-space truncation")
+    ham.add_argument("--tol", type=_positive_float, default=1e-6, help="acceptance tolerance for reported checks")
     ham.add_argument("--alpha", type=_unit_alpha, required=True)
     ham.add_argument("--omega1", type=_positive_float, default=1.0)
     ham.add_argument("--omega2", type=_positive_float, default=1.0)
@@ -602,20 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# the environment variables whose values build_parser reads
-_ENV_NAMES = ("HBAR", "FORMAT", "OUT", "MASS", "ORDER", "TRUNC", "TOL")
-
-
-@functools.lru_cache(maxsize=8)
-def _parser(environment: tuple) -> argparse.ArgumentParser:
-    # keyed on the values build_parser reads, so a cached parser has the
-    # defaults a new one would have
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # one parser per process: building one takes longer than parsing with it
     return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser(tuple(os.environ.get(f"CVSQUEEZE_{name}") for name in _ENV_NAMES))
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from ._checks import _finite_result, check_alpha, check_complex, check_index, check_real
+from ._checks import _finite_result, check_alpha, check_complex, check_index, check_real, check_real_array
 from .quadrature import _plane_gauss_hermite
 
 __all__ = [
@@ -69,7 +69,7 @@ def hermite_real(n: int, x):
     the float64 range raises ``ValueError``.
     """
     n = check_index(n)
-    x = np.asarray(x, dtype=float)
+    x = check_real_array(x, "x")
     value = hermite_holo_sequence(n, x)[n].real
     return float(value) if value.ndim == 0 else value
 

@@ -53,7 +53,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import _check_finite, _symmetrized, check_alpha, check_complex, check_index, check_real
+from ._checks import (
+    _check_finite,
+    _symmetrized,
+    check_alpha,
+    check_complex,
+    check_index,
+    check_real,
+    check_real_array,
+)
 from .states import DisplacementLabels, GaussianState, OscillatorGeometry, QuadraticGaussian
 from .states import gaussian_state, wave_function
 
@@ -410,8 +418,8 @@ class QuadraticHamiltonian:
     constant: float
 
     def __post_init__(self) -> None:
-        q = np.asarray(self.q, dtype=float)
-        linear = np.asarray(self.linear, dtype=float)
+        q = check_real_array(self.q, "q")
+        linear = check_real_array(self.linear, "linear")
         _check_finite(q=q, linear=linear)
         object.__setattr__(self, "constant", check_real(self.constant, "constant"))
         if q.shape != (4, 4):
@@ -423,7 +431,8 @@ class QuadraticHamiltonian:
 
     def value(self, x1, x2, p1, p2):
         """Classical value at a phase-space point (arrays broadcast)."""
-        gamma = np.stack(np.broadcast_arrays(x1, x2, p1, p2), axis=0).astype(float)
+        coords = map(check_real_array, (x1, x2, p1, p2), ("x1", "x2", "p1", "p2"))
+        gamma = np.stack(np.broadcast_arrays(*coords), axis=0)
         quad = 0.5 * np.einsum("i...,ij,j...->...", gamma, self.q, gamma)
         lin = np.einsum("i,i...->...", self.linear, gamma)
         return quad + lin + self.constant

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._checks import _symmetrized, check_alpha, check_index, check_real
+from ._checks import _symmetrized, check_alpha, check_index, check_real, check_real_array
 from .quadrature import _refine_by_doubling, open_gauss_hermite
 from .states import OscillatorGeometry, QuadraticGaussian
 
@@ -67,7 +67,7 @@ class CovarianceMatrix:
     hbar: float = 1.0
 
     def __post_init__(self) -> None:
-        sigma = np.asarray(self.sigma, dtype=float)
+        sigma = check_real_array(self.sigma, "sigma")
         if sigma.shape != (4, 4):
             raise ValueError(f"covariance matrix must be 4x4, got shape {sigma.shape}")
         if not np.isfinite(sigma).all():
@@ -146,7 +146,7 @@ def wigner_gaussian(gaussian: QuadraticGaussian, hbar: float = 1.0):
 def _principal_axes(m_matrix) -> tuple[np.ndarray, np.ndarray]:
     # eigh of a finite, symmetric, positive definite 2x2 m_matrix; eigh reads
     # one triangle only, so finiteness and symmetry are checked first
-    m = np.asarray(m_matrix, dtype=float)
+    m = check_real_array(m_matrix, "m_matrix")
     if m.shape == (2, 2) and np.isfinite(m).all() and abs(m[0, 1] - m[1, 0]) <= 1e-12 * np.abs(m).max():
         curvatures, axes = np.linalg.eigh(m)
         if curvatures[0] > 0.0:

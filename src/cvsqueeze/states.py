@@ -33,7 +33,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import _check_finite, _check_positions, check_alpha, check_complex, check_index, check_real
+from ._checks import (
+    _check_finite,
+    _check_positions,
+    check_alpha,
+    check_complex,
+    check_index,
+    check_real,
+    check_real_array,
+)
 from .basis import _normalized_hermite, coefficient_table
 from .quadrature import _half_gauss_hermite, _refine_by_doubling, scaled_gauss_hermite
 
@@ -92,6 +100,10 @@ class ShiftParams:
     q1: float
     q2: float
 
+    def __post_init__(self) -> None:
+        for name in ("y1", "y2", "q1", "q2"):
+            object.__setattr__(self, name, check_real(getattr(self, name), name))
+
 
 @dataclass(frozen=True)
 class QuadraticGaussian:
@@ -108,7 +120,7 @@ class QuadraticGaussian:
     norm_prefactor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        frame = np.array(self.frame, dtype=float)
+        frame = np.array(check_real_array(self.frame, "frame"))
         kappa = tuple(check_real(c, "curvatures", positive=True) for c in self.curvatures)
         # a frame of the wrong shape counts as singular; an inf or NaN entry
         # makes the determinant inf or NaN
@@ -230,7 +242,7 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     """
     n_max = check_index(n_max, "n_max")
     inverse_length = check_real(inverse_length, "inverse_length", positive=True)
-    (x,) = _check_positions(x)
+    (x,) = _check_positions(x=x)
     ax = _scaled_position(inverse_length, x)
     gaussian = math.sqrt(inverse_length) * np.pi**-0.25 * np.exp(-0.5 * ax * ax)
     return _normalized_hermite(n_max, ax, 1.0, gaussian, 2.0)
@@ -253,7 +265,7 @@ def wave_function(k: int, x1, x2, geom: OscillatorGeometry, labels: Displacement
     phase, linear in x, is one complex exponential on each of x1, x2.
     """
     state = gaussian_state(k, alpha, geom, labels)
-    x1, x2 = _check_positions(x1, x2)
+    x1, x2 = _check_positions(x1=x1, x2=x2)
     y1, y2 = state.position_center
     w1, w2 = state.position_wavenumbers
     value = np.exp(1j * (w1 * x1 + state.phase)) * state.gaussian.evaluate(x1 - y1, x2 - y2)
@@ -277,7 +289,7 @@ def series_expansion(
     converges pointwise to :func:`wave_function` as ``n_max`` grows.
     ``x1``/``x2`` are finite positions that broadcast (``ValueError``).
     """
-    x1, x2 = _check_positions(x1, x2)
+    x1, x2 = _check_positions(x1=x1, x2=x2)
     psi_b = bargmann_series(k, alpha, labels, n_max)
     f1, f2 = hermite_function_sequence(n_max, x1, geom.a), hermite_function_sequence(n_max, x2, geom.b)
     value = psi_b._contract(f1, f2)
@@ -305,7 +317,7 @@ def heisenberg_weyl_shift(params: ShiftParams, f, x1, x2, hbar: float = 1.0):
     compose into their sum times a pure phase).
     """
     hbar = check_real(hbar, "hbar", positive=True)
-    x1, x2 = _check_positions(x1, x2)
+    x1, x2 = _check_positions(x1=x1, x2=x2)
     phase = np.exp(
         (1j / hbar)
         * (params.q1 * x1 + params.q2 * x2 - 0.5 * (params.q1 * params.y1 + params.q2 * params.y2))
@@ -326,17 +338,34 @@ def _sb_mode_exponent(s, w):
     return -0.5 * s * s + math.sqrt(2.0) * s * w - 1j * w.real * w.imag
 
 
+# |u|, |v| of a kernel argument w = u + i v beyond which the kernel is 0:
+# its modulus exp(-(s - sqrt(2) u)^2 / 2 - u^2 / 2 - v^2 / 2) underflows
+# from |u| or |v| = 39, and with |s| <= 2^511 every term of the exponent,
+# and their sum, stays below 2^1023 in magnitude
+_ARGUMENT_CLIP = 2.0**509
+
+
+def _clipped_argument(w: np.ndarray) -> np.ndarray:
+    # w with its real and imaginary parts clipped at +-_ARGUMENT_CLIP
+    w = w.copy()
+    for part in (w.real, w.imag):
+        np.clip(part, -_ARGUMENT_CLIP, _ARGUMENT_CLIP, out=part)
+    return w
+
+
 def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
     """Integral kernel mapping coefficient-space functions to position space.
 
     Holomorphic in (w1, w2) apart from the explicit exp(-|w1|^2 - |w2|^2)
-    weight folded into it; Gaussian in (x1, x2) for fixed arguments.
+    weight folded into it; Gaussian in (x1, x2) for fixed arguments.  It is
+    exactly 0 where its modulus underflows, at finite arguments of any size.
     """
     a, b = geom.a, geom.b
-    x1, x2 = _check_positions(x1, x2)
+    x1, x2 = _check_positions(x1=x1, x2=x2)
     w1 = np.asarray(w1, dtype=complex)
     w2 = np.asarray(w2, dtype=complex)
     _check_finite(w1=w1, w2=w2)
+    w1, w2 = _clipped_argument(w1), _clipped_argument(w2)
     exponent = (
         _sb_mode_exponent(_scaled_position(a, x1), w1)
         + _sb_mode_exponent(_scaled_position(b, x2), w2)
@@ -488,7 +517,7 @@ def inverse_segal_bargmann(
     """
     if not isinstance(psi_b, BargmannSeries):
         raise TypeError(f"psi_b must be a BargmannSeries, got {type(psi_b).__name__}")
-    x1, x2 = _check_positions(x1, x2)
+    x1, x2 = _check_positions(x1=x1, x2=x2)
     a, b = geom.a, geom.b
     s1, s2 = _scaled_position(a, x1).ravel(), _scaled_position(b, x2).ravel()
     rows, cols = psi_b.amplitudes.shape

@@ -70,16 +70,6 @@ class TestSweep:
         assert out == ""
         assert target.read_text().startswith("# command = sweep")
 
-    def test_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("CVSQUEEZE_HBAR", "2.0")
-        code, out, _ = run(["sweep", "--alphas", "0.5"], capsys)
-        assert code == 0
-        assert "# hbar = 2" in out
-        # lambda entries scale with hbar
-        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
-        mode2 = [r for r in rows if r[0] == "2"][0]
-        assert float(mode2[3]) == pytest.approx(2.0 * 0.5 / 2, rel=1e-12)
-
 
 class TestWigner:
     def test_centered_peak_at_origin(self, capsys):
@@ -233,23 +223,28 @@ class TestWigner:
         assert "--fix" in captured.err
 
 
+# one small run of each command that writes a document
+COMMANDS = [
+    ["sweep", "--alphas=0.5"],
+    ["wigner", "--alpha=0.5", "--n1=2", "--n2=2"],
+    ["hamiltonian", "--alpha=0.5", "--trunc=8"],
+]
+
+
 class TestParserReuse:
-    """main keeps one parser per set of CVSQUEEZE_* values."""
+    """main builds one parser per process, and only argv sets a flag."""
 
-    def test_environment_read_per_call(self, capsys, monkeypatch):
-        monkeypatch.setenv("CVSQUEEZE_HBAR", "2")
-        code, out, _ = run(["sweep", "--alphas=0.5"], capsys)
-        assert code == 0 and "# hbar = 2\n" in out
-        monkeypatch.delenv("CVSQUEEZE_HBAR")
-        code, out, _ = run(["sweep", "--alphas=0.5"], capsys)
-        assert code == 0 and "# hbar = 1\n" in out
-        monkeypatch.setenv("CVSQUEEZE_HBAR", "-1")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["sweep", "--alphas=0.5"])
-        assert excinfo.value.code == 2
-        assert "--hbar" in capsys.readouterr().err
+    def test_environment_is_not_read(self, capsys, monkeypatch):
+        # the names of the presets the CLI once read; a value of "x" was a
+        # usage error for every one of them
+        expected = [run(argv, capsys) for argv in COMMANDS]
+        assert all(code == 0 and out for code, out, _ in expected)
+        for name in ("HBAR", "FORMAT", "OUT", "MASS", "ORDER", "TRUNC", "TOL"):
+            monkeypatch.setenv(f"CVSQUEEZE_{name}", "x")
+        for argv, before in zip(COMMANDS, expected):
+            assert run(argv, capsys) == before
 
-    def test_one_parser_per_environment(self, capsys, monkeypatch):
+    def test_one_parser_per_process(self, capsys, monkeypatch):
         built = []
         build_parser = cli.build_parser
 
@@ -258,15 +253,10 @@ class TestParserReuse:
             return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", counting)
-        monkeypatch.delenv("CVSQUEEZE_FORMAT", raising=False)
         cli._parser.cache_clear()
-        for argv in (["sweep", "--alphas=0.5"], ["wigner", "--alpha=0.5", "--n1=2", "--n2=2"]):
+        for argv in COMMANDS + COMMANDS:
             assert run(argv, capsys)[0] == 0
         assert len(built) == 1
-        monkeypatch.setenv("CVSQUEEZE_FORMAT", "json")
-        code, out, _ = run(["sweep", "--alphas=0.5"], capsys)
-        assert code == 0 and json.loads(out)["params"]["command"] == "sweep"
-        assert len(built) == 2
         cli._parser.cache_clear()
 
     def test_fix_does_not_leak_into_later_calls(self, capsys):
@@ -426,15 +416,6 @@ class TestHamiltonianCommand:
         assert captured.out == ""
         assert "--format" in captured.err
 
-    def test_csv_format_from_environment_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("CVSQUEEZE_FORMAT", "csv")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["hamiltonian", "--alpha=0.5", "--trunc=8"])
-        assert excinfo.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "--format" in captured.err
-
 
 class TestNumericFlags:
     @pytest.mark.parametrize(
@@ -471,19 +452,6 @@ class TestNumericFlags:
         with pytest.raises(SystemExit) as excinfo:
             main(["hamiltonian", "--alpha=0.5", flag])
         assert excinfo.value.code == 2
-
-    @pytest.mark.parametrize(
-        "name, value",
-        [("ORDER", "abc"), ("ORDER", "-5"), ("TRUNC", "0"), ("TOL", "-1"), ("HBAR", "inf"), ("MASS", "x")],
-    )
-    def test_bad_environment_default_exits_2(self, name, value, capsys, monkeypatch):
-        monkeypatch.setenv(f"CVSQUEEZE_{name}", value)
-        # each environment value is read by the command that takes its flag
-        argv = ["sweep", "--alphas=0.5"] if name == "HBAR" else ["hamiltonian", "--alpha=0.5"]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
-        assert f"--{name.lower()}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

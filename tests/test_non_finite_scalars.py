@@ -32,6 +32,7 @@ SHIFT = states.shift_params(2, 0.5, GEOM, LABELS)
 SCALAR_PARAMETERS = {
     "xi", "s", "t", "u", "v", "z", "z1", "z2", "w1", "w2", "x", "x1", "x2", "p1", "p2",
     "a", "b", "hbar", "inverse_length", "omega1", "omega2", "mass", "constant", "curvatures",
+    "y1", "y2", "q1", "q2",
 }
 # positions and evaluator arguments, which broadcast as arrays
 ARRAYS = {
@@ -140,6 +141,10 @@ ENTRIES = {
         "hbar": positive(lambda h: states.OscillatorGeometry(1.5, 0.5, h)),
     },
     "DisplacementLabels": _labels(states.DisplacementLabels),
+    "ShiftParams": {
+        name: real(lambda x, name=name: states.ShiftParams(**{"y1": 0.1, "y2": 0.2, "q1": 0.3, "q2": 0.4, name: x}))
+        for name in ("y1", "y2", "q1", "q2")
+    },
     "QuadraticGaussian": {"curvatures": positive(lambda c: states.QuadraticGaussian(GAUSSIAN.frame, (c, 1.5)))},
     "hermite_function_sequence": {"inverse_length": positive(lambda a: states.hermite_function_sequence(3, 0.4, a))},
     "heisenberg_weyl_shift": {
@@ -207,6 +212,8 @@ def test_numbers_give_the_float_result(name, parameter):
             ),
             "x1 must be",
         ),
+        (lambda: states.heisenberg_weyl_shift(states.ShiftParams(math.nan, 0, 0, 0), GAUSSIAN, 0.1, 0), "y1 must be"),
+        (lambda: states.ShiftParams(0.0, "x", None, 0.0), "y2 must be"),
         # and these failed without naming the argument
         (lambda: states.OscillatorGeometry("1", 1.0), "a must be"),
         (lambda: states.OscillatorGeometry(np.array([1.0, 2.0]), 1.0), "a must be"),
@@ -216,6 +223,46 @@ def test_numbers_give_the_float_result(name, parameter):
 def test_formerly_accepted_values_raise(call, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         call()
+
+
+# each takes a cast of a real array argument: the identity, or one of NOT_REAL
+REAL_ARRAYS = {
+    "CovarianceMatrix": ("sigma", lambda cast: phase_space.CovarianceMatrix(cast(np.eye(4)))),
+    "QuadraticHamiltonian-q": ("q", lambda cast: model.QuadraticHamiltonian(cast(np.eye(4)), np.ones(4), 0.0)),
+    "QuadraticHamiltonian-linear": (
+        "linear", lambda cast: model.QuadraticHamiltonian(np.eye(4), cast(np.ones(4)), 0.0)
+    ),
+    "QuadraticHamiltonian.value": (
+        "p1", lambda cast: model.QuadraticHamiltonian(np.eye(4), np.ones(4), 0.0).value(0.1, 0.2, cast(0.3), 0.4)
+    ),
+    "QuadraticGaussian": ("frame", lambda cast: states.QuadraticGaussian(cast(GAUSSIAN.frame), (1.0, 1.5))),
+    "hermite_function_sequence": ("x", lambda cast: states.hermite_function_sequence(3, cast([0.1, 0.2]), 1.0)),
+    "hermite_real": ("x", lambda cast: hermite.hermite_real(3, cast(0.3))),
+    "wigner_numeric": (
+        "m_matrix",
+        lambda cast: phase_space.wigner_numeric(
+            GAUSSIAN.evaluate, phase_space.PhaseSpacePoint(0.1, 0.2, 0.3, 0.4), m_matrix=cast(GAUSSIAN.matrix)
+        ),
+    ),
+}
+NOT_REAL = {
+    "complex": lambda x: np.asarray(x) + 3j,
+    "complex-zero-imaginary": lambda x: np.asarray(x, dtype=complex),
+    "bool": lambda x: np.asarray(x) != 0,
+    "str": lambda x: np.asarray(x).astype(str),
+    "None": lambda x: np.full(np.shape(x), None),
+}
+
+
+@pytest.mark.parametrize("name", REAL_ARRAYS)
+@pytest.mark.parametrize("cast", NOT_REAL)
+def test_real_array_rejects_complex_bool_and_text(name, cast):
+    # each conversion to float dropped an imaginary part, even a zero one,
+    # read True as 1.0 and parsed a string
+    parameter, call = REAL_ARRAYS[name]
+    call(lambda x: x)
+    with pytest.raises(ValueError, match=f"^{parameter} must be real"):
+        call(NOT_REAL[cast])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)

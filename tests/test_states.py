@@ -1,6 +1,7 @@
 """Closed-form wave functions, series representations, shifts, Bargmann maps."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,6 +234,20 @@ class TestFactoredWaveFunction:
         assert np.abs(direct - rebuilt).max() <= bound
 
 
+# the functions of two positions
+BROADCAST_CALLS = [
+    lambda x1, x2: states.wave_function(2, x1, x2, GEOM, LABELS, 0.5),
+    lambda x1, x2: states.series_expansion(2, 4, x1, x2, GEOM, LABELS, 0.5),
+    lambda x1, x2: states.inverse_segal_bargmann(states.bargmann_series(2, 0.5, LABELS, 4), x1, x2, GEOM, order=4),
+    lambda x1, x2: states.heisenberg_weyl_shift(
+        states.ShiftParams(0.1, 0.2, 0.3, 0.4), states.unshifted_gaussian(2, 0.5, GEOM), x1, x2
+    ),
+    lambda x1, x2: states.segal_bargmann_kernel(x1, x2, 0.3 + 0.1j, -0.2j, GEOM),
+]
+BROADCAST_IDS = ["wave_function", "series_expansion", "inverse_segal_bargmann", "heisenberg_weyl_shift",
+                 "segal_bargmann_kernel"]
+
+
 class TestInputDomain:
     @pytest.mark.parametrize("field", ["a", "b", "hbar"])
     @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0, -1.0])
@@ -265,27 +280,32 @@ class TestInputDomain:
         with pytest.raises(ValueError, match="finite"):
             call(np.array([0.1, 0.3]), np.array([[0.2], [bad]]))
 
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda x1, x2: states.wave_function(2, x1, x2, GEOM, LABELS, 0.5),
-            lambda x1, x2: states.series_expansion(2, 4, x1, x2, GEOM, LABELS, 0.5),
-            lambda x1, x2: states.inverse_segal_bargmann(
-                states.bargmann_series(2, 0.5, LABELS, 4), x1, x2, GEOM, order=4
-            ),
-            lambda x1, x2: states.heisenberg_weyl_shift(
-                states.ShiftParams(0.1, 0.2, 0.3, 0.4), states.unshifted_gaussian(2, 0.5, GEOM), x1, x2
-            ),
-            lambda x1, x2: states.segal_bargmann_kernel(x1, x2, 0.3 + 0.1j, -0.2j, GEOM),
-        ],
-        ids=["wave_function", "series_expansion", "inverse_segal_bargmann", "heisenberg_weyl_shift",
-             "segal_bargmann_kernel"],
-    )
+    @pytest.mark.parametrize("call", BROADCAST_CALLS, ids=BROADCAST_IDS)
     def test_positions_that_do_not_broadcast_raise(self, call):
         # each used to raise numpy's own message, the transform only after
         # its kernel moments
         with pytest.raises(ValueError, match=r"x1 and x2 must broadcast, got shapes \(3,\) and \(4,\)"):
             call(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("call", BROADCAST_CALLS, ids=BROADCAST_IDS)
+    @pytest.mark.parametrize("bad", [0.1 + 5j, np.array([0.1 + 5j]), True, np.array([True]), "0.3", ["0.3"]],
+                             ids=repr)
+    @pytest.mark.parametrize("name", ["x1", "x2"])
+    def test_positions_that_are_not_real_raise(self, call, bad, name):
+        # a complex position used to be read at its real part, True as 1.0
+        # and "0.3" as 0.3
+        positions = {"x1": 0.1, "x2": 0.2, name: bad}
+        with pytest.raises(ValueError, match=f"^{name} must be real"):
+            call(positions["x1"], positions["x2"])
+
+    @pytest.mark.parametrize("call", BROADCAST_CALLS, ids=BROADCAST_IDS)
+    def test_real_positions_of_any_number_type(self, call):
+        # NumPy integers and floats, and object arrays of Python reals, give
+        # the float positions' result
+        expected = call(np.array([0.25, 2.0]), 0.5)
+        for x1 in ([Fraction(1, 4), 2], np.array([0.25, 2], dtype=object), np.array([0.25, 2.0], np.float32)):
+            np.testing.assert_array_equal(call(x1, Fraction(1, 2)), expected)
+        np.testing.assert_array_equal(call(np.array([0, 2]), np.int64(1)), call(np.array([0.0, 2.0]), 1.0))
 
     @pytest.mark.parametrize(
         "call",
@@ -318,9 +338,13 @@ class TestInputDomain:
             lambda x: states.hermite_function_sequence(3, x, 1.0),
             lambda x: states.fock_position_basis(3, 2, x, 0.2, GEOM),
             lambda x: states.series_expansion(2, 10, 0.3, x, GEOM, LABELS, 0.5),
+            # the kernel's arguments: w1 real, w2 with both parts huge
+            lambda w: states.segal_bargmann_kernel(0.1, 0.2, w, 0.1, GEOM),
+            lambda w: states.segal_bargmann_kernel(0.1, 0.2, 0.1, w + 1j * w, GEOM),
         ],
         ids=["inverse_segal_bargmann", "inverse_segal_bargmann-odd-checked", "segal_bargmann_kernel",
-             "hermite_function_sequence", "fock_position_basis", "series_expansion"],
+             "hermite_function_sequence", "fock_position_basis", "series_expansion",
+             "segal_bargmann_kernel-w1", "segal_bargmann_kernel-w2-complex"],
     )
     @pytest.mark.parametrize("huge", [1e160, -1e160, 1e300, -1e300, 1.5e308, -1.5e308, 1.7e308, -1.7e308])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -328,7 +352,8 @@ class TestInputDomain:
         # the Gaussian in the position underflows to 0, the exact limit; its
         # square used to overflow with a RuntimeWarning, an error here.  Near
         # the float64 maximum, b x or sqrt(2) a x overflowed to inf, and inf
-        # times that 0 gave NaN
+        # times that 0 gave NaN.  The kernel's arguments overflowed the same
+        # way, in their squares and in s w
         assert np.all(call(huge) == 0.0)
         mixed = call(np.array([0.3, huge]))
         np.testing.assert_allclose(mixed[..., 0], call(0.3), rtol=1e-15)
