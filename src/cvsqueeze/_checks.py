@@ -129,7 +129,11 @@ def check_real_array(value, name: str) -> np.ndarray:
     each entry passes :func:`check_real`'s type rule.  Entries need not be
     finite.
     """
-    array = np.asarray(value)
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        # numpy's message for a ragged sequence names no argument
+        raise ValueError(f"{name} must convert to an array: {exc}") from None
     if array.dtype.kind == "O":
         real = all(isinstance(entry, numbers.Real) and not isinstance(entry, bool) for entry in array.flat)
     else:
@@ -141,13 +145,13 @@ def check_real_array(value, name: str) -> np.ndarray:
 
 def _check_positions(**positions) -> tuple[np.ndarray, ...]:
     # each named position as a float array on its own shape; shapes that do
-    # not broadcast, entries that are not real, inf or NaN raise
+    # not broadcast, entries that are not real, inf or NaN raise naming the
+    # position
     arrays = tuple(check_real_array(x, name) for name, x in positions.items())
     try:
         np.broadcast(*arrays)
     except ValueError:
         shapes = " and ".join(str(x.shape) for x in arrays)
         raise ValueError(f"{' and '.join(positions)} must broadcast, got shapes {shapes}") from None
-    if not all(np.isfinite(x).all() for x in arrays):
-        raise ValueError("positions must be finite")
+    _check_finite(**dict(zip(positions, arrays)))
     return arrays

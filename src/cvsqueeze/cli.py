@@ -411,10 +411,13 @@ def cmd_wigner(args: argparse.Namespace) -> int:
     if len(set(fixed)) < len(fixed) or set(fixed) & set(args.axes):
         args.usage_error(f"--fix must name each axis outside --axes at most once, got {fixed}")
 
-    gaussian = states.unshifted_gaussian(args.k, args.alpha, geom)
-    _, evaluator = phase_space.wigner_gaussian(gaussian, args.hbar)
-    shift = states.shift_params(args.k, args.alpha, geom, labels)
-    offsets = {"x1": shift.y1, "x2": shift.y2, "p1": shift.q1, "p2": shift.q2}
+    # the Wigner function of the state is the centered one's, translated by
+    # the state's position center and momenta hbar frame^-T wavenumbers
+    state = states.gaussian_state(args.k, args.alpha, geom, labels)
+    _, evaluator = phase_space.wigner_gaussian(state.gaussian, args.hbar)
+    y1, y2 = state.position_center.tolist()
+    q1, q2 = (args.hbar * state.position_wavenumbers).tolist()
+    offsets = {"x1": y1, "x2": y2, "p1": q1, "p2": q2}
 
     coords = dict(args.fix or ())
     for name in _AXES:

@@ -2,9 +2,9 @@
 
 The displaced-squeezed frame turns the ladder operators of a pair of
 harmonic oscillators into Bogoliubov-type combinations with complex shifts
-(:func:`ladder_coefficients`, :func:`transformed_ladder_matrices`).  The
-Hamiltonian whose ground state is the mode-2 wave function is available two
-independent ways that must agree:
+(:func:`transformed_ladder_matrices`).  The Hamiltonian whose ground state
+is the mode-2 wave function is available two independent ways that must
+agree:
 
 * ``method="ladder"``: hbar omega_1 C1+ C1 + hbar omega_2 C2+ C2 + zero point,
   built from the transformed ladder matrices,
@@ -55,6 +55,7 @@ import numpy as np
 
 from ._checks import (
     _check_finite,
+    _check_positions,
     _symmetrized,
     check_alpha,
     check_complex,
@@ -67,11 +68,9 @@ from .states import gaussian_state, wave_function
 
 __all__ = [
     "OscillatorSpec",
-    "LadderCoefficients",
     "TruncatedOperator",
     "QuadraticHamiltonian",
     "GroundStateCheck",
-    "ladder_coefficients",
     "transformed_ladder_matrices",
     "hamiltonian_fock",
     "hamiltonian_quadratic",
@@ -120,48 +119,6 @@ def _sigma_tau(alpha: float) -> tuple[float, float]:
     # Bogoliubov pair with sigma^2 - tau^2 = 1 for every alpha
     root = 2.0 * math.sqrt(alpha)
     return (1.0 + alpha) / root, (1.0 - alpha) / root
-
-
-@dataclass(frozen=True)
-class LadderCoefficients:
-    """Linear coefficients and shifts of the transformed ladder operators.
-
-    The creation-type operators are sum_j (mu[i,j] c_j+ + mu_tilde[i,j] c_j)
-    + xi_shift[i]; the annihilation-type operators sum_j (nu[i,j] c_j+
-    + nu_tilde[i,j] c_j) + zeta_shift[i].  At alpha = 1: mu = nu_tilde =
-    identity, mu_tilde = nu = 0, and the shifts reduce to
-    (-conj(z1), -conj(z2)) and (-z1, -z2).
-    """
-
-    mu: np.ndarray
-    mu_tilde: np.ndarray
-    nu: np.ndarray
-    nu_tilde: np.ndarray
-    xi_shift: tuple[complex, complex]
-    zeta_shift: tuple[complex, complex]
-
-
-def ladder_coefficients(alpha: float, z1: complex, z2: complex) -> LadderCoefficients:
-    """Coefficient matrices and shifts of the transformed ladder operators.
-
-    Diagonal entries carry (1+alpha)/(2 sqrt(alpha)), antidiagonal ones
-    (1-alpha)/(2 sqrt(alpha)); the Bogoliubov identity
-    ((1+alpha)^2 - (1-alpha)^2) / (4 alpha) = 1 keeps the commutation
-    relations canonical for every alpha.
-    """
-    alpha = check_alpha(alpha, closed=True)
-    z1, z2 = check_complex(z1, "z1"), check_complex(z2, "z2")
-    sigma, tau = _sigma_tau(alpha)
-    diag = np.diag([sigma, sigma])
-    anti = np.array([[0.0, tau], [tau, 0.0]])
-    return LadderCoefficients(
-        mu=diag,
-        mu_tilde=anti,
-        nu=anti.copy(),
-        nu_tilde=diag.copy(),
-        xi_shift=(-z1.conjugate(), -z2.conjugate()),
-        zeta_shift=(-z1, -z2),
-    )
 
 
 @dataclass(frozen=True)
@@ -310,15 +267,16 @@ def _operator(coeffs: np.ndarray, n_trunc: int) -> TruncatedOperator:
 def _ladder_rows(alpha: float, z1: complex, z2: complex) -> np.ndarray:
     """(C1, C1+, C2, C2+) as row pairs (X, Y) of C = X (x) 1 + 1 (x) Y, shape (4, 2, 7).
 
-    C = sum_j (raising[j] c_j+ + lowering[j] c_j) + shift, the shift riding
-    on the mode-1 row X: (nu, nu_tilde, zeta_shift) for C_i and
-    (mu, mu_tilde, xi_shift) for C_i+.
+    C_i = sigma c_i + tau c_j+ - z_i: sigma on s or s+ of the operator's own
+    mode, tau on the adjoint monomial of the other, the shift on the mode-1
+    row X.  The arguments are taken as checked.
     """
-    coeffs = ladder_coefficients(alpha, z1, z2)
+    sigma, tau = _sigma_tau(alpha)
     rows = np.zeros((4, 2, _MONOMIALS), dtype=complex)
-    rows[:, 0, 0] = [coeffs.zeta_shift[0], coeffs.xi_shift[0], coeffs.zeta_shift[1], coeffs.xi_shift[1]]
-    rows[:, :, 1] = [coeffs.nu_tilde[0], coeffs.mu_tilde[0], coeffs.nu_tilde[1], coeffs.mu_tilde[1]]
-    rows[:, :, 2] = [coeffs.nu[0], coeffs.mu[0], coeffs.nu[1], coeffs.mu[1]]
+    rows[:, 0, 0] = [-z1, -z1.conjugate(), -z2, -z2.conjugate()]
+    mode, monomial = np.array([0, 0, 1, 1]), np.array([1, 2, 1, 2])
+    rows[np.arange(4), mode, monomial] = sigma
+    rows[np.arange(4), 1 - mode, _ADJOINTS[monomial]] = tau
     return rows
 
 
@@ -328,9 +286,10 @@ def transformed_ladder_matrices(alpha: float, z1: complex, z2: complex, n_trunc:
     Commutators [Ci, Cj+] = delta_ij and [Ci, Cj] = 0 hold exactly on the
     interior sub-block (both mode indices below ``n_trunc - 2``).
     """
-    rows = _ladder_rows(alpha, z1, z2)
+    alpha = check_alpha(alpha, closed=True)
+    z1, z2 = check_complex(z1, "z1"), check_complex(z2, "z2")
     n_trunc = check_index(n_trunc, "n_trunc", minimum=4)
-    return tuple(_operator(_kron_terms([(x, _ONE), (_ONE, y)]), n_trunc) for x, y in rows)
+    return tuple(_operator(_kron_terms([(x, _ONE), (_ONE, y)]), n_trunc) for x, y in _ladder_rows(alpha, z1, z2))
 
 
 def _frequency_mix(alpha: float, spec: OscillatorSpec) -> tuple[float, float, float]:
@@ -431,7 +390,7 @@ class QuadraticHamiltonian:
 
     def value(self, x1, x2, p1, p2):
         """Classical value at a phase-space point (arrays broadcast)."""
-        coords = map(check_real_array, (x1, x2, p1, p2), ("x1", "x2", "p1", "p2"))
+        coords = _check_positions(x1=x1, x2=x2, p1=p1, p2=p2)
         gamma = np.stack(np.broadcast_arrays(*coords), axis=0)
         quad = 0.5 * np.einsum("i...,ij,j...->...", gamma, self.q, gamma)
         lin = np.einsum("i,i...->...", self.linear, gamma)

@@ -16,7 +16,6 @@ import io
 import json
 import os
 import platform
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -93,4 +92,3 @@ def write() -> None:
 
 if __name__ == "__main__":
     write()
-    sys.exit(0)

@@ -39,7 +39,6 @@ CLOSED = {
     "shift_params": lambda a: states.shift_params(2, a, GEOM, LABELS),
     "unshifted_gaussian": lambda a: states.unshifted_gaussian(2, a, GEOM),
     "covariance": lambda a: phase_space.covariance(2, a, GEOM),
-    "ladder_coefficients": lambda a: model.ladder_coefficients(a, 0.1, 0.2j),
     "transformed_ladder_matrices": lambda a: model.transformed_ladder_matrices(a, 0.1, 0.2j, 4),
     "hamiltonian_fock": lambda a: model.hamiltonian_fock(a, SPEC, 0.1, 0.2j, 8),
     "hamiltonian_quadratic": lambda a: model.hamiltonian_quadratic(a, SPEC, 0.1, 0.2j),

@@ -54,42 +54,9 @@ class TestOscillatorSpec:
             model.OscillatorSpec(**{"omega1": 1.0, "omega2": 1.0, field: "2"})
 
 
-class TestLadderCoefficients:
-    def test_no_squeezing_limit(self):
-        z1, z2 = 0.4 + 0.2j, -0.3 + 0.7j
-        coeffs = model.ladder_coefficients(1.0, z1, z2)
-        np.testing.assert_allclose(coeffs.mu, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(coeffs.nu_tilde, np.eye(2), atol=1e-15)
-        np.testing.assert_allclose(coeffs.mu_tilde, np.zeros((2, 2)), atol=1e-15)
-        np.testing.assert_allclose(coeffs.nu, np.zeros((2, 2)), atol=1e-15)
-        assert coeffs.xi_shift == (-z1.conjugate(), -z2.conjugate())
-        assert coeffs.zeta_shift == (-z1, -z2)
-
-    def test_quarter_values(self):
-        coeffs = model.ladder_coefficients(0.25, 0, 0)
-        assert coeffs.mu[0, 0] == pytest.approx(1.25, rel=1e-15)
-        assert coeffs.mu[1, 1] == pytest.approx(1.25, rel=1e-15)
-        assert abs(coeffs.mu_tilde[0, 1]) == pytest.approx(0.75, rel=1e-15)
-        assert coeffs.mu[0, 1] == 0.0
-
-    def test_bogoliubov_identity(self):
-        for alpha in np.linspace(0.02, 1.0, 25):
-            coeffs = model.ladder_coefficients(float(alpha), 0, 0)
-            assert coeffs.mu[0, 0] ** 2 - coeffs.mu_tilde[0, 1] ** 2 == pytest.approx(
-                1.0, abs=1e-14
-            )
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            model.ladder_coefficients(0.0, 0, 0)
-        with pytest.raises(ValueError):
-            model.ladder_coefficients(1.5, 0, 0)
-
-
 NON_FINITE_LABELS = [complex("nan"), complex("inf"), complex(0.3, -math.inf), complex(math.nan, 0.2)]
 
 LABEL_ENTRY_POINTS = {
-    "ladder_coefficients": lambda z1, z2: model.ladder_coefficients(0.5, z1, z2),
     "transformed_ladder_matrices": lambda z1, z2: model.transformed_ladder_matrices(0.5, z1, z2, 8),
     "hamiltonian_fock_ladder": lambda z1, z2: model.hamiltonian_fock(0.5, SPEC, z1, z2, 8, "ladder"),
     "hamiltonian_fock_expanded": lambda z1, z2: model.hamiltonian_fock(0.5, SPEC, z1, z2, 8, "expanded"),
@@ -124,8 +91,34 @@ class TestTransformedLadders:
         np.testing.assert_array_equal(c2, low2)
         np.testing.assert_array_equal(c1_dag, low1.conj().T)
 
-    def test_canonical_commutators_on_interior(self):
-        c1, c1_dag, c2, c2_dag = map(dense, model.transformed_ladder_matrices(0.5, 0.3 + 0.1j, -0.2j, 16))
+    def test_no_squeezing_is_the_displaced_pair(self):
+        # at alpha = 1, C_i = c_i - z_i 1 and C_i+ = c_i+ - conj(z_i) 1 exactly
+        z1, z2 = 0.4 + 0.2j, -0.3 + 0.7j
+        c1, c1_dag, c2, c2_dag = map(dense, model.transformed_ladder_matrices(1.0, z1, z2, 8))
+        low1, low2 = lowering_pair(8)
+        eye = np.eye(64)
+        np.testing.assert_array_equal(c1, low1 - z1 * eye)
+        np.testing.assert_array_equal(c1_dag, low1.T - np.conj(z1) * eye)
+        np.testing.assert_array_equal(c2, low2 - z2 * eye)
+        np.testing.assert_array_equal(c2_dag, low2.T - np.conj(z2) * eye)
+
+    def test_quarter_bands(self):
+        # at alpha = 1/4, sigma = 5/4 on the operator's own mode and tau = 3/4
+        # on the other; band entries run sqrt(r + 1) along the lowered mode
+        c1, c1_dag, c2, c2_dag = model.transformed_ladder_matrices(0.25, 0, 0, 6)
+        root = np.sqrt(np.arange(1.0, 6))[:, None] * np.ones(6)
+        assert set(c1.bands) == {(1, 0), (0, -1)} and set(c2.bands) == {(0, 1), (-1, 0)}
+        np.testing.assert_allclose(c1.bands[1, 0], 1.25 * root, rtol=1e-15)
+        np.testing.assert_allclose(c1.bands[0, -1], 0.75 * root.T, rtol=1e-15)
+        np.testing.assert_allclose(c2.bands[0, 1], 1.25 * root.T, rtol=1e-15)
+        np.testing.assert_allclose(c2.bands[-1, 0], 0.75 * root, rtol=1e-15)
+        for op, adjoint in ((c1, c1_dag), (c2, c2_dag)):
+            np.testing.assert_array_equal(dense(adjoint), dense(op).conj().T)
+
+    @pytest.mark.parametrize("alpha", [0.02, 0.25, 0.5, 1.0])
+    def test_canonical_commutators_on_interior(self, alpha):
+        # sigma^2 - tau^2 = 1 keeps [Ci, Ci+] = 1 at every alpha
+        c1, c1_dag, c2, c2_dag = map(dense, model.transformed_ladder_matrices(alpha, 0.3 + 0.1j, -0.2j, 16))
         eye = np.eye(14**2)
         assert np.abs(interior(c1 @ c1_dag - c1_dag @ c1) - eye).max() < 1e-12
         assert np.abs(interior(c2 @ c2_dag - c2_dag @ c2) - eye).max() < 1e-12
@@ -446,6 +439,15 @@ class TestHamiltonianQuadratic:
             constant = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             model.QuadraticHamiltonian(q=q, linear=linear, constant=constant)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+    @pytest.mark.parametrize("name", ["x1", "x2", "p1", "p2"])
+    def test_value_rejects_non_finite_coordinates(self, name, value):
+        # the coordinates were checked for type only, so an inf gave nan
+        coords = {"x1": 0.1, "x2": 0.2, "p1": [0.3, 0.4], "p2": 0.5, name: [0.0, value]}
+        ham = model.QuadraticHamiltonian(np.eye(4), np.ones(4), 0.0)
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value}$"):
+            ham.value(**coords)
 
     def test_symmetry_tolerance_scales_with_q(self):
         # np.allclose's absolute atol 1e-8 once accepted this asymmetric Q and

@@ -116,7 +116,6 @@ ENTRIES = {
         "hbar": positive(lambda h: model.OscillatorSpec(1.5, 0.5, hbar=h)),
     },
     "QuadraticHamiltonian": {"constant": real(lambda c: model.QuadraticHamiltonian(np.eye(4), np.ones(4), c))},
-    "ladder_coefficients": _labels(lambda z1, z2: model.ladder_coefficients(0.5, z1, z2)),
     "transformed_ladder_matrices": _labels(lambda z1, z2: model.transformed_ladder_matrices(0.5, z1, z2, 4)),
     "hamiltonian_fock": _labels(lambda z1, z2: model.hamiltonian_fock(0.5, SPEC, z1, z2, 8)),
     "hamiltonian_quadratic": _labels(lambda z1, z2: model.hamiltonian_quadratic(0.5, SPEC, z1, z2)),
@@ -238,6 +237,7 @@ REAL_ARRAYS = {
     "QuadraticGaussian": ("frame", lambda cast: states.QuadraticGaussian(cast(GAUSSIAN.frame), (1.0, 1.5))),
     "hermite_function_sequence": ("x", lambda cast: states.hermite_function_sequence(3, cast([0.1, 0.2]), 1.0)),
     "hermite_real": ("x", lambda cast: hermite.hermite_real(3, cast(0.3))),
+    "wave_function": ("x1", lambda cast: states.wave_function(2, cast([0.1, 0.2]), 0.1, GEOM, LABELS, 0.5)),
     "wigner_numeric": (
         "m_matrix",
         lambda cast: phase_space.wigner_numeric(
@@ -263,6 +263,14 @@ def test_real_array_rejects_complex_bool_and_text(name, cast):
     call(lambda x: x)
     with pytest.raises(ValueError, match=f"^{parameter} must be real"):
         call(NOT_REAL[cast])
+
+
+@pytest.mark.parametrize("name", REAL_ARRAYS)
+def test_real_array_rejects_ragged_sequence(name):
+    # numpy's error for an inhomogeneous shape named no argument
+    parameter, call = REAL_ARRAYS[name]
+    with pytest.raises(ValueError, match=f"^{parameter} must convert to an array: "):
+        call(lambda x: [[0.1], [0.2, 0.3]])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
