@@ -44,6 +44,10 @@ COMMANDS = [
     ["wigner", "--k=2", "--alpha=0.05", "--n1=9", "--n2=9", "--format=json"],
     # every value underflows to zero at this hbar
     ["wigner", "--alpha=0.5", "--n1=3", "--n2=3", "--hbar=1e-154", "--axes=p1,p2", "--range1=1e-100:1"],
+    # tables of two blocks of rows, each of many slices
+    ["wigner", "--k=2", "--alpha=0.4", *_LABELS, "--fix=p1=0.2", "--n1=300", "--n2=41", "--range1=-4:4"],
+    ["wigner", "--k=1", "--alpha=0.6", *_LABELS, "--axes=p2,x1", "--n1=300", "--n2=41", "--range2=-2.5:3",
+     "--format=json"],
     *(["hamiltonian", f"--alpha={alpha}", *_LABELS, *_OMEGAS] for alpha in ("1e-4", "0.05", "0.5")),
     # the ground-state check fails at this alpha: exit 1
     ["hamiltonian", "--alpha=1e-6", *_LABELS, *_OMEGAS],
