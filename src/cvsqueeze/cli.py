@@ -16,15 +16,16 @@ Output files embed the full parameter set that produced them and use a
 fixed field order.  Floats round-trip exactly: csv writes them with 17
 significant digits, json with the shortest ``repr`` that reads back to the
 same float.  A table is evaluated, formatted and written one block of
-whole rows at a time: ``_emit_table`` yields the header, each block and the
-tail as bytes, and ``_write`` writes each to ``--out`` or stdout as it
-comes, so a table's traced peak stays near 4-5 MiB at any size (a 1201 x
-1201 ``wigner`` table: 3.9 MiB csv, 4.8 MiB json).  Every check that can
-fail runs before the destination is opened.  The float text comes from a
-vectorized converter whose bytes equal Python's ``format(v, ".17g")`` and
-``json.dumps(v)``, Python formatting the values the converter cannot
-decide.  Identical inputs produce byte-identical files.  Exit codes: 0
-success, 1 check failure, 2 usage error.
+whole rows at a time: ``_emit_table`` yields the header, each slice of a
+block and the tail as bytes, and ``_write`` writes each to ``--out`` or
+stdout as it comes, so a table's traced peak stays near 1 MiB at any size
+(a 401 x 401 ``wigner`` table: 0.90 MiB csv, 1.14 MiB json; 1201 x 1201:
+0.80 and 1.10 MiB).  Every check that can fail runs before the destination
+is opened.  The float text comes from a vectorized converter whose bytes
+equal Python's ``format(v, ".17g")`` and ``json.dumps(v)``, Python
+formatting the values the converter cannot decide.  Identical inputs
+produce byte-identical files.  Exit codes: 0 success, 1 check failure, 2
+usage error.
 """
 
 from __future__ import annotations
@@ -136,7 +137,8 @@ _LAYOUT = {
 # 15-digit roundings follow from those digits and s's remainder; the
 # shortest of them within half an ulp of v is repr's: at 15 digits or
 # fewer at most one decimal lies in that interval, at 16 and 17 the nearest
-# one is taken.  Values within _MARGIN of a tie or of the interval's edge,
+# one is taken.  Values within _MARGIN of a tie (for csv, only where
+# 10**(16 - k) is no double, so that s is inexact) or of the interval's edge,
 # zeros, subnormal and non-finite values, values outside the window, values
 # whose log10 misses k, and (json) powers of two, whose interval is
 # asymmetric, are formatted by Python one at a time.
@@ -207,34 +209,47 @@ def _text_layouts(fmt: str) -> np.ndarray:
 def _float_texts(values, fmt: str) -> np.ndarray:
     """The csv (``format(v, ".17g")``) or json (``json.dumps(v)``) text of
     each value, as a NUL-padded bytes array of the values' shape."""
+    # each value-sized temporary is deleted after its last use, and the
+    # texts are gathered _SLICE_ROWS values at a time, so that no (n,
+    # _TEXT_WIDTH) intp offsets exist: the working set stays near 100 bytes
+    # per value, 24 of them the texts
     values = np.asarray(values, dtype=float)
     v = values.ravel()
     a = np.abs(v)
     fast = (a >= _FAST_WINDOW[0]) & (a <= _FAST_WINDOW[1])
-    a = np.where(fast, a, 1.0)
+    a[~fast] = 1.0
     k = np.floor(np.log10(a)).astype(np.int64)
     his, los, pairs = _digit_tables()
     p_hi, p_lo = his[16 - k - _POW10_MIN], los[16 - k - _POW10_MIN]
+    # where 10**(16 - k) is a double (-6 <= k <= 16), s is exact and np.rint
+    # below rounds a tie half to even, as format does, so csv needs no
+    # margin there; json's shorter roundings keep it
+    exact = (p_lo == 0) if fmt == "csv" else False
     # s = a (p_hi + p_lo) as h + l: Dekker's two-product a p_hi = p + err
     p = a * p_hi
     a_hi, a_lo = _split(a)
     b_hi, b_lo = _split(p_hi)
     q = (((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo) + a * p_lo
+    del a_hi, a_lo, b_hi, b_lo, p_lo
     h = p + q
     whole = np.rint(h)
     rem = (h - whole) + (q - (h - p))
+    del p, q, h
     step = np.rint(rem)
     rem -= step
     digits = whole.astype(np.int64) + step.astype(np.int64)
+    del whole, step
     # 10**16 <= s and round(s) <= 10**17 hold when log10 gave k
-    fast &= (np.abs(np.abs(rem) - 0.5) >= _MARGIN) & (digits <= 10**17)
+    fast &= ((np.abs(np.abs(rem) - 0.5) >= _MARGIN) | exact) & (digits <= 10**17)
     fast &= (digits > 10**16) | ((digits == 10**16) & (rem >= 0))
+    del exact
     if fmt == "json":
         mantissa, exponent = np.frexp(a)
         # a power of two's rounding interval is asymmetric
         fast &= mantissa != 0.5
         # half an ulp of v, in units of the 17th digit
         half = np.ldexp(p_hi, exponent - 54)
+        del mantissa, exponent
         shortest = digits
         # the 16- and then the 15-digit rounding, which wins when it lies
         # within half an ulp of v
@@ -245,16 +260,21 @@ def _float_texts(values, fmt: str) -> np.ndarray:
             off = np.abs(frac - carry)
             fast &= (np.abs(off - half / unit) >= _MARGIN) & (np.abs(off - 0.5) >= _MARGIN)
             shortest = np.where(off < half / unit, (kept + carry.astype(np.int64)) * unit, shortest)
+            del kept, dropped, frac, carry, off
         digits = shortest
+        del half, shortest
+    del a, p_hi, rem
     # a rounding up to 10**17 is 10**16 at the next decimal exponent x
     carried = digits == 10**17
-    digits = np.where(fast & ~carried, digits, 10**16)
+    np.copyto(digits, 10**16, where=carried | ~fast)
     x = k + carried
+    del k, carried
     # each value's source row, two bytes at a time: b"0" and the digits,
     # b".-", b"e" and the exponent's sign, its three digits and a NUL
     source = np.empty((v.size, _SOURCE // 2), "<u2")
     upper = (digits // 10**8).astype(np.uint32)
     lower = (digits - upper.astype(np.int64) * 10**8).astype(np.uint32)
+    del digits
     source[:, 0] = pairs[upper // 10**8]
     upper %= 10**8
     for col, part in ((1, upper), (5, lower)):
@@ -263,17 +283,29 @@ def _float_texts(values, fmt: str) -> np.ndarray:
         source[:, col + 1] = pairs[top % 100]
         source[:, col + 2] = pairs[bottom // 100]
         source[:, col + 3] = pairs[bottom % 100]
+    del upper, lower, part, top, bottom
     x_abs = np.abs(x)
     source[:, 9] = ord(".") | ord("-") << 8
     source[:, 10] = ord("e") | np.where(x < 0, ord("-"), ord("+")) << 8
     source[:, 11] = pairs[x_abs // 10]
     source[:, 12] = ord("0") + x_abs % 10
     chars = source.view(np.uint8)
-    significant = 17 - np.argmax(chars[:, 17:0:-1] != ord("0"), axis=1)
-    shape = np.where((x >= -4) & (x < (17 if fmt == "csv" else 16)), x + 4, np.where(x_abs >= 100, 22, 21))
-    offsets = _text_layouts(fmt)[((v < 0) * _SHAPES + shape) * 17 + significant - 1]
-    offsets += np.arange(0, chars.size, _SOURCE)[:, None]
-    texts = chars.ravel().take(offsets).view(f"S{_TEXT_WIDTH}").ravel()
+    # each text's layout row, by its sign, shape and count of significant digits
+    key = np.where((x >= -4) & (x < (17 if fmt == "csv" else 16)), x + 4, np.where(x_abs >= 100, 22, 21))
+    del x, x_abs
+    key += (v < 0) * _SHAPES
+    key *= 17
+    key += 16 - np.argmax(chars[:, 17:0:-1] != ord("0"), axis=1)
+    layouts = _text_layouts(fmt)
+    texts = np.empty(v.size, f"S{_TEXT_WIDTH}")
+    text_bytes = texts.view(np.uint8).reshape(v.size, _TEXT_WIDTH)
+    rows = np.arange(0, _SLICE_ROWS * _SOURCE, _SOURCE)[:, None]
+    for start in range(0, v.size, _SLICE_ROWS):
+        part = slice(start, start + _SLICE_ROWS)
+        offsets = layouts[key[part]]
+        offsets += rows[:len(offsets)]
+        chars[part].ravel().take(offsets, out=text_bytes[part])
+        del offsets
     slow = np.flatnonzero(~fast)
     if slow.size:
         texts[slow] = [_cell(value, fmt) for value in v[slow].tolist()]
@@ -287,9 +319,14 @@ def _common_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...] = ("
     parser.add_argument("--out", help="output path (stdout when omitted)")
 
 
-# table rows per block of the body, which bounds the temporaries of its
-# byte matrix, of the float texts in it and of a computed column
+# table rows per block of the body, which bounds the float texts in it, a
+# computed column and its byte matrix; a smaller block costs the wigner
+# table more in per-block calls than it saves
 _BLOCK_ROWS = 8192
+# rows per slice of a block: of the float texts' (n, _TEXT_WIDTH) intp
+# source offsets, and of the byte matrix, whose NUL mask and its compressed
+# bytes are made and yielded one slice at a time
+_SLICE_ROWS = 1024
 
 
 def _column_texts(column: np.ndarray, fmt: str) -> np.ndarray:
@@ -311,8 +348,9 @@ def _emit_table(params: dict, names: list[str], columns: list, fmt: str):
     ``wigner`` coordinate is formatted once, not once per row; or a function
     of a slice of leading-axis rows that returns that block of the column,
     called once per block.  The array-likes fix the table's shape.  A block
-    is a NUL-padded byte matrix, one row per table row, from which one mask
-    drops the padding."""
+    is a NUL-padded byte matrix, one row per table row, from which a mask
+    drops the padding a slice of _SLICE_ROWS table rows at a time; each
+    slice is yielded as it comes."""
     opening, sep, closing, newline = _LAYOUT[fmt]
     columns = [column if callable(column) else np.asarray(column) for column in columns]
     shape = np.broadcast_shapes(*(column.shape for column in columns if not callable(column)))
@@ -350,9 +388,17 @@ def _emit_table(params: dict, names: list[str], columns: list, fmt: str):
         matrix = np.empty((min(step, shape[0] - start), *shape[1:], widths[-1]), np.uint8)
         for part, lo, hi in zip(parts, widths, widths[1:]):
             matrix[..., lo:hi] = part
-        block = matrix[matrix != 0].data
-        # the last row's separator gives way to the tail
-        yield block if rows.stop < shape[0] else block[:-len(newline)]
+        # the matrix holds the texts now
+        del parts, part, texts
+        matrix = matrix.reshape(-1, widths[-1])
+        if rows.stop >= shape[0]:
+            # the last row's separator gives way to the tail
+            matrix[-1, -len(newline):] = 0
+        for lo in range(0, len(matrix), _SLICE_ROWS):
+            part = matrix[lo:lo + _SLICE_ROWS]
+            yield part[part != 0].data
+        # the next block's texts are made without this one's matrix
+        del matrix, part
     yield tail.encode()
 
 
