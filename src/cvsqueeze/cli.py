@@ -517,7 +517,8 @@ def cmd_hamiltonian(args: argparse.Namespace) -> int:
 
     a, b = spec.inverse_lengths()
     grid_points = max(81, 2 * args.order + 1)
-    ground = model.ground_state_energy_check(args.alpha, spec, args.z1, args.z2, grid_points=grid_points)
+    state = model._mode2_state(args.alpha, spec, args.z1, args.z2)
+    ground = model._ground_state_check(state, quad, spec, grid_points)
 
     diag = np.real(ladder.diagonal())
     payload = {

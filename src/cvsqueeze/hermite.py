@@ -222,16 +222,21 @@ def _orthogonality_quad(n_max: int, alpha: float, order: int) -> np.ndarray:
     # Gram matrix [m, n] of int_C H_m conj(H_n) w_alpha for m, n <= n_max on
     # the plane rule for the weight exp(-(1-a)x^2 - (1/a-1)y^2).  H_m has real
     # coefficients and parity m, so one quadrant of the rule would do, as in
-    # basis_gram; the full plane is kept on purpose.  At order 80 its
-    # (11, 6400) complex arrays, 1.1 MB each, raise glibc's mmap and trim
+    # basis_gram; the full plane is kept on purpose.  At order 80 its two
+    # (11, 6400) complex tables, 1.1 MB each, raise glibc's mmap and trim
     # thresholds for the rest of the process.  Folded, in a process that
     # runs the verify suites in turn, `verify states` took 55-81 ms with
     # about 10k minor page faults per run, against 35-44 ms and none (2-vCPU
     # Xeon guest, numpy 2.4).  The quadrant waits until the thresholds no
-    # longer hang on this routine (ROADMAP items 8 and 21)
+    # longer hang on this routine (ROADMAP items 8 and 21).  The table is
+    # conjugated in place after the weighted copy is formed, so a third
+    # table never exists; the operands, and so G, are those of
+    # (seq * w) @ seq.conj().T bit for bit
     z, w = _plane_gauss_hermite(order, 1.0 - alpha, (1.0 - alpha) / alpha)
     seq = hermite_holo_sequence(n_max, z)
-    return (seq * w) @ seq.conj().T
+    weighted = seq * w
+    np.conjugate(seq, out=seq)
+    return weighted @ seq.T
 
 
 def orthogonality_integral(m: int, n: int, alpha: float) -> complex:

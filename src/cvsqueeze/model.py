@@ -64,7 +64,7 @@ from ._checks import (
     check_real_array,
 )
 from .states import DisplacementLabels, GaussianState, OscillatorGeometry, QuadraticGaussian
-from .states import gaussian_state, wave_function
+from .states import _state_wave, gaussian_state
 
 __all__ = [
     "OscillatorSpec",
@@ -573,9 +573,20 @@ def ground_state_energy_check(
     a_i = sqrt(M omega_i / hbar) (:meth:`OscillatorSpec.inverse_lengths`).
     """
     grid_points = check_index(grid_points, "grid_points", minimum=32)
-    labels = DisplacementLabels(z1, z2)
+    state = _mode2_state(alpha, spec, z1, z2)
+    return _ground_state_check(state, hamiltonian_quadratic(alpha, spec, z1, z2), spec, grid_points)
+
+
+def _mode2_state(alpha: float, spec: OscillatorSpec, z1: complex, z2: complex) -> GaussianState:
+    """The record of the mode-2 state in the spec's geometry."""
     geom = OscillatorGeometry(*spec.inverse_lengths(), hbar=spec.hbar)
-    state = gaussian_state(2, alpha, geom, labels)
+    return gaussian_state(2, alpha, geom, DisplacementLabels(z1, z2))
+
+
+def _ground_state_check(
+    state: GaussianState, ham: QuadraticHamiltonian, spec: OscillatorSpec, grid_points: int
+) -> GroundStateCheck:
+    """:func:`ground_state_energy_check` of an already-built state and (Q, L, c)."""
     frame, center = state.gaussian.frame, state.position_center
     s_axis, t_axis = _principal_axis_grid(state, grid_points)
     # on these axes the record is exactly f(s) g(t), g carrying the constants
@@ -583,7 +594,6 @@ def ground_state_energy_check(
     f = np.exp(s_axis * (1j * k_s - 0.5 * kappa_s * s_axis))
     constant = 1j * (np.dot(state.wavenumbers, state.center) + state.phase)
     g = state.gaussian.norm_prefactor * np.exp(constant + t_axis * (1j * k_t - 0.5 * kappa_t * t_axis))
-    ham = hamiltonian_quadratic(alpha, spec, labels.z1, labels.z2)
     u, v = _factored_action(ham, f, g, s_axis, t_axis, state.gaussian, center, spec.hbar)
     expected = 0.5 * spec.hbar * (spec.omega1 + spec.omega2)
     u[:, 0] -= expected * f
@@ -593,7 +603,7 @@ def ground_state_energy_check(
     # anti-diagonal, against the product form
     s_core, t_core = np.tile(s_axis[core], 2), np.concatenate([t_axis[core], t_axis[core][::-1]])
     x1, x2 = center[:, None] + frame @ np.array([s_core, t_core])
-    off_product = wave_function(2, x1, x2, geom, labels, alpha) - np.tile(f, 2) * np.concatenate([g, g[::-1]])
+    off_product = _state_wave(state, x1, x2) - np.tile(f, 2) * np.concatenate([g, g[::-1]])
     defect = float(np.max(np.abs(off_product))) / float(np.max(np.abs(f)) * np.max(np.abs(g)))
     # uniform cell areas cancel from both ratios
     norm_sq = float(np.vdot(f, f).real * np.vdot(g, g).real)

@@ -264,7 +264,11 @@ def wave_function(k: int, x1, x2, geom: OscillatorGeometry, labels: Displacement
     (``ValueError``).  The modulus is the record's Gaussian at x - y; the
     phase, linear in x, is one complex exponential on each of x1, x2.
     """
-    state = gaussian_state(k, alpha, geom, labels)
+    return _state_wave(gaussian_state(k, alpha, geom, labels), x1, x2)
+
+
+def _state_wave(state: GaussianState, x1, x2):
+    # wave_function of an already-built record
     x1, x2 = _check_positions(x1=x1, x2=x2)
     y1, y2 = state.position_center
     w1, w2 = state.position_wavenumbers

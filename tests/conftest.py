@@ -1,4 +1,6 @@
-"""Session setup shared by the test modules."""
+"""Session setup and helpers shared by the test modules."""
+
+import tracemalloc
 
 from hypothesis import configuration
 
@@ -10,3 +12,13 @@ def pytest_configure(config):
     cache = getattr(config, "cache", None)
     if cache is not None:
         configuration.set_hypothesis_home_dir(cache.mkdir("hypothesis"))
+
+
+def traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc traces during one call ``fn(*args)``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -5,13 +5,14 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import traced_peak
 
 from cvsqueeze import cli, model, phase_space, states
 from cvsqueeze.cli import main
@@ -21,6 +22,10 @@ def run(args, capsys):
     code = main(args)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _exits_zero(argv):
+    assert main(argv) == 0
 
 
 class TestSweep:
@@ -366,7 +371,7 @@ class TestHamiltonianCommand:
                 energy=1.0, expected=1.0, residual=0.0, grid_points=161, factorization_defect=1e-3
             )
 
-        monkeypatch.setattr(model, "ground_state_energy_check", check)
+        monkeypatch.setattr(model, "_ground_state_check", check)
         code, out, _ = run(["hamiltonian", "--alpha=0.5", "--trunc=12"], capsys)
         assert code == 1
         assert not json.loads(out)["ground_state"]["within_tolerance"]
@@ -737,17 +742,6 @@ class TestByteIdentity:
         if "--range2=0:40" in argv:
             assert ((cells > 0.0) & (cells < tiny)).any() and ((cells >= tiny) & (cells < 1e-280)).any()
 
-    @staticmethod
-    def _traced_peak(argv) -> int:
-        # the second run, so that the first one's caches are not counted
-        assert main(argv) == 0
-        tracemalloc.start()
-        try:
-            assert main(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.parametrize("fmt, bound_mib", [("csv", 2.5), ("json", 2.5)])
     def test_peak_memory_of_a_401_grid(self, fmt, bound_mib, tmp_path, capsys):
         # a table is evaluated, formatted and written a block of 8192 rows
@@ -759,16 +753,21 @@ class TestByteIdentity:
         # 5.3 MiB, the whole-document writer 19.1 and 27.0 MiB, the per-row
         # templates 39.1 and 40.7 MiB
         argv = ["wigner", "--alpha=0.35", "--n1=401", "--n2=401", f"--format={fmt}", f"--out={tmp_path / 'w'}"]
-        assert self._traced_peak(argv) <= bound_mib * 2**20
+        # the second run is traced, so that the first one's caches are not counted
+        _exits_zero(argv)
+        assert traced_peak(_exits_zero, argv) <= bound_mib * 2**20
 
     def test_peak_memory_does_not_grow_with_the_rows(self, tmp_path, capsys):
         # 1001 rows against 401 of the same length: the same blocks, more
         # of them (measured 0.90 against 0.90 MiB; the whole-document
         # writer took 49.5 against 19.1 MiB)
         argv = ["wigner", "--alpha=0.35", "--n2=401", f"--out={tmp_path / 'w'}"]
-        square = self._traced_peak(argv + ["--n1=401"])
-        tall = self._traced_peak(argv + ["--n1=1001"])
-        assert tall <= square + 2**20
+        peaks = {}
+        for n1 in (401, 1001):
+            rows = argv + [f"--n1={n1}"]
+            _exits_zero(rows)
+            peaks[n1] = traced_peak(_exits_zero, rows)
+        assert peaks[1001] <= peaks[401] + 2**20
 
     def test_sweep_matches_reference(self, capsys):
         argv = ["sweep", "--alphas=0.05,0.3,0.6,0.97", "--a=0.7", "--b=1.9", "--hbar=1.1"]

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 
 from cvsqueeze import hermite, verify
+from cvsqueeze.quadrature import _plane_gauss_hermite
 
 
 def explicit_sum(n, z):
@@ -264,6 +266,24 @@ class TestOrthogonality:
             for n in range(11):
                 scale = hermite.orthogonality_rhs(max(m, n), max(m, n), alpha)
                 assert abs(hermite.orthogonality_integral(m, n, alpha) - reference[m, n]) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("order", [2, 11, 80])
+    @pytest.mark.parametrize("alpha", [1e-8, 0.3, 1.0 - 1e-9])
+    @pytest.mark.parametrize("n_max", [3, 10, 20])
+    def test_gram_is_the_plain_product_bit_for_bit(self, n_max, alpha, order):
+        # the table is conjugated in place once its weighted copy exists;
+        # the product's operands, and so its bits, stay those of the plain form
+        z, w = _plane_gauss_hermite(order, 1.0 - alpha, (1.0 - alpha) / alpha)
+        seq = hermite.hermite_holo_sequence(n_max, z)
+        assert np.array_equal(hermite._orthogonality_quad(n_max, alpha, order), (seq * w) @ seq.conj().T)
+
+    def test_peak_memory_of_the_order_80_gram(self):
+        # verify hermite's Gram holds two (11, 6400) complex tables of 1.1 MB,
+        # the Hermite table and its weighted copy: measured 2.39 MiB, against
+        # 3.37 MiB with a third, conjugated copy. The first call builds the
+        # cached rules
+        hermite._orthogonality_quad(10, 0.5, 80)
+        assert traced_peak(hermite._orthogonality_quad, 10, 0.5, 80) <= 2.5 * 2**20
 
     @pytest.mark.parametrize("alpha", [1e-8, 1e-4, 0.05, 0.5, 0.9, 1.0 - 1e-9])
     def test_closed_form_up_to_index_20(self, alpha):

@@ -5,23 +5,28 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import traced_peak
 from fock_dense import dense, interior, ladder_operators, lowering_pair
 from fock_dense import hamiltonian as dense_hamiltonian
 from scipy.ndimage import correlate1d
 
 import cvsqueeze
 from cvsqueeze import model, phase_space, states
+from cvsqueeze.cli import main
 from cvsqueeze.model import _D1_STENCIL, _D2_STENCIL, _derivatives, _factored_action
 
 GEOM = states.OscillatorGeometry(a=1.0, b=1.2)
 SPEC = model.OscillatorSpec.from_geometry(GEOM)
+
+
+def _exits_zero(argv):
+    assert main(argv) == 0
 
 
 class TestOscillatorSpec:
@@ -207,12 +212,7 @@ class TestKroneckerAssembly:
         # the dense (n^2, n^2) matrix is 41 MB at n_trunc 40; dense
         # (n^2, n^2) @ (n^2, n^2) products peak above 220 MB; the bands of
         # the coefficient product peak near 0.28 MB
-        tracemalloc.start()
-        try:
-            model.hamiltonian_fock(0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 40, method)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(model.hamiltonian_fock, 0.4, SPEC, 0.3 + 0.1j, -0.2 + 0.4j, 40, method)
         assert peak < 1e6
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -299,16 +299,8 @@ class TestSlabChecks:
         # the two (n^2, n^2) Fock matrices would be 82 MB at trunc 40; in
         # band form from coefficient products the job peaks near 0.8 MB in
         # a fresh process
-        from cvsqueeze.cli import main
-
         out = tmp_path / "ham.json"
-        tracemalloc.start()
-        try:
-            assert main(["hamiltonian", "--alpha=0.5", "--trunc=40", f"--out={out}"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2e6
+        assert traced_peak(_exits_zero, ["hamiltonian", "--alpha=0.5", "--trunc=40", f"--out={out}"]) < 2e6
 
 
 def _random_bands(rng, count, n_trunc, offsets):
@@ -409,16 +401,8 @@ class TestBandForm:
     def test_cli_large_truncation_without_dense_matrix(self, tmp_path):
         # the dense matrix at trunc 200 would take 25.6 GB; the job peaks near
         # 13.2 MB in a fresh process, two (3 n, 3 n) band products of 5.8 MB
-        from cvsqueeze.cli import main
-
         out = tmp_path / "ham.json"
-        tracemalloc.start()
-        try:
-            assert main(["hamiltonian", "--alpha=0.5", "--trunc=200", f"--out={out}"]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 20e6
+        assert traced_peak(_exits_zero, ["hamiltonian", "--alpha=0.5", "--trunc=200", f"--out={out}"]) < 20e6
         fock = json.loads(out.read_text())["fock"]
         assert fock["n_trunc"] == 200
         assert fock["hermiticity_defect"] == 0.0
@@ -631,29 +615,24 @@ class TestGroundStateCheck:
         alpha = 0.3
         inverse = states.gaussian_state(2, alpha, GEOM, states.DisplacementLabels()).gaussian.inverse
         spreads = (math.sqrt(alpha / 2), 1 / math.sqrt(2 * alpha))
-        exact = states.wave_function
+        exact = states._state_wave
 
-        def perturbed(k, x1, x2, geom, labels, alpha):
+        def perturbed(state, x1, x2):
             # axis coordinates in spreads: u = w on the grid's diagonal, u = -w
             # on its anti-diagonal; the labels are zero, so the center is too
             xi = (np.asarray(x1), np.asarray(x2))
             u = (inverse[0, 0] * xi[0] + inverse[0, 1] * xi[1]) / spreads[0]
             w = (inverse[1, 0] * xi[0] + inverse[1, 1] * xi[1]) / spreads[1]
-            return exact(k, x1, x2, geom, labels, alpha) * (1 + 1e-6 * u * w * (u - sign * w))
+            return exact(state, x1, x2) * (1 + 1e-6 * u * w * (u - sign * w))
 
-        monkeypatch.setattr(model, "wave_function", perturbed)
+        monkeypatch.setattr(model, "_state_wave", perturbed)
         result = model.ground_state_energy_check(alpha, SPEC, grid_points=81)
         assert result.factorization_defect > 1e-9
 
     def test_peak_memory_is_linear(self):
         # one (641, 641) complex grid alone would take 6.6 MB
         model.ground_state_energy_check(0.3, SPEC, 0.2 + 0.3j, 0.1, grid_points=641)
-        tracemalloc.start()
-        try:
-            model.ground_state_energy_check(0.3, SPEC, 0.2 + 0.3j, 0.1, grid_points=641)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(model.ground_state_energy_check, 0.3, SPEC, 0.2 + 0.3j, 0.1, 641)
         assert peak < 2e6
 
 

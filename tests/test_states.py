@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import traced_peak
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -697,17 +698,10 @@ class TestInverseSegalBargmann:
         # that mode's own positions, and the order^2 (n_max + 1) monomial
         # table; no order^2 x order^2 node-pair grid (5.3 MB at order 24,
         # 85 MB at order 48) and no kernel on the broadcast n1 x n2 mesh is built
-        import tracemalloc
-
         for order, n_max, side, bound_mib in [(24, 20, 3, 1), (48, 40, 3, 4), (24, 20, 41, 2)]:
             points = np.linspace(-1.0, 1.0, side)
             psi_b = states.bargmann_series(2, 0.5, LABELS, n_max)
-            tracemalloc.start()
-            try:
-                states.inverse_segal_bargmann(psi_b, points[:, None], points[None, :], GEOM, order=order)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(states.inverse_segal_bargmann, psi_b, points[:, None], points[None, :], GEOM, order)
             assert peak < bound_mib * 2**20, (order, n_max, side)
 
     def test_peak_memory_cold_cache(self):
@@ -716,18 +710,11 @@ class TestInverseSegalBargmann:
         # (24, 20), 0.74 MB at (48, 40) and 31 MB at (96, 422), where the
         # complex full-plane table held 62 MB at a traced peak of 61.4 MiB
         # (31.6 MiB measured)
-        import tracemalloc
-
         for order, n_max, side, bound_mib in [(24, 20, 3, 1), (48, 40, 3, 4), (24, 20, 41, 2), (96, 422, 3, 33)]:
             points = np.linspace(-1.0, 1.0, side)
             psi_b = states.bargmann_series(2, 0.5, LABELS, n_max)
             states._moment_table.cache_clear()
-            tracemalloc.start()
-            try:
-                states.inverse_segal_bargmann(psi_b, points[:, None], points[None, :], GEOM, order=order)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = traced_peak(states.inverse_segal_bargmann, psi_b, points[:, None], points[None, :], GEOM, order)
             assert peak < bound_mib * 2**20, (order, n_max, side)
 
     def test_moment_table_cache_is_bounded_and_read_only(self):
