@@ -116,8 +116,26 @@ def _finite_result(compute, sizes: str, **arguments) -> np.ndarray:
         values = compute()
     if np.isfinite(values).all():
         return values
-    largest = ", ".join(f"max |{name}| {float(np.max(np.abs(arg))):.6g}" for name, arg in arguments.items())
-    raise ValueError(f"result is not finite in float64 at {sizes}, {largest}")
+    largest = [f"max |{name}| {float(np.max(np.abs(arg))):.6g}" for name, arg in arguments.items()]
+    raise ValueError(f"result is not finite in float64 at {', '.join([sizes, *largest])}")
+
+
+def _numeric_array(value, name: str, kind: type, dtype_kinds: str) -> np.ndarray:
+    # value as an array whose dtype kind is in dtype_kinds, or an object
+    # array of numbers of the numbers ABC kind other than bool; anything
+    # else raises naming the argument
+    try:
+        array = np.asarray(value)
+    except ValueError as exc:
+        # numpy's message for a ragged sequence names no argument
+        raise ValueError(f"{name} must convert to an array: {exc}") from None
+    if array.dtype.kind == "O":
+        numeric = all(isinstance(entry, kind) and not isinstance(entry, bool) for entry in array.flat)
+    else:
+        numeric = array.dtype.kind in dtype_kinds
+    if not numeric:
+        raise ValueError(f"{name} must be {kind.__name__.lower()}, got {array.dtype} values")
+    return array
 
 
 def check_real_array(value, name: str) -> np.ndarray:
@@ -129,18 +147,19 @@ def check_real_array(value, name: str) -> np.ndarray:
     each entry passes :func:`check_real`'s type rule.  Entries need not be
     finite.
     """
-    try:
-        array = np.asarray(value)
-    except ValueError as exc:
-        # numpy's message for a ragged sequence names no argument
-        raise ValueError(f"{name} must convert to an array: {exc}") from None
-    if array.dtype.kind == "O":
-        real = all(isinstance(entry, numbers.Real) and not isinstance(entry, bool) for entry in array.flat)
-    else:
-        real = array.dtype.kind in "iuf"
-    if not real:
-        raise ValueError(f"{name} must be real, got {array.dtype} values")
-    return array.astype(float, copy=False)
+    return _numeric_array(value, name, numbers.Real, "iuf").astype(float, copy=False)
+
+
+def check_complex_array(value, name: str) -> np.ndarray:
+    """``value``, a complex or real number or an array-like of them, as a complex array.
+
+    ``bool``, string and ``None`` entries raise ``ValueError`` naming the
+    argument, where a conversion to complex would read ``True`` as 1,
+    parse ``"1+2j"`` or give NaN; so does a ragged sequence.  An object
+    array passes when each entry passes :func:`check_complex`'s type rule.
+    Entries need not be finite.
+    """
+    return _numeric_array(value, name, numbers.Complex, "iufc").astype(complex, copy=False)
 
 
 def _check_positions(**positions) -> tuple[np.ndarray, ...]:

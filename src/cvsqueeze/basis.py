@@ -2,12 +2,15 @@
 
 The real parameter ``alpha`` in (0, 1) controls the anisotropy of the
 Gaussian weight in the space of holomorphic functions and maps to the
-squeezing strength ``xi = -ln(alpha)/2``.  Two families of expansion
-coefficients are built from it:
+squeezing strength ``xi = -ln(alpha)/2``.  Each family is one table, and
+one value is one index into it: ``basis_function_sequence`` holds the
+one-variable basis functions, ``basis_function_2v_table`` the two-variable
+ones and ``coefficient_table`` the expansion coefficients phi_{k,(m,n)},
+built from them for two mode tags:
 
-* mode tag ``k=1``: products of the one-variable functions,
-  ``coefficient(1, m, n, ...) = basis_function(m, ...) * basis_function(n, ...)``,
-* mode tag ``k=2``: the genuinely two-variable family ``basis_function_2v``.
+* ``k=1``: products of the one-variable functions, the outer product of
+  two ``basis_function_sequence`` tables,
+* ``k=2``: the genuinely two-variable family, a ``basis_function_2v_table``.
 
 Internally everything runs on scaled recurrences (the raw polynomial values
 grow like sqrt(m! n!), the basis values stay O(1)), so tables up to a few
@@ -22,21 +25,25 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._checks import _finite_result, check_alpha, check_complex, check_index, check_order, check_real
+from ._checks import (
+    _finite_result,
+    check_alpha,
+    check_complex,
+    check_complex_array,
+    check_index,
+    check_order,
+    check_real,
+)
 from .quadrature import _half_gauss_hermite
 
 __all__ = [
     "SqueezeParam",
     "squeeze_from_alpha",
     "alpha_from_squeeze",
-    "basis_function",
-    "basis_function_2v",
     "basis_function_sequence",
     "basis_function_2v_table",
-    "coefficient",
     "coefficient_table",
     "coefficient_norm_partial",
-    "gaussian_measure_density",
     "basis_gram",
 ]
 
@@ -86,7 +93,7 @@ def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
     """
     alpha = check_alpha(alpha, closed=False)
     n_max = check_index(n_max, "n_max")
-    z = np.asarray(z, dtype=complex)
+    z = check_complex_array(z, "z")
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = math.sqrt(2.0 * math.sqrt(alpha) / (1.0 + alpha))
     return _finite_result(
@@ -124,13 +131,6 @@ def _normalized_hermite(n_max: int, s: np.ndarray, beta: float, first, scale_squ
     return p
 
 
-def basis_function(n: int, alpha: float, z):
-    """One-variable alpha-parameterized basis function of complex argument."""
-    n = check_index(n)
-    value = basis_function_sequence(n, alpha, z)[n]
-    return complex(value) if value.ndim == 0 else value
-
-
 def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.ndarray:
     """Table of the two-variable basis functions for m <= m_max, n <= n_max.
 
@@ -144,7 +144,7 @@ def basis_function_2v_table(m_max: int, n_max: int, alpha: float, z1, z2) -> np.
     """
     alpha = check_alpha(alpha, closed=False)
     m_max, n_max = check_index(m_max, "m_max"), check_index(n_max, "n_max")
-    z1, z2 = np.broadcast_arrays(np.asarray(z1, dtype=complex), np.asarray(z2, dtype=complex))
+    z1, z2 = np.broadcast_arrays(check_complex_array(z1, "z1"), check_complex_array(z2, "z2"))
     beta = (1.0 - alpha) / (1.0 + alpha)
     prefactor = 2.0 * math.sqrt(alpha) / (1.0 + alpha)
     return _finite_result(
@@ -183,13 +183,6 @@ def _two_index_recurrence(m_max: int, n_max: int, beta: float, times_w1, times_w
     return g
 
 
-def basis_function_2v(m: int, n: int, alpha: float, z1, z2):
-    """Two-variable alpha-parameterized basis function."""
-    m, n = check_index(m, "m"), check_index(n, "n")
-    value = basis_function_2v_table(m, n, alpha, z1, z2)[m, n]
-    return complex(value) if value.ndim == 0 else value
-
-
 def coefficient_table(k: int, alpha: float, z1: complex, z2: complex, n_max: int) -> np.ndarray:
     """Expansion coefficients phi_{k,(m,n)}(z1, z2) for m, n <= n_max."""
     n_max = check_index(n_max, "n_max")
@@ -199,12 +192,6 @@ def coefficient_table(k: int, alpha: float, z1: complex, z2: complex, n_max: int
         seq2 = basis_function_sequence(n_max, alpha, z2)
         return np.outer(seq1, seq2)
     return basis_function_2v_table(n_max, n_max, alpha, z1, z2)
-
-
-def coefficient(k: int, m: int, n: int, alpha: float, z1: complex, z2: complex) -> complex:
-    """Single expansion coefficient phi_{k,(m,n)}(z1, z2)."""
-    m, n = check_index(m, "m"), check_index(n, "n")
-    return complex(coefficient_table(k, alpha, z1, z2, max(m, n))[m, n])
 
 
 def coefficient_norm_partial(k: int, alpha: float, z1: complex, z2: complex, n_max: int) -> float:
@@ -217,14 +204,6 @@ def coefficient_norm_partial(k: int, alpha: float, z1: complex, z2: complex, n_m
     """
     table = coefficient_table(k, alpha, z1, z2, n_max)
     return float(_finite_result(lambda: np.sum(np.abs(table) ** 2), f"n_max {n_max}", z1=z1, z2=z2))
-
-
-def gaussian_measure_density(w1: complex, w2: complex) -> float:
-    """Density pi^-2 exp(-|w1|^2 - |w2|^2) of the Gaussian reference measure."""
-    w1, w2 = check_complex(w1, "w1"), check_complex(w2, "w2")
-    # |w|^2 beyond the float64 range is +inf, for the exact density 0.0
-    with np.errstate(over="ignore"):
-        return float(np.pi**-2 * np.exp(-np.square(abs(w1)) - np.square(abs(w2))))
 
 
 # largest max_index at which basis_gram was measured within 3e-14 of I

@@ -1,12 +1,13 @@
 """Hermite polynomial families and their generating-function identities.
 
-Three families are implemented:
+Each family is evaluated as one table, and one value is one index into it:
 
-* ``hermite_real``: the classical polynomials H_n(x) with real argument,
-* ``hermite_holo``: the same recurrence continued to complex argument,
-* ``hermite_complex_2v``: the two-index family H_{m,n}(z1, z2), polynomial
-  in two complex variables and symmetric under ``(m, n, z1, z2) ->
-  (n, m, z2, z1)``.
+* ``hermite_holo_sequence``: H_0 .. H_{n_max} by the three-term recurrence,
+  at complex or real argument (the classical H_n(x) is the real part of
+  its entry at real x),
+* ``hermite_complex_2v_table``: the two-index family H_{m,n}(z1, z2),
+  polynomial in two complex variables and symmetric under
+  ``(m, n, z1, z2) -> (n, m, z2, z1)``.
 
 Recurrences are the primary evaluation path throughout (the alternating
 explicit sums cancel catastrophically for moderate degrees); the finite sums
@@ -24,14 +25,11 @@ import math
 
 import numpy as np
 
-from ._checks import _finite_result, check_alpha, check_complex, check_index, check_real, check_real_array
+from ._checks import _finite_result, check_alpha, check_complex, check_complex_array, check_index, check_real
 from .quadrature import _plane_gauss_hermite
 
 __all__ = [
-    "hermite_real",
-    "hermite_holo",
     "hermite_holo_sequence",
-    "hermite_complex_2v",
     "hermite_complex_2v_table",
     "mehler_product",
     "mehler_two_variable",
@@ -43,12 +41,14 @@ __all__ = [
 def hermite_holo_sequence(n_max: int, z) -> np.ndarray:
     """Values H_0(z) .. H_{n_max}(z) by the three-term recurrence.
 
-    ``z`` may be a scalar or an ndarray; the returned array has shape
-    ``(n_max + 1, *shape(z))`` and complex dtype.  A value beyond the
-    float64 range raises ``ValueError``.
+    ``z`` may be a number or an array of numbers (``bool``, string and
+    ``None`` entries raise ``ValueError``); the returned array has shape
+    ``(n_max + 1, *shape(z))`` and complex dtype, and H_n(x) at real x is
+    the real part of entry n.  A value beyond the float64 range raises
+    ``ValueError``.
     """
     n_max = check_index(n_max, "n_max")
-    z = np.asarray(z, dtype=complex)
+    z = check_complex_array(z, "z")
     return _finite_result(lambda: _holo_recurrence(n_max, z), f"n_max {n_max}", z=z)
 
 
@@ -60,28 +60,6 @@ def _holo_recurrence(n_max: int, z: np.ndarray) -> np.ndarray:
     for n in range(1, n_max):
         out[n + 1] = 2.0 * z * out[n] - 2.0 * n * out[n - 1]
     return out
-
-
-def hermite_real(n: int, x):
-    """H_n(x) for real ``x`` via H_{n+1} = 2x H_n - 2n H_{n-1}.
-
-    Any finite real argument (scalar or array) is accepted; a value beyond
-    the float64 range raises ``ValueError``.
-    """
-    n = check_index(n)
-    x = check_real_array(x, "x")
-    value = hermite_holo_sequence(n, x)[n].real
-    return float(value) if value.ndim == 0 else value
-
-
-def hermite_holo(n: int, z):
-    """H_n(z) with complex argument, evaluated by the same recurrence.
-
-    A value beyond the float64 range raises ``ValueError``.
-    """
-    n = check_index(n)
-    value = hermite_holo_sequence(n, z)[n]
-    return complex(value) if value.ndim == 0 else value
 
 
 def hermite_complex_2v_table(m_max: int, n_max: int, z1: complex, z2: complex) -> np.ndarray:
@@ -110,12 +88,6 @@ def _complex_2v_recurrence(m_max: int, n_max: int, z1: complex, z2: complex) -> 
         table[m + 1, 0] = z1 * table[m, 0]
         table[m + 1, 1:] = z1 * table[m, 1:] - n_axis * table[m, :-1]
     return table
-
-
-def hermite_complex_2v(m: int, n: int, z1: complex, z2: complex) -> complex:
-    """Two-variable complex Hermite polynomial H_{m,n}(z1, z2)."""
-    m, n = check_index(m, "m"), check_index(n, "n")
-    return complex(hermite_complex_2v_table(m, n, z1, z2)[m, n])
 
 
 def mehler_product(t: float, z1: complex, z2: complex, n_terms: int = 60) -> tuple[complex, complex]:
@@ -203,19 +175,28 @@ def orthogonality_rhs(m: int, n: int, alpha: float) -> float:
     """Closed-form value of the weighted inner product of H_m and H_n.
 
     Diagonal value pi sqrt(alpha)/(1-alpha) * (2(1+alpha)/(1-alpha))^n n!;
-    zero off the diagonal.
+    zero off the diagonal.  A diagonal value beyond the float64 range
+    raises ``ValueError``.
     """
     m, n = check_index(m, "m"), check_index(n, "n")
     alpha = check_alpha(alpha, closed=False)
     if m != n:
         return 0.0
-    return (
-        math.pi
-        * math.sqrt(alpha)
-        / (1.0 - alpha)
-        * (2.0 * (1.0 + alpha) / (1.0 - alpha)) ** n
-        * math.factorial(n)
-    )
+
+    def diagonal() -> float:
+        # the power, or the factorial as a float, may leave the float range
+        try:
+            return (
+                math.pi
+                * math.sqrt(alpha)
+                / (1.0 - alpha)
+                * (2.0 * (1.0 + alpha) / (1.0 - alpha)) ** n
+                * math.factorial(n)
+            )
+        except OverflowError:
+            return math.inf
+
+    return _finite_result(diagonal, f"m {m}, n {n}, alpha {alpha!r}")
 
 
 def _orthogonality_quad(n_max: int, alpha: float, order: int) -> np.ndarray:
@@ -247,8 +228,15 @@ def orthogonality_integral(m: int, n: int, alpha: float) -> complex:
     per-axis to the two weights, at the smallest order that makes the rule
     exact for degree m + n along each axis, (m + n) // 2 + 1 (at least 2).
     For m, n <= 20 at alpha from 1e-8 to 1 - 1e-9 that value was within
-    9.3e-15 of :func:`orthogonality_rhs`, relative to sqrt(R_mm R_nn).
+    9.3e-15 of :func:`orthogonality_rhs`, relative to sqrt(R_mm R_nn).  A
+    value beyond the float64 range, as at m = n = 30 and alpha = 1 - 1e-9,
+    raises ``ValueError``.
     """
     m, n = check_index(m, "m"), check_index(n, "n")
     alpha = check_alpha(alpha, closed=False)
-    return complex(_orthogonality_quad(max(m, n), alpha, max(2, (m + n) // 2 + 1))[m, n])
+    n_max, order = max(m, n), max(2, (m + n) // 2 + 1)
+    # the tables can be finite and a weighted sum not, near alpha = 1; only
+    # entry (m, n) is checked, and verify's order-80 Gram is left to pass a
+    # NaN on to its check
+    sizes = f"n_max {n_max}, order {order}, alpha {alpha!r}"
+    return complex(_finite_result(lambda: _orthogonality_quad(n_max, alpha, order)[m, n], sizes))

@@ -38,6 +38,7 @@ from ._checks import (
     _check_positions,
     check_alpha,
     check_complex,
+    check_complex_array,
     check_index,
     check_real,
     check_real_array,
@@ -53,7 +54,6 @@ __all__ = [
     "GaussianState",
     "gaussian_state",
     "hermite_function_sequence",
-    "fock_position_basis",
     "wave_function",
     "series_expansion",
     "shift_params",
@@ -248,15 +248,6 @@ def hermite_function_sequence(n_max: int, x, inverse_length: float) -> np.ndarra
     return _normalized_hermite(n_max, ax, 1.0, gaussian, 2.0)
 
 
-def fock_position_basis(m: int, n: int, x1, x2, geom: OscillatorGeometry):
-    """Position representation of the product number state (m, n)."""
-    m, n = check_index(m, "m"), check_index(n, "n")
-    f1 = hermite_function_sequence(m, x1, geom.a)[m]
-    f2 = hermite_function_sequence(n, x2, geom.b)[n]
-    value = f1 * f2
-    return float(value) if np.ndim(value) == 0 else value
-
-
 def wave_function(k: int, x1, x2, geom: OscillatorGeometry, labels: DisplacementLabels, alpha: float):
     """Closed-form normalized wave function of the mode-``k`` state.
 
@@ -366,8 +357,7 @@ def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
     """
     a, b = geom.a, geom.b
     x1, x2 = _check_positions(x1=x1, x2=x2)
-    w1 = np.asarray(w1, dtype=complex)
-    w2 = np.asarray(w2, dtype=complex)
+    w1, w2 = check_complex_array(w1, "w1"), check_complex_array(w2, "w2")
     _check_finite(w1=w1, w2=w2)
     w1, w2 = _clipped_argument(w1), _clipped_argument(w2)
     exponent = (
@@ -381,10 +371,10 @@ def segal_bargmann_kernel(x1, x2, w1, w2, geom: OscillatorGeometry):
 
 
 def _bargmann_monomials(w, n_max: int) -> np.ndarray:
-    # e_j(w) = conj(w)^j / sqrt(j!) for j = 0 .. n_max, on w's own shape, by
-    # e_{j+1} = e_j conj(w) / sqrt(j + 1): no factorial is formed, whose
-    # float range would end n_max at 170
-    w = np.conj(np.asarray(w, dtype=complex))
+    # e_j(w) = conj(w)^j / sqrt(j!) for j = 0 .. n_max, on the shape of the
+    # complex array w, by e_{j+1} = e_j conj(w) / sqrt(j + 1): no factorial
+    # is formed, whose float range would end n_max at 170
+    w = np.conj(w)
     out = np.empty((n_max + 1,) + w.shape, dtype=complex)
     out[0] = 1.0
     for j in range(n_max):
@@ -399,7 +389,8 @@ class BargmannSeries:
 
     ``amplitudes`` is the normalized Fock amplitude table A[m, n], a
     non-empty finite 2-D table (``ValueError`` otherwise).  Called on two
-    complex arrays that broadcast, the record evaluates
+    finite complex arrays that broadcast (other arguments raise
+    ``ValueError`` naming them), the record evaluates
     psi_B(w1, w2) = sum_{m,n} A[m, n] e_m(w1) e_n(w2), where
     e_j(w) = conj(w)^j / sqrt(j!) are the orthonormal monomials of
     Bargmann space.
@@ -415,6 +406,8 @@ class BargmannSeries:
         object.__setattr__(self, "amplitudes", table)
 
     def __call__(self, w1, w2):
+        w1, w2 = check_complex_array(w1, "w1"), check_complex_array(w2, "w2")
+        _check_finite(w1=w1, w2=w2)
         rows, cols = self.amplitudes.shape
         return self._contract(_bargmann_monomials(w1, rows - 1), _bargmann_monomials(w2, cols - 1))
 

@@ -20,11 +20,8 @@ LABELS = states.DisplacementLabels(0.1 + 0.2j, -0.3j)
 SPEC = model.OscillatorSpec.from_geometry(GEOM)
 
 OPEN = {
-    "basis_function": lambda a: basis.basis_function(2, a, 0.3j),
     "basis_function_sequence": lambda a: basis.basis_function_sequence(2, a, 0.3j),
-    "basis_function_2v": lambda a: basis.basis_function_2v(1, 2, a, 0.3j, 0.1),
     "basis_function_2v_table": lambda a: basis.basis_function_2v_table(1, 2, a, 0.3j, 0.1),
-    "coefficient": lambda a: basis.coefficient(2, 1, 1, a, 0.3j, 0.1),
     "coefficient_table": lambda a: basis.coefficient_table(1, a, 0.3j, 0.1, 2),
     "coefficient_norm_partial": lambda a: basis.coefficient_norm_partial(2, a, 0.3j, 0.1, 2),
     "basis_gram": lambda a: basis.basis_gram(a, max_index=1, order=4),

@@ -24,6 +24,41 @@ def test_package_exports_every_layer_name():
             assert getattr(cvsqueeze, name) is getattr(layer, name)
 
 
+EXPORTS = {
+    "BargmannSeries", "ConvergenceError", "CovarianceMatrix", "DisplacementLabels", "GaussianState",
+    "GroundStateCheck", "OscillatorGeometry", "OscillatorSpec", "PPTVerdict", "PhaseSpacePoint",
+    "QuadraticGaussian", "QuadraticHamiltonian", "RSCheck", "ShiftParams", "SpectrumPairingError",
+    "SqueezeParam", "SymplecticSpectrum", "TruncatedOperator", "alpha_from_squeeze", "bargmann_series",
+    "basis_function_2v_table", "basis_function_sequence", "basis_gram", "coefficient_norm_partial",
+    "coefficient_table", "covariance", "gaussian_state", "ground_state_energy_check", "hamiltonian_fock",
+    "hamiltonian_quadratic", "heisenberg_weyl_shift", "hermite_complex_2v_table", "hermite_function_sequence",
+    "hermite_holo_sequence", "inverse_segal_bargmann", "log_negativity", "mehler_product", "mehler_two_variable",
+    "orthogonality_integral", "orthogonality_rhs", "partial_transpose", "ppt_separable",
+    "robertson_schrodinger_check", "segal_bargmann_kernel", "series_expansion", "shift_params",
+    "squeeze_from_alpha", "symplectic_form", "symplectic_spectrum", "transformed_ladder_matrices",
+    "unshifted_gaussian", "wave_function", "wigner_gaussian", "wigner_numeric",
+}
+# one-entry views of a family's table, and a density nothing called: each
+# value is one index into the table routine of its layer
+DELETED = {
+    hermite: ["hermite_real", "hermite_holo", "hermite_complex_2v"],
+    basis: ["basis_function", "basis_function_2v", "coefficient", "gaussian_measure_density"],
+    states: ["fock_position_basis"],
+}
+
+
+def test_the_exported_names():
+    assert len(EXPORTS) == 54
+    assert set(cvsqueeze.__all__) == EXPORTS
+    assert len(cvsqueeze.__all__) == len(EXPORTS)
+
+
+@pytest.mark.parametrize("layer, name", [(layer, name) for layer, names in DELETED.items() for name in names])
+def test_scalar_views_of_a_table_are_gone(layer, name):
+    assert not hasattr(cvsqueeze, name)
+    assert not hasattr(layer, name)
+
+
 def test_star_import_exports_only_the_listed_names():
     namespace: dict = {}
     exec("from cvsqueeze import *", namespace)

@@ -31,38 +31,38 @@ def two_index_sum(m, n, z1, z2):
 
 class TestRealAndHolo:
     def test_low_orders(self):
-        assert hermite.hermite_real(0, 0.37) == 1.0
-        assert hermite.hermite_real(1, 2.0) == 4.0
-        assert hermite.hermite_holo(0, 5.0 - 2.0j) == 1.0 + 0.0j
+        assert hermite.hermite_holo_sequence(0, 0.37)[0].real == 1.0
+        assert hermite.hermite_holo_sequence(1, 2.0)[1].real == 4.0
+        assert hermite.hermite_holo_sequence(0, 5.0 - 2.0j)[0] == 1.0 + 0.0j
         z = 0.3 + 0.8j
-        assert hermite.hermite_holo(2, z) == pytest.approx(4 * z * z - 2)
+        assert hermite.hermite_holo_sequence(2, z)[2] == pytest.approx(4 * z * z - 2)
 
     def test_real_against_explicit_sum(self):
         # frozen from the sum oracle; the comparison grid keeps |x| moderate
         # because the alternating sum itself loses digits for large argument
-        assert hermite.hermite_real(10, 1.3) == pytest.approx(-66123.41303306246, rel=1e-12)
+        assert hermite.hermite_holo_sequence(10, 1.3)[10].real == pytest.approx(-66123.41303306246, rel=1e-12)
         for n in range(26):
             for x in (-2.1, -0.4, 0.9, 1.8):
-                assert hermite.hermite_real(n, x) == pytest.approx(
+                assert hermite.hermite_holo_sequence(n, x)[n].real == pytest.approx(
                     explicit_sum(n, x).real, rel=1e-11, abs=1e-11
                 )
 
     def test_holo_against_truncated_sum(self):
-        value = hermite.hermite_holo(7, 0.4 + 0.9j)
+        value = hermite.hermite_holo_sequence(7, 0.4 + 0.9j)[7]
         assert value == pytest.approx(-4827.9468544 - 1778.2943616j, rel=1e-12)
         for n in range(26):
             for z in (0.4 + 0.9j, -1.2 + 0.5j, 2.0 - 1.0j):
-                assert hermite.hermite_holo(n, z) == pytest.approx(explicit_sum(n, z), rel=1e-11)
+                assert hermite.hermite_holo_sequence(n, z)[n] == pytest.approx(explicit_sum(n, z), rel=1e-11)
 
     def test_vectorized(self):
         xs = np.linspace(-2, 2, 7)
-        values = hermite.hermite_real(4, xs)
+        values = hermite.hermite_holo_sequence(4, xs)[4].real
         assert values.shape == xs.shape
         assert values[3] == pytest.approx(explicit_sum(4, 0.0).real)
 
     def test_rejects_negative_index(self):
         with pytest.raises(ValueError):
-            hermite.hermite_real(-1, 0.0)
+            hermite.hermite_holo_sequence(-1, 0.0)
 
     def test_overflow_raises(self):
         # H_200(50) is about 1e418, beyond float64
@@ -75,23 +75,23 @@ class TestRealAndHolo:
 class TestTwoIndexFamily:
     def test_trivial(self):
         z1, z2 = 0.7 - 0.1j, -0.2 + 0.9j
-        assert hermite.hermite_complex_2v(0, 0, z1, z2) == 1.0
-        assert hermite.hermite_complex_2v(1, 1, z1, z2) == pytest.approx(z1 * z2 - 1)
+        assert hermite.hermite_complex_2v_table(0, 0, z1, z2)[0, 0] == 1.0
+        assert hermite.hermite_complex_2v_table(1, 1, z1, z2)[1, 1] == pytest.approx(z1 * z2 - 1)
 
     def test_against_binomial_sum(self):
-        value = hermite.hermite_complex_2v(3, 2, 0.5 - 0.2j, 1.1 + 0.3j)
+        value = hermite.hermite_complex_2v_table(3, 2, 0.5 - 0.2j, 1.1 + 0.3j)[3, 2]
         assert value == pytest.approx(1.42052 - 0.37414j, rel=1e-12)
         for (m, n) in [(2, 5), (4, 4), (6, 3), (7, 7)]:
             z1, z2 = 0.8 + 0.2j, -0.4 + 0.6j
-            assert hermite.hermite_complex_2v(m, n, z1, z2) == pytest.approx(
+            assert hermite.hermite_complex_2v_table(m, n, z1, z2)[m, n] == pytest.approx(
                 two_index_sum(m, n, z1, z2), rel=1e-12
             )
 
     def test_index_swap_symmetry(self):
         z1, z2 = 1.3 - 0.4j, 0.2 + 0.7j
         for (m, n) in [(0, 4), (2, 3), (5, 1), (6, 6)]:
-            assert hermite.hermite_complex_2v(m, n, z1, z2) == pytest.approx(
-                hermite.hermite_complex_2v(n, m, z2, z1), rel=1e-14
+            assert hermite.hermite_complex_2v_table(m, n, z1, z2)[m, n] == pytest.approx(
+                hermite.hermite_complex_2v_table(n, m, z2, z1)[n, m], rel=1e-14
             )
 
     def test_generating_function_coefficients(self):
@@ -110,7 +110,7 @@ class TestTwoIndexFamily:
                     t = (n / 2 - l) * step
                     total += weight * np.exp(s * z1 + t * z2 - s * t)
             approx = total / step ** (m + n)
-            assert approx == pytest.approx(hermite.hermite_complex_2v(m, n, z1, z2), rel=1e-3)
+            assert approx == pytest.approx(hermite.hermite_complex_2v_table(m, n, z1, z2)[m, n], rel=1e-3)
 
 
     def test_contour_table_is_the_explicit_sum(self):
@@ -212,7 +212,7 @@ class TestMehlerTwoVariable:
         reduction = sum(
             s**m / (math.sqrt(2.0**m) * math.factorial(m))
             * z1**m
-            * hermite.hermite_real(m, u)
+            * hermite.hermite_holo_sequence(m, u)[m].real
             for m in range(41)
         )
         assert series == pytest.approx(reduction, rel=1e-12)
@@ -294,6 +294,29 @@ class TestOrthogonality:
                 expected = norms[m] if m == n else 0.0
                 scale = math.sqrt(norms[m]) * math.sqrt(norms[n])
                 assert abs(hermite.orthogonality_integral(m, n, alpha) - expected) <= 2e-14 * scale
+
+    @pytest.mark.parametrize(
+        "n, alpha",
+        # inf (30, 100); OverflowError in the power (35) and in the factorial
+        # as a float (171)
+        [(30, 1.0 - 1e-9), (100, 0.9), (35, 1.0 - 1e-9), (171, 1e-8)],
+    )
+    def test_closed_form_beyond_float64_raises(self, n, alpha):
+        with pytest.raises(ValueError, match=rf"^result is not finite in float64 at m {n}, n {n}, alpha {alpha!r}$"):
+            hermite.orthogonality_rhs(n, n, alpha)
+
+    def test_closed_form_near_the_float64_limit_keeps_its_bits(self):
+        assert hermite.orthogonality_rhs(145, 145, 1e-8) == 1.12767638359146e292
+        assert hermite.orthogonality_rhs(60, 60, 0.9) == 1.5186642647640815e178
+
+    @pytest.mark.parametrize("n", [30, 40])
+    def test_gram_beyond_float64_raises(self, n):
+        # every H_n on the rule is finite, but the weighted sums overflowed
+        # to nan+nanj
+        alpha = 1.0 - 1e-9
+        message = rf"^result is not finite in float64 at n_max {n}, order {n + 1}, alpha {alpha!r}$"
+        with pytest.raises(ValueError, match=message):
+            hermite.orthogonality_integral(n, n, alpha)
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError):

@@ -35,20 +35,10 @@ class Index(NamedTuple):
 MODE = {"minimum": 1, "maximum": 2}
 
 ENTRIES = {
-    "basis_function": {"n": Index(lambda n: basis.basis_function(n, 0.5, 0.3), 2)},
     "basis_function_sequence": {"n_max": Index(lambda n: basis.basis_function_sequence(n, 0.5, 0.3j), 2)},
-    "basis_function_2v": {
-        "m": Index(lambda m: basis.basis_function_2v(m, 1, 0.5, 0.3j, 0.1), 2),
-        "n": Index(lambda n: basis.basis_function_2v(1, n, 0.5, 0.3j, 0.1), 2),
-    },
     "basis_function_2v_table": {
         "m_max": Index(lambda m: basis.basis_function_2v_table(m, 2, 0.5, 0.3j, 0.1), 1),
         "n_max": Index(lambda n: basis.basis_function_2v_table(1, n, 0.5, 0.3j, 0.1), 2),
-    },
-    "coefficient": {
-        "k": Index(lambda k: basis.coefficient(k, 1, 0, 0.5, 0.3j, 0.1), 2, **MODE),
-        "m": Index(lambda m: basis.coefficient(1, m, 0, 0.5, 0.3j, 0.1), 2),
-        "n": Index(lambda n: basis.coefficient(2, 0, n, 0.5, 0.3j, 0.1), 2),
     },
     "coefficient_table": {
         "k": Index(lambda k: basis.coefficient_table(k, 0.5, 0.3j, 0.1, 2), 2, **MODE),
@@ -61,13 +51,7 @@ ENTRIES = {
     "basis_gram": {
         "max_index": Index(lambda i: basis.basis_gram(0.5, i, 41), 2, maximum=basis._GRAM_MAX_INDEX),
     },
-    "hermite_real": {"n": Index(lambda n: hermite.hermite_real(n, 0.5), 3)},
-    "hermite_holo": {"n": Index(lambda n: hermite.hermite_holo(n, 0.5j), 3)},
     "hermite_holo_sequence": {"n_max": Index(lambda n: hermite.hermite_holo_sequence(n, 0.5j), 3)},
-    "hermite_complex_2v": {
-        "m": Index(lambda m: hermite.hermite_complex_2v(m, 0, 0.3j, 0.1), 2),
-        "n": Index(lambda n: hermite.hermite_complex_2v(1, n, 0.3j, 0.1), 2),
-    },
     "hermite_complex_2v_table": {
         "m_max": Index(lambda m: hermite.hermite_complex_2v_table(m, 2, 0.3j, 0.1), 1),
         "n_max": Index(lambda n: hermite.hermite_complex_2v_table(1, n, 0.3j, 0.1), 2),
@@ -108,10 +92,6 @@ ENTRIES = {
         "n_max": Index(lambda n: states.bargmann_series(2, 0.5, LABELS, n), 4),
     },
     "hermite_function_sequence": {"n_max": Index(lambda n: states.hermite_function_sequence(n, 0.3, 1.3), 3)},
-    "fock_position_basis": {
-        "m": Index(lambda m: states.fock_position_basis(m, 0, 0.1, 0.2, GEOM), 2),
-        "n": Index(lambda n: states.fock_position_basis(1, n, 0.1, 0.2, GEOM), 2),
-    },
 }
 # records whose integer field the library fills from a checked argument
 RECORDS = {"GroundStateCheck"}
@@ -180,14 +160,6 @@ def test_numpy_integer_gives_the_int_result(name, parameter):
     [
         # each returned a number or an array, or failed without naming the
         # argument, before the integer contract
-        (lambda: hermite.hermite_real(True, 0.5), "n"),
-        (lambda: basis.basis_function(False, 0.5, 0.3), "n"),
-        (lambda: hermite.hermite_holo(True, 0.5j), "n"),
-        (lambda: basis.basis_function_2v(True, 1, 0.5, 0.3j, 0.1), "m"),
-        (lambda: states.fock_position_basis(True, 0, 0.1, 0.2, GEOM), "m"),
-        (lambda: hermite.hermite_complex_2v(True, 0, 0.3j, 0.1), "m"),
-        (lambda: basis.coefficient(1, True, 0, 0.5, 0.3j, 0.1), "m"),
-        (lambda: basis.coefficient(1.0, 1, 0, 0.5, 0.3j, 0.1), "k"),
         (lambda: basis.basis_gram(0.5, 4.0), "max_index"),
         (lambda: model.hamiltonian_fock(0.5, SPEC, 0.1, 0.2j, n_trunc=8.5), "n_trunc"),
         (lambda: model.ground_state_energy_check(0.5, SPEC, grid_points=40.5), "grid_points"),

@@ -36,15 +36,10 @@ SCALAR_PARAMETERS = {
 }
 # positions and evaluator arguments, which broadcast as arrays
 ARRAYS = {
-    "basis_function": {"z"},
     "basis_function_sequence": {"z"},
-    "basis_function_2v": {"z1", "z2"},
     "basis_function_2v_table": {"z1", "z2"},
-    "hermite_real": {"x"},
-    "hermite_holo": {"z"},
     "hermite_holo_sequence": {"z"},
     "hermite_function_sequence": {"x"},
-    "fock_position_basis": {"x1", "x2"},
     "wave_function": {"x1", "x2"},
     "series_expansion": {"x1", "x2"},
     "heisenberg_weyl_shift": {"x1", "x2"},
@@ -89,14 +84,8 @@ def _labels(call):
 
 ENTRIES = {
     "alpha_from_squeeze": {"xi": real(basis.alpha_from_squeeze)},
-    "coefficient": _labels(lambda z1, z2: basis.coefficient(2, 1, 1, 0.5, z1, z2)),
     "coefficient_table": _labels(lambda z1, z2: basis.coefficient_table(1, 0.5, z1, z2, 2)),
     "coefficient_norm_partial": _labels(lambda z1, z2: basis.coefficient_norm_partial(2, 0.5, z1, z2, 2)),
-    "gaussian_measure_density": {
-        "w1": complex_(lambda w: basis.gaussian_measure_density(w, 0.3j)),
-        "w2": complex_(lambda w: basis.gaussian_measure_density(0.3j, w)),
-    },
-    "hermite_complex_2v": _labels(lambda z1, z2: hermite.hermite_complex_2v(2, 1, z1, z2)),
     "hermite_complex_2v_table": _labels(lambda z1, z2: hermite.hermite_complex_2v_table(2, 1, z1, z2)),
     "mehler_product": {
         "t": real(lambda t: hermite.mehler_product(t, 0.2, 0.1j, 8), 0.5),
@@ -236,7 +225,6 @@ REAL_ARRAYS = {
     ),
     "QuadraticGaussian": ("frame", lambda cast: states.QuadraticGaussian(cast(GAUSSIAN.frame), (1.0, 1.5))),
     "hermite_function_sequence": ("x", lambda cast: states.hermite_function_sequence(3, cast([0.1, 0.2]), 1.0)),
-    "hermite_real": ("x", lambda cast: hermite.hermite_real(3, cast(0.3))),
     "wave_function": ("x1", lambda cast: states.wave_function(2, cast([0.1, 0.2]), 0.1, GEOM, LABELS, 0.5)),
     "wigner_numeric": (
         "m_matrix",
@@ -273,10 +261,66 @@ def test_real_array_rejects_ragged_sequence(name):
         call(lambda x: [[0.1], [0.2, 0.3]])
 
 
+# each takes a cast of a complex array argument: the identity, or one of NOT_COMPLEX
+SERIES = states.bargmann_series(2, 0.5, LABELS, 3)
+COMPLEX_ARRAYS = {
+    "hermite_holo_sequence": ("z", lambda cast: hermite.hermite_holo_sequence(3, cast([1 + 2j, 0.5]))),
+    "basis_function_sequence": ("z", lambda cast: basis.basis_function_sequence(3, 0.5, cast([0.5, 0.1j]))),
+    "basis_function_2v_table-z1": ("z1", lambda cast: basis.basis_function_2v_table(2, 2, 0.5, cast(1.0), 0)),
+    "basis_function_2v_table-z2": ("z2", lambda cast: basis.basis_function_2v_table(2, 2, 0.5, 0.3j, cast([1, 2j]))),
+    "segal_bargmann_kernel-w1": ("w1", lambda cast: states.segal_bargmann_kernel(0, 0, cast(1.0), 0.2, GEOM)),
+    "segal_bargmann_kernel-w2": ("w2", lambda cast: states.segal_bargmann_kernel(0, 0, 0.1, cast([0.2, 1j]), GEOM)),
+    "BargmannSeries-w1": ("w1", lambda cast: SERIES(cast(1.0), 0.2)),
+    "BargmannSeries-w2": ("w2", lambda cast: SERIES(0.1, cast([0.2, 1j]))),
+}
+NOT_COMPLEX = {
+    "bool": lambda z: np.asarray(z) != 0,
+    "str": lambda z: np.asarray(z).astype(str),
+    "None": lambda z: np.full(np.shape(z), None),
+}
+
+
+@pytest.mark.parametrize("name", COMPLEX_ARRAYS)
+@pytest.mark.parametrize("cast", NOT_COMPLEX)
+def test_complex_array_rejects_bool_text_and_none(name, cast):
+    # the conversion to complex read True as 1 and parsed "1+2j"; None gave
+    # NaN, which failed later as "max |z| nan"
+    parameter, call = COMPLEX_ARRAYS[name]
+    call(lambda z: z)
+    with pytest.raises(ValueError, match=f"^{parameter} must be complex, got "):
+        call(NOT_COMPLEX[cast])
+
+
+@pytest.mark.parametrize("name", COMPLEX_ARRAYS)
+def test_complex_array_rejects_ragged_sequence(name):
+    parameter, call = COMPLEX_ARRAYS[name]
+    with pytest.raises(ValueError, match=f"^{parameter} must convert to an array: "):
+        call(lambda z: [[0.1], [0.2, 0.3j]])
+
+
+@pytest.mark.parametrize("name", COMPLEX_ARRAYS)
+def test_complex_array_of_python_numbers_gives_the_complex_result(name):
+    # an object array of ints, floats and complex values is converted, not rejected
+    _, call = COMPLEX_ARRAYS[name]
+    assert _same(call(lambda z: np.asarray(z, dtype=object)), call(lambda z: z))
+
+
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
 @pytest.mark.parametrize("name", ["w1", "w2"])
-def test_segal_bargmann_kernel_argument(name, value):
-    # the positions were checked, the arguments not: a NaN gave nan+nanj
+@pytest.mark.parametrize(
+    "evaluate",
+    [
+        lambda w1, w2: states.segal_bargmann_kernel(0.0, 0.0, w1, w2, states.OscillatorGeometry(1.0, 1.0)),
+        SERIES,
+    ],
+    ids=["segal_bargmann_kernel", "BargmannSeries"],
+)
+def test_segal_bargmann_kernel_argument(evaluate, name, value):
+    # the positions were checked, the arguments not: a NaN gave nan+nanj, in
+    # the kernel and in the series record alike
     arguments = {"w1": 0.0, "w2": 0.0, name: [0.1, complex(0.0, value)]}
     with pytest.raises(ValueError, match=f"{name} must be finite"):
-        states.segal_bargmann_kernel(0.0, 0.0, geom=states.OscillatorGeometry(1.0, 1.0), **arguments)
+        evaluate(**arguments)
+    arguments[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        evaluate(**arguments)

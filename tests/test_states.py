@@ -315,14 +315,13 @@ class TestInputDomain:
                 states.ShiftParams(0.1, 0.2, 0.3, 0.4), states.unshifted_gaussian(2, 0.5, GEOM), x, 0.2
             ),
             lambda x: states.segal_bargmann_kernel(x, 0.2, 0.3 + 0.1j, -0.2j, GEOM),
-            lambda x: states.fock_position_basis(2, 1, x, 0.2, GEOM),
             lambda x: states.hermite_function_sequence(3, x, 1.0),
         ],
-        ids=["heisenberg_weyl_shift", "segal_bargmann_kernel", "fock_position_basis", "hermite_function_sequence"],
+        ids=["heisenberg_weyl_shift", "segal_bargmann_kernel", "hermite_function_sequence"],
     )
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_position_raises(self, call, bad):
-        # each used to return NaN: nan+nanj, nan+nanj, nan and [0, nan, nan, nan]
+        # each used to return NaN: nan+nanj, nan+nanj and [0, nan, nan, nan]
         with pytest.raises(ValueError, match="finite"):
             call(bad)
         with pytest.raises(ValueError, match="finite"):
@@ -337,14 +336,13 @@ class TestInputDomain:
             ),
             lambda x: states.segal_bargmann_kernel(x, 0.0, 0.1, 0.1, GEOM),
             lambda x: states.hermite_function_sequence(3, x, 1.0),
-            lambda x: states.fock_position_basis(3, 2, x, 0.2, GEOM),
             lambda x: states.series_expansion(2, 10, 0.3, x, GEOM, LABELS, 0.5),
             # the kernel's arguments: w1 real, w2 with both parts huge
             lambda w: states.segal_bargmann_kernel(0.1, 0.2, w, 0.1, GEOM),
             lambda w: states.segal_bargmann_kernel(0.1, 0.2, 0.1, w + 1j * w, GEOM),
         ],
         ids=["inverse_segal_bargmann", "inverse_segal_bargmann-odd-checked", "segal_bargmann_kernel",
-             "hermite_function_sequence", "fock_position_basis", "series_expansion",
+             "hermite_function_sequence", "series_expansion",
              "segal_bargmann_kernel-w1", "segal_bargmann_kernel-w2-complex"],
     )
     @pytest.mark.parametrize("huge", [1e160, -1e160, 1e300, -1e300, 1.5e308, -1.5e308, 1.7e308, -1.7e308])
@@ -372,12 +370,11 @@ class TestInputDomain:
             lambda n: states.hermite_function_sequence(n, 0.3, 1.0),
             lambda n: states.series_expansion(2, n, 0.1, 0.2, GEOM, LABELS, 0.5),
             lambda n: states.bargmann_series(2, 0.5, LABELS, n),
-            lambda n: states.fock_position_basis(n, 1, 0.1, 0.2, GEOM),
         ],
         ids=[
             "coefficient_table-k2", "coefficient_table-k1", "basis_function_sequence",
             "basis_function_2v_table-m", "basis_function_2v_table-n", "hermite_function_sequence",
-            "series_expansion", "bargmann_series", "fock_position_basis",
+            "series_expansion", "bargmann_series",
         ],
     )
     @pytest.mark.parametrize("n", [-1, -3, 2.0])
@@ -386,15 +383,21 @@ class TestInputDomain:
             call(n)
 
 
+def fock_product(m, n, x1, x2):
+    # the product number state (m, n) in position space: one entry of each
+    # mode's Hermite function table
+    return states.hermite_function_sequence(m, x1, GEOM.a)[m] * states.hermite_function_sequence(n, x2, GEOM.b)[n]
+
+
 class TestFockPositionBasis:
     def test_ground_value(self):
         expected = math.sqrt(GEOM.a * GEOM.b / math.pi)
-        assert states.fock_position_basis(0, 0, 0.0, 0.0, GEOM) == pytest.approx(expected, rel=1e-15)
+        assert fock_product(0, 0, 0.0, 0.0) == pytest.approx(expected, rel=1e-15)
 
     def test_first_excited_is_odd(self):
-        assert states.fock_position_basis(1, 0, 0.0, 0.4, GEOM) == 0.0
-        left = states.fock_position_basis(1, 0, -0.3, 0.4, GEOM)
-        right = states.fock_position_basis(1, 0, 0.3, 0.4, GEOM)
+        assert fock_product(1, 0, 0.0, 0.4) == 0.0
+        left = fock_product(1, 0, -0.3, 0.4)
+        right = fock_product(1, 0, 0.3, 0.4)
         assert left == pytest.approx(-right, rel=1e-14)
 
     def test_orthonormality_by_quadrature(self):
@@ -433,14 +436,12 @@ class TestFockPositionBasis:
 class TestSeriesExpansion:
     def test_lowest_term(self):
         alpha = 0.5
-        from cvsqueeze.basis import coefficient
-
         normalizer = math.exp(-(abs(LABELS.z1) ** 2 + abs(LABELS.z2) ** 2) / 2)
         x1, x2 = 0.3, -0.2
         expected = (
             normalizer
-            * coefficient(2, 0, 0, alpha, LABELS.z1, LABELS.z2)
-            * states.fock_position_basis(0, 0, x1, x2, GEOM)
+            * basis.coefficient_table(2, alpha, LABELS.z1, LABELS.z2, 0)[0, 0]
+            * fock_product(0, 0, x1, x2)
         )
         assert states.series_expansion(2, 0, x1, x2, GEOM, LABELS, alpha) == pytest.approx(
             expected, rel=1e-14
