@@ -20,7 +20,6 @@ hundred indices are safe in float64.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,7 +36,6 @@ from ._checks import (
 from .quadrature import _half_gauss_hermite
 
 __all__ = [
-    "SqueezeParam",
     "squeeze_from_alpha",
     "alpha_from_squeeze",
     "basis_function_sequence",
@@ -48,32 +46,29 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SqueezeParam:
-    """Squeeze strength bookkeeping: alpha in (0, 1] and xi = -ln(alpha)/2."""
-
-    alpha: float
-    xi: float
-
-
-def squeeze_from_alpha(alpha: float) -> SqueezeParam:
-    """Map alpha in (0, 1] to the squeezing strength xi.
+def squeeze_from_alpha(alpha: float) -> float:
+    """The squeezing strength xi of alpha in (0, 1], as a float.
 
     ``xi = artanh((1-alpha)/(1+alpha)) = -ln(alpha)/2``; alpha = 1 means no
     squeezing.  Basis evaluators additionally exclude alpha = 1 because
     their argument scaling degenerates there; this map keeps the closed
     endpoint for limit bookkeeping.
     """
-    alpha = check_alpha(alpha, closed=True)
-    return SqueezeParam(alpha=alpha, xi=-0.5 * math.log(alpha))
+    return -0.5 * math.log(check_alpha(alpha, closed=True))
 
 
 def alpha_from_squeeze(xi: float) -> float:
-    """Inverse of :func:`squeeze_from_alpha`: alpha = exp(-2 xi), finite xi >= 0."""
+    """Inverse of :func:`squeeze_from_alpha`: alpha = exp(-2 xi), finite xi >= 0.
+
+    An alpha below the smallest normal float64 (xi above 354.198) raises ``ValueError``.
+    """
     xi = check_real(xi, "xi")
     if xi < 0.0:
         raise ValueError(f"xi must be finite and nonnegative, got {xi}")
-    return math.exp(-2.0 * xi)
+    alpha = math.exp(-2.0 * xi)
+    if alpha < np.finfo(float).tiny:
+        raise ValueError(f"xi = {xi!r} is too large: alpha = exp(-2 xi) = {alpha!r} is not a normal float64")
+    return alpha
 
 
 def basis_function_sequence(n_max: int, alpha: float, z) -> np.ndarray:
@@ -200,10 +195,32 @@ def coefficient_norm_partial(k: int, alpha: float, z1: complex, z2: complex, n_m
     Nondecreasing in ``n_max`` (partial sums of nonnegative terms); the full
     series converges for every (z1, z2), which is what makes the expanded
     states normalizable.  The limit is exp(|z1|^2 + |z2|^2) for both modes.
-    A sum beyond the float64 range raises ``ValueError``.
+    A sum beyond the float64 range raises ``ValueError``, and so does a sum
+    above the limit by more than ``NORM_RTOL`` of it.
     """
     table = coefficient_table(k, alpha, z1, z2, n_max)
-    return float(_finite_result(lambda: np.sum(np.abs(table) ** 2), f"n_max {n_max}", z1=z1, z2=z2))
+    total = float(_finite_result(lambda: np.sum(np.abs(table) ** 2), f"n_max {n_max}", z1=z1, z2=z2))
+    # exp(-s) underflows only where the limit exp(s) exceeds every finite sum
+    _check_norm(total * math.exp(-(abs(z1) ** 2 + abs(z2) ** 2)), k, alpha, z1, z2, n_max)
+    return total
+
+
+# relative excess of a table's squared norm over its limit beyond which the
+# table has lost digits: the excess measured at most 1.8e-14 over alpha
+# 0.05-0.9, |z| <= 4, n_max <= 300 and both modes, and 6.7e-16 over the test
+# suite's tables; the recurrence's loss reads 5.2e-9 at alpha 0.05,
+# z1 = z2 = 4, n_max 300
+NORM_RTOL = 1e-12
+
+
+def _check_norm(norm_sq: float, k: int, alpha: float, z1: complex, z2: complex, n_max: int) -> None:
+    # norm_sq, the table's squared norm over its limit exp(|z1|^2 + |z2|^2),
+    # is a partial sum of a series that sums to 1
+    if norm_sq > 1.0 + NORM_RTOL:
+        raise ValueError(
+            f"the mode-{k} coefficient table lost its digits at alpha {float(alpha)!r}, labels ({complex(z1)}, "
+            f"{complex(z2)}), n_max {n_max}: its squared norm exceeds its limit by {norm_sq - 1.0:.3g} relative"
+        )
 
 
 # largest max_index at which basis_gram was measured within 3e-14 of I

@@ -39,7 +39,7 @@ import sys
 
 import numpy as np
 
-from . import model, phase_space, states, verify
+from . import basis, model, phase_space, states, verify
 from ._checks import check_alpha, check_complex, check_index, check_real
 from .quadrature import _split
 
@@ -436,8 +436,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             verdict = phase_space.ppt_separable(phase_space.covariance(k, alpha, geom))
             negativity = verdict.log_negativity
             closed = max(-math.log(alpha), 0.0) if k == 2 else 0.0
-            rows.append((k, alpha, -0.5 * math.log(alpha), *verdict.spectrum.values, verdict.verdict,
-                         negativity, closed, abs(negativity - closed)))
+            rows.append((k, alpha, basis.squeeze_from_alpha(alpha), *verdict.spectrum,
+                         "SEPARABLE" if verdict.separable else "ENTANGLED", negativity, closed,
+                         abs(negativity - closed)))
     params = {
         "command": "sweep", "a": args.a, "b": args.b, "hbar": args.hbar,
         "alphas": ",".join(format(a, ".17g") for a in args.alphas),

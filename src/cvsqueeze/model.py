@@ -384,7 +384,7 @@ class QuadraticHamiltonian:
         if q.shape != (4, 4):
             raise ValueError(f"q must be a 4x4 matrix, got shape {q.shape}")
         if linear.shape != (4,):
-            raise ValueError("L must be a 4-vector")
+            raise ValueError(f"linear must be a 4-vector, got shape {linear.shape}")
         object.__setattr__(self, "q", _symmetrized(q, "q"))
         object.__setattr__(self, "linear", linear)
 

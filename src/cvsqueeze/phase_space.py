@@ -23,7 +23,6 @@ from .states import OscillatorGeometry, QuadraticGaussian
 __all__ = [
     "CovarianceMatrix",
     "PhaseSpacePoint",
-    "SymplecticSpectrum",
     "SpectrumPairingError",
     "RSCheck",
     "PPTVerdict",
@@ -35,7 +34,6 @@ __all__ = [
     "partial_transpose",
     "symplectic_spectrum",
     "ppt_separable",
-    "log_negativity",
 ]
 
 # relative band around hbar/2 inside which the PPT verdict is flagged as
@@ -88,17 +86,6 @@ class PhaseSpacePoint:
     def __post_init__(self) -> None:
         for name in ("x1", "x2", "p1", "p2"):
             object.__setattr__(self, name, check_real(getattr(self, name), name))
-
-
-@dataclass(frozen=True)
-class SymplecticSpectrum:
-    """Positive symplectic eigenvalues, sorted ascending."""
-
-    values: tuple[float, ...]
-
-    @property
-    def minimum(self) -> float:
-        return self.values[0]
 
 
 def symplectic_form() -> np.ndarray:
@@ -252,8 +239,8 @@ def partial_transpose(cov: CovarianceMatrix) -> CovarianceMatrix:
     return CovarianceMatrix(sigma=lam @ cov.sigma @ lam.T, hbar=cov.hbar)
 
 
-def symplectic_spectrum(cov: CovarianceMatrix) -> SymplecticSpectrum:
-    """Positive symplectic eigenvalues of a covariance matrix.
+def symplectic_spectrum(cov: CovarianceMatrix) -> tuple[float, float]:
+    """The two positive symplectic eigenvalues of a covariance matrix, ascending.
 
     Primary route: eigenvalues of J Sigma, which come in conjugate pairs
     +-i lambda for symmetric positive-definite input; the real parts must
@@ -282,32 +269,25 @@ def symplectic_spectrum(cov: CovarianceMatrix) -> SymplecticSpectrum:
     expected = np.repeat(positive**2, 2)
     if not (np.abs(squares - expected) <= 1e-12 * scale**2 + 1e-12 * np.abs(expected)).all():
         raise SpectrumPairingError("square-root-free route disagrees with the paired spectrum")
-    return SymplecticSpectrum(values=(float(positive[0]), float(positive[1])))
+    return float(positive[0]), float(positive[1])
 
 
 @dataclass(frozen=True)
 class PPTVerdict:
     """Separability verdict and log-negativity of one partial-transpose spectrum.
 
-    ``spectrum`` is ``symplectic_spectrum(partial_transpose(cov))``;
-    ``margin`` is lambda_min / (hbar/2) - 1; ``indeterminate`` flags values
-    inside the boundary tolerance band where the verdict is a coin toss
-    numerically; ``log_negativity`` is max(ln(hbar / (2 lambda_min)), 0).
+    ``spectrum`` is ``symplectic_spectrum(partial_transpose(cov))``, the pair
+    (lambda_min, lambda_max); ``margin`` is lambda_min / (hbar/2) - 1;
+    ``indeterminate`` flags values inside the boundary tolerance band where
+    the verdict is a coin toss numerically; ``log_negativity`` is
+    max(ln(hbar / (2 lambda_min)), 0).
     """
 
     separable: bool
-    spectrum: SymplecticSpectrum
+    spectrum: tuple[float, float]
     margin: float
     indeterminate: bool
     log_negativity: float
-
-    @property
-    def lambda_min(self) -> float:
-        return self.spectrum.minimum
-
-    @property
-    def verdict(self) -> str:
-        return "SEPARABLE" if self.separable else "ENTANGLED"
 
 
 def ppt_separable(cov: CovarianceMatrix) -> PPTVerdict:
@@ -319,16 +299,11 @@ def ppt_separable(cov: CovarianceMatrix) -> PPTVerdict:
     is read off the same eigenvalue, with the natural logarithm.
     """
     spectrum = symplectic_spectrum(partial_transpose(cov))
-    margin = spectrum.minimum / (0.5 * cov.hbar) - 1.0
+    margin = spectrum[0] / (0.5 * cov.hbar) - 1.0
     return PPTVerdict(
         separable=margin >= -SEPARABILITY_RTOL,
         spectrum=spectrum,
         margin=margin,
         indeterminate=abs(margin) <= SEPARABILITY_RTOL,
-        log_negativity=max(math.log(cov.hbar / (2.0 * spectrum.minimum)), 0.0),
+        log_negativity=max(math.log(cov.hbar / (2.0 * spectrum[0])), 0.0),
     )
-
-
-def log_negativity(cov: CovarianceMatrix) -> float:
-    """Logarithmic negativity max(ln(hbar / (2 lambda_min)), 0) of :func:`ppt_separable`."""
-    return ppt_separable(cov).log_negativity

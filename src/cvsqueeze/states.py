@@ -43,7 +43,7 @@ from ._checks import (
     check_real,
     check_real_array,
 )
-from .basis import _normalized_hermite, coefficient_table
+from .basis import _check_norm, _normalized_hermite, coefficient_table
 from .quadrature import _half_gauss_hermite, _refine_by_doubling, scaled_gauss_hermite
 
 __all__ = [
@@ -171,8 +171,6 @@ class QuadraticGaussian:
         value = self.exponent(x1, x2)
         np.subtract(math.log(self.norm_prefactor), value, out=value)
         return np.exp(value, out=value)
-
-    __call__ = evaluate
 
 
 @dataclass(frozen=True)
@@ -425,14 +423,18 @@ def bargmann_series(k: int, alpha: float, labels: DisplacementLabels, n_max: int
     coherent normalizer, so it evaluates
     sum_{m,n<=n_max} phi_{k,(m,n)} conj(w1)^m conj(w2)^n / sqrt(m! n!),
     normalizer included, at any n_max the coefficient table reaches (no
-    factorial is formed).  :func:`series_expansion` contracts the same table,
-    and :func:`inverse_segal_bargmann` of the record reproduces
+    factorial is formed).  Where ||A||^2 exceeds 1 by more than
+    ``basis.NORM_RTOL``, as at large labels, it raises ``ValueError``.
+    :func:`series_expansion` contracts the same table, and
+    :func:`inverse_segal_bargmann` of the record reproduces
     :func:`wave_function` up to truncation and quadrature error.
     """
     # the raw coefficients sum to exp(|z1|^2 + |z2|^2) in square modulus (the
     # reproducing-kernel diagonal), which the normalized state divides out
     normalizer = math.exp(-0.5 * (abs(labels.z1) ** 2 + abs(labels.z2) ** 2))
-    return BargmannSeries(coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * normalizer)
+    amplitudes = coefficient_table(k, alpha, labels.z1, labels.z2, n_max) * normalizer
+    _check_norm(np.vdot(amplitudes, amplitudes).real, k, alpha, labels.z1, labels.z2, n_max)
+    return BargmannSeries(amplitudes)
 
 
 @lru_cache(maxsize=4)

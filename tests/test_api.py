@@ -1,6 +1,7 @@
 """The package's exported names and the inputs its functions take."""
 
 import ast
+import dataclasses
 import inspect
 import os
 import re
@@ -28,11 +29,11 @@ EXPORTS = {
     "BargmannSeries", "ConvergenceError", "CovarianceMatrix", "DisplacementLabels", "GaussianState",
     "GroundStateCheck", "OscillatorGeometry", "OscillatorSpec", "PPTVerdict", "PhaseSpacePoint",
     "QuadraticGaussian", "QuadraticHamiltonian", "RSCheck", "ShiftParams", "SpectrumPairingError",
-    "SqueezeParam", "SymplecticSpectrum", "TruncatedOperator", "alpha_from_squeeze", "bargmann_series",
+    "TruncatedOperator", "alpha_from_squeeze", "bargmann_series",
     "basis_function_2v_table", "basis_function_sequence", "basis_gram", "coefficient_norm_partial",
     "coefficient_table", "covariance", "gaussian_state", "ground_state_energy_check", "hamiltonian_fock",
     "hamiltonian_quadratic", "heisenberg_weyl_shift", "hermite_complex_2v_table", "hermite_function_sequence",
-    "hermite_holo_sequence", "inverse_segal_bargmann", "log_negativity", "mehler_product", "mehler_two_variable",
+    "hermite_holo_sequence", "inverse_segal_bargmann", "mehler_product", "mehler_two_variable",
     "orthogonality_integral", "orthogonality_rhs", "partial_transpose", "ppt_separable",
     "robertson_schrodinger_check", "segal_bargmann_kernel", "series_expansion", "shift_params",
     "squeeze_from_alpha", "symplectic_form", "symplectic_spectrum", "transformed_ladder_matrices",
@@ -47,8 +48,16 @@ DELETED = {
 }
 
 
+# second routes to a result another name already returns: the spectrum's
+# record, the squeeze record and the negativity wrapper of ppt_separable
+REPEATED = {
+    phase_space: ["SymplecticSpectrum", "log_negativity"],
+    basis: ["SqueezeParam"],
+}
+
+
 def test_the_exported_names():
-    assert len(EXPORTS) == 54
+    assert len(EXPORTS) == 51
     assert set(cvsqueeze.__all__) == EXPORTS
     assert len(cvsqueeze.__all__) == len(EXPORTS)
 
@@ -57,6 +66,27 @@ def test_the_exported_names():
 def test_scalar_views_of_a_table_are_gone(layer, name):
     assert not hasattr(cvsqueeze, name)
     assert not hasattr(layer, name)
+
+
+@pytest.mark.parametrize("layer, name", [(layer, name) for layer, names in REPEATED.items() for name in names])
+def test_repeated_routes_are_gone(layer, name):
+    assert not hasattr(cvsqueeze, name)
+    assert not hasattr(layer, name)
+
+
+def test_one_route_per_result():
+    # lambda_min is spectrum[0], E_N the verdict's field, xi a float
+    cov = phase_space.covariance(2, 0.5, states.OscillatorGeometry(1.0, 1.3))
+    spectrum = phase_space.symplectic_spectrum(cov)
+    assert type(spectrum) is tuple and [type(v) for v in spectrum] == [float, float]
+    assert spectrum[0] <= spectrum[1]
+    fields = ["separable", "spectrum", "margin", "indeterminate", "log_negativity"]
+    assert [field.name for field in dataclasses.fields(phase_space.PPTVerdict)] == fields
+    assert not [name for name, value in vars(phase_space.PPTVerdict).items() if isinstance(value, property)]
+    verdict = phase_space.ppt_separable(cov)
+    assert type(verdict.spectrum) is tuple
+    assert type(basis.squeeze_from_alpha(0.5)) is float
+    assert not callable(states.unshifted_gaussian(2, 0.5, states.OscillatorGeometry(1.0, 1.3)))
 
 
 def test_star_import_exports_only_the_listed_names():
@@ -74,7 +104,6 @@ def test_no_derivable_inputs():
     # from the covariance, the orthogonality rule's order from m and n
     assert "geom" not in _parameters(model.ground_state_energy_check)
     assert _parameters(phase_space.ppt_separable) == ["cov"]
-    assert _parameters(phase_space.log_negativity) == ["cov"]
     assert _parameters(hermite.orthogonality_integral) == ["m", "n", "alpha"]
     # settings that no caller sets are constants: tolerances, the interior's
     # padding and the ground-state box; the chord rule's quadratic form has

@@ -1,6 +1,7 @@
 """Squeeze map, basis functions, coefficient families, Gaussian measure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,22 +12,23 @@ from cvsqueeze.quadrature import _plane_gauss_hermite, gauss_hermite, scaled_gau
 
 class TestSqueezeParam:
     def test_no_squeezing(self):
-        assert basis.squeeze_from_alpha(1.0).xi == 0.0
+        xi = basis.squeeze_from_alpha(1.0)
+        assert type(xi) is float and xi == 0.0
 
     def test_half(self):
-        assert basis.squeeze_from_alpha(0.5).xi == pytest.approx(math.log(2) / 2, rel=1e-15)
+        assert basis.squeeze_from_alpha(0.5) == pytest.approx(math.log(2) / 2, rel=1e-15)
 
     def test_round_trip(self):
         alpha = math.exp(-2 * 0.8)
-        assert basis.squeeze_from_alpha(alpha).xi == pytest.approx(0.8, rel=1e-14)
+        assert basis.squeeze_from_alpha(alpha) == pytest.approx(0.8, rel=1e-14)
         for alpha in np.logspace(-3, 0, 17):
-            param = basis.squeeze_from_alpha(float(alpha))
-            assert basis.alpha_from_squeeze(param.xi) == pytest.approx(float(alpha), rel=1e-14)
+            xi = basis.squeeze_from_alpha(float(alpha))
+            assert basis.alpha_from_squeeze(xi) == pytest.approx(float(alpha), rel=1e-14)
 
     def test_dual_expression(self):
         for alpha in (0.1, 0.37, 0.9):
-            param = basis.squeeze_from_alpha(alpha)
-            assert param.xi == pytest.approx(math.atanh((1 - alpha) / (1 + alpha)), abs=1e-14)
+            xi = basis.squeeze_from_alpha(alpha)
+            assert xi == pytest.approx(math.atanh((1 - alpha) / (1 + alpha)), abs=1e-14)
 
     def test_rejects_out_of_range(self):
         for bad in (0.0, -0.1, 1.0001):
@@ -34,6 +36,16 @@ class TestSqueezeParam:
                 basis.squeeze_from_alpha(bad)
         with pytest.raises(ValueError, match="^xi must be finite and nonnegative, got -0.5$"):
             basis.alpha_from_squeeze(-0.5)
+
+    @pytest.mark.parametrize("xi", [360.0, 400.0, 1e300])
+    def test_rejects_an_alpha_below_the_normal_range(self, xi):
+        # exp(-2 xi) was returned as the subnormal 2.03e-313 at 360 and as 0.0 at 400
+        with pytest.raises(ValueError, match=rf"^xi = {re.escape(repr(xi))} is too large"):
+            basis.alpha_from_squeeze(xi)
+
+    def test_smallest_normal_alpha_round_trips(self):
+        xi = basis.squeeze_from_alpha(float(np.finfo(float).tiny))
+        assert basis.alpha_from_squeeze(xi) == pytest.approx(float(np.finfo(float).tiny), rel=1e-13)
 
 
 class TestBasisFunction:
@@ -199,6 +211,15 @@ class TestCoefficientNorm:
         total_70 = basis.coefficient_norm_partial(2, 0.2, 1.0, 1.0, 70)
         assert abs(total_80 - total_70) < 1e-8
         assert total_80 == pytest.approx(math.exp(2.0), rel=1e-10)
+
+    def test_sum_above_its_limit_raises(self):
+        # the two-index recurrence loses its digits at z1 = z2 = 4: the sum
+        # read 5.2e-9 above exp(32) at alpha 0.05, n_max 300, and was returned
+        message = "mode-2 .* " + re.escape("alpha 0.05, labels ((4+0j), (4+0j)), n_max 300") + r": .* by 5.\d+e-09"
+        with pytest.raises(ValueError, match=message):
+            basis.coefficient_norm_partial(2, 0.05, 4, 4, 300)
+        # within the bound at n_max 150, where the excess is rounding
+        assert basis.coefficient_norm_partial(2, 0.05, 4, 4, 150) <= math.exp(32.0) * (1.0 + basis.NORM_RTOL)
 
     def test_mode2_degenerates_at_weak_squeezing(self):
         # all excited coefficients scale with ((1-alpha)/(1+alpha))^(m+n)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -423,6 +424,18 @@ class TestHamiltonianQuadratic:
             constant = value
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             model.QuadraticHamiltonian(q=q, linear=linear, constant=constant)
+
+    @pytest.mark.parametrize("field, q, linear", [
+        ("q", np.eye(3), np.zeros(4)),
+        ("linear", np.eye(4), np.zeros(3)),
+        ("linear", np.eye(4), np.zeros((4, 1))),
+    ], ids=["q-3x3", "linear-3", "linear-4x1"])
+    def test_rejects_a_wrong_shape_naming_the_field(self, field, q, linear):
+        # a wrong-shaped linear once raised "L must be a 4-vector", naming
+        # neither the field nor its shape
+        shape = re.escape(str((q if field == "q" else linear).shape))
+        with pytest.raises(ValueError, match=rf"^{field} must be a 4.*, got shape {shape}$"):
+            model.QuadraticHamiltonian(q=q, linear=linear, constant=0.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
     @pytest.mark.parametrize("name", ["x1", "x2", "p1", "p2"])

@@ -1,6 +1,7 @@
 """Closed-form wave functions, series representations, shifts, Bargmann maps."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -225,7 +226,7 @@ class TestFactoredWaveFunction:
         labels = states.DisplacementLabels(complex(parts[0], parts[1]), complex(parts[2], parts[3]))
         x1, x2 = principal_bulk(k, alpha, geom, labels, np.linspace(-2.0, 2.0, 5))
         shift = states.shift_params(k, alpha, geom, labels)
-        rebuilt = states.heisenberg_weyl_shift(shift, states.unshifted_gaussian(k, alpha, geom), x1, x2, hbar)
+        rebuilt = states.heisenberg_weyl_shift(shift, states.unshifted_gaussian(k, alpha, geom).evaluate, x1, x2, hbar)
         direct = states.wave_function(k, x1, x2, geom, labels, alpha)
         phase_size = (
             np.abs(shift.q1 * x1) + np.abs(shift.q2 * x2) + abs(shift.q1 * shift.y1) + abs(shift.q2 * shift.y2)
@@ -241,7 +242,7 @@ BROADCAST_CALLS = [
     lambda x1, x2: states.series_expansion(2, 4, x1, x2, GEOM, LABELS, 0.5),
     lambda x1, x2: states.inverse_segal_bargmann(states.bargmann_series(2, 0.5, LABELS, 4), x1, x2, GEOM, order=4),
     lambda x1, x2: states.heisenberg_weyl_shift(
-        states.ShiftParams(0.1, 0.2, 0.3, 0.4), states.unshifted_gaussian(2, 0.5, GEOM), x1, x2
+        states.ShiftParams(0.1, 0.2, 0.3, 0.4), states.unshifted_gaussian(2, 0.5, GEOM).evaluate, x1, x2
     ),
     lambda x1, x2: states.segal_bargmann_kernel(x1, x2, 0.3 + 0.1j, -0.2j, GEOM),
 ]
@@ -312,7 +313,7 @@ class TestInputDomain:
         "call",
         [
             lambda x: states.heisenberg_weyl_shift(
-                states.ShiftParams(0.1, 0.2, 0.3, 0.4), states.unshifted_gaussian(2, 0.5, GEOM), x, 0.2
+                states.ShiftParams(0.1, 0.2, 0.3, 0.4), states.unshifted_gaussian(2, 0.5, GEOM).evaluate, x, 0.2
             ),
             lambda x: states.segal_bargmann_kernel(x, 0.2, 0.3 + 0.1j, -0.2j, GEOM),
             lambda x: states.hermite_function_sequence(3, x, 1.0),
@@ -657,6 +658,14 @@ class TestInverseSegalBargmann:
         exact = states.wave_function(1, 0.5, -0.2, GEOM, labels, 0.5)
         assert approx == pytest.approx(exact, abs=1e-5)
 
+    @pytest.mark.parametrize("z, n_max, excess", [(4, 300, "5.15e-09"), (5, 570, "1.82e\\+06")])
+    def test_bargmann_series_raises_on_a_norm_above_one(self, z, n_max, excess):
+        # the k = 2 table at large equal labels was returned with ||A||^2 - 1
+        # at these readings; at (5, 570) series_expansion was 0.21 of peak off
+        message = re.escape(f"alpha 0.05, labels (({z}+0j), ({z}+0j)), n_max {n_max}") + f": .* by {excess}"
+        with pytest.raises(ValueError, match=message):
+            states.bargmann_series(2, 0.05, states.DisplacementLabels(z, z), n_max)
+
     def test_bargmann_series_is_the_double_sum(self):
         from cvsqueeze.basis import coefficient_table
 
@@ -873,7 +882,7 @@ class TestSchmidtSpectrum:
 
     @pytest.mark.parametrize("alpha, n_max", CASES)
     def test_mode2_matches_phase_space(self, alpha, n_max):
-        expected = phase_space.log_negativity(phase_space.covariance(2, alpha, GEOM))
+        expected = phase_space.ppt_separable(phase_space.covariance(2, alpha, GEOM)).log_negativity
         assert self.schmidt_log_negativity(2, alpha, n_max) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alpha, n_max", CASES)
